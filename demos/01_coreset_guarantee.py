@@ -6,8 +6,6 @@ error over a query set that mixes random probes with the origin.  The error
 should shrink roughly like 1/sqrt(m), and every weight stays in (0, 2].
 """
 
-import numpy as np
-
 import regsamp as rs
 
 
@@ -33,7 +31,7 @@ def main():
     for m in (50, 200, 800, 3200, 12800):
         samples = rs.draw_iid(inst, "norm", m, seed=100 + m)
         err, _, _ = rs.max_relative_error(inst, spec, samples, queries)
-        mean_w = float(np.mean([s.w for s in samples]))
+        mean_w = float(samples.w.mean())
         print(f"{m:>6}  {err:>12.5f}  {mean_w:>11.4f}")
 
     report = rs.estimate_opt(inst, spec, restarts=4, seed=3)

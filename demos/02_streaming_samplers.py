@@ -40,7 +40,7 @@ def main():
     print("accepted mix     ", np.round(got / got.sum(), 4))
     print("estimate mixture ", np.round(target, 4))
     rew = rs.weights_from_estimate(rs.draw_iid(inst, "norm", 5, seed=11), est.s_hat)
-    print("reweighted w'    ", np.round([s.w for s in rew], 4))
+    print("reweighted w'    ", np.round(rew.w, 4))
 
     # single-pass weighted reservoir: inclusion proportional to score
     scores = score_array("norm", inst.atoms)

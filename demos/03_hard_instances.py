@@ -11,15 +11,10 @@ import numpy as np
 
 import regsamp as rs
 from regsamp.hardness import adversarial_relative_error
-from regsamp.sampler import atom_weights, score_array
 
 
 def forced_miss_sample(hard, kept):
-    inst = hard.instance
-    w = atom_weights(inst, hard.score_kind, hard.convention)
-    s = score_array(hard.score_kind, inst.atoms)
-    return [rs.WeightedSample(int(i), inst.atoms[i], float(w[i]), float(s[i]))
-            for i in kept]
+    return rs.Coreset.of_atoms(hard.instance, list(kept), hard.score_kind, hard.convention)
 
 
 def main():

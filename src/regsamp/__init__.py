@@ -67,18 +67,20 @@ from .objective import (
     build_query_set,
     coreset_objective,
     estimate_opt,
+    evaluate,
     exhaustive_sample,
     full_objective,
     max_relative_error,
     opt_lower_bound,
     recommended_sample_size,
     relative_error,
+    relative_errors,
     sensitivity,
 )
 from .sampler import (
     CategoricalSampler,
+    Coreset,
     SEstimate,
-    WeightedSample,
     derive_rng,
     draw_iid,
     estimate_S,

@@ -1,14 +1,13 @@
 """Monte Carlo harness: failure rates, minimal sample sizes, scaling curves.
 
 Trials are independent streams of a counter-based generator keyed by
-(master_seed, m, trial), so results are identical regardless of worker
-count or probing order, and aggregation is order-independent.
+(master_seed, m, trial), so results do not depend on probing order, and
+aggregation is order-independent.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from .hardness import (
 )
 from .losses import eval_loss
 from .model import Instance, ObjectiveSpec
-from .objective import QuerySet, build_query_set
+from .objective import QuerySet, build_query_set, evaluate
 from .sampler import (
     MIXTURE,
     CategoricalSampler,
@@ -123,18 +122,14 @@ def _generic_query_failures(instance: Instance, spec: ObjectiveSpec, queries: Qu
                             w: np.ndarray, counts: np.ndarray, m: int,
                             eps: float) -> np.ndarray:
     """Failure indicator per trial: any query with relative error above eps."""
-    from .losses import eval_regularizer
-
-    margins = instance.atoms @ queries.queries.T          # (n, Q)
-    gvals = np.asarray(eval_loss(spec.loss, margins))
-    f0 = instance.masses @ gvals                          # (Q,)
-    reg = np.array([eval_regularizer(spec.reg, x) for x in queries.queries])
-    f = f0 + reg / spec.k
+    # row 0 is the full objective f0, rows 1.. the per-trial coreset objectives
+    f0, reg = evaluate(instance.atoms, np.vstack([instance.masses, counts * w / m]),
+                       spec, queries.queries)
+    f = f0[0] + reg
     valid = f > 0.0
     if not np.any(valid):
         return np.zeros(counts.shape[0], dtype=bool)
-    f0hat = (counts * w) @ gvals[:, valid] / m            # (T, Q_valid)
-    err = np.abs(f0[valid] - f0hat) / f[valid]
+    err = np.abs(f0[0, valid] - f0[1:, valid]) / f[valid]
     return np.any(err > eps, axis=1)
 
 
@@ -230,8 +225,7 @@ def _hard_for_k(kind: str, k: float, eps: float, reg: str | None) -> HardInstanc
 
 def scaling_curve(kind: str, k_list, eps: float, delta: float,
                   trials: int = DEFAULT_TRIALS, seed: int = 0,
-                  reg: str | None = None, m_cap: int = DEFAULT_M_CAP,
-                  threads: int = 1) -> ScalingCurve:
+                  reg: str | None = None, m_cap: int = DEFAULT_M_CAP) -> ScalingCurve:
     """Minimal sample size per k and the least-squares log-log slope.
 
     The slope CI is a 200-resample case bootstrap.  Budget failures are
@@ -251,12 +245,7 @@ def scaling_curve(kind: str, k_list, eps: float, delta: float,
         except BudgetExceededError as exc:
             return k, None, str(exc)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, k_list))
-    else:
-        results = [solve(k) for k in k_list]
-
+    results = [solve(k) for k in k_list]
     points = tuple((k, m) for k, m, err in results if err is None)
     errors = tuple((k, err) for k, _, err in results if err is not None)
     if len(points) >= 2:

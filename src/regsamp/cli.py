@@ -25,19 +25,17 @@ from .errors import (
 )
 from .losses import make_loss, make_reg
 from .model import ObjectiveSpec, load_instance, save_instance
-from .objective import (
-    estimate_opt,
-    load_queries,
-    max_relative_error,
-    relative_error,
-    save_queries,
-)
+from .objective import estimate_opt, load_queries, relative_errors, save_queries, worst_error
 from .sampler import MIXTURE, draw_iid, load_samples, save_samples
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BUDGET = 3
+
+# keys a `bench` config must set, per mode
+BENCH_KEYS = {"failure-rate": ("kind", "eps", "delta", "m_list"),
+              "scaling": ("kind", "k_list", "eps", "delta")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,11 +119,10 @@ def _cmd_eval(args) -> int:
     samples = load_samples(args.sample)
     queries = load_queries(args.queries, dim=instance.dim)
     spec = ObjectiveSpec(make_loss(args.loss), make_reg(args.reg), args.k)
-    per_query = []
-    for x, tag in zip(queries.queries, queries.tags):
-        err = relative_error(instance, spec, samples, x)
-        per_query.append({"tag": tag, "error": None if math.isnan(err) else err})
-    max_err, _, skipped = max_relative_error(instance, spec, samples, queries)
+    errors = relative_errors(instance, spec, samples, queries.queries)
+    per_query = [{"tag": tag, "error": None if math.isnan(err) else err}
+                 for tag, err in zip(queries.tags, errors.tolist())]
+    max_err, _, skipped = worst_error(errors)
     report = {"eps": args.eps, "max_error": max_err, "skipped": skipped,
               "pass": bool(max_err <= args.eps), "per_query": per_query}
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -157,9 +154,14 @@ def _cmd_opt(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    mode = cfg.get("mode", "scaling")
+    if mode not in BENCH_KEYS:
+        raise InvalidInputError(f"unknown bench mode {mode!r}")
+    missing = [key for key in BENCH_KEYS[mode] if key not in cfg]
+    if missing:
+        raise InvalidInputError(f"{mode} config lacks required key(s) {', '.join(missing)}")
     out = Path(args.out or cfg.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
-    mode = cfg.get("mode", "scaling")
     outputs = []
     warnings = []
     if mode == "failure-rate":
@@ -185,21 +187,18 @@ def _cmd_bench(args) -> int:
                 warnings.append(f"m={m}: single trial gives a vacuous CI")
         bench.write_failure_rate_csv(out / "failure_rates.csv", rows)
         outputs.append("failure_rates.csv")
-    elif mode == "scaling":
+    else:
         curve = bench.scaling_curve(cfg["kind"], cfg["k_list"], eps=cfg["eps"],
                                     delta=cfg["delta"],
                                     trials=cfg.get("trials", bench.DEFAULT_TRIALS),
                                     seed=cfg.get("master_seed", args.seed),
                                     reg=cfg.get("reg"),
-                                    m_cap=cfg.get("m_cap", bench.DEFAULT_M_CAP),
-                                    threads=args.threads)
+                                    m_cap=cfg.get("m_cap", bench.DEFAULT_M_CAP))
         bench.write_scaling_csv(out / "scaling.csv", cfg["kind"], curve)
         bench.write_plot_data(out / "scaling_plot.dat", curve)
         outputs += ["scaling.csv", "scaling_plot.dat"]
         for k, err in curve.budget_errors:
             warnings.append(f"k={k:g}: {err}")
-    else:
-        raise InvalidInputError(f"unknown bench mode {mode!r}")
     _write_manifest(out, "bench", cfg, outputs)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -229,7 +228,6 @@ def build_parser() -> _Parser:
                                  "linear classification losses")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--out", type=str, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,6 +14,7 @@ All failure checks are count-based and deterministic given the sample.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ from .sampler import (
     MIXTURE,
     NORM_PLUS_1,
     SCORE_ONLY,
-    WeightedSample,
+    Coreset,
     atom_probabilities,
     score_array,
 )
@@ -382,15 +383,11 @@ def reduction_scale(loss: LossSpec, reg: RegSpec, x, beta: float) -> np.ndarray:
 # failure predicates
 # ---------------------------------------------------------------------------
 
-def _counts_from_samples(hard: HardInstance, samples: list[WeightedSample]
-                         ) -> tuple[np.ndarray, float, int]:
-    if not samples:
-        raise InvalidInputError("sample must be nonempty")
+def _counts_from_samples(hard: HardInstance, samples: Coreset) -> tuple[np.ndarray, float, int]:
     inst = hard.instance
-    idx = np.array([smp.atom_index for smp in samples])
+    idx, w_given = samples.idx, samples.w
     if np.any(idx < 0) or np.any(idx >= inst.n):
         raise ConfigurationError("sample indexes an atom outside the instance")
-    w_given = np.array([smp.w for smp in samples])
     s = score_array(hard.score_kind, inst.atoms)
     if hard.convention == MIXTURE:
         w0 = float(w_given[0])
@@ -522,8 +519,7 @@ def resolve_adversarial_query(hard: HardInstance, counts: np.ndarray) -> np.ndar
     raise ConfigurationError(f"{hard.kind} has no sample-resolved query")
 
 
-def adversarial_relative_error(hard: HardInstance, samples: list[WeightedSample]
-                               ) -> tuple[float, float]:
+def adversarial_relative_error(hard: HardInstance, samples: Coreset) -> tuple[float, float]:
     """(relative error at the resolved adversarial query, error at the origin).
 
     Quadratic-regime kinds only; the origin error is NaN where the origin is
@@ -538,8 +534,7 @@ def adversarial_relative_error(hard: HardInstance, samples: list[WeightedSample]
     return float(err_x[0]), float(err_0[0])
 
 
-def check_failure(hard: HardInstance, samples: list[WeightedSample],
-                  eps: float) -> FailureVerdict:
+def check_failure(hard: HardInstance, samples: Coreset, eps: float) -> FailureVerdict:
     """Evaluate the instance-specific failure predicate on a drawn sample.
 
     Samples must have been drawn under the convention the instance records;
@@ -607,7 +602,7 @@ def check_failure(hard: HardInstance, samples: list[WeightedSample],
 
 
 def generate(kind: str, **kwargs) -> HardInstance:
-    """Dispatch a generator by kind name."""
+    """Dispatch a generator by kind name, checking the parameters against its signature."""
     gens = {
         QUAD_LOGISTIC: gen_quad_logistic,
         QUAD_SIGMOID: gen_quad_sigmoid,
@@ -621,6 +616,10 @@ def generate(kind: str, **kwargs) -> HardInstance:
     }
     if kind not in gens:
         raise ConfigurationError(f"unknown hard-instance kind {kind!r}")
+    try:
+        inspect.signature(gens[kind]).bind(**kwargs)
+    except TypeError as exc:
+        raise InvalidInputError(f"{kind}: {exc}") from None
     return gens[kind](**kwargs)
 
 

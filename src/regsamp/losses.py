@@ -161,25 +161,27 @@ def decompose(loss: LossSpec):
 
 
 def eval_regularizer(reg: RegSpec, x):
-    """R(x) for R in {l1, l2, l2sq}."""
+    """R(x) for R in {l1, l2, l2sq}; row-wise for a 2-D array of queries."""
     x = np.asarray(x, dtype=float)
     if reg.kind == L1:
-        return float(np.sum(np.abs(x)))
-    if reg.kind == L2:
-        return float(np.linalg.norm(x))
-    if reg.kind == L2SQ:
-        return float(np.dot(x, x))
-    raise InvalidInputError(f"unknown regularizer kind {reg.kind!r}")
+        v = np.sum(np.abs(x), axis=-1)
+    elif reg.kind == L2:
+        v = np.linalg.norm(x, axis=-1)
+    elif reg.kind == L2SQ:
+        v = np.sum(x * x, axis=-1)
+    else:
+        raise InvalidInputError(f"unknown regularizer kind {reg.kind!r}")
+    return v if v.ndim else float(v)
 
 
 def reg_subgradient(reg: RegSpec, x: np.ndarray) -> np.ndarray:
-    """A subgradient of R at x (the zero vector at x = 0 for l1/l2)."""
+    """A subgradient of R at x (the zero vector at x = 0 for l1/l2); row-wise for 2-D x."""
     x = np.asarray(x, dtype=float)
     if reg.kind == L1:
         return np.sign(x)
     if reg.kind == L2:
-        nrm = np.linalg.norm(x)
-        return x / nrm if nrm > 0 else np.zeros_like(x)
+        nrm = np.linalg.norm(x, axis=-1, keepdims=True)
+        return np.divide(x, nrm, out=np.zeros_like(x), where=nrm > 0)
     if reg.kind == L2SQ:
         return 2.0 * x
     raise InvalidInputError(f"unknown regularizer kind {reg.kind!r}")

@@ -34,7 +34,7 @@ from .losses import (
     reg_subgradient,
 )
 from .model import Constants, Instance, ObjectiveSpec
-from .sampler import WeightedSample, derive_rng
+from .sampler import Coreset, derive_rng, score_array
 
 TAG_ADVERSARIAL = "adversarial"
 TAG_GAUSSIAN = "random-gaussian"
@@ -46,6 +46,8 @@ RULE_NORM = "norm"
 RULE_BOUNDED_DERIVATIVE = "bounded-derivative"
 RULE_L1 = "l1"
 SAMPLE_SIZE_RULES = (RULE_NORM, RULE_BOUNDED_DERIVATIVE, RULE_L1)
+
+BLOCK = 2 ** 18  # margin elements per query block of evaluate
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,73 +83,75 @@ class OptReport:
     analytic_upper: float
 
 
+def evaluate(atoms, coef, spec: ObjectiveSpec, X) -> tuple[np.ndarray, np.ndarray]:
+    """(f0, R/k) for every query row of X, with f0 = coef @ g(atoms @ X.T).
+
+    coef is (n,) for one weighting of the n atoms or (T, n) for T weightings
+    at once; f0 is then (Q,) or (T, Q) and R/k is (Q,).  Query rows are
+    taken in blocks of at most BLOCK margin elements, so memory stays bounded
+    for any number of queries.
+    """
+    atoms = np.asarray(atoms, dtype=float)
+    coef = np.asarray(coef, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if X.shape[1:] != atoms.shape[1:]:
+        raise DimensionMismatchError(f"queries {X.shape} do not match atoms {atoms.shape}")
+    f0 = np.empty(coef.shape[:-1] + (X.shape[0],))
+    step = max(1, BLOCK // atoms.shape[0])
+    for lo in range(0, X.shape[0], step):
+        f0[..., lo:lo + step] = coef @ eval_loss(spec.loss, atoms @ X[lo:lo + step].T)
+    return f0, eval_regularizer(spec.reg, X) / spec.k
+
+
 def full_objective(instance: Instance, spec: ObjectiveSpec, x) -> tuple[float, float]:
     """(f0, f) at x over the full instance."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (instance.dim,):
-        raise DimensionMismatchError(
-            f"query has dimension {x.size}, instance has {instance.dim}")
-    margins = instance.atoms @ x
-    f0 = float(instance.masses @ np.asarray(eval_loss(spec.loss, margins)))
-    f = f0 + eval_regularizer(spec.reg, x) / spec.k
-    return f0, f
+    f0, r = evaluate(instance.atoms, instance.masses, spec, [x])
+    return float(f0[0]), float(f0[0] + r[0])
 
 
-def coreset_objective(samples: list[WeightedSample], spec: ObjectiveSpec, x
-                      ) -> tuple[float, float]:
+def coreset_objective(samples: Coreset, spec: ObjectiveSpec, x) -> tuple[float, float]:
     """(f0_hat, f_hat) at x: f0_hat = (1/m) sum_i w_i g(<a_i, x>)."""
-    if not samples:
-        raise InvalidInputError("sample must be nonempty")
-    x = np.asarray(x, dtype=float)
-    a = np.stack([smp.a for smp in samples])
-    if a.shape[1] != x.size:
-        raise DimensionMismatchError(
-            f"query has dimension {x.size}, samples have {a.shape[1]}")
-    w = np.array([smp.w for smp in samples])
-    f0_hat = float(np.mean(w * np.asarray(eval_loss(spec.loss, a @ x))))
-    return f0_hat, f0_hat + eval_regularizer(spec.reg, x) / spec.k
+    f0_hat, r = evaluate(samples.a, samples.w / len(samples), spec, [x])
+    return float(f0_hat[0]), float(f0_hat[0] + r[0])
 
 
-def exhaustive_sample(instance: Instance, kind: str = "norm") -> list[WeightedSample]:
+def exhaustive_sample(instance: Instance, kind: str = "norm") -> Coreset:
     """Enumerate each atom once with weight n*p_i, so the coreset objective is exact."""
-    from .sampler import score_array
-
-    s = score_array(kind, instance.atoms)
-    n = instance.n
-    return [WeightedSample(i, instance.atoms[i], float(n * instance.masses[i]), float(s[i]))
-            for i in range(n)]
+    return Coreset(np.arange(instance.n), instance.atoms, instance.n * instance.masses,
+                   score_array(kind, instance.atoms))
 
 
-def relative_error(instance: Instance, spec: ObjectiveSpec,
-                   samples: list[WeightedSample], x) -> float:
+def relative_errors(instance: Instance, spec: ObjectiveSpec, samples: Coreset, X) -> np.ndarray:
+    """|f0(x) - f0_hat(x)| / f(x) for every query row of X; NaN where f(x) <= 0."""
+    f0, r = evaluate(instance.atoms, instance.masses, spec, X)
+    f0_hat, _ = evaluate(samples.a, samples.w / len(samples), spec, X)
+    f = f0 + r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(f > 0.0, np.abs(f0 - f0_hat) / f, np.nan)
+
+
+def relative_error(instance: Instance, spec: ObjectiveSpec, samples: Coreset, x) -> float:
     """|f0(x) - f0_hat(x)| / f(x); NaN when f(x) = 0 (infinite-sensitivity flag)."""
-    f0, f = full_objective(instance, spec, x)
-    f0_hat, _ = coreset_objective(samples, spec, x)
-    if f <= 0.0:
-        return float("nan")
-    return abs(f0 - f0_hat) / f
+    return float(relative_errors(instance, spec, samples, [x])[0])
 
 
-def max_relative_error(instance: Instance, spec: ObjectiveSpec,
-                       samples: list[WeightedSample], queries: QuerySet
-                       ) -> tuple[float, np.ndarray, int]:
+def worst_error(errors: np.ndarray) -> tuple[float, int, int]:
+    """(max, index of the first max, number of NaN entries skipped) of relative errors."""
+    flagged = np.isnan(errors)
+    if flagged.all():
+        raise InvalidInputError("every query was flagged; effective query set is empty")
+    i = int(np.nanargmax(errors))
+    return float(errors[i]), i, int(flagged.sum())
+
+
+def max_relative_error(instance: Instance, spec: ObjectiveSpec, samples: Coreset,
+                       queries: QuerySet) -> tuple[float, np.ndarray, int]:
     """Maximum relative error over the query set.
 
     Returns (max, argmax query, number of flagged queries skipped).
     """
-    best = -1.0
-    best_q = None
-    skipped = 0
-    for x in queries.queries:
-        err = relative_error(instance, spec, samples, x)
-        if math.isnan(err):
-            skipped += 1
-            continue
-        if err > best:
-            best, best_q = err, x
-    if best_q is None:
-        raise InvalidInputError("every query was flagged; effective query set is empty")
-    return best, best_q, skipped
+    best, i, skipped = worst_error(relative_errors(instance, spec, samples, queries.queries))
+    return best, queries.queries[i], skipped
 
 
 def opt_lower_bound(loss: LossSpec, reg: RegSpec, k: float, L: float, B: float) -> float:
@@ -167,43 +171,31 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
                  seed: int = 0, iters: int = 2000) -> OptReport:
     """Multi-start subgradient descent on f with diminishing step c/sqrt(t).
 
-    Starts at the origin plus Gaussian restarts; tracks the best iterate.
-    The result is bracketed by the analytic bounds [lower, g(0)].
+    Starts at the origin plus Gaussian restarts, run together as one
+    (restarts, d) block; tracks each restart's best iterate.  The result
+    is bracketed by the analytic bounds [lower, g(0)].
     """
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
     loss, reg, k = spec.loss, spec.reg, spec.k
-    norms = instance.norms()
-    b_mean = float(instance.masses @ norms)
+    b_mean = float(instance.masses @ instance.norms())
     lower = opt_lower_bound(loss, reg, k, loss.lipschitz_formula, b_mean)
     upper = loss.g0
 
-    def f_of(x):
-        margins = instance.atoms @ x
-        return float(instance.masses @ np.asarray(eval_loss(loss, margins))) \
-            + eval_regularizer(reg, x) / k
-
-    def subgrad(x):
-        margins = instance.atoms @ x
-        coeff = instance.masses * np.asarray(eval_loss_derivative(loss, margins))
-        return instance.atoms.T @ coeff + reg_subgradient(reg, x) / k
-
-    best_val = math.inf
-    best_x = np.zeros(instance.dim)
-    for r in range(restarts):
-        if r == 0:
-            x = np.zeros(instance.dim)
-        else:
-            x = derive_rng(seed, r).standard_normal(instance.dim)
-        c = float(np.linalg.norm(x)) + 1.0
-        val = f_of(x)
-        if val < best_val:
-            best_val, best_x = val, x.copy()
-        for t in range(1, iters + 1):
-            x = x - (c / math.sqrt(t)) * subgrad(x)
-            val = f_of(x)
-            if val < best_val:
-                best_val, best_x = val, x.copy()
+    atoms, masses = instance.atoms, instance.masses
+    X = np.zeros((restarts, instance.dim))
+    for r in range(1, restarts):
+        X[r] = derive_rng(seed, r).standard_normal(instance.dim)
+    c = np.linalg.norm(X, axis=1, keepdims=True) + 1.0
+    best_vals, best_X = np.add(*evaluate(atoms, masses, spec, X)), X.copy()
+    for t in range(1, iters + 1):
+        coeff = masses * eval_loss_derivative(loss, X @ atoms.T)
+        X = X - (c / math.sqrt(t)) * (coeff @ atoms + reg_subgradient(reg, X) / k)
+        vals = np.add(*evaluate(atoms, masses, spec, X))
+        better = vals < best_vals
+        best_vals[better], best_X[better] = vals[better], X[better]
+    r = int(np.argmin(best_vals))
+    best_val, best_x = float(best_vals[r]), best_X[r]
     if not (lower - 1e-9 <= best_val <= upper + 1e-9):
         raise OptimizerFailureError(
             f"optimizer value {best_val} escaped bracket [{lower}, {upper}]")
@@ -211,12 +203,15 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
                      analytic_lower=lower, analytic_upper=upper)
 
 
-def sensitivity(sample: WeightedSample, instance: Instance, spec: ObjectiveSpec, x) -> float:
-    """Fractional contribution w * g(<a, x>) / f(x); NaN when f(x) = 0."""
+def sensitivity(samples: Coreset, instance: Instance, spec: ObjectiveSpec, x) -> np.ndarray:
+    """Per-sample fractional contribution w_i g(<a_i, x>) / f(x); all NaN when f(x) = 0."""
     _, f = full_objective(instance, spec, x)
-    if f <= 0.0:
-        return float("nan")
-    return sample.w * float(eval_loss(spec.loss, float(np.dot(sample.a, x)))) / f
+    out = np.empty(len(samples))
+    # a diagonal coefficient block keeps one row per sample; 256 rows bound its size
+    for lo in range(0, len(samples), 256):
+        rows = slice(lo, lo + 256)
+        out[rows] = evaluate(samples.a[rows], np.diag(samples.w[rows]), spec, [x])[0][:, 0]
+    return out / f if f > 0.0 else np.full(len(samples), np.nan)
 
 
 def _ln(v: float) -> float:
@@ -321,9 +316,8 @@ def l1_scope_mask(instance: Instance, spec: ObjectiveSpec, queries: QuerySet,
     relaxation of the homogeneous-plus-bounded decomposition, so acceptance
     checks may filter on this mask.
     """
-    limit = spec.loss.g0 / eps
-    return np.array([full_objective(instance, spec, x)[1] <= limit
-                     for x in queries.queries])
+    f0, r = evaluate(instance.atoms, instance.masses, spec, queries.queries)
+    return f0 + r <= spec.loss.g0 / eps
 
 
 def save_queries(queries: QuerySet, path) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -150,12 +150,42 @@ class CategoricalSampler:
         return np.where(take, idx, self._alias[idx])
 
 
-@dataclass(frozen=True)
-class WeightedSample:
-    atom_index: int
+@dataclass(frozen=True, eq=False)
+class Coreset:
+    """A weighted sample as read-only columns, one row per draw.
+
+    idx (m,) atom indices into the source instance, a (m, d) the drawn atoms,
+    w (m,) importance weights, s (m,) scores; f0_hat(x) = mean_i w_i g(<a_i, x>).
+    """
+
+    idx: np.ndarray
     a: np.ndarray
-    w: float
-    s: float
+    w: np.ndarray
+    s: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("idx", np.int64), ("a", float), ("w", float), ("s", float)):
+            col = np.asarray(getattr(self, name), dtype=dtype).view()
+            col.setflags(write=False)  # a read-only view leaves the caller's array writable
+            object.__setattr__(self, name, col)
+        idx, a, w, s = self.idx, self.a, self.w, self.s
+        if a.ndim != 2 or not idx.shape == w.shape == s.shape == a.shape[:1]:
+            raise InvalidInputError("coreset columns must be idx (m,), a (m, d), w (m,), s (m,)")
+        if idx.size == 0:
+            raise InvalidInputError("sample must be nonempty")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise InvalidInputError("sample weights must be positive and finite")
+
+    @classmethod
+    def of_atoms(cls, instance: "Instance", idx, kind: str, convention: str = MIXTURE,
+                 D: float | None = None) -> "Coreset":
+        """The draws idx of an instance, weighted and scored under (kind, convention)."""
+        idx = np.asarray(idx, dtype=np.int64)
+        w = atom_weights(instance, kind, convention, D=D)
+        return cls(idx, instance.atoms[idx], w[idx], score_array(kind, instance.atoms, D=D)[idx])
+
+    def __len__(self) -> int:
+        return self.idx.shape[0]
 
 
 @dataclass(frozen=True)
@@ -171,16 +201,13 @@ class SEstimate:
 
 
 def draw_iid(instance: "Instance", kind: str, m: int, seed: int,
-             convention: str = MIXTURE, D: float | None = None) -> list[WeightedSample]:
+             convention: str = MIXTURE, D: float | None = None) -> Coreset:
     """m i.i.d. categorical draws from the sampling distribution, with exact weights."""
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
     q = atom_probabilities(instance, kind, convention, D=D)
-    w = atom_weights(instance, kind, convention, D=D)
-    s = score_array(kind, instance.atoms, D=D)
-    rng = derive_rng(seed)
-    idx = CategoricalSampler(q).draw(rng, m)
-    return [WeightedSample(int(i), instance.atoms[i], float(w[i]), float(s[i])) for i in idx]
+    idx = CategoricalSampler(q).draw(derive_rng(seed), m)
+    return Coreset.of_atoms(instance, idx, kind, convention, D=D)
 
 
 def rejection_stream(atoms: Iterable, kind: str, s_hat: float, seed: int,
@@ -212,39 +239,39 @@ def weighted_reservoir(stream: Iterable, m: int, seed: int) -> list:
 
     Exponential-jumps scheme: keys u^(1/score) with skipping, so only O(m)
     random numbers are consumed in expectation per reservoir turnover.
-    Stream items are (atom, score) pairs.
+    Keys are kept as logarithms, log(u)/score, so scores beyond 1e16 (where
+    u^(1/score) rounds to 1) still work.  Stream items are (atom, score) pairs.
     """
     if m < 1:
         raise InvalidInputError("reservoir size m must be >= 1")
     rng = derive_rng(seed)
-    heap: list = []  # (key, counter, atom)
+    heap: list = []  # (log key, counter, atom)
     counter = 0
     it = iter(stream)
     for atom, s in it:
         s = float(s)
         if s <= 0:
             raise InvalidInputError("scores must be positive")
-        key = rng.random() ** (1.0 / s)
-        heapq.heappush(heap, (key, counter, atom))
+        heapq.heappush(heap, (math.log(rng.random()) / s, counter, atom))
         counter += 1
         if counter == m:
             break
     if counter < m:
         return [item for _, _, item in sorted(heap, key=lambda t: t[1])]
 
-    threshold = heap[0][0]
-    jump = math.log(rng.random()) / math.log(threshold)
+    log_t = heap[0][0]
+    jump = math.log(rng.random()) / log_t
     for atom, s in it:
         s = float(s)
         if s <= 0:
             raise InvalidInputError("scores must be positive")
         jump -= s
         if jump <= 0.0:
-            t_pow = threshold ** s
-            key = (t_pow + rng.random() * (1.0 - t_pow)) ** (1.0 / s)
+            t_pow = math.exp(log_t * s)
+            key = math.log(t_pow + rng.random() * (1.0 - t_pow)) / s
             heapq.heapreplace(heap, (key, counter, atom))
-            threshold = heap[0][0]
-            jump = math.log(rng.random()) / math.log(threshold)
+            log_t = heap[0][0]
+            jump = math.log(rng.random()) / log_t
         counter += 1
     return [item for _, _, item in sorted(heap, key=lambda t: t[1])]
 
@@ -272,42 +299,42 @@ def estimate_S(instance: "Instance", kind: str, eps: float, delta: float, seed: 
     return SEstimate(s_hat=float(s[idx].mean()), m_used=m, eps=eps, delta=delta)
 
 
-def weights_from_estimate(samples: list[WeightedSample], s_hat: float) -> list[WeightedSample]:
+def weights_from_estimate(samples: Coreset, s_hat: float) -> Coreset:
     """Recompute mixture weights with an estimated score mass: w' = 2*s_hat/(s + s_hat)."""
     if not s_hat > 0:
         raise InvalidInputError("s_hat must be positive")
-    return [WeightedSample(smp.atom_index, smp.a, weight(smp.s, s_hat), smp.s)
-            for smp in samples]
+    return replace(samples, w=2.0 * s_hat / (samples.s + s_hat))
 
 
-def save_samples(samples: list[WeightedSample], path) -> None:
+def save_samples(samples: Coreset, path) -> None:
     """One JSONL record per drawn sample."""
     import json
 
     with open(path, "w") as fh:
-        for smp in samples:
-            fh.write(json.dumps({"atom_index": smp.atom_index,
-                                 "a": [float(v) for v in smp.a],
-                                 "w": smp.w, "s": smp.s}) + "\n")
+        for i, a, w, s in zip(samples.idx.tolist(), samples.a.tolist(),
+                              samples.w.tolist(), samples.s.tolist()):
+            fh.write(json.dumps({"atom_index": i, "a": a, "w": w, "s": s}) + "\n")
 
 
-def load_samples(path) -> list[WeightedSample]:
+def load_samples(path) -> Coreset:
     import json
 
     from .errors import DataError
 
-    samples = []
+    rows = []
     with open(path) as fh:
         for i, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                samples.append(WeightedSample(int(rec["atom_index"]),
-                                              np.asarray(rec["a"], dtype=float),
-                                              float(rec["w"]), float(rec["s"])))
+                rows.append((int(rec["atom_index"]), [float(v) for v in rec["a"]],
+                             float(rec["w"]), float(rec["s"])))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 raise DataError(f"{path}: line {i}: malformed sample record") from None
-    if not samples:
+    if not rows:
         raise DataError(f"{path}: empty sample file")
-    return samples
+    try:
+        return Coreset(*zip(*rows))
+    except (InvalidInputError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -30,19 +30,19 @@ from .losses import (
     make_reg,
 )
 from .model import ObjectiveSpec, compute_constants, gaussian_instance, make_instance
-from .objective import estimate_opt, opt_lower_bound, relative_error, sensitivity
+from .objective import estimate_opt, full_objective, opt_lower_bound, relative_errors, sensitivity
 from .sampler import (
     MIXTURE,
     NORM_PLUS_1,
     SQNORM_PLUS_2,
-    WeightedSample,
+    Coreset,
     atom_probabilities,
     atom_weights,
     derive_rng,
     draw_iid,
     estimate_S,
-    score_array,
     weight,
+    weights_from_estimate,
 )
 
 
@@ -54,13 +54,9 @@ class CheckResult:
     seconds: float
 
 
-def _sample_from_indices(hard, indices) -> list[WeightedSample]:
+def _sample_from_indices(hard, indices) -> Coreset:
     """Build a convention-consistent sample hitting exactly the given atoms."""
-    inst = hard.instance
-    w = atom_weights(inst, hard.score_kind, hard.convention)
-    s = score_array(hard.score_kind, inst.atoms)
-    return [WeightedSample(int(i), inst.atoms[i], float(w[i]), float(s[i]))
-            for i in indices]
+    return Coreset.of_atoms(hard.instance, indices, hard.score_kind, hard.convention)
 
 
 def check_unbiasedness(trials: int = 20_000) -> CheckResult:
@@ -186,8 +182,7 @@ def check_deterministic_lower_bounds() -> CheckResult:
         # the violation must then move to the origin
         half_c = 0.5 + hard.params["c"]
         s_hat = 2.0 * half_c / (2.0 - half_c)
-        skew = [WeightedSample(s.atom_index, s.a, weight(s.s, s_hat), s.s)
-                for s in miss_half]
+        skew = weights_from_estimate(miss_half, s_hat)
         verdict = hardness.check_failure(hard, skew, eps_q)
         ok &= verdict.failed and verdict.witness_query is not None \
             and not np.any(verdict.witness_query != 0)
@@ -230,14 +225,11 @@ def check_moment_curve(samples_to_try: int = 100) -> CheckResult:
     for r in range(samples_to_try):
         smp = draw_iid(inst, hard.score_kind, m, seed=9000 + r,
                        convention=hard.convention)
-        counts = np.bincount([s.atom_index for s in smp], minlength=inst.n)
+        counts = np.bincount(smp.idx, minlength=inst.n)
         mu = m * q
-        for j in range(12):
-            count_fail = abs(counts[j] - mu[j]) > eps * mu[j]
-            err = relative_error(inst, hard.spec, smp, eta * dirs[j])
-            eval_fail = err > eps
-            if count_fail != eval_fail:
-                disagreements += 1
+        count_fail = np.abs(counts - mu) > eps * mu
+        eval_fail = relative_errors(inst, hard.spec, smp, eta * dirs) > eps
+        disagreements += int(np.sum(count_fail != eval_fail))
     ok &= disagreements == 0
     return CheckResult("moment-curve", bool(ok),
                        f"12/12 sign patterns verified; {disagreements} predicate "
@@ -331,19 +323,15 @@ def check_sensitivity_bound(pairs: int = 1000) -> CheckResult:
     bound = 16.0 * consts.S * consts.B * consts.L ** 2 * k / spec.loss.g0
     lb = opt_lower_bound(spec.loss, spec.reg, k, consts.L, float(inst.masses @ inst.norms()))
     rng = derive_rng(910)
-    w = atom_weights(inst, SQNORM_PLUS_2, MIXTURE)
-    s = score_array(SQNORM_PLUS_2, inst.atoms)
+    every_atom = Coreset.of_atoms(inst, np.arange(inst.n), SQNORM_PLUS_2, MIXTURE)
     violations = 0
     worst = 0.0
-    from .objective import full_objective
-
     for _ in range(pairs):
         x = rng.standard_normal(5) * float(rng.choice([0.1, 1.0, 3.0, 10.0]))
         if full_objective(inst, spec, x)[1] < lb:
             continue
         i = int(rng.integers(inst.n))
-        smp = WeightedSample(i, inst.atoms[i], float(w[i]), float(s[i]))
-        val = sensitivity(smp, inst, spec, x)
+        val = float(sensitivity(every_atom, inst, spec, x)[i])
         worst = max(worst, val / bound)
         if val > bound:
             violations += 1

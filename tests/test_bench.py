@@ -150,12 +150,6 @@ class TestScalingCurve:
         lo, hi = curve.slope_ci
         assert lo <= hi
 
-    def test_threads_do_not_change_results(self):
-        kw = dict(eps=0.3, delta=0.25, trials=40, seed=14)
-        c1 = scaling_curve("lin-relu", [4, 8, 16], threads=1, **kw)
-        c2 = scaling_curve("lin-relu", [4, 8, 16], threads=3, **kw)
-        assert c1.points == c2.points
-        assert c1.fitted_slope == c2.fitted_slope
 
 
 class TestFeller:

@@ -119,17 +119,11 @@ class TestEval:
         inst = load_instance(out / "instance.jsonl")
         from regsamp.hardness import gen_coupon_relu, resolve_adversarial_query
         from regsamp.objective import QuerySet, save_queries
-        from regsamp.sampler import save_samples
-        from regsamp.sampler import score_array
+        from regsamp.sampler import Coreset, save_samples
 
         hard = gen_coupon_relu(8, 6.0)
         miss = [1, 2, 3, 4, 5, 6, 7]
-        s = score_array("norm", inst.atoms)
-        from regsamp.sampler import WeightedSample, atom_weights
-
-        w = atom_weights(inst, "norm", "mixture")
-        samples = [WeightedSample(i, inst.atoms[i], float(w[i]), float(s[i]))
-                   for i in miss]
+        samples = Coreset.of_atoms(inst, miss, "norm", "mixture")
         save_samples(samples, tmp_path / "miss.jsonl")
         counts = np.bincount(miss, minlength=8)
         x = resolve_adversarial_query(hard, counts)
@@ -210,6 +204,25 @@ class TestBench:
                                         "k_list": [4, 8, 16], "eps": 0.3,
                                         "delta": 0.25}))
         assert run("bench", "--config", str(cfg_path)) != 0
+
+
+class TestBenchBadConfigs:
+    @pytest.mark.parametrize("cfg,names", [
+        ({"mode": "failure-rate", "kind": "coupon-relu", "eps": 0.25, "delta": 0.2,
+          "m_list": [16]}, "'d'"),
+        ({"mode": "failure-rate", "kind": "coupon-relu", "eps": 0.25, "delta": 0.2,
+          "m_list": [16], "params": {"d": 16, "k": 8.0, "bogus": 1}}, "'bogus'"),
+        ({"mode": "scaling", "kind": "lin-relu", "k_list": [4, 8, 16], "delta": 0.25},
+         "eps"),
+    ], ids=["no-params", "unknown-param", "scaling-without-eps"])
+    def test_one_line_usage_error(self, tmp_path, capsys, cfg, names):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("bench", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and names in lines[0]
 
 
 class TestUsage:

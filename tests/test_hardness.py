@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,20 +29,14 @@ from regsamp.hardness import (
 from regsamp.losses import L1, L2, L2SQ, eval_loss, make_loss, make_reg
 from regsamp.objective import full_objective, relative_error
 from regsamp.sampler import (
-    WeightedSample,
-    atom_weights,
+    Coreset,
     draw_iid,
-    score_array,
     weight,
 )
 
 
 def sample_atoms(hard, indices):
-    inst = hard.instance
-    w = atom_weights(inst, hard.score_kind, hard.convention)
-    s = score_array(hard.score_kind, inst.atoms)
-    return [WeightedSample(int(i), inst.atoms[i], float(w[i]), float(s[i]))
-            for i in indices]
+    return Coreset.of_atoms(hard.instance, list(indices), hard.score_kind, hard.convention)
 
 
 class TestQuadLogistic:
@@ -239,7 +234,7 @@ class TestLinLogistic:
         # with an estimated score mass; the off-band mean must fail at the origin
         hard = gen_lin_logistic(8)
         base = sample_atoms(hard, range(8))
-        skew = [WeightedSample(s.atom_index, s.a, 1.5 * s.w, s.s) for s in base]
+        skew = replace(base, w=1.5 * base.w)
         verdict = check_failure(hard, skew, 0.2)
         assert verdict.failed
         assert not np.any(verdict.witness_query != 0.0)
@@ -247,8 +242,7 @@ class TestLinLogistic:
     def test_inconsistent_weights_rejected(self):
         hard = gen_lin_logistic(8)
         base = sample_atoms(hard, [0, 1, 2, 3])
-        broken = base[:3] + [WeightedSample(base[3].atom_index, base[3].a,
-                                            0.5 * base[3].w, base[3].s)]
+        broken = replace(base, w=base.w * [1.0, 1.0, 1.0, 0.5])
         with pytest.raises(ConfigurationError):
             check_failure(hard, broken, 0.2)
 

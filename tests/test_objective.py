@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regsamp.errors import ApplicabilityError, DimensionMismatchError, InvalidInputError
 from regsamp.losses import (
@@ -10,18 +11,23 @@ from regsamp.losses import (
     L2,
     L2SQ,
     LOGISTIC,
+    LOSS_KINDS,
+    REG_KINDS,
     RELU,
     SIGMOID,
     eval_loss,
+    eval_regularizer,
     make_loss,
     make_reg,
 )
 from regsamp.model import ObjectiveSpec, compute_constants, gaussian_instance, make_instance
 from regsamp.objective import (
+    BLOCK,
     QuerySet,
     build_query_set,
     coreset_objective,
     estimate_opt,
+    evaluate,
     exhaustive_sample,
     full_objective,
     l1_scope_mask,
@@ -29,9 +35,10 @@ from regsamp.objective import (
     opt_lower_bound,
     recommended_sample_size,
     relative_error,
+    relative_errors,
     sensitivity,
 )
-from regsamp.sampler import WeightedSample, draw_iid
+from regsamp.sampler import Coreset, draw_iid
 
 
 def spec_of(loss, reg, k):
@@ -62,6 +69,41 @@ class TestFullObjective:
         assert f0 == pytest.approx(1.0 / 12.0, abs=1e-12)
 
 
+@given(st.sampled_from(LOSS_KINDS), st.sampled_from(REG_KINDS),
+       st.sampled_from([None, 1, 3]), st.integers(200, 700), st.integers(1, 100),
+       st.integers(0, 10_000))
+@settings(max_examples=24, deadline=None)
+def test_evaluate_matches_per_query_loop(loss, reg, trials, n, extra, seed):
+    # n * Q > 3 * BLOCK, so at least four query blocks run, the last one partial
+    rng = np.random.default_rng(seed)
+    spec = spec_of(loss, reg, float(rng.uniform(1.0, 50.0)))
+    atoms = rng.standard_normal((n, 3))
+    X = rng.standard_normal((3 * BLOCK // n + extra, 3)) * rng.uniform(0.1, 10.0)
+    coef = rng.uniform(0.0, 1.0, size=(n,) if trials is None else (trials, n))
+    f0, r = evaluate(atoms, coef, spec, X)
+    want_f0 = np.stack([coef @ eval_loss(spec.loss, atoms @ x) for x in X], axis=-1)
+    want_r = np.array([eval_regularizer(spec.reg, x) / spec.k for x in X])
+    assert f0.shape == want_f0.shape and r.shape == want_r.shape
+    assert np.allclose(f0, want_f0, rtol=1e-12, atol=1e-12)
+    assert np.allclose(r, want_r, rtol=1e-12, atol=0.0)
+
+
+class TestEvaluate:
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            evaluate(np.ones((4, 3)), np.ones(4), spec_of(LOGISTIC, L1, 2.0), np.ones((2, 2)))
+
+    def test_relative_errors_flag_and_match_scalar_calls(self):
+        inst = gaussian_instance(30, 3, seed=21)
+        spec = spec_of(RELU, L2SQ, 4.0)
+        samples = draw_iid(inst, "norm", 25, seed=22)
+        X = np.vstack([np.zeros(3), np.random.default_rng(23).standard_normal((5, 3))])
+        errs = relative_errors(inst, spec, samples, X)
+        assert math.isnan(errs[0])
+        for err, x in zip(errs[1:], X[1:]):
+            assert err == pytest.approx(relative_error(inst, spec, samples, x), rel=1e-12)
+
+
 class TestCoresetObjective:
     def test_exhaustive_sample_is_exact(self):
         for n, seed in ((10, 1), (200, 2), (1000, 3)):
@@ -78,13 +120,13 @@ class TestCoresetObjective:
         spec = spec_of(LOGISTIC, L1, 2.0)
         samples = draw_iid(inst, "norm", 50, seed=5)
         f0_hat, _ = coreset_objective(samples, spec, np.zeros(3))
-        mean_w = np.mean([s.w for s in samples])
+        mean_w = np.mean(samples.w)
         assert f0_hat == pytest.approx(mean_w * math.log(2.0), abs=1e-12)
 
     def test_empty_sample_rejected(self):
         spec = spec_of(LOGISTIC, L1, 2.0)
         with pytest.raises(InvalidInputError):
-            coreset_objective([], spec, np.zeros(2))
+            coreset_objective(Coreset([], np.zeros((0, 2)), [], []), spec, np.zeros(2))
 
 
 class TestRelativeError:
@@ -101,7 +143,7 @@ class TestRelativeError:
         inst = make_instance(np.eye(d))
         spec = spec_of(RELU, L2SQ, k)
         alpha = 2.0 * k / (3.0 * d)
-        samples = [WeightedSample(i, inst.atoms[i], 1.0, 2.0) for i in (1, 2, 3)]
+        samples = Coreset([1, 2, 3], inst.atoms[[1, 2, 3]], np.ones(3), np.full(3, 2.0))
         x = np.zeros(d)
         x[0] = -alpha
         assert relative_error(inst, spec, samples, x) == pytest.approx(0.6, abs=1e-12)
@@ -138,7 +180,7 @@ class TestMaxRelativeError:
         d, k = 8, 6.0
         inst = make_instance(np.eye(d))
         spec = spec_of(RELU, L2SQ, k)
-        samples = [WeightedSample(i, inst.atoms[i], 1.0, 2.0) for i in (1, 2, 3)]
+        samples = Coreset([1, 2, 3], inst.atoms[[1, 2, 3]], np.ones(3), np.full(3, 2.0))
         x_bad = np.zeros(d)
         x_bad[0] = -2.0 * k / (3.0 * d)
         x_ok = -np.ones(d)
@@ -229,16 +271,15 @@ class TestSensitivity:
         inst = gaussian_instance(20, 3, seed=15)
         samples = draw_iid(inst, "norm", 10, seed=16)
         spec = spec_of(LOGISTIC, L2SQ, 4.0)
-        for smp in samples:
-            val = sensitivity(smp, inst, spec, np.zeros(3))
-            assert val == pytest.approx(smp.w, abs=1e-12)
-            assert val <= 2.0
+        val = sensitivity(samples, inst, spec, np.zeros(3))
+        assert val == pytest.approx(samples.w, abs=1e-12)
+        assert np.all(val <= 2.0)
 
     def test_flag_on_zero_objective(self):
         inst = make_instance(np.eye(2))
         spec = spec_of(RELU, L2SQ, 2.0)
-        smp = WeightedSample(0, inst.atoms[0], 1.0, 2.0)
-        assert math.isnan(sensitivity(smp, inst, spec, np.zeros(2)))
+        smp = Coreset([0], inst.atoms[[0]], [1.0], [2.0])
+        assert math.isnan(sensitivity(smp, inst, spec, np.zeros(2))[0])
 
     def test_can_exceed_k_when_g0_is_zero(self):
         from regsamp.hardness import gen_moment_curve
@@ -249,8 +290,8 @@ class TestSensitivity:
         j = 0
         x = 1e-6 * hard.params["directions"][j]
         w = atom_weights(inst, hard.score_kind, hard.convention)
-        smp = WeightedSample(j, inst.atoms[j], float(w[j]), 1.0)
-        val = sensitivity(smp, inst, hard.spec, x)
+        smp = Coreset([j], inst.atoms[[j]], w[[j]], [1.0])
+        val = sensitivity(smp, inst, hard.spec, x)[0]
         assert val > hard.spec.k
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from regsamp.errors import (
     ConfigurationError,
+    DataError,
     EstimatorInconsistencyError,
     InvalidInputError,
 )
@@ -13,11 +14,14 @@ from regsamp.model import gaussian_instance, make_instance
 from regsamp.sampler import (
     SCORE_ONLY,
     CategoricalSampler,
+    Coreset,
     derive_rng,
     draw_iid,
     estimate_S,
+    load_samples,
     mixture_probabilities,
     rejection_stream,
+    save_samples,
     score,
     weight,
     weighted_reservoir,
@@ -106,14 +110,13 @@ class TestDrawIid:
         inst = make_instance(np.array([[1.0, 1.0]]))
         samples = draw_iid(inst, "norm", 5, seed=1)
         assert len(samples) == 5
-        for smp in samples:
-            assert smp.atom_index == 0
-            assert smp.w == pytest.approx(1.0)
+        assert np.all(samples.idx == 0)
+        assert samples.w == pytest.approx(np.ones(5))
 
     def test_empirical_frequencies(self):
         m = 10_000
         samples = draw_iid(TWO_ATOM, "norm", m, seed=3)
-        count1 = sum(1 for s in samples if s.atom_index == 1)
+        count1 = int(np.sum(samples.idx == 1))
         p = 5.0 / 8.0
         sigma = math.sqrt(m * p * (1 - p))
         assert abs(count1 - m * p) <= 3 * sigma
@@ -121,21 +124,20 @@ class TestDrawIid:
     def test_deterministic_given_seed(self):
         s1 = draw_iid(TWO_ATOM, "norm", 50, seed=9)
         s2 = draw_iid(TWO_ATOM, "norm", 50, seed=9)
-        assert [a.atom_index for a in s1] == [a.atom_index for a in s2]
+        assert np.array_equal(s1.idx, s2.idx)
         s3 = draw_iid(TWO_ATOM, "norm", 50, seed=10)
-        assert [a.atom_index for a in s1] != [a.atom_index for a in s3]
+        assert not np.array_equal(s1.idx, s3.idx)
 
     def test_mean_weight_bounded(self):
         inst = gaussian_instance(30, 3, seed=12, scale=5.0)
         samples = draw_iid(inst, "norm", 500, seed=4)
-        w = np.array([s.w for s in samples])
+        w = samples.w
         assert np.all(w > 0) and np.all(w <= 2.0)
         assert w.mean() <= 2.0
 
     def test_score_only_convention_weights(self):
         samples = draw_iid(TWO_ATOM, "norm", 100, seed=5, convention=SCORE_ONLY)
-        for smp in samples:
-            assert smp.w == pytest.approx(2.0 / smp.s)
+        assert samples.w == pytest.approx(2.0 / samples.s)
 
 
 class TestCategoricalSampler:
@@ -152,6 +154,60 @@ class TestCategoricalSampler:
             CategoricalSampler([])
         with pytest.raises(InvalidInputError):
             CategoricalSampler([-0.5, 1.5])
+
+
+class TestCoreset:
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidInputError):
+            Coreset([], np.zeros((0, 2)), [], [])
+
+    @pytest.mark.parametrize("a,w,s", [
+        (np.zeros((3, 2)), np.ones(2), np.ones(2)),     # one atom row too many
+        (np.zeros((2, 2)), np.ones(3), np.ones(2)),     # one weight too many
+        (np.zeros((2, 2)), np.ones(2), np.ones(1)),     # one score too few
+        (np.zeros(2), np.ones(2), np.ones(2)),          # atoms not a matrix
+    ])
+    def test_shape_mismatch_rejected(self, a, w, s):
+        with pytest.raises(InvalidInputError):
+            Coreset([0, 1], a, w, s)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_weight_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            Coreset([0, 1], np.zeros((2, 2)), [1.0, bad], [1.0, 1.0])
+
+    def test_columns_are_read_only_views(self):
+        w = np.array([1.0, 2.0])
+        smp = Coreset([0, 1], np.zeros((2, 2)), w, [1.0, 1.0])
+        with pytest.raises(ValueError):
+            smp.w[0] = 3.0
+        w[0] = 5.0  # the caller's array stays writable
+        assert len(smp) == 2
+
+
+class TestSampleFiles:
+    # the exact text of the sample-file format for this instance and seed
+    PINNED = (
+        '{"atom_index": 1, "a": [-2.0, 0.25], "w": 1.04941858481439, "s": 3.0155644370746373}\n'
+        '{"atom_index": 0, "a": [1.0, 0.5], "w": 1.2223321828118165, "s": 2.118033988749895}\n'
+        '{"atom_index": 2, "a": [0.1, 3.0], "w": 0.9082556846695841, "s": 4.001666203960727}\n'
+        '{"atom_index": 2, "a": [0.1, 3.0], "w": 0.9082556846695841, "s": 4.001666203960727}\n'
+    )
+
+    def test_jsonl_text_is_pinned_and_round_trips(self, tmp_path):
+        inst = make_instance(np.array([[1.0, 0.5], [-2.0, 0.25], [0.1, 3.0]]),
+                             np.array([0.2, 0.3, 0.5]))
+        save_samples(draw_iid(inst, "norm", 4, seed=8), tmp_path / "a.jsonl")
+        assert (tmp_path / "a.jsonl").read_text() == self.PINNED
+        save_samples(load_samples(tmp_path / "a.jsonl"), tmp_path / "b.jsonl")
+        assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
+
+    def test_ragged_atoms_are_a_data_error(self, tmp_path):
+        path = tmp_path / "ragged.jsonl"
+        path.write_text('{"atom_index": 0, "a": [1.0, 2.0], "w": 1.0, "s": 2.0}\n'
+                        '{"atom_index": 1, "a": [1.0], "w": 1.0, "s": 2.0}\n')
+        with pytest.raises(DataError):
+            load_samples(path)
 
 
 class TestRejectionStream:
@@ -218,6 +274,11 @@ class TestWeightedReservoir:
         with pytest.raises(InvalidInputError):
             weighted_reservoir([(0, 0.0)], 1, seed=1)
 
+    def test_huge_scores(self):
+        # u ** (1 / 1e17) rounds to 1.0; log-space keys stay distinct from 0
+        res = weighted_reservoir([(i, 1e17) for i in range(10)], 3, seed=1)
+        assert len(set(res)) == 3 and set(res) <= set(range(10))
+
 
 class TestEstimateS:
     def test_identical_atoms_exact(self):
@@ -239,8 +300,7 @@ class TestWeightsFromEstimate:
     def test_exact_estimate_is_identity(self):
         samples = draw_iid(TWO_ATOM, "norm", 20, seed=6)
         rew = weights_from_estimate(samples, s_hat=2.0)
-        for old, new in zip(samples, rew):
-            assert new.w == pytest.approx(old.w, abs=1e-15)
+        assert rew.w == pytest.approx(samples.w, abs=1e-15)
 
     def test_ratio_example(self):
         # s = 10, S = 10 gives w = 1; s_hat = 10.5 gives w' = 21/20.5
