@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigurationError, InvalidInputError
-from .hardness import (
-    QUAD_LOGISTIC,
-    QUAD_SIGMOID,
-    HardInstance,
-    batch_failed,
-    generate,
-)
+from .hardness import HardInstance, batch_failed, generate, kind_params
 from .losses import eval_loss
 from .model import Instance, ObjectiveSpec
 from .objective import QuerySet, build_query_set, evaluate
@@ -58,6 +52,8 @@ class TrialConfig:
             raise InvalidInputError("eps and delta must lie in (0, 1)")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
+        if self.query_policy not in (ADVERSARIAL_ONLY, ADVERSARIAL_PLUS_RANDOM):
+            raise InvalidInputError(f"unknown query policy {self.query_policy!r}")
         if self.hard is None and (self.instance is None or self.spec is None
                                   or self.queries is None):
             raise ConfigurationError(
@@ -214,29 +210,26 @@ def _bootstrap_slope_ci(points, seed: int, resamples: int = 200) -> tuple[float,
     return (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5)))
 
 
-def _hard_for_k(kind: str, k: float, eps: float, reg: str | None) -> HardInstance:
-    kwargs: dict = {"k": int(k) if kind.startswith("lin") else k}
-    if kind.startswith("quad"):
-        kwargs["eps"] = eps
-    if reg is not None and kind not in (QUAD_LOGISTIC, QUAD_SIGMOID):
-        kwargs["reg"] = reg
-    return generate(kind, **kwargs)
-
-
 def scaling_curve(kind: str, k_list, eps: float, delta: float,
                   trials: int = DEFAULT_TRIALS, seed: int = 0,
                   reg: str | None = None, m_cap: int = DEFAULT_M_CAP) -> ScalingCurve:
     """Minimal sample size per k and the least-squares log-log slope.
 
-    The slope CI is a 200-resample case bootstrap.  Budget failures are
-    recorded per k instead of aborting the curve.
+    Kinds whose generator takes eps (the quadratic constructions) are sized
+    for the curve's eps.  Every k is generated before any is solved, so a bad
+    parameter fails the whole curve at once.  The slope CI is a 200-resample
+    case bootstrap.  Budget failures are recorded per k instead of aborting
+    the curve.
     """
     k_list = sorted(float(k) for k in k_list)
     if len(k_list) < 3:
         raise InvalidInputError("need at least three k values")
+    params = {"eps": eps} if "eps" in kind_params(kind) else {}
+    if reg is not None:
+        params["reg"] = reg
+    hards = [generate(kind, k=k, **params) for k in k_list]
 
-    def solve(k: float):
-        hard = _hard_for_k(kind, k, eps, reg)
+    def solve(k: float, hard: HardInstance):
         cfg = TrialConfig(eps=eps, delta=delta, trials=trials,
                           master_seed=int(derive_rng(seed, int(k)).integers(2 ** 62)),
                           hard=hard, m_cap=m_cap)
@@ -245,7 +238,7 @@ def scaling_curve(kind: str, k_list, eps: float, delta: float,
         except BudgetExceededError as exc:
             return k, None, str(exc)
 
-    results = [solve(k) for k in k_list]
+    results = [solve(k, hard) for k, hard in zip(k_list, hards)]
     points = tuple((k, m) for k, m, err in results if err is None)
     errors = tuple((k, err) for k, _, err in results if err is not None)
     if len(points) >= 2:

@@ -36,6 +36,11 @@ EXIT_BUDGET = 3
 # keys a `bench` config must set, per mode
 BENCH_KEYS = {"failure-rate": ("kind", "eps", "delta", "m_list"),
               "scaling": ("kind", "k_list", "eps", "delta")}
+# the type of each bench config key, as `hardness.typed` names it; `params`
+# must be an object and is checked against the kind's generator
+BENCH_TYPES = {"kind": "str", "reg": "str", "query_policy": "str", "out": "str",
+               "eps": "float", "delta": "float", "trials": "int", "master_seed": "int",
+               "m_cap": "int", "m_list": "list[int]", "k_list": "list[float]"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,42 +58,16 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str
 
 
 def _cmd_gen(args) -> int:
-    kwargs: dict = {}
-    kind = args.kind
-    if kind in (hardness.QUAD_LOGISTIC, hardness.QUAD_SIGMOID,
-                hardness.QUAD_HINGE, hardness.QUAD_RELU):
-        if args.k is None or args.eps is None:
-            raise InvalidInputError(f"{kind} needs --k and --eps")
-        kwargs = {"k": args.k, "eps": args.eps}
-        if args.reg and kind in (hardness.QUAD_HINGE, hardness.QUAD_RELU):
-            kwargs["reg"] = args.reg
-    elif kind in (hardness.LIN_RELU, hardness.LIN_LOGISTIC, hardness.LIN_SIGMOID):
-        if args.k is None:
-            raise InvalidInputError(f"{kind} needs --k")
-        kwargs = {"k": int(args.k)}
-        if args.reg:
-            kwargs["reg"] = args.reg
-    elif kind == hardness.COUPON_RELU:
-        if args.d is None or args.k is None:
-            raise InvalidInputError("coupon-relu needs --d and --k")
-        kwargs = {"d": args.d, "k": args.k}
-    elif kind == hardness.MOMENT_CURVE:
-        if args.n is None or args.d is None:
-            raise InvalidInputError("moment-curve needs --n and --d")
-        kwargs = {"N": args.n, "d": args.d}
-        if args.k is not None:
-            kwargs["k"] = args.k
-    else:
-        raise InvalidInputError(f"unknown hard-instance kind {kind!r}")
-
-    hard = hardness.generate(kind, **kwargs)
+    flags = {"k": args.k, "eps": args.eps, "d": args.d, "N": args.n, "reg": args.reg}
+    hard = hardness.generate(args.kind, **{key: val for key, val in flags.items()
+                                           if val is not None})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_instance(hard.instance, out / "instance.jsonl")
     save_queries(hard.queries, out / "queries.jsonl")
     params = {key: (val.tolist() if isinstance(val, np.ndarray) else val)
               for key, val in hard.params.items()}
-    config = {"kind": kind, "params": params,
+    config = {"kind": args.kind, "params": params,
               "loss": hard.spec.loss.kind, "reg": hard.spec.reg.kind,
               "k": hard.spec.k,
               "instance": "instance.jsonl", "queries": "queries.jsonl"}
@@ -154,32 +133,40 @@ def _cmd_opt(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise InvalidInputError("a bench config must be a JSON object")
     mode = cfg.get("mode", "scaling")
-    if mode not in BENCH_KEYS:
+    if mode not in tuple(BENCH_KEYS):
         raise InvalidInputError(f"unknown bench mode {mode!r}")
     missing = [key for key in BENCH_KEYS[mode] if key not in cfg]
     if missing:
         raise InvalidInputError(f"{mode} config lacks required key(s) {', '.join(missing)}")
-    out = Path(args.out or cfg.get("out", "."))
+    opts = {key: hardness.typed(key, val, BENCH_TYPES[key])
+            for key, val in cfg.items() if key in BENCH_TYPES}
+    if not isinstance(cfg.get("params", {}), dict):
+        raise InvalidInputError(f"'params' must be an object, got {cfg['params']!r}")
+    if any(m < 1 for m in opts.get("m_list", ())):
+        raise InvalidInputError(f"'m_list' must hold positive integers, got {cfg['m_list']!r}")
+    trials = opts.get("trials", bench.DEFAULT_TRIALS)
+    seed = opts.get("master_seed", args.seed)
+    m_cap = opts.get("m_cap", bench.DEFAULT_M_CAP)
+    out = Path(args.out or opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     warnings = []
     if mode == "failure-rate":
-        hard = hardness.generate(cfg["kind"], **cfg.get("params", {}))
-        tc = bench.TrialConfig(eps=cfg["eps"], delta=cfg["delta"],
-                               trials=cfg.get("trials", bench.DEFAULT_TRIALS),
-                               master_seed=cfg.get("master_seed", args.seed),
-                               hard=hard,
-                               query_policy=cfg.get("query_policy",
-                                                    bench.ADVERSARIAL_ONLY),
-                               m_cap=cfg.get("m_cap", bench.DEFAULT_M_CAP))
+        hard = hardness.generate(opts["kind"], **cfg.get("params", {}))
+        tc = bench.TrialConfig(eps=opts["eps"], delta=opts["delta"], trials=trials,
+                               master_seed=seed, hard=hard,
+                               query_policy=opts.get("query_policy", bench.ADVERSARIAL_ONLY),
+                               m_cap=m_cap)
         rows = []
-        for m in cfg["m_list"]:
-            rate, (lo, hi) = bench.failure_rate(tc, int(m))
-            rows.append({"run_id": f"{cfg['kind']}-k{hard.spec.k:g}-m{m}",
-                         "kind": cfg["kind"], "loss": hard.spec.loss.kind,
+        for m in opts["m_list"]:
+            rate, (lo, hi) = bench.failure_rate(tc, m)
+            rows.append({"run_id": f"{opts['kind']}-k{hard.spec.k:g}-m{m}",
+                         "kind": opts["kind"], "loss": hard.spec.loss.kind,
                          "reg": hard.spec.reg.kind, "k": hard.spec.k,
-                         "eps": tc.eps, "delta": tc.delta, "m": int(m),
+                         "eps": tc.eps, "delta": tc.delta, "m": m,
                          "trials": tc.trials,
                          "failures": int(round(rate * tc.trials)), "rate": rate,
                          "ci_lo": lo, "ci_hi": hi})
@@ -188,13 +175,10 @@ def _cmd_bench(args) -> int:
         bench.write_failure_rate_csv(out / "failure_rates.csv", rows)
         outputs.append("failure_rates.csv")
     else:
-        curve = bench.scaling_curve(cfg["kind"], cfg["k_list"], eps=cfg["eps"],
-                                    delta=cfg["delta"],
-                                    trials=cfg.get("trials", bench.DEFAULT_TRIALS),
-                                    seed=cfg.get("master_seed", args.seed),
-                                    reg=cfg.get("reg"),
-                                    m_cap=cfg.get("m_cap", bench.DEFAULT_M_CAP))
-        bench.write_scaling_csv(out / "scaling.csv", cfg["kind"], curve)
+        curve = bench.scaling_curve(opts["kind"], opts["k_list"], eps=opts["eps"],
+                                    delta=opts["delta"], trials=trials, seed=seed,
+                                    reg=opts.get("reg"), m_cap=m_cap)
+        bench.write_scaling_csv(out / "scaling.csv", opts["kind"], curve)
         bench.write_plot_data(out / "scaling_plot.dat", curve)
         outputs += ["scaling.csv", "scaling_plot.dat"]
         for k, err in curve.budget_errors:

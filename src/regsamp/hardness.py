@@ -10,13 +10,20 @@ Two families:
     its mean.  These use the score-only sampling convention (w = S/s).
 
 All failure checks are count-based and deterministic given the sample.
+Each kind is one entry of KINDS: its generator, whose signature is the
+parameter schema, the regularizers it allows, its vectorised violation
+function and the witness query of each violation.  `generate` checks
+parameters against that schema; the gen_* functions trust their arguments.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import numbers
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -140,8 +147,6 @@ def gen_quad_hinge(k: float, eps: float, reg: str = L2SQ) -> HardInstance:
     """Atoms v_j = e_d + e_j/sqrt(2), adversarial x = e_d - sum e_i/sqrt((d-1)/2)."""
     if not 0 < eps <= 0.25:
         raise InvalidInputError("eps must lie in (0, 1/4]")
-    if reg not in (L2, L2SQ):
-        raise InvalidInputError("quad-hinge supports the l2 and l2sq regularizers")
     d = math.ceil((k / (6.0 * eps)) ** 2) + 1
     d = max(3, d)
     atoms = np.zeros((d - 1, d))
@@ -169,8 +174,6 @@ def gen_quad_relu(k: float, eps: float, reg: str = L2SQ) -> HardInstance:
     """
     if not 0 < eps <= 0.25:
         raise InvalidInputError("eps must lie in (0, 1/4]")
-    if reg not in (L2, L2SQ):
-        raise InvalidInputError("quad-relu supports the l2 and l2sq regularizers")
     d = max(2, math.ceil((k / (6.0 * eps)) ** 2))
     inst = make_instance(np.eye(d))
     spec = ObjectiveSpec(loss=make_loss(RELU), reg=make_reg(reg), k=float(k))
@@ -189,11 +192,8 @@ def gen_quad_relu(k: float, eps: float, reg: str = L2SQ) -> HardInstance:
 
 def gen_lin_relu(k: int, reg: str = L1) -> HardInstance:
     """Mass 1/(2k) on the signed basis vectors of R^k; one isolating query per atom."""
-    k = int(k)
     if k < 2:
         raise InvalidInputError("k must be >= 2")
-    if reg not in (L1, L2):
-        raise InvalidInputError("lin-relu supports the l1 and l2 regularizers")
     atoms = np.vstack([np.eye(k), -np.eye(k)])
     inst = make_instance(atoms)
     spec = ObjectiveSpec(loss=make_loss(RELU), reg=make_reg(reg), k=float(k))
@@ -224,11 +224,8 @@ def _gen_lin_smooth(loss_kind: str, k: int, reg: str, alpha: float,
 
 def gen_lin_logistic(k: int, reg: str = L1) -> HardInstance:
     """Atoms e_i + e_{k+1}; queries alpha(-2 e_j + e_{k+1}) with g(alpha) k = 1."""
-    k = int(k)
     if k < 4:
         raise InvalidInputError("k must be >= 4")
-    if reg not in (L1, L2SQ):
-        raise InvalidInputError("lin-logistic supports the l1 and l2sq regularizers")
     alpha = math.log(1.0 / (math.exp(1.0 / k) - 1.0))
     p = 1 if reg == L1 else 2
     factor = 2.0 + 10.0 * alpha ** (p - 1)
@@ -237,11 +234,8 @@ def gen_lin_logistic(k: int, reg: str = L1) -> HardInstance:
 
 def gen_lin_sigmoid(k: int, reg: str = L1) -> HardInstance:
     """Sigmoid variant: alpha = ln(k-1), again g(alpha) k = 1."""
-    k = int(k)
     if k < 4:
         raise InvalidInputError("k must be >= 4")
-    if reg not in (L1, L2SQ):
-        raise InvalidInputError("lin-sigmoid supports the l1 and l2sq regularizers")
     alpha = math.log(k - 1.0)
     p = 1 if reg == L1 else 2
     factor = 4.0 + 20.0 * alpha ** p
@@ -255,7 +249,6 @@ def gen_coupon_relu(d: int, k: float) -> HardInstance:
     loss at the query is alpha/d + alpha^2/k while any sample missing the
     atom evaluates to the bare regularizer.
     """
-    d = int(d)
     if d < 2:
         raise InvalidInputError("d must be >= 2")
     inst = make_instance(np.eye(d))
@@ -317,14 +310,14 @@ def isolating_direction(atoms: np.ndarray, j: int, warm_start=None,
     raise ConstructionError(f"no isolating direction found for atom {j}")
 
 
-def gen_moment_curve(N: int, d: int, t_values=None, k: float | None = None) -> HardInstance:
+def gen_moment_curve(N: int, d: int, t_values: list[float] | None = None,
+                     k: float | None = None) -> HardInstance:
     """Atoms on the moment curve (1, t, ..., t^d) with verified per-atom isolation.
 
     Every atom is a vertex of the convex hull, so each has a unit direction
     x_j with <a_j, x_j> < 0 and <a_i, x_j> >= 0.  Queries are eta * x_j for
     eta in {1, 1e-3, 1e-6}.
     """
-    N, d = int(N), int(d)
     if not (N >= d + 1 >= 3):
         raise InvalidInputError("need N >= d + 1 >= 3")
     if t_values is None:
@@ -405,20 +398,17 @@ def _counts_from_samples(hard: HardInstance, samples: Coreset) -> tuple[np.ndarr
     return counts, float(w_given.mean()), len(samples)
 
 
-def _quad_errors(hard: HardInstance, counts: np.ndarray, mean_w, m: int):
-    """Per-trial (err_x, err_0, J) for the quadratic constructions.
+def _quad_errors(hard: HardInstance, counts: np.ndarray, mean_w: np.ndarray, m: int):
+    """Per-trial (err_x, err_0) for the quadratic constructions.
 
-    counts may be (n,) or (trials, n); err_0 is NaN where the origin is
+    counts is (trials, n), mean_w (trials,); err_0 is NaN where the origin is
     flagged (relu: f(0) = 0).
     """
-    counts = np.atleast_2d(counts)
-    mean_w = np.atleast_1d(np.asarray(mean_w, dtype=float))
     inst, spec, params = hard.instance, hard.spec, hard.params
     n = inst.n
     h = params["half"]
     k = spec.k
-    order = np.argsort(counts, axis=1, kind="stable")
-    J = order[:, :h]
+    J = np.argsort(counts, axis=1, kind="stable")[:, :h]
     # quadratic constructions have equal scores, so every sample weight equals
     # the per-trial mean weight (canonical or estimate-rescaled alike)
     cw = counts * mean_w[:, None]
@@ -431,7 +421,6 @@ def _quad_errors(hard: HardInstance, counts: np.ndarray, mean_w, m: int):
         f0_x = (h * g_hit + (n - h) * g_zero) / n
         f_x = f0_x + math.sqrt(h) / k
         f0hat_x = (cw_J * g_hit + (cw_tot - cw_J) * g_zero) / m
-        err_x = np.abs(f0_x - f0hat_x) / f_x
         err_0 = np.abs(1.0 - mean_w)
     elif hard.kind == QUAD_HINGE:
         g_iso = 1.0 / math.sqrt(2.0 * h)
@@ -439,18 +428,176 @@ def _quad_errors(hard: HardInstance, counts: np.ndarray, mean_w, m: int):
         reg_val = 2.0 if params["reg"] == L2SQ else math.sqrt(2.0)
         f_x = f0_x + reg_val / k
         f0hat_x = cw_J * g_iso / m
-        err_x = np.abs(f0_x - f0hat_x) / f_x
         err_0 = np.abs(1.0 - mean_w)
     elif hard.kind == QUAD_RELU:
         g_iso = 1.0 / math.sqrt(n)
         f0_x = (h / n) * g_iso
         f_x = f0_x + params["reg_nominal"] / k
         f0hat_x = cw_J * g_iso / m
-        err_x = np.abs(f0_x - f0hat_x) / f_x
         err_0 = np.full(counts.shape[0], np.nan)
-    else:  # pragma: no cover
-        raise ConfigurationError(f"not a quadratic kind: {hard.kind}")
-    return err_x, err_0, J
+    else:
+        raise ConfigurationError(f"{hard.kind} has no quadratic adversarial error")
+    return np.abs(f0_x - f0hat_x) / f_x, err_0
+
+
+# A kind's violation function maps (hard, counts (trials, n), mean_w (trials,),
+# m, eps) to per-trial, per-candidate `bad` flags and per-candidate thresholds;
+# its witness builder maps (hard, counts (n,), candidate) to the query at which
+# that candidate's failure shows.
+
+def _quad_violations(hard, counts, mean_w, m, eps):
+    """Candidate 0: the query on the least-sampled half; candidate 1: the origin."""
+    err_x, err_0 = _quad_errors(hard, counts, mean_w, m)
+    return np.stack([err_x > eps, err_0 > eps], axis=1), np.full(2, eps)
+
+
+def _quad_witness(hard, counts, j):
+    if j == 1:
+        return np.zeros(hard.instance.dim)
+    # the generator isolates atoms 0..h-1 (coordinates 0..h-1 of its query);
+    # move that half onto the least-sampled atoms
+    query = hard.queries.queries[1]
+    x = query.copy()
+    x[:hard.instance.n] = 0.0
+    x[np.argsort(counts, kind="stable")[:hard.params["half"]]] = query[0]
+    return x
+
+
+def _count_deviation(hard, counts, mean_w, m, eps, width):
+    """Candidate j: atom j's isolating query; fails when |count_j - mu_j| > width eps mu_j."""
+    mu = m * atom_probabilities(hard.instance, hard.score_kind, hard.convention)
+    thresh = width * eps * mu
+    return np.abs(counts - mu) > thresh, thresh
+
+
+def _lin_smooth_violations(hard, counts, mean_w, m, eps):
+    """Candidate 0: the origin (mean weight off 1 by more than eps); candidate
+    j >= 1: atom j-1's query (count at least mu + eps mu factor)."""
+    mu = m * atom_probabilities(hard.instance, hard.score_kind, hard.convention)
+    t = eps * mu * hard.params["threshold_factor"]
+    bad = np.hstack([(np.abs(mean_w - 1.0) > eps)[:, None], counts >= mu + t])
+    return bad, np.concatenate([[eps], t])
+
+
+def _coupon_violations(hard, counts, mean_w, m, eps):
+    """Candidate j: the query -alpha e_j; fails when atom j is missed and the
+    relative error at that query exceeds eps."""
+    alpha, d, k = hard.params["alpha"], hard.params["d"], hard.params["k"]
+    err = (alpha / d) / (alpha / d + alpha * alpha / k)
+    return (counts == 0) & (err > eps), np.full(counts.shape[1], eps)
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One hard construction.  The generator's signature is the parameter
+    schema: its names and annotations are what `generate` accepts."""
+    gen: Callable[..., HardInstance]
+    regs: tuple[str, ...]  # the values a `reg` parameter may take
+    violations: Callable[..., tuple[np.ndarray, np.ndarray]]
+    witness: Callable[[HardInstance, np.ndarray, int], np.ndarray]
+
+
+KINDS = {
+    QUAD_LOGISTIC: Kind(gen_quad_logistic, (), _quad_violations, _quad_witness),
+    QUAD_SIGMOID: Kind(gen_quad_sigmoid, (), _quad_violations, _quad_witness),
+    QUAD_HINGE: Kind(gen_quad_hinge, (L2, L2SQ), _quad_violations, _quad_witness),
+    QUAD_RELU: Kind(gen_quad_relu, (L2, L2SQ), _quad_violations, _quad_witness),
+    LIN_RELU: Kind(gen_lin_relu, (L1, L2), partial(_count_deviation, width=3.0),
+                   lambda hard, counts, j: -hard.instance.atoms[j]),
+    # candidate j is row j of the query set: the origin, then atom j-1's query
+    LIN_LOGISTIC: Kind(gen_lin_logistic, (L1, L2SQ), _lin_smooth_violations,
+                       lambda hard, counts, j: hard.queries.queries[j].copy()),
+    LIN_SIGMOID: Kind(gen_lin_sigmoid, (L1, L2SQ), _lin_smooth_violations,
+                      lambda hard, counts, j: hard.queries.queries[j].copy()),
+    COUPON_RELU: Kind(gen_coupon_relu, (), _coupon_violations,
+                      lambda hard, counts, j: -hard.params["alpha"] * _basis(hard.instance.n, j)),
+    MOMENT_CURVE: Kind(gen_moment_curve, (), partial(_count_deviation, width=1.0),
+                       lambda hard, counts, j: hard.params["directions"][j]),
+}
+HARD_KINDS = tuple(KINDS)
+
+
+def _kind(kind: str) -> Kind:
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ConfigurationError(f"unknown hard-instance kind {kind!r}")
+    return KINDS[kind]
+
+
+def kind_params(kind: str) -> Mapping[str, inspect.Parameter]:
+    """The parameters `generate` takes for `kind`, from its generator's signature."""
+    return inspect.signature(_kind(kind).gen).parameters
+
+
+def _integer(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError
+    return int(value)
+
+
+def _real(value) -> float:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) \
+            or not math.isfinite(value):
+        raise TypeError
+    return float(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError
+    return value
+
+
+def _listed(convert, value) -> list:
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise TypeError
+    return [convert(v) for v in value]
+
+
+# each annotation a parameter may carry: its converter and its name in errors
+PARAM_TYPES = {
+    "int": (_integer, "an integer"),
+    "float": (_real, "a finite real number"),
+    "str": (_text, "a string"),
+    "list[int]": (partial(_listed, _integer), "a list of integers"),
+    "list[float]": (partial(_listed, _real), "a list of finite real numbers"),
+}
+
+
+def typed(name: str, value, annotation: str):
+    """value converted to `annotation` (a PARAM_TYPES key, optionally "| None").
+
+    JSON ints pass where a (finite) real is expected and integral reals where
+    an int is; bools pass as neither.  Raises InvalidInputError naming `name`.
+    """
+    if annotation.endswith(" | None") and value is None:
+        return None
+    convert, what = PARAM_TYPES[annotation.removesuffix(" | None")]
+    try:
+        return convert(value)
+    except TypeError:
+        raise InvalidInputError(f"{name!r} must be {what}, got {value!r}") from None
+
+
+def generate(kind: str, **params) -> HardInstance:
+    """Build a `kind` hard instance from parameters checked against its schema.
+
+    Names come from the generator's signature, types from its annotations
+    (see `typed`) and `reg` from the kind's allowed values; a bad parameter
+    raises InvalidInputError naming it.
+    """
+    entry = _kind(kind)
+    signature = inspect.signature(entry.gen)
+    try:
+        bound = signature.bind(**params).arguments
+        args = {name: typed(name, value, signature.parameters[name].annotation)
+                for name, value in bound.items()}
+    except (TypeError, InvalidInputError) as exc:
+        raise InvalidInputError(f"{kind}: {exc}") from None
+    if "reg" in args and args["reg"] not in entry.regs:
+        raise InvalidInputError(f"{kind} supports the {' and '.join(entry.regs)} regularizers")
+    return entry.gen(**args)
 
 
 def batch_failed(hard: HardInstance, counts: np.ndarray, mean_w, m: int,
@@ -461,62 +608,8 @@ def batch_failed(hard: HardInstance, counts: np.ndarray, mean_w, m: int,
     """
     counts = np.atleast_2d(counts)
     mean_w = np.atleast_1d(np.asarray(mean_w, dtype=float))
-    params = hard.params
-    if hard.kind in (QUAD_LOGISTIC, QUAD_SIGMOID, QUAD_HINGE, QUAD_RELU):
-        err_x, err_0, _ = _quad_errors(hard, counts, mean_w, m)
-        failed = err_x > eps
-        with np.errstate(invalid="ignore"):
-            failed = failed | (np.nan_to_num(err_0, nan=-1.0) > eps)
-        return failed
-    if hard.kind == LIN_RELU:
-        q = atom_probabilities(hard.instance, hard.score_kind, hard.convention)
-        mu = m * q
-        return np.any(np.abs(counts - mu) > 3.0 * eps * mu, axis=1)
-    if hard.kind in (LIN_LOGISTIC, LIN_SIGMOID):
-        q = atom_probabilities(hard.instance, hard.score_kind, hard.convention)
-        mu = m * q
-        t = eps * mu * params["threshold_factor"]
-        over = np.any(counts >= mu + t, axis=1)
-        return over | (np.abs(mean_w - 1.0) > eps)
-    if hard.kind == COUPON_RELU:
-        alpha, d, k = params["alpha"], params["d"], params["k"]
-        err = (alpha / d) / (alpha / d + alpha * alpha / k)
-        return np.any(counts == 0, axis=1) & (err > eps)
-    if hard.kind == MOMENT_CURVE:
-        q = atom_probabilities(hard.instance, hard.score_kind, hard.convention)
-        mu = m * q
-        return np.any(np.abs(counts - mu) > eps * mu, axis=1)
-    raise ConfigurationError(f"unknown hard-instance kind {hard.kind!r}")
-
-
-def resolve_adversarial_query(hard: HardInstance, counts: np.ndarray) -> np.ndarray:
-    """The sample-dependent adversarial query for quad/coupon kinds."""
-    counts = np.asarray(counts)
-    n = hard.instance.n
-    params = hard.params
-    if hard.kind in (QUAD_LOGISTIC, QUAD_SIGMOID):
-        J = np.argsort(counts, kind="stable")[:params["half"]]
-        x = np.zeros(n)
-        x[J] = 1.0
-        return x
-    if hard.kind == QUAD_HINGE:
-        # n atoms live in dimension n + 1 with a shared pinned coordinate
-        J = np.argsort(counts, kind="stable")[:params["half"]]
-        x = np.zeros(hard.instance.dim)
-        x[-1] = 1.0
-        x[J] = -1.0 / math.sqrt(params["half"])
-        return x
-    if hard.kind == QUAD_RELU:
-        J = np.argsort(counts, kind="stable")[:params["half"]]
-        x = np.zeros(n)
-        x[J] = -1.0 / math.sqrt(n)
-        return x
-    if hard.kind == COUPON_RELU:
-        missed = np.flatnonzero(counts == 0)
-        if missed.size == 0:
-            raise InvalidInputError("no missed atom: the coupon query is undefined")
-        return -params["alpha"] * _basis(n, int(missed[0]))
-    raise ConfigurationError(f"{hard.kind} has no sample-resolved query")
+    bad, _ = _kind(hard.kind).violations(hard, counts, mean_w, m, eps)
+    return bad.any(axis=1)
 
 
 def adversarial_relative_error(hard: HardInstance, samples: Coreset) -> tuple[float, float]:
@@ -527,100 +620,27 @@ def adversarial_relative_error(hard: HardInstance, samples: Coreset) -> tuple[fl
     nominal regularizer value, so a sample missing the isolated half yields
     exactly 3 eps / (1 + 3 eps).
     """
-    if hard.kind not in (QUAD_LOGISTIC, QUAD_SIGMOID, QUAD_HINGE, QUAD_RELU):
-        raise ConfigurationError(f"{hard.kind} has no quadratic adversarial error")
     counts, mean_w, m = _counts_from_samples(hard, samples)
-    err_x, err_0, _ = _quad_errors(hard, counts, mean_w, m)
+    err_x, err_0 = _quad_errors(hard, counts[None, :], np.array([mean_w]), m)
     return float(err_x[0]), float(err_0[0])
 
 
 def check_failure(hard: HardInstance, samples: Coreset, eps: float) -> FailureVerdict:
     """Evaluate the instance-specific failure predicate on a drawn sample.
 
-    Samples must have been drawn under the convention the instance records;
-    mismatched weights raise a configuration error.
+    The verdict carries the first violated candidate's query and threshold,
+    or the largest threshold when none is violated.  Samples must have been
+    drawn under the convention the instance records; mismatched weights
+    raise a configuration error.
     """
     counts, mean_w, m = _counts_from_samples(hard, samples)
-    params = hard.params
-    inst = hard.instance
-
-    if hard.kind in (QUAD_LOGISTIC, QUAD_SIGMOID, QUAD_HINGE, QUAD_RELU):
-        err_x, err_0, _ = _quad_errors(hard, counts, mean_w, m)
-        ex, e0 = float(err_x[0]), float(err_0[0])
-        if ex > eps:
-            return FailureVerdict(True, resolve_adversarial_query(hard, counts),
-                                  counts, eps)
-        if not math.isnan(e0) and e0 > eps:
-            return FailureVerdict(True, np.zeros(inst.dim), counts, eps)
-        return FailureVerdict(False, None, counts, eps)
-
-    if hard.kind == LIN_RELU:
-        q = atom_probabilities(inst, hard.score_kind, hard.convention)
-        mu = m * q
-        thresh = 3.0 * eps * mu
-        bad = np.flatnonzero(np.abs(counts - mu) > thresh)
-        if bad.size:
-            j = int(bad[0])
-            return FailureVerdict(True, -inst.atoms[j], counts, float(thresh[j]))
+    entry = _kind(hard.kind)
+    bad, thresh = entry.violations(hard, counts[None, :], np.array([mean_w]), m, eps)
+    violated = np.flatnonzero(bad[0])
+    if violated.size == 0:
         return FailureVerdict(False, None, counts, float(thresh.max()))
-
-    if hard.kind in (LIN_LOGISTIC, LIN_SIGMOID):
-        if abs(mean_w - 1.0) > eps:
-            return FailureVerdict(True, np.zeros(inst.dim), counts, eps)
-        q = atom_probabilities(inst, hard.score_kind, hard.convention)
-        mu = m * q
-        t = eps * mu * params["threshold_factor"]
-        bad = np.flatnonzero(counts >= mu + t)
-        if bad.size:
-            j = int(bad[0])
-            alpha = params["alpha"]
-            x = np.zeros(inst.dim)
-            x[j] = -2.0 * alpha
-            x[inst.dim - 1] = alpha
-            return FailureVerdict(True, x, counts, float(t[j]))
-        return FailureVerdict(False, None, counts, float(t.max()))
-
-    if hard.kind == COUPON_RELU:
-        failed = bool(batch_failed(hard, counts[None, :], [mean_w], m, eps)[0])
-        if failed:
-            return FailureVerdict(True, resolve_adversarial_query(hard, counts),
-                                  counts, eps)
-        return FailureVerdict(False, None, counts, eps)
-
-    if hard.kind == MOMENT_CURVE:
-        q = atom_probabilities(inst, hard.score_kind, hard.convention)
-        mu = m * q
-        thresh = eps * mu
-        bad = np.flatnonzero(np.abs(counts - mu) > thresh)
-        if bad.size:
-            j = int(bad[0])
-            return FailureVerdict(True, params["directions"][j], counts,
-                                  float(thresh[j]))
-        return FailureVerdict(False, None, counts, float(thresh.max()))
-
-    raise ConfigurationError(f"unknown hard-instance kind {hard.kind!r}")
-
-
-def generate(kind: str, **kwargs) -> HardInstance:
-    """Dispatch a generator by kind name, checking the parameters against its signature."""
-    gens = {
-        QUAD_LOGISTIC: gen_quad_logistic,
-        QUAD_SIGMOID: gen_quad_sigmoid,
-        QUAD_HINGE: gen_quad_hinge,
-        QUAD_RELU: gen_quad_relu,
-        LIN_RELU: gen_lin_relu,
-        LIN_LOGISTIC: gen_lin_logistic,
-        LIN_SIGMOID: gen_lin_sigmoid,
-        COUPON_RELU: gen_coupon_relu,
-        MOMENT_CURVE: gen_moment_curve,
-    }
-    if kind not in gens:
-        raise ConfigurationError(f"unknown hard-instance kind {kind!r}")
-    try:
-        inspect.signature(gens[kind]).bind(**kwargs)
-    except TypeError as exc:
-        raise InvalidInputError(f"{kind}: {exc}") from None
-    return gens[kind](**kwargs)
+    j = int(violated[0])
+    return FailureVerdict(True, entry.witness(hard, counts, j), counts, float(thresh[j]))
 
 
 def load_hard_instance(manifest_path) -> HardInstance:
@@ -634,19 +654,6 @@ def load_hard_instance(manifest_path) -> HardInstance:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     config = manifest.get("config", manifest)
-    kind = config["kind"]
-    params = config["params"]
-    if kind in (QUAD_LOGISTIC, QUAD_SIGMOID):
-        kwargs = {"k": params["k"], "eps": params["eps"]}
-    elif kind in (QUAD_HINGE, QUAD_RELU):
-        kwargs = {"k": params["k"], "eps": params["eps"], "reg": params["reg"]}
-    elif kind in (LIN_RELU, LIN_LOGISTIC, LIN_SIGMOID):
-        kwargs = {"k": int(params["k"]), "reg": params["reg"]}
-    elif kind == COUPON_RELU:
-        kwargs = {"d": params["d"], "k": params["k"]}
-    elif kind == MOMENT_CURVE:
-        kwargs = {"N": params["N"], "d": params["d"],
-                  "t_values": params["t_values"], "k": params["k"]}
-    else:
-        raise ConfigurationError(f"unknown hard-instance kind {kind!r}")
-    return generate(kind, **kwargs)
+    kind, params = config["kind"], config["params"]
+    return generate(kind, **{name: params[name] for name in kind_params(kind)
+                             if name in params})

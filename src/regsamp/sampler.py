@@ -20,7 +20,12 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimatorInconsistencyError, InvalidInputError
+from .errors import (
+    BudgetExceededError,
+    ConfigurationError,
+    EstimatorInconsistencyError,
+    InvalidInputError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Instance
@@ -35,6 +40,9 @@ SCORE_KINDS = (NORM_PLUS_1, SQNORM_PLUS_2, UNIFORM_D, UNIFORM_D2)
 MIXTURE = "mixture"
 SCORE_ONLY = "score-only"
 CONVENTIONS = (MIXTURE, SCORE_ONLY)
+
+# most draws estimate_S makes: its index and score arrays then take 160 MB
+MAX_S_DRAWS = 10_000_000
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -281,6 +289,7 @@ def estimate_S(instance: "Instance", kind: str, eps: float, delta: float, seed: 
 
     Sample size m = ceil(D^p ln(1/delta) / eps^2) with p = 1 for norm
     scores and p = 2 for squared-norm scores; requires a bounded instance.
+    Raises BudgetExceededError, before drawing, when m exceeds MAX_S_DRAWS.
     """
     if kind == NORM_PLUS_1:
         p = 1
@@ -292,7 +301,11 @@ def estimate_S(instance: "Instance", kind: str, eps: float, delta: float, seed: 
         raise InvalidInputError("eps must be positive and delta in (0, 1)")
     norms = instance.norms()
     d_max = float(norms.max())
-    m = max(1, math.ceil((d_max ** p) * math.log(1.0 / delta) / (eps * eps)))
+    draws = (d_max ** p) * math.log(1.0 / delta)  # times 1/eps^2, which may overflow
+    if draws > MAX_S_DRAWS * eps * eps:
+        raise BudgetExceededError(f"estimating S at D = {d_max:.6g}, eps = {eps:g} "
+                                  f"needs more than {MAX_S_DRAWS} draws")
+    m = max(1, math.ceil(draws / (eps * eps)))
     rng = derive_rng(seed)
     idx = CategoricalSampler(instance.masses).draw(rng, m)
     s = score_array(kind, instance.atoms)

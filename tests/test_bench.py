@@ -79,6 +79,10 @@ class TestFailureRate:
         cfg = TrialConfig(eps=0.25, delta=0.2, trials=30, master_seed=11, hard=hard)
         assert failure_rate(cfg, 40) == failure_rate(cfg, 40)
 
+    def test_unknown_query_policy_rejected(self):
+        with pytest.raises(InvalidInputError):
+            TrialConfig(eps=0.25, delta=0.2, hard=gen_lin_relu(4), query_policy="everything")
+
 
 class TestMinSampleSize:
     def test_single_atom_returns_one(self):
@@ -138,6 +142,11 @@ class TestScalingCurve:
     def test_requires_three_points(self):
         with pytest.raises(InvalidInputError):
             scaling_curve("lin-relu", [8, 16], eps=0.25, delta=0.2, trials=10)
+
+    def test_non_integral_lin_k_rejected(self):
+        # lin-* instances exist for integral k only; 8.5 is not run as 8
+        with pytest.raises(InvalidInputError, match="'k'"):
+            scaling_curve("lin-relu", [4, 8.5, 16], eps=0.25, delta=0.2, trials=10)
 
     def test_small_linear_family_curve(self):
         curve = scaling_curve("lin-relu", [4, 8, 16], eps=0.3, delta=0.25,

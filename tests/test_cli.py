@@ -50,6 +50,18 @@ class TestGen:
     def test_missing_out_is_usage_error(self):
         assert run("gen", "--kind", "lin-relu", "--k", "8") == 1
 
+    @pytest.mark.parametrize("args,name", [
+        (["--kind", "quad-logistic", "--k", "8", "--eps", "0.05", "--reg", "l1"], "'reg'"),
+        (["--kind", "lin-relu", "--k", "8", "--d", "4"], "'d'"),
+        (["--kind", "lin-relu", "--k", "8.5"], "'k'"),
+    ], ids=["reg-not-taken", "d-not-taken", "non-integral-k"])
+    def test_parameter_is_never_rewritten(self, tmp_path, capsys, args, name):
+        out = tmp_path / "g"
+        assert run("gen", *args, "--out", str(out)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and name in lines[0]
+        assert not out.exists()
+
 
 class TestSample:
     def test_single_atom_three_lines(self, tmp_path):
@@ -117,7 +129,7 @@ class TestEval:
         assert run("gen", "--kind", "coupon-relu", "--d", "8", "--k", "6",
                    "--out", str(out)) == 0
         inst = load_instance(out / "instance.jsonl")
-        from regsamp.hardness import gen_coupon_relu, resolve_adversarial_query
+        from regsamp.hardness import check_failure, gen_coupon_relu
         from regsamp.objective import QuerySet, save_queries
         from regsamp.sampler import Coreset, save_samples
 
@@ -125,8 +137,7 @@ class TestEval:
         miss = [1, 2, 3, 4, 5, 6, 7]
         samples = Coreset.of_atoms(inst, miss, "norm", "mixture")
         save_samples(samples, tmp_path / "miss.jsonl")
-        counts = np.bincount(miss, minlength=8)
-        x = resolve_adversarial_query(hard, counts)
+        x = check_failure(hard, samples, 0.25).witness_query
         save_queries(QuerySet(x[None, :], ("adversarial",)), tmp_path / "q.jsonl")
         args = ["eval", "--instance", str(out / "instance.jsonl"),
                 "--sample", str(tmp_path / "miss.jsonl"),
@@ -206,6 +217,12 @@ class TestBench:
         assert run("bench", "--config", str(cfg_path)) != 0
 
 
+FAILURE_RATE = {"mode": "failure-rate", "kind": "coupon-relu", "eps": 0.25, "delta": 0.2,
+                "m_list": [16], "params": {"d": 16, "k": 8}}
+SCALING = {"mode": "scaling", "kind": "lin-relu", "k_list": [4, 8, 16], "eps": 0.3,
+           "delta": 0.25}
+
+
 class TestBenchBadConfigs:
     @pytest.mark.parametrize("cfg,names", [
         ({"mode": "failure-rate", "kind": "coupon-relu", "eps": 0.25, "delta": 0.2,
@@ -214,7 +231,22 @@ class TestBenchBadConfigs:
           "m_list": [16], "params": {"d": 16, "k": 8.0, "bogus": 1}}, "'bogus'"),
         ({"mode": "scaling", "kind": "lin-relu", "k_list": [4, 8, 16], "delta": 0.25},
          "eps"),
-    ], ids=["no-params", "unknown-param", "scaling-without-eps"])
+        ({**FAILURE_RATE, "params": [16, 8]}, "'params'"),
+        ({**FAILURE_RATE, "params": {"d": "sixteen", "k": 8}}, "'d'"),
+        ({**SCALING, "trials": "many"}, "'trials'"),
+        ({**SCALING, "eps": "0.25"}, "'eps'"),
+        ({**SCALING, "k_list": 8}, "'k_list'"),
+        ([1, 2], "object"),
+        ({**FAILURE_RATE, "m_list": "16"}, "'m_list'"),
+        ({**FAILURE_RATE, "m_list": [16, 0]}, "'m_list'"),
+        ({**FAILURE_RATE, "trials": True}, "'trials'"),
+        ({**FAILURE_RATE, "query_policy": "everything"}, "'everything'"),
+        ({**SCALING, "k_list": [4, 8.5, 16]}, "'k'"),
+        ({**SCALING, "kind": "quad-logistic", "reg": "l1"}, "'reg'"),
+    ], ids=["no-params", "unknown-param", "scaling-without-eps", "params-list",
+            "params-wrong-type", "trials-string", "eps-string", "k_list-scalar",
+            "config-list", "m_list-string", "m_list-zero", "trials-bool",
+            "unknown-query-policy", "non-integral-lin-k", "reg-not-taken"])
     def test_one_line_usage_error(self, tmp_path, capsys, cfg, names):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -252,13 +284,28 @@ class TestBenchWarnings:
         assert "warning" in capsys.readouterr().err
 
 
+# one `gen` call per kind of the hard-instance table
+ROUND_TRIP = [
+    (["--kind", "lin-relu", "--k", "8"], "lin-relu"),
+    (["--kind", "quad-hinge", "--k", "8", "--eps", "0.2", "--reg", "l2sq"],
+     "quad-hinge"),
+    (["--kind", "moment-curve", "--n", "6", "--d", "2"], "moment-curve"),
+    (["--kind", "quad-logistic", "--k", "8", "--eps", "0.05"], "quad-logistic"),
+    (["--kind", "quad-sigmoid", "--k", "20", "--eps", "0.1"], "quad-sigmoid"),
+    (["--kind", "quad-relu", "--k", "6", "--eps", "0.2", "--reg", "l2"], "quad-relu"),
+    (["--kind", "lin-logistic", "--k", "6", "--reg", "l2sq"], "lin-logistic"),
+    (["--kind", "lin-sigmoid", "--k", "6"], "lin-sigmoid"),
+    (["--kind", "coupon-relu", "--d", "16", "--k", "8"], "coupon-relu"),
+]
+
+
 class TestManifestRoundTrip:
-    @pytest.mark.parametrize("args,kind", [
-        (["--kind", "lin-relu", "--k", "8"], "lin-relu"),
-        (["--kind", "quad-hinge", "--k", "8", "--eps", "0.2", "--reg", "l2sq"],
-         "quad-hinge"),
-        (["--kind", "moment-curve", "--n", "6", "--d", "2"], "moment-curve"),
-    ])
+    def test_every_kind_is_covered(self):
+        from regsamp.hardness import KINDS
+
+        assert sorted(kind for _, kind in ROUND_TRIP) == sorted(KINDS)
+
+    @pytest.mark.parametrize("args,kind", ROUND_TRIP)
     def test_regenerate_from_manifest(self, tmp_path, args, kind):
         from regsamp.hardness import load_hard_instance
 
@@ -270,6 +317,23 @@ class TestManifestRoundTrip:
         assert np.allclose(hard.instance.atoms, disk.atoms)
         queries = load_queries(out / "queries.jsonl", dim=disk.dim)
         assert np.allclose(hard.queries.queries, queries.queries)
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert hard.spec.k == config["k"] and hard.spec.reg.kind == config["reg"]
+
+    def test_moment_curve_t_values_survive(self, tmp_path):
+        from regsamp.hardness import load_hard_instance
+
+        out = tmp_path / "gen"
+        assert run("gen", "--kind", "moment-curve", "--n", "5", "--d", "2",
+                   "--out", str(out)) == 0
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        t_values = [0.5, 1.25, 2.0, 3.5, 5.0]
+        manifest["config"]["params"]["t_values"] = t_values
+        path.write_text(json.dumps(manifest))
+        hard = load_hard_instance(path)
+        assert hard.params["t_values"].tolist() == t_values
+        assert hard.instance.atoms[:, 1].tolist() == t_values
 
 
 class TestMissingFiles:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regsamp.errors import (
     ApplicabilityError,
@@ -11,7 +12,9 @@ from regsamp.errors import (
     InvalidInputError,
 )
 from regsamp.hardness import (
+    KINDS,
     adversarial_relative_error,
+    batch_failed,
     check_failure,
     gen_coupon_relu,
     gen_lin_logistic,
@@ -410,6 +413,23 @@ class TestGenerateDispatch:
         with pytest.raises(ConfigurationError):
             generate("nope")
 
+    def test_integral_float_k_for_lin_kinds(self):
+        # manifests store k as a float
+        assert generate("lin-relu", k=8.0).instance.n == 16
+
+    @pytest.mark.parametrize("kind,params,name", [
+        ("lin-relu", {"k": 8.5}, "'k'"),
+        ("lin-sigmoid", {"k": 8.5}, "'k'"),
+        ("quad-hinge", {"k": True, "eps": 0.2}, "'k'"),
+        ("coupon-relu", {"d": "sixteen", "k": 8}, "'d'"),
+        ("quad-logistic", {"k": 8.0, "eps": 0.05, "reg": "l1"}, "'reg'"),
+        ("quad-hinge", {"k": 8.0, "eps": 0.2, "reg": "l1"}, "l2 and l2sq"),
+        ("moment-curve", {"N": 4, "d": 2, "t_values": [1, 2, "x", 4]}, "'t_values'"),
+    ])
+    def test_bad_parameter_is_named(self, kind, params, name):
+        with pytest.raises(InvalidInputError, match=name):
+            generate(kind, **params)
+
 
 class TestSampledRoundTrip:
     """check_failure consumes draw_iid output directly."""
@@ -423,6 +443,7 @@ class TestSampledRoundTrip:
         (gen_quad_logistic, {"k": 8.0, "eps": 0.05}),
         (gen_coupon_relu, {"d": 16, "k": 8.0}),
         (gen_moment_curve, {"N": 6, "d": 2}),
+        (gen_quad_sigmoid, {"k": 20.0, "eps": 0.1}),
     ])
     def test_draw_and_check(self, gen, kwargs):
         hard = gen(**kwargs)
@@ -432,3 +453,42 @@ class TestSampledRoundTrip:
         assert isinstance(verdict.failed, bool)
         if verdict.failed:
             assert verdict.witness_query is not None
+
+
+# one small instance per kind of the table
+PREDICATE_CASES = {
+    "quad-logistic": {"k": 8.0, "eps": 0.05},
+    "quad-sigmoid": {"k": 20.0, "eps": 0.1},
+    "quad-hinge": {"k": 8.0, "eps": 0.25, "reg": L2},
+    "quad-relu": {"k": 6.0, "eps": 1.0 / 6.0},
+    "lin-relu": {"k": 4},
+    "lin-logistic": {"k": 5, "reg": L2SQ},
+    "lin-sigmoid": {"k": 4},
+    "coupon-relu": {"d": 6, "k": 4.0},
+    "moment-curve": {"N": 5, "d": 2},
+}
+PREDICATE_HARDS = {kind: generate(kind, **params) for kind, params in PREDICATE_CASES.items()}
+
+
+def test_predicate_cases_cover_every_kind():
+    assert sorted(PREDICATE_CASES) == sorted(KINDS)
+
+
+@given(st.sampled_from(sorted(PREDICATE_CASES)), st.data(),
+       st.sampled_from([0.05, 0.2, 0.5, 0.9]), st.sampled_from([1.0, 0.8, 1.25]))
+@settings(max_examples=300, deadline=None)
+def test_check_failure_agrees_with_batch_failed(kind, data, eps, scale):
+    hard = PREDICATE_HARDS[kind]
+    n = hard.instance.n
+    idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4 * n))
+    # a common weight scale is consistent with an estimated score mass for
+    # every kind (equal scores or the score-only convention) and moves the
+    # mean weight, which the origin candidates test
+    samples = sample_atoms(hard, idx)
+    samples = replace(samples, w=scale * samples.w)
+    verdict = check_failure(hard, samples, eps)
+    counts = np.bincount(idx, minlength=n)
+    assert verdict.failed == bool(batch_failed(hard, counts, [samples.w.mean()], len(idx), eps)[0])
+    if verdict.failed:
+        assert verdict.witness_query is not None
+        assert verdict.witness_query.shape == (hard.instance.dim,)

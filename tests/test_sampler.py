@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from regsamp.errors import (
+    BudgetExceededError,
     ConfigurationError,
     DataError,
     EstimatorInconsistencyError,
@@ -294,6 +296,21 @@ class TestEstimateS:
     def test_uniform_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             estimate_S(TWO_ATOM, "uniform-d", eps=0.1, delta=0.1, seed=0)
+
+    def test_draw_budget_raises_before_allocating(self):
+        # D = 1e4 under sqnorm asks for D^2 ln(10) / 0.01, about 2.3e10 draws
+        inst = make_instance(np.array([[1e4, 0.0], [0.0, 1.0]]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                estimate_S(inst, "sqnorm", eps=0.1, delta=0.1, seed=0)
+            # eps^2 underflows to 0 here
+            with pytest.raises(BudgetExceededError):
+                estimate_S(TWO_ATOM, "norm", eps=1e-200, delta=0.1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestWeightsFromEstimate:
