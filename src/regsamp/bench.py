@@ -1,35 +1,34 @@
 """Monte Carlo harness: failure rates, minimal sample sizes, scaling curves.
 
-Trials are independent streams of a counter-based generator keyed by
-(master_seed, m, trial), so results do not depend on probing order, and
-aggregation is order-independent.
+The trials of a probe at sample size m are the rows of one multinomial
+count block drawn from the counter-based stream keyed by (master_seed, m),
+so results do not depend on probing order, and aggregation is
+order-independent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigurationError, InvalidInputError
+from .errors import (BudgetExceededError, ConfigurationError, DegenerateInstanceError,
+                     InvalidInputError)
 from .hardness import HardInstance, batch_failed, generate, kind_params
 from .losses import eval_loss
 from .model import Instance, ObjectiveSpec
 from .objective import QuerySet, build_query_set, evaluate
-from .sampler import (
-    MIXTURE,
-    CategoricalSampler,
-    atom_probabilities,
-    atom_weights,
-    derive_rng,
-)
+from .sampler import MIXTURE, atom_probabilities, atom_weights, derive_rng
 
 ADVERSARIAL_ONLY = "adversarial-only"
 ADVERSARIAL_PLUS_RANDOM = "adversarial-plus-random"
 
 DEFAULT_TRIALS = 200
 DEFAULT_M_CAP = 2_000_000
+# most cells of a count block `unbiasedness_check` draws at once
+COUNT_CELLS = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,12 +62,14 @@ class TrialConfig:
     def target_instance(self) -> Instance:
         return self.hard.instance if self.hard is not None else self.instance
 
-    @property
-    def sampling(self) -> tuple[str, str]:
-        if self.hard is not None:
-            return (self.score_kind or self.hard.score_kind,
-                    self.convention or self.hard.convention)
-        return (self.score_kind or "norm", self.convention or MIXTURE)
+    @cached_property
+    def law(self) -> tuple[np.ndarray, np.ndarray]:
+        """(q, w) per atom, built once per config; unset sampling follows the hard instance."""
+        hard = self.hard
+        kind = self.score_kind or (hard.score_kind if hard is not None else "norm")
+        convention = self.convention or (hard.convention if hard is not None else MIXTURE)
+        inst = self.target_instance
+        return atom_probabilities(inst, kind, convention), atom_weights(inst, kind, convention)
 
 
 @dataclass(frozen=True)
@@ -100,18 +101,17 @@ def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float,
 
 
 def _draw_counts(q: np.ndarray, w: np.ndarray, m: int, trials: int,
-                 master_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial sample counts and mean weights, one derived stream per trial."""
-    n = q.size
-    alias = CategoricalSampler(q)
-    counts = np.empty((trials, n), dtype=np.int64)
-    mean_w = np.empty(trials)
-    for t in range(trials):
-        rng = derive_rng(master_seed, m, t)
-        idx = alias.draw(rng, m)
-        counts[t] = np.bincount(idx, minlength=n)
-        mean_w[t] = w[idx].mean()
-    return counts, mean_w
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial counts of m i.i.d. draws from q, and the mean of w over each trial's draws.
+
+    Such counts are Multinomial(m, q): the trials are the rows of one block,
+    and blocks drawn in turn from one generator concatenate to one drawn at once.
+    """
+    try:
+        counts = rng.multinomial(m, q, size=trials)
+    except ValueError as exc:  # numpy's own pvals check, at a rounding error of q's
+        raise DegenerateInstanceError(f"sampling probabilities rejected: {exc}") from None
+    return counts, counts @ w / m
 
 
 def _generic_query_failures(instance: Instance, spec: ObjectiveSpec, queries: QuerySet,
@@ -133,11 +133,9 @@ def failure_rate(cfg: TrialConfig, m: int) -> tuple[float, tuple[float, float]]:
     """Empirical failure probability at sample size m, with a Wilson 95% CI."""
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
-    kind, convention = cfg.sampling
     inst = cfg.target_instance
-    q = atom_probabilities(inst, kind, convention)
-    w = atom_weights(inst, kind, convention)
-    counts, mean_w = _draw_counts(q, w, m, cfg.trials, cfg.master_seed)
+    q, w = cfg.law
+    counts, mean_w = _draw_counts(q, w, m, cfg.trials, derive_rng(cfg.master_seed, m))
     if cfg.hard is not None:
         failed = batch_failed(cfg.hard, counts, mean_w, m, cfg.eps)
         if cfg.query_policy == ADVERSARIAL_PLUS_RANDOM:
@@ -230,8 +228,10 @@ def scaling_curve(kind: str, k_list, eps: float, delta: float,
     hards = [generate(kind, k=k, **params) for k in k_list]
 
     def solve(k: float, hard: HardInstance):
+        # k's stream is keyed by its IEEE-754 bits, so every distinct k has its own
+        bits = int(np.float64(k).view(np.uint64))
         cfg = TrialConfig(eps=eps, delta=delta, trials=trials,
-                          master_seed=int(derive_rng(seed, int(k)).integers(2 ** 62)),
+                          master_seed=int(derive_rng(seed, bits).integers(2 ** 62)),
                           hard=hard, m_cap=m_cap)
         try:
             return k, min_sample_size(cfg), None
@@ -284,8 +284,8 @@ def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,
     mean).  Pass |gap| <= 4 * stderr.  weights_override replaces the per-atom
     importance weights (negative-control hook).
     """
-    if trials < 100:
-        raise InvalidInputError("need at least 100 trials")
+    if trials < 100 or m < 1:
+        raise InvalidInputError("need at least 100 trials and m >= 1")
     x = np.asarray(x, dtype=float)
     q = atom_probabilities(instance, kind, convention)
     w = atom_weights(instance, kind, convention) if weights_override is None \
@@ -293,16 +293,9 @@ def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,
     gvals = np.asarray(eval_loss(spec.loss, instance.atoms @ x))
     f0 = float(instance.masses @ gvals)
     per_atom = w * gvals
-    alias = CategoricalSampler(q)
-    means = np.empty(trials)
-    chunk = max(1, 2_000_000 // max(m, 1))
-    done = 0
-    while done < trials:
-        batch = min(chunk, trials - done)
-        rng = derive_rng(seed, done)
-        idx = alias.draw(rng, batch * m).reshape(batch, m)
-        means[done:done + batch] = per_atom[idx].mean(axis=1)
-        done += batch
+    rng, rows = derive_rng(seed, m), max(1, COUNT_CELLS // q.size)
+    means = np.concatenate([_draw_counts(q, per_atom, m, min(rows, trials - t), rng)[1]
+                            for t in range(0, trials, rows)])
     gap = float(means.mean() - f0)
     stderr = float(means.std(ddof=1) / math.sqrt(trials))
     return gap, stderr

@@ -33,9 +33,11 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BUDGET = 3
 
-# keys a `bench` config must set, per mode
-BENCH_KEYS = {"failure-rate": ("kind", "eps", "delta", "m_list"),
-              "scaling": ("kind", "k_list", "eps", "delta")}
+# keys a `bench` config must set and keys it may set, per mode; any other is rejected
+_COMMON = ("mode", "trials", "master_seed", "m_cap", "out")
+BENCH_KEYS = {"failure-rate": (("kind", "eps", "delta", "m_list"),
+                               ("params", "query_policy", *_COMMON)),
+              "scaling": (("kind", "k_list", "eps", "delta"), ("reg", *_COMMON))}
 # the type of each bench config key, as `hardness.typed` names it; `params`
 # must be an object and is checked against the kind's generator
 BENCH_TYPES = {"kind": "str", "reg": "str", "query_policy": "str", "out": "str",
@@ -138,9 +140,13 @@ def _cmd_bench(args) -> int:
     mode = cfg.get("mode", "scaling")
     if mode not in tuple(BENCH_KEYS):
         raise InvalidInputError(f"unknown bench mode {mode!r}")
-    missing = [key for key in BENCH_KEYS[mode] if key not in cfg]
+    required, optional = BENCH_KEYS[mode]
+    missing = [key for key in required if key not in cfg]
     if missing:
         raise InvalidInputError(f"{mode} config lacks required key(s) {', '.join(missing)}")
+    unknown = [repr(key) for key in cfg if key not in required + optional]
+    if unknown:
+        raise InvalidInputError(f"{mode} config does not take key(s) {', '.join(unknown)}")
     opts = {key: hardness.typed(key, val, BENCH_TYPES[key])
             for key, val in cfg.items() if key in BENCH_TYPES}
     if not isinstance(cfg.get("params", {}), dict):

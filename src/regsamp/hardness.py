@@ -23,7 +23,7 @@ import math
 import numbers
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -82,6 +82,11 @@ class HardInstance:
     @property
     def score_kind(self) -> str:
         return self.params["score_kind"]
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """Per-atom sampling probabilities under the recorded score kind and convention."""
+        return atom_probabilities(self.instance, self.score_kind, self.convention)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,10 +277,6 @@ def isolating_direction(atoms: np.ndarray, j: int, warm_start=None,
     n = atoms.shape[0]
     others = np.delete(np.arange(n), j)
 
-    def feasible(x):
-        margins = atoms @ x
-        return margins[j] <= -1.0 + 1e-9 and np.all(margins[others] >= -1e-12)
-
     def finish(x):
         margins = atoms @ x
         x = x / abs(margins[j])
@@ -465,7 +466,7 @@ def _quad_witness(hard, counts, j):
 
 def _count_deviation(hard, counts, mean_w, m, eps, width):
     """Candidate j: atom j's isolating query; fails when |count_j - mu_j| > width eps mu_j."""
-    mu = m * atom_probabilities(hard.instance, hard.score_kind, hard.convention)
+    mu = m * hard.probabilities
     thresh = width * eps * mu
     return np.abs(counts - mu) > thresh, thresh
 
@@ -473,7 +474,7 @@ def _count_deviation(hard, counts, mean_w, m, eps, width):
 def _lin_smooth_violations(hard, counts, mean_w, m, eps):
     """Candidate 0: the origin (mean weight off 1 by more than eps); candidate
     j >= 1: atom j-1's query (count at least mu + eps mu factor)."""
-    mu = m * atom_probabilities(hard.instance, hard.score_kind, hard.convention)
+    mu = m * hard.probabilities
     t = eps * mu * hard.params["threshold_factor"]
     bad = np.hstack([(np.abs(mean_w - 1.0) > eps)[:, None], counts >= mu + t])
     return bad, np.concatenate([[eps], t])

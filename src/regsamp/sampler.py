@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     ConfigurationError,
+    DegenerateInstanceError,
     EstimatorInconsistencyError,
     InvalidInputError,
 )
@@ -81,24 +82,28 @@ def weight(s: float, S: float) -> float:
     return 2.0 * S / (s + S)
 
 
+def _distribution(q: np.ndarray) -> np.ndarray:
+    """q itself, once checked to sum to 1 within 1e-12 (what alias and multinomial draws need)."""
+    total = float(q.sum())
+    if not abs(total - 1.0) <= 1e-12:  # NaN fails too
+        raise DegenerateInstanceError(f"sampling probabilities sum to {total!r}, not 1")
+    return q
+
+
 def mixture_probabilities(instance: "Instance", kind: str, D: float | None = None,
                           s_hat: float | None = None) -> np.ndarray:
     """q_i = p_i (s_i + S)/(2S), or the analogous mixture with an estimate in place of S."""
     s = score_array(kind, instance.atoms, D=D)
     S = float(instance.masses @ s)
     ref = S if s_hat is None else float(s_hat)
-    q = instance.masses * (s + ref) / (S + ref)
-    assert abs(float(q.sum()) - 1.0) <= 1e-12
-    return q
+    return _distribution(instance.masses * (s + ref) / (S + ref))
 
 
 def score_only_probabilities(instance: "Instance", kind: str, D: float | None = None) -> np.ndarray:
     """q_i = p_i s_i / S (no uniform half)."""
     s = score_array(kind, instance.atoms, D=D)
     S = float(instance.masses @ s)
-    q = instance.masses * s / S
-    assert abs(float(q.sum()) - 1.0) <= 1e-12
-    return q
+    return _distribution(instance.masses * s / S)
 
 
 def atom_probabilities(instance: "Instance", kind: str, convention: str,

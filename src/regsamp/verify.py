@@ -36,8 +36,6 @@ from .sampler import (
     NORM_PLUS_1,
     SQNORM_PLUS_2,
     Coreset,
-    atom_probabilities,
-    atom_weights,
     derive_rng,
     draw_iid,
     estimate_S,
@@ -89,11 +87,7 @@ def check_weight_laws(total_draws: int = 1_000_000) -> CheckResult:
         inst = gaussian_instance(30 + 7 * i, 3 + (i % 4), seed=500 + i,
                                  scale=0.5 + 0.25 * i, uniform_masses=(i % 2 == 0))
         kind = NORM_PLUS_1 if i % 2 else SQNORM_PLUS_2
-        q = atom_probabilities(inst, kind, MIXTURE)
-        w = atom_weights(inst, kind, MIXTURE)
-        from .sampler import CategoricalSampler
-        idx = CategoricalSampler(q).draw(derive_rng(600 + i), per_instance)
-        w_drawn = w[idx]
+        w_drawn = draw_iid(inst, kind, per_instance, seed=600 + i).w
         w_min = min(w_min, float(w_drawn.min()))
         w_max = max(w_max, float(w_drawn.max()))
         ok = ok and bool(np.all(w_drawn > 0) and np.all(w_drawn <= 2.0))
@@ -219,14 +213,13 @@ def check_moment_curve(samples_to_try: int = 100) -> CheckResult:
         ok &= margins[j] < 0 and bool(np.all(np.delete(margins, j) >= -1e-12))
     eps = 0.25
     eta = 1e-6
-    q = atom_probabilities(inst, hard.score_kind, hard.convention)
     disagreements = 0
     m = 50
+    mu = m * hard.probabilities
     for r in range(samples_to_try):
         smp = draw_iid(inst, hard.score_kind, m, seed=9000 + r,
                        convention=hard.convention)
         counts = np.bincount(smp.idx, minlength=inst.n)
-        mu = m * q
         count_fail = np.abs(counts - mu) > eps * mu
         eval_fail = relative_errors(inst, hard.spec, smp, eta * dirs) > eps
         disagreements += int(np.sum(count_fail != eval_fail))

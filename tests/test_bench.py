@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from regsamp import bench
 from regsamp.bench import (
     ScalingCurve,
     TrialConfig,
@@ -16,11 +17,12 @@ from regsamp.bench import (
     write_failure_rate_csv,
     write_scaling_csv,
 )
-from regsamp.errors import BudgetExceededError, InvalidInputError
+from regsamp.errors import BudgetExceededError, DegenerateInstanceError, InvalidInputError
 from regsamp.hardness import gen_coupon_relu, gen_lin_relu, gen_quad_relu
 from regsamp.losses import L2SQ, LOGISTIC, make_loss, make_reg
 from regsamp.model import ObjectiveSpec, gaussian_instance, make_instance
 from regsamp.objective import build_query_set
+from regsamp.sampler import derive_rng
 
 
 def plain_config(inst, spec, queries, **kw):
@@ -47,7 +49,67 @@ class TestWilson:
         assert covered / reps >= 0.9
 
 
+class TestDrawCounts:
+    def test_rows_are_multinomial_counts(self):
+        q = np.random.default_rng(4).dirichlet(np.ones(30))
+        w = np.linspace(0.5, 1.5, 30)
+        m, trials = 400, 2000
+        counts, mean_w = bench._draw_counts(q, w, m, trials, derive_rng(8, m))
+        assert counts.shape == (trials, 30)
+        assert np.all(counts.sum(axis=1) == m)
+        assert np.array_equal(mean_w, counts @ w / m)
+        stderr = np.sqrt(m * q * (1 - q) / trials)
+        assert np.all(np.abs(counts.mean(axis=0) - m * q) <= 4 * stderr)
+
+    def test_probabilities_numpy_rejects_are_a_typed_error(self):
+        # the first n-1 entries sum above 1, which numpy rejects with ValueError
+        with pytest.raises(DegenerateInstanceError):
+            bench._draw_counts(np.array([0.6, 0.6, 0.0]), np.ones(3), 5, 2, derive_rng(0))
+
+
 class TestFailureRate:
+    def test_probe_does_not_depend_on_other_probes(self):
+        def config():
+            return TrialConfig(eps=0.25, delta=0.2, trials=50, master_seed=3,
+                               hard=gen_lin_relu(4))
+        cfg = config()
+        first = failure_rate(cfg, 40)
+        assert 0 < first[0] < 1
+        for m in (10, 80, 20):
+            failure_rate(cfg, m)
+        assert failure_rate(cfg, 40) == first
+        assert failure_rate(config(), 40) == first
+
+    def test_one_stream_per_probe(self, monkeypatch):
+        calls = []
+
+        def counting(*key):
+            calls.append(key)
+            return derive_rng(*key)
+
+        monkeypatch.setattr(bench, "derive_rng", counting)
+        cfg = TrialConfig(eps=0.25, delta=0.2, trials=50, master_seed=3, hard=gen_lin_relu(4))
+        for m in (10, 40):
+            failure_rate(cfg, m)
+        assert calls == [(3, 10), (3, 40)]
+
+    def test_probabilities_and_weights_built_once_per_config(self, monkeypatch):
+        import regsamp.hardness as hardness
+        calls = []
+
+        def counting(fn):
+            return lambda *args, **kw: calls.append(fn.__name__) or fn(*args, **kw)
+
+        for module in (bench, hardness):
+            for name in ("atom_probabilities", "atom_weights"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        cfg = TrialConfig(eps=0.25, delta=0.2, trials=20, master_seed=3, hard=gen_lin_relu(4))
+        for m in (10, 40, 80):
+            failure_rate(cfg, m)
+        # the config's (q, w) and the hard instance's predicate probabilities
+        assert sorted(calls) == ["atom_probabilities", "atom_probabilities", "atom_weights"]
+
     def test_single_atom_never_fails(self):
         inst = make_instance(np.ones((1, 2)))
         spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ), 4.0)
@@ -148,6 +210,19 @@ class TestScalingCurve:
         with pytest.raises(InvalidInputError, match="'k'"):
             scaling_curve("lin-relu", [4, 8.5, 16], eps=0.25, delta=0.2, trials=10)
 
+    def test_each_k_has_its_own_master_seed(self, monkeypatch):
+        # 8.2 and 8.7 share an integer part; their streams must still differ
+        seeds = {}
+
+        def record(cfg):
+            seeds[cfg.hard.spec.k] = cfg.master_seed
+            return 10
+
+        monkeypatch.setattr(bench, "min_sample_size", record)
+        scaling_curve("quad-relu", [8.2, 8.7, 9.0], eps=0.25, delta=0.2, seed=0)
+        assert sorted(seeds) == [8.2, 8.7, 9.0]
+        assert len(set(seeds.values())) == 3
+
     def test_small_linear_family_curve(self):
         curve = scaling_curve("lin-relu", [4, 8, 16], eps=0.3, delta=0.25,
                               trials=60, seed=13)
@@ -212,6 +287,14 @@ class TestUnbiasedness:
                                          m=50, trials=2000, seed=7,
                                          weights_override=np.ones(2))
         assert abs(gap) > 4 * stderr
+
+    def test_row_budget_does_not_change_the_result(self, monkeypatch):
+        inst = gaussian_instance(100, 5, seed=21)
+        spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ), 10.0)
+        x = np.full(5, 0.5)
+        whole = unbiasedness_check(inst, spec, "norm", x, m=50, trials=300, seed=6)
+        monkeypatch.setattr(bench, "COUNT_CELLS", 7 * 100)  # 7-row blocks
+        assert unbiasedness_check(inst, spec, "norm", x, m=50, trials=300, seed=6) == whole
 
     def test_requires_hundred_trials(self):
         inst = make_instance(np.ones((1, 2)))

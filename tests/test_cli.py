@@ -243,10 +243,14 @@ class TestBenchBadConfigs:
         ({**FAILURE_RATE, "query_policy": "everything"}, "'everything'"),
         ({**SCALING, "k_list": [4, 8.5, 16]}, "'k'"),
         ({**SCALING, "kind": "quad-logistic", "reg": "l1"}, "'reg'"),
+        ({**SCALING, "trails": 40}, "'trails'"),
+        ({**SCALING, "m_list": [16]}, "'m_list'"),
+        ({**FAILURE_RATE, "reg": "l1"}, "'reg'"),
     ], ids=["no-params", "unknown-param", "scaling-without-eps", "params-list",
             "params-wrong-type", "trials-string", "eps-string", "k_list-scalar",
             "config-list", "m_list-string", "m_list-zero", "trials-bool",
-            "unknown-query-policy", "non-integral-lin-k", "reg-not-taken"])
+            "unknown-query-policy", "non-integral-lin-k", "reg-not-taken",
+            "unknown-key", "m_list-in-scaling", "reg-in-failure-rate"])
     def test_one_line_usage_error(self, tmp_path, capsys, cfg, names):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

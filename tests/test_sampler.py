@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from regsamp.errors import (
     BudgetExceededError,
     ConfigurationError,
     DataError,
+    DegenerateInstanceError,
     EstimatorInconsistencyError,
     InvalidInputError,
 )
@@ -17,6 +22,7 @@ from regsamp.sampler import (
     SCORE_ONLY,
     CategoricalSampler,
     Coreset,
+    atom_probabilities,
     derive_rng,
     draw_iid,
     estimate_S,
@@ -101,6 +107,32 @@ class TestMixtureProbabilities:
         assert np.allclose(q, [3.0 / 8.0, 5.0 / 8.0], atol=1e-15)
         q_hat = mixture_probabilities(TWO_ATOM, "norm", s_hat=3.0)
         assert np.allclose(q_hat, [0.5 * 4 / 5, 0.5 * 6 / 5], atol=1e-15)
+
+
+class TestProbabilitySumCheck:
+    # squared norms of 1e200 overflow, so the score mass S and every q_i are NaN
+    HUGE = make_instance(np.full((2, 3), 1e200))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("convention", ["mixture", SCORE_ONLY])
+    def test_overflowing_scores_are_a_typed_error(self, convention):
+        with pytest.raises(DegenerateInstanceError, match="not 1"):
+            atom_probabilities(self.HUGE, "sqnorm", convention)
+        with pytest.raises(DegenerateInstanceError):
+            draw_iid(self.HUGE, "sqnorm", 5, seed=0, convention=convention)
+
+    def test_check_survives_optimized_mode(self):
+        # python -O strips asserts; the check must still raise there
+        import regsamp
+
+        code = ("import numpy as np; from regsamp.model import make_instance; "
+                "from regsamp.sampler import mixture_probabilities as mp\n"
+                "try: mp(make_instance(np.full((2, 3), 1e200)), 'sqnorm')\n"
+                "except Exception as exc: print(type(exc).__name__)")
+        env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.strip() == "DegenerateInstanceError", proc.stderr
 
 
 class TestDrawIid:
