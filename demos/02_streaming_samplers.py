@@ -2,27 +2,27 @@
 """Streaming realizations of the norm-mixture distribution.
 
 Three ways to draw from dQ = (s/2S + 1/2) dP on a finite stream:
-exact alias sampling, rejection with an upper estimate of the score mass,
+exact inverse-CDF sampling, rejection with an upper estimate of the score mass,
 and a probability-proportional-to-size weighted reservoir.
 """
 
 import numpy as np
 
 import regsamp as rs
-from regsamp.sampler import CategoricalSampler, score_array
+from regsamp.sampler import MIXTURE, CategoricalSampler, atom_probabilities, score_array
 
 
 def main():
     rng = rs.derive_rng(7)
     inst = rs.make_instance(np.array([[0.0, 0.0], [0.0, 2.0], [3.0, 0.0]]),
                             np.array([0.5, 0.3, 0.2]))
-    q = rs.mixture_probabilities(inst, "norm")
+    q = atom_probabilities(inst, "norm", MIXTURE)
     print("atoms with scores", score_array("norm", inst.atoms))
     print("target mixture   ", np.round(q, 4))
 
-    # exact draws through the alias table
+    # exact draws through the inverse CDF
     idx = CategoricalSampler(q).draw(rng, 100_000)
-    print("alias draws      ", np.round(np.bincount(idx, minlength=3) / idx.size, 4))
+    print("inverse-CDF draws", np.round(np.bincount(idx, minlength=3) / idx.size, 4))
 
     # score-mass estimation, then rejection against an inflated estimate:
     # doubling the fed score keeps every acceptance probability below one
@@ -35,7 +35,7 @@ def main():
     got = np.zeros(3)
     for a in accepted:
         got[int(np.argmin(np.linalg.norm(inst.atoms - a, axis=1)))] += 1
-    target = rs.mixture_probabilities(inst, "norm", s_hat=s_cap)
+    target = atom_probabilities(inst, "norm", MIXTURE, s_hat=s_cap)
     print(f"rejection kept {len(accepted)} of {len(stream_idx)}")
     print("accepted mix     ", np.round(got / got.sum(), 4))
     print("estimate mixture ", np.round(target, 4))

@@ -6,7 +6,7 @@ reservoir sampling, stress them against adversarial hard instances, and
 measure empirical sample-complexity scaling.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .bench import (
     FellerResult,
@@ -59,7 +59,6 @@ from .model import (
     make_instance,
     normalize_instance,
     save_instance,
-    stream_atoms,
 )
 from .objective import (
     OptReport,
@@ -84,7 +83,6 @@ from .sampler import (
     derive_rng,
     draw_iid,
     estimate_S,
-    mixture_probabilities,
     rejection_stream,
     score,
     weight,

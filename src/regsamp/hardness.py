@@ -50,6 +50,7 @@ from .sampler import (
     SCORE_ONLY,
     Coreset,
     atom_probabilities,
+    importance_weights,
     score_array,
 )
 
@@ -383,15 +384,15 @@ def _counts_from_samples(hard: HardInstance, samples: Coreset) -> tuple[np.ndarr
     if np.any(idx < 0) or np.any(idx >= inst.n):
         raise ConfigurationError("sample indexes an atom outside the instance")
     s = score_array(hard.score_kind, inst.atoms)
+    # the reference mass the first sample's weight implies
     if hard.convention == MIXTURE:
         w0 = float(w_given[0])
         if not 0 < w0 < 2:
             raise ConfigurationError("mixture weights must lie in (0, 2)")
         s_ref = float(s[idx[0]]) * w0 / (2.0 - w0)
-        expected = 2.0 * s_ref / (s[idx] + s_ref)
     else:
         s_ref = float(w_given[0]) * float(s[idx[0]])
-        expected = s_ref / s[idx]
+    expected = importance_weights(s[idx], s_ref, hard.convention)
     if not np.allclose(w_given, expected, rtol=1e-9, atol=1e-12):
         raise ConfigurationError(
             f"sample weights do not match the {hard.convention} convention")

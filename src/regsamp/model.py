@@ -160,31 +160,6 @@ def save_instance(instance: Instance, path) -> None:
             fh.write(json.dumps({"a": [float(v) for v in a], "p": float(p)}) + "\n")
 
 
-def stream_atoms(path):
-    """Yield atom vectors from a JSONL instance file one line at a time.
-
-    The streaming counterpart of load_instance for feeding the rejection
-    and reservoir samplers without materializing the instance.
-    """
-    with open(path) as fh:
-        header_line = fh.readline()
-        try:
-            dim = int(json.loads(header_line)["dim"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise DataError(f"{path}: line 1: malformed header") from None
-        for i, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                vec = np.asarray(json.loads(line)["a"], dtype=float)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                raise DataError(f"{path}: line {i}: malformed atom record") from None
-            if vec.shape != (dim,):
-                raise DataError(f"{path}: line {i}: atom has dimension {vec.size}, "
-                                f"expected {dim}")
-            yield vec
-
-
 def load_instance(path) -> Instance:
     """Read and validate the JSONL instance format written by save_instance."""
     with open(path) as fh:

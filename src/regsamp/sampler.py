@@ -75,60 +75,59 @@ def score(kind: str, a, D: float | None = None) -> float:
     return float(score_array(kind, np.asarray(a, dtype=float)[None, :], D=D)[0])
 
 
+def importance_weights(s, ref, convention: str):
+    """w = 2 ref/(s + ref) (mixture) or ref/s (score-only); ref is S or an estimate of it."""
+    if convention == MIXTURE:
+        return 2.0 * ref / (s + ref)
+    if convention == SCORE_ONLY:
+        return ref / s
+    raise ConfigurationError(f"unknown sampling convention {convention!r}")
+
+
 def weight(s: float, S: float) -> float:
     """Mixture importance weight w = 2S/(s+S); always in (0, 2]."""
     if not (s > 0 and S > 0):
         raise InvalidInputError("scores and score mass must be positive")
-    return 2.0 * S / (s + S)
+    return importance_weights(s, S, MIXTURE)
 
 
-def _distribution(q: np.ndarray) -> np.ndarray:
-    """q itself, once checked to sum to 1 within 1e-12 (what alias and multinomial draws need)."""
+def _law(instance: "Instance", kind: str, convention: str, D: float | None = None,
+         s_hat: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, w, s) per atom: probabilities, weights and scores, against S or (mixture) s_hat.
+
+    q_i = p_i (s_i + ref)/(S + ref) under the mixture and p_i s_i / S under score-only;
+    q must sum to 1 within 1e-12 (what index and multinomial draws need).
+    """
+    if convention not in CONVENTIONS:
+        raise ConfigurationError(f"unknown sampling convention {convention!r}")
+    if s_hat is not None and convention != MIXTURE:
+        raise ConfigurationError("a score-mass estimate applies to the mixture convention only")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing scores fail the sum check
+        s = score_array(kind, instance.atoms, D=D)
+        S = float(instance.masses @ s)
+        ref = S if s_hat is None else float(s_hat)
+        q = instance.masses * (s + ref) / (S + ref) if convention == MIXTURE \
+            else instance.masses * s / S
     total = float(q.sum())
     if not abs(total - 1.0) <= 1e-12:  # NaN fails too
         raise DegenerateInstanceError(f"sampling probabilities sum to {total!r}, not 1")
-    return q
-
-
-def mixture_probabilities(instance: "Instance", kind: str, D: float | None = None,
-                          s_hat: float | None = None) -> np.ndarray:
-    """q_i = p_i (s_i + S)/(2S), or the analogous mixture with an estimate in place of S."""
-    s = score_array(kind, instance.atoms, D=D)
-    S = float(instance.masses @ s)
-    ref = S if s_hat is None else float(s_hat)
-    return _distribution(instance.masses * (s + ref) / (S + ref))
-
-
-def score_only_probabilities(instance: "Instance", kind: str, D: float | None = None) -> np.ndarray:
-    """q_i = p_i s_i / S (no uniform half)."""
-    s = score_array(kind, instance.atoms, D=D)
-    S = float(instance.masses @ s)
-    return _distribution(instance.masses * s / S)
+    return q, importance_weights(s, ref, convention), s
 
 
 def atom_probabilities(instance: "Instance", kind: str, convention: str,
-                       D: float | None = None) -> np.ndarray:
-    if convention == MIXTURE:
-        return mixture_probabilities(instance, kind, D=D)
-    if convention == SCORE_ONLY:
-        return score_only_probabilities(instance, kind, D=D)
-    raise ConfigurationError(f"unknown sampling convention {convention!r}")
+                       D: float | None = None, s_hat: float | None = None) -> np.ndarray:
+    """Per-atom sampling probability; s_hat replaces S in the mixture."""
+    return _law(instance, kind, convention, D=D, s_hat=s_hat)[0]
 
 
 def atom_weights(instance: "Instance", kind: str, convention: str,
                  D: float | None = None) -> np.ndarray:
     """Per-atom importance weight under the given convention."""
-    s = score_array(kind, instance.atoms, D=D)
-    S = float(instance.masses @ s)
-    if convention == MIXTURE:
-        return 2.0 * S / (s + S)
-    if convention == SCORE_ONLY:
-        return S / s
-    raise ConfigurationError(f"unknown sampling convention {convention!r}")
+    return _law(instance, kind, convention, D=D)[1]
 
 
 class CategoricalSampler:
-    """Alias-table categorical sampler: O(n) build, O(1) per draw."""
+    """Inverse-CDF categorical sampler: O(n) build, O(log n) per draw."""
 
     def __init__(self, probs):
         probs = np.asarray(probs, dtype=float)
@@ -137,30 +136,15 @@ class CategoricalSampler:
         total = float(probs.sum())
         if not np.isfinite(total) or total <= 0:
             raise InvalidInputError("probabilities must have a positive finite sum")
-        n = probs.size
-        scaled = probs * (n / total)
-        accept = np.ones(n)
-        alias = np.arange(n)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            s_i = small.pop()
-            l_i = large.pop()
-            accept[s_i] = scaled[s_i]
-            alias[s_i] = l_i
-            scaled[l_i] = (scaled[l_i] + scaled[s_i]) - 1.0
-            (small if scaled[l_i] < 1.0 else large).append(l_i)
-        for i in small + large:
-            accept[i] = 1.0
-        self.n = n
-        self._accept = accept
-        self._alias = alias
+        self.n = probs.size
+        self._cdf = np.cumsum(probs)
+        # u * cdf[-1] can round up onto cdf[-1]; that draw goes to the last positive index
+        self._last = int(np.flatnonzero(probs)[-1])
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        idx = np.minimum((u * self.n).astype(np.int64), self.n - 1)
-        take = rng.random(size) < self._accept[idx]
-        return np.where(take, idx, self._alias[idx])
+        # a zero-probability index i has cdf[i] == cdf[i - 1], so no u lands on it
+        idx = np.searchsorted(self._cdf, rng.random(size) * self._cdf[-1], side="right")
+        return np.minimum(idx, self._last).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +178,8 @@ class Coreset:
                  D: float | None = None) -> "Coreset":
         """The draws idx of an instance, weighted and scored under (kind, convention)."""
         idx = np.asarray(idx, dtype=np.int64)
-        w = atom_weights(instance, kind, convention, D=D)
-        return cls(idx, instance.atoms[idx], w[idx], score_array(kind, instance.atoms, D=D)[idx])
+        _, w, s = _law(instance, kind, convention, D=D)
+        return cls(idx, instance.atoms[idx], w[idx], s[idx])
 
     def __len__(self) -> int:
         return self.idx.shape[0]
@@ -218,9 +202,9 @@ def draw_iid(instance: "Instance", kind: str, m: int, seed: int,
     """m i.i.d. categorical draws from the sampling distribution, with exact weights."""
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
-    q = atom_probabilities(instance, kind, convention, D=D)
+    q, w, s = _law(instance, kind, convention, D=D)
     idx = CategoricalSampler(q).draw(derive_rng(seed), m)
-    return Coreset.of_atoms(instance, idx, kind, convention, D=D)
+    return Coreset(idx, instance.atoms[idx], w[idx], s[idx])
 
 
 def rejection_stream(atoms: Iterable, kind: str, s_hat: float, seed: int,
@@ -321,7 +305,7 @@ def weights_from_estimate(samples: Coreset, s_hat: float) -> Coreset:
     """Recompute mixture weights with an estimated score mass: w' = 2*s_hat/(s + s_hat)."""
     if not s_hat > 0:
         raise InvalidInputError("s_hat must be positive")
-    return replace(samples, w=2.0 * s_hat / (samples.s + s_hat))
+    return replace(samples, w=importance_weights(samples.s, s_hat, MIXTURE))
 
 
 def save_samples(samples: Coreset, path) -> None:

@@ -52,11 +52,6 @@ class CheckResult:
     seconds: float
 
 
-def _sample_from_indices(hard, indices) -> Coreset:
-    """Build a convention-consistent sample hitting exactly the given atoms."""
-    return Coreset.of_atoms(hard.instance, indices, hard.score_kind, hard.convention)
-
-
 def check_unbiasedness(trials: int = 20_000) -> CheckResult:
     """Mean subsampled loss matches the exact loss within 4 standard errors."""
     t0 = time.time()
@@ -145,7 +140,8 @@ def check_deterministic_lower_bounds() -> CheckResult:
     eps = 1.0 / 6.0
     hard = hardness.gen_quad_relu(6.0, eps)
     ok &= hard.params["d"] == 36
-    samples = _sample_from_indices(hard, [20, 25, 30, 35] * 5)
+    samples = Coreset.of_atoms(hard.instance, [20, 25, 30, 35] * 5, hard.score_kind,
+                               hard.convention)
     err_x, _ = hardness.adversarial_relative_error(hard, samples)
     want = 3.0 * eps / (1.0 + 3.0 * eps)
     ok &= abs(err_x - want) <= 1e-9 and err_x > eps
@@ -156,7 +152,8 @@ def check_deterministic_lower_bounds() -> CheckResult:
     hard = hardness.gen_quad_hinge(8.0, eps, reg=L2SQ)
     h = hard.params["half"]
     n = hard.instance.n
-    samples = _sample_from_indices(hard, list(range(h, n)) * 2)
+    samples = Coreset.of_atoms(hard.instance, list(range(h, n)) * 2, hard.score_kind,
+                               hard.convention)
     err_x, _ = hardness.adversarial_relative_error(hard, samples)
     want = 6.0 * eps / (4.0 + 6.0 * eps)
     ok &= abs(err_x - want) <= 1e-9 and err_x > eps
@@ -168,7 +165,8 @@ def check_deterministic_lower_bounds() -> CheckResult:
                        (hardness.gen_quad_sigmoid, 0.05)):
         hard = gen(8.0, eps_q)
         h, n = hard.params["half"], hard.instance.n
-        miss_half = _sample_from_indices(hard, list(range(h, n)) * 2)
+        miss_half = Coreset.of_atoms(hard.instance, list(range(h, n)) * 2, hard.score_kind,
+                                     hard.convention)
         verdict = hardness.check_failure(hard, miss_half, eps_q)
         ok &= verdict.failed and verdict.witness_query is not None \
             and np.any(verdict.witness_query != 0)

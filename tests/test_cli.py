@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regsamp
 from regsamp.cli import main
 from regsamp.model import load_instance
 from regsamp.objective import load_queries
@@ -104,6 +109,20 @@ class TestSample:
         bad.write_text('{"dim": 2, "n": 1}\nnot json\n')
         assert run("sample", "--instance", str(bad), "--m", "3",
                    "--out", str(tmp_path / "s.jsonl")) == 2
+
+    @pytest.mark.parametrize("score", ["sqnorm", "norm"])
+    def test_overflowing_scores_print_one_error_line(self, tmp_path, score):
+        # squares of 1e200 overflow: the score mass is infinite and q is NaN
+        inst_path = tmp_path / "huge.jsonl"
+        inst_path.write_text('{"dim": 3, "n": 2}\n'
+                             + '{"a": [1e200, 1e200, 1e200], "p": 0.5}\n' * 2)
+        env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "regsamp.cli", "sample", "--instance", str(inst_path),
+             "--score", score, "--m", "3", "--out", str(tmp_path / "s.jsonl")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: sampling probabilities sum to nan, not 1\n"
 
 
 class TestEval:

@@ -169,34 +169,3 @@ class TestInstanceIO:
         path.write_text('{"dim": 1, "n": 3}\n{"a": [1.0], "p": 1.0}\n')
         with pytest.raises(DataError):
             load_instance(path)
-
-
-class TestStreamAtoms:
-    def test_streams_match_loaded_instance(self, tmp_path):
-        from regsamp.model import stream_atoms
-
-        inst = gaussian_instance(9, 3, seed=30)
-        path = tmp_path / "inst.jsonl"
-        save_instance(inst, path)
-        streamed = list(stream_atoms(path))
-        assert len(streamed) == 9
-        assert np.array_equal(np.vstack(streamed), inst.atoms)
-
-    def test_feeds_reservoir_sampler(self, tmp_path):
-        from regsamp.model import stream_atoms
-        from regsamp.sampler import score, weighted_reservoir
-
-        inst = gaussian_instance(40, 3, seed=31)
-        path = tmp_path / "inst.jsonl"
-        save_instance(inst, path)
-        picked = weighted_reservoir(
-            ((a, score("norm", a)) for a in stream_atoms(path)), 5, seed=2)
-        assert len(picked) == 5
-
-    def test_reports_bad_line(self, tmp_path):
-        from regsamp.model import stream_atoms
-
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"dim": 2, "n": 2}\n{"a": [1.0, 2.0], "p": 0.5}\n{"oops": 1}\n')
-        with pytest.raises(DataError, match="line 3"):
-            list(stream_atoms(path))

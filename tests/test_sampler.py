@@ -19,18 +19,20 @@ from regsamp.errors import (
 )
 from regsamp.model import gaussian_instance, make_instance
 from regsamp.sampler import (
+    MIXTURE,
     SCORE_ONLY,
     CategoricalSampler,
     Coreset,
     atom_probabilities,
+    atom_weights,
     derive_rng,
     draw_iid,
     estimate_S,
     load_samples,
-    mixture_probabilities,
     rejection_stream,
     save_samples,
     score,
+    score_array,
     weight,
     weighted_reservoir,
     weights_from_estimate,
@@ -85,27 +87,27 @@ class TestWeight:
 class TestMixtureProbabilities:
     def test_constant_score_reduces_to_masses(self):
         inst = make_instance(np.eye(3), np.array([0.2, 0.3, 0.5]))
-        q = mixture_probabilities(inst, "norm")
+        q = atom_probabilities(inst, "norm", MIXTURE)
         assert np.allclose(q, inst.masses, atol=1e-15)
 
     def test_two_atom_example(self):
-        q = mixture_probabilities(TWO_ATOM, "norm")
+        q = atom_probabilities(TWO_ATOM, "norm", MIXTURE)
         assert np.allclose(q, [3.0 / 8.0, 5.0 / 8.0], atol=1e-15)
 
     def test_uniform_score_gives_uniform_mixture(self):
         inst = make_instance(np.vstack([np.eye(3), 2 * np.eye(3)]))
-        q = mixture_probabilities(inst, "uniform-d", D=2.0)
+        q = atom_probabilities(inst, "uniform-d", MIXTURE, D=2.0)
         assert np.allclose(q, inst.masses, atol=1e-15)
 
     def test_dominates_half_the_masses(self):
         inst = gaussian_instance(50, 4, seed=7, uniform_masses=False)
-        q = mixture_probabilities(inst, "norm")
+        q = atom_probabilities(inst, "norm", MIXTURE)
         assert np.all(q >= inst.masses / 2.0 - 1e-15)
 
     def test_estimate_variant(self):
-        q = mixture_probabilities(TWO_ATOM, "norm", s_hat=2.0)
+        q = atom_probabilities(TWO_ATOM, "norm", MIXTURE, s_hat=2.0)
         assert np.allclose(q, [3.0 / 8.0, 5.0 / 8.0], atol=1e-15)
-        q_hat = mixture_probabilities(TWO_ATOM, "norm", s_hat=3.0)
+        q_hat = atom_probabilities(TWO_ATOM, "norm", MIXTURE, s_hat=3.0)
         assert np.allclose(q_hat, [0.5 * 4 / 5, 0.5 * 6 / 5], atol=1e-15)
 
 
@@ -113,7 +115,6 @@ class TestProbabilitySumCheck:
     # squared norms of 1e200 overflow, so the score mass S and every q_i are NaN
     HUGE = make_instance(np.full((2, 3), 1e200))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("convention", ["mixture", SCORE_ONLY])
     def test_overflowing_scores_are_a_typed_error(self, convention):
         with pytest.raises(DegenerateInstanceError, match="not 1"):
@@ -126,8 +127,8 @@ class TestProbabilitySumCheck:
         import regsamp
 
         code = ("import numpy as np; from regsamp.model import make_instance; "
-                "from regsamp.sampler import mixture_probabilities as mp\n"
-                "try: mp(make_instance(np.full((2, 3), 1e200)), 'sqnorm')\n"
+                "from regsamp.sampler import atom_probabilities as ap\n"
+                "try: ap(make_instance(np.full((2, 3), 1e200)), 'sqnorm', 'mixture')\n"
                 "except Exception as exc: print(type(exc).__name__)")
         env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
@@ -177,8 +178,7 @@ class TestDrawIid:
 class TestCategoricalSampler:
     def test_matches_probabilities(self):
         probs = np.array([0.1, 0.2, 0.3, 0.4])
-        alias = CategoricalSampler(probs)
-        idx = alias.draw(derive_rng(42), 200_000)
+        idx = CategoricalSampler(probs).draw(derive_rng(42), 200_000)
         freq = np.bincount(idx, minlength=4) / idx.size
         sigma = np.sqrt(probs * (1 - probs) / idx.size)
         assert np.all(np.abs(freq - probs) <= 4 * sigma)
@@ -188,6 +188,64 @@ class TestCategoricalSampler:
             CategoricalSampler([])
         with pytest.raises(InvalidInputError):
             CategoricalSampler([-0.5, 1.5])
+
+    def test_rounded_up_uniform_skips_trailing_zero(self):
+        # 0.75 * 5e-324 rounds up to the total, past the last positive cumulative mass
+        idx = CategoricalSampler([0.0, 5e-324, 0.0]).draw(Uniforms([0.0, 0.4, 0.75, 1 - 2**-53]), 4)
+        assert idx.tolist() == [1, 1, 1, 1]
+
+
+class Uniforms:
+    """Stands in for a Generator whose random(size) returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return self.u[:size]
+
+
+@given(st.lists(st.floats(5e-324, 1e3), min_size=1, max_size=40), st.data())
+@settings(max_examples=200, deadline=None)
+def test_categorical_sampler_never_draws_zero_probability(positive, data):
+    n = len(positive)
+    zeros = data.draw(st.sets(st.integers(0, n - 1)), label="zeros")
+    if data.draw(st.booleans(), label="zero ends"):
+        zeros |= {0, n - 1}
+    zeros.discard(data.draw(st.integers(0, n - 1), label="kept"))
+    probs = np.array(positive)
+    probs[sorted(zeros)] = 0.0
+    sampler = CategoricalSampler(probs)
+    u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20), label="u")
+    for idx in (sampler.draw(Uniforms([0.0, 1 - 2**-53, *u]), len(u) + 2),
+                sampler.draw(derive_rng(data.draw(st.integers(0, 2**32), label="seed")), 500)):
+        assert idx.dtype == np.int64
+        assert np.all((idx >= 0) & (idx < n))
+        assert np.all(probs[idx] > 0)
+
+
+@given(st.integers(1, 30), st.integers(0, 10_000), st.sampled_from(["norm", "sqnorm"]),
+       st.floats(0.5, 2.0))
+@settings(max_examples=50, deadline=None)
+def test_law_is_the_written_formulas_bit_for_bit(n, seed, kind, eta):
+    rng = np.random.default_rng(seed)
+    inst = make_instance(rng.standard_normal((n, 3)) * rng.uniform(0.1, 10.0),
+                         rng.uniform(0.1, 1.0, size=n))
+    s = score_array(kind, inst.atoms)
+    S = float(inst.masses @ s)
+    s_hat = eta * S
+    p = inst.masses
+    assert np.array_equal(atom_probabilities(inst, kind, MIXTURE), p * (s + S) / (S + S))
+    assert np.array_equal(atom_probabilities(inst, kind, MIXTURE, s_hat=s_hat),
+                          p * (s + s_hat) / (S + s_hat))
+    assert np.array_equal(atom_probabilities(inst, kind, SCORE_ONLY), p * s / S)
+    with pytest.raises(ConfigurationError):
+        atom_probabilities(inst, kind, SCORE_ONLY, s_hat=s_hat)
+    assert np.array_equal(atom_weights(inst, kind, MIXTURE), 2.0 * S / (s + S))
+    assert np.array_equal(atom_weights(inst, kind, SCORE_ONLY), S / s)
+    samples = Coreset.of_atoms(inst, rng.integers(0, n, size=7), kind)
+    assert np.array_equal(weights_from_estimate(samples, s_hat).w,
+                          2.0 * s_hat / (samples.s + s_hat))
 
 
 class TestCoreset:
@@ -222,7 +280,7 @@ class TestCoreset:
 class TestSampleFiles:
     # the exact text of the sample-file format for this instance and seed
     PINNED = (
-        '{"atom_index": 1, "a": [-2.0, 0.25], "w": 1.04941858481439, "s": 3.0155644370746373}\n'
+        '{"atom_index": 2, "a": [0.1, 3.0], "w": 0.9082556846695841, "s": 4.001666203960727}\n'
         '{"atom_index": 0, "a": [1.0, 0.5], "w": 1.2223321828118165, "s": 2.118033988749895}\n'
         '{"atom_index": 2, "a": [0.1, 3.0], "w": 0.9082556846695841, "s": 4.001666203960727}\n'
         '{"atom_index": 2, "a": [0.1, 3.0], "w": 0.9082556846695841, "s": 4.001666203960727}\n'
@@ -264,7 +322,7 @@ class TestRejectionStream:
         atoms = [TWO_ATOM.atoms[0] if c else TWO_ATOM.atoms[1] for c in choices]
         accepted = rejection_stream(atoms, "norm", s_hat=s_hat, seed=78)
         got1 = sum(1 for a in accepted if a[1] == 2.0)
-        q = mixture_probabilities(TWO_ATOM, "norm", s_hat=s_hat)
+        q = atom_probabilities(TWO_ATOM, "norm", MIXTURE, s_hat=s_hat)
         n_acc = len(accepted)
         sigma = math.sqrt(n_acc * q[1] * (1 - q[1]))
         assert abs(got1 - n_acc * q[1]) <= 3 * sigma
@@ -382,6 +440,6 @@ class TestDeriveRng:
 def test_mixture_sums_to_one_and_dominates(n, seed):
     rng = np.random.default_rng(seed)
     inst = make_instance(rng.standard_normal((n, 3)), rng.uniform(0.1, 1.0, size=n))
-    q = mixture_probabilities(inst, "norm")
+    q = atom_probabilities(inst, "norm", MIXTURE)
     assert abs(q.sum() - 1.0) <= 1e-12
     assert np.all(q >= inst.masses / 2.0 - 1e-15)
