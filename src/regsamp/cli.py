@@ -123,6 +123,7 @@ def _cmd_opt(args) -> int:
     payload = json.dumps({"opt_value": report.opt_value,
                           "analytic_lower": report.analytic_lower,
                           "analytic_upper": report.analytic_upper,
+                          "dual_lower": report.dual_lower,
                           "minimizer": [float(v) for v in report.minimizer]},
                          sort_keys=True, indent=2) + "\n"
     if args.out:

@@ -266,14 +266,16 @@ def gen_coupon_relu(d: int, k: float) -> HardInstance:
     return HardInstance(inst, spec, queries, COUPON_RELU, params)
 
 
-def isolating_direction(atoms: np.ndarray, j: int, warm_start=None,
-                        max_iters: int = 5000) -> np.ndarray:
+def isolating_direction(atoms: np.ndarray, j: int, warm_start=None) -> np.ndarray:
     """Direction x with <a_j, x> <= -1 and <a_i, x> >= 0 for all i != j.
 
-    Tries the warm start first, then minimizes the hinge infeasibility by
-    subgradient descent.  The returned direction is verified against the
-    sign pattern; an interior point (not a hull vertex) raises.
+    Tries the warm start first, then solves that system as one feasibility
+    LP (HiGHS).  The returned direction is verified against the sign
+    pattern; an interior point (not a hull vertex) makes the LP infeasible
+    and raises.
     """
+    from scipy.optimize import linprog
+
     atoms = np.asarray(atoms, dtype=float)
     n = atoms.shape[0]
     others = np.delete(np.arange(n), j)
@@ -292,24 +294,15 @@ def isolating_direction(atoms: np.ndarray, j: int, warm_start=None,
         if margins[j] < 0 and np.all(margins[others] >= 0):
             return finish(x / abs(margins[j]))
 
-    a_j = atoms[j]
-    nrm = float(np.dot(a_j, a_j))
-    if nrm == 0.0:
+    if not np.any(atoms[j]):
         raise ConstructionError("cannot isolate the zero vector")
-    x = -a_j / nrm
-    slack = 1e-6
-    for t in range(1, max_iters + 1):
-        margins = atoms @ x
-        if margins[j] <= -1.0 and np.all(margins[others] >= slack):
-            return finish(x)
-        grad = np.zeros_like(x)
-        if margins[j] > -1.0:
-            grad += a_j
-        viol = others[margins[others] < slack]
-        if viol.size:
-            grad -= atoms[viol].sum(axis=0)
-        x = x - (1.0 / math.sqrt(t)) * grad
-    raise ConstructionError(f"no isolating direction found for atom {j}")
+    rows = np.vstack([atoms[j], -atoms[others]])
+    res = linprog(np.zeros(atoms.shape[1]), A_ub=rows,
+                  b_ub=np.concatenate([[-1.0], np.zeros(n - 1)]),
+                  bounds=(None, None), method="highs")
+    if res.status != 0:
+        raise ConstructionError(f"no isolating direction found for atom {j}: {res.message}")
+    return finish(res.x)
 
 
 def gen_moment_curve(N: int, d: int, t_values: list[float] | None = None,

@@ -172,16 +172,3 @@ def eval_regularizer(reg: RegSpec, x):
     else:
         raise InvalidInputError(f"unknown regularizer kind {reg.kind!r}")
     return v if v.ndim else float(v)
-
-
-def reg_subgradient(reg: RegSpec, x: np.ndarray) -> np.ndarray:
-    """A subgradient of R at x (the zero vector at x = 0 for l1/l2); row-wise for 2-D x."""
-    x = np.asarray(x, dtype=float)
-    if reg.kind == L1:
-        return np.sign(x)
-    if reg.kind == L2:
-        nrm = np.linalg.norm(x, axis=-1, keepdims=True)
-        return np.divide(x, nrm, out=np.zeros_like(x), where=nrm > 0)
-    if reg.kind == L2SQ:
-        return 2.0 * x
-    raise InvalidInputError(f"unknown regularizer kind {reg.kind!r}")

@@ -59,7 +59,18 @@ class Instance:
         return self.atoms.shape[1]
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.atoms, axis=1)
+        e = scale_exponent(self.atoms, axis=1)
+        return np.ldexp(np.linalg.norm(np.ldexp(self.atoms, -e[:, None]), axis=1), e)
+
+
+def scale_exponent(atoms: np.ndarray, axis=None):
+    """The least e >= 0 with every |entry| / 2^e below 1, over all atoms or along axis.
+
+    Dividing by 2^e is exact, so ordinary entries keep every bit, and the
+    squares of the scaled entries cannot overflow; entries below 1 are left
+    as they are.
+    """
+    return np.maximum(0, np.frexp(np.abs(atoms).max(axis=axis))[1])
 
 
 @dataclass(frozen=True)

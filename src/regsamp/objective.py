@@ -15,25 +15,31 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import (
     ApplicabilityError,
+    BudgetExceededError,
     DataError,
     DimensionMismatchError,
     InvalidInputError,
     OptimizerFailureError,
 )
 from .losses import (
+    HINGE,
     L1,
+    L2,
     L2SQ,
+    LOGISTIC,
+    RELU,
+    SIGMOID,
     LossSpec,
     RegSpec,
     eval_loss,
     eval_loss_derivative,
     eval_regularizer,
-    reg_subgradient,
 )
-from .model import Constants, Instance, ObjectiveSpec
+from .model import Constants, Instance, ObjectiveSpec, scale_exponent
 from .sampler import Coreset, derive_rng, score_array
 
 TAG_ADVERSARIAL = "adversarial"
@@ -81,6 +87,7 @@ class OptReport:
     minimizer: np.ndarray
     analytic_lower: float
     analytic_upper: float
+    dual_lower: float
 
 
 def evaluate(atoms, coef, spec: ObjectiveSpec, X) -> tuple[np.ndarray, np.ndarray]:
@@ -163,44 +170,203 @@ def opt_lower_bound(loss: LossSpec, reg: RegSpec, k: float, L: float, B: float) 
         # all mass at the origin: f0(x) = g(0) for every x
         return g0
     if reg.kind == L2SQ:
-        return g0 * g0 / (4.0 * (L * B) ** 2 * k)
+        return g0 * g0 / (4.0 * (L * B) * (L * B) * k)
     return g0 / (L * B * k)
 
 
 def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
-                 seed: int = 0, iters: int = 2000) -> OptReport:
-    """Multi-start subgradient descent on f with diminishing step c/sqrt(t).
+                 seed: int = 0) -> OptReport:
+    """Minimum of f by one solver per problem class, with a certified lower bound.
 
-    Starts at the origin plus Gaussian restarts, run together as one
-    (restarts, d) block; tracks each restart's best iterate.  The result
-    is bracketed by the analytic bounds [lower, g(0)].
+    relu: the origin, since f >= 0 = f(0).  hinge/l1: an LP (HiGHS).
+    hinge/l2sq: the box dual max sum(alpha) - (k/4)|A^T alpha|^2 over
+    0 <= alpha <= p by L-BFGS-B, with x = (k/2) A^T alpha.  hinge/l2: the dual
+    max sum(alpha) over the box and |A^T alpha| <= 1/k by SLSQP, then an exact
+    line search along A^T alpha.  logistic: L-BFGS-B, on x = u - v with
+    u, v >= 0 for l1.  sigmoid, which is not convex: L-BFGS-B from the origin
+    and restarts - 1 Gaussian starts derive_rng(seed, r).
+
+    The solvers see the atoms divided by a power of two c >= 1 near their
+    largest entry and the regularizer weight 1/(k c^p) of a degree-p
+    regularizer; that problem at c x equals f at x, so no norm or margin
+    overflows.  For a convex class dual_lower is a Fenchel dual value at the
+    solver's multipliers (hinge) or at g'(margins) (logistic), scaled into the
+    dual-feasible set; for sigmoid it is the analytic lower bound.  The
+    origin is always a candidate, so opt_value <= g(0).  Raises
+    OptimizerFailureError when the rescaled weight is below MIN_WEIGHT (l2sq
+    atoms with entries of 2^250 or more) and BudgetExceededError for hinge/l2
+    on more than SLSQP_MAX_ATOMS atoms.
     """
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
     loss, reg, k = spec.loss, spec.reg, spec.k
-    b_mean = float(instance.masses @ instance.norms())
-    lower = opt_lower_bound(loss, reg, k, loss.lipschitz_formula, b_mean)
+    lower = opt_lower_bound(loss, reg, k, loss.lipschitz_formula,
+                            float(instance.masses @ instance.norms()))
     upper = loss.g0
 
-    atoms, masses = instance.atoms, instance.masses
-    X = np.zeros((restarts, instance.dim))
-    for r in range(1, restarts):
-        X[r] = derive_rng(seed, r).standard_normal(instance.dim)
-    c = np.linalg.norm(X, axis=1, keepdims=True) + 1.0
-    best_vals, best_X = np.add(*evaluate(atoms, masses, spec, X)), X.copy()
-    for t in range(1, iters + 1):
-        coeff = masses * eval_loss_derivative(loss, X @ atoms.T)
-        X = X - (c / math.sqrt(t)) * (coeff @ atoms + reg_subgradient(reg, X) / k)
-        vals = np.add(*evaluate(atoms, masses, spec, X))
-        better = vals < best_vals
-        best_vals[better], best_X[better] = vals[better], X[better]
-    r = int(np.argmin(best_vals))
-    best_val, best_x = float(best_vals[r]), best_X[r]
+    e = int(scale_exponent(instance.atoms))
+    A, p = np.ldexp(instance.atoms, -e), instance.masses
+    lam = math.ldexp(1.0 / k, -reg.homogeneity_degree * e)
+    if loss.kind == RELU:
+        ys = []
+    elif lam < MIN_WEIGHT:
+        raise OptimizerFailureError(
+            f"atom entries reach 2^{e}: the regularizer weight {lam:.3g} of the rescaled "
+            "problem is below 2^-500")
+    elif loss.kind == HINGE:
+        y, alpha = _HINGE[reg.kind](A, p, lam)
+        ys = [y]
+    else:
+        starts = np.zeros((restarts if loss.kind == SIGMOID else 1, instance.dim))
+        for r in range(1, len(starts)):
+            starts[r] = derive_rng(seed, r).standard_normal(instance.dim)
+        ys = [_smooth_minimum(loss, reg, A, p, lam, y0) for y0 in starts]
+
+    X = np.vstack([np.ldexp(y, -e) for y in ys] + [np.zeros(instance.dim)])
+    vals = np.add(*evaluate(instance.atoms, p, spec, X))
+    r = int(np.argmin(vals))
+    best_val, best_x = float(vals[r]), X[r]
     if not (lower - 1e-9 <= best_val <= upper + 1e-9):
         raise OptimizerFailureError(
             f"optimizer value {best_val} escaped bracket [{lower}, {upper}]")
-    return OptReport(opt_value=best_val, minimizer=best_x,
-                     analytic_lower=lower, analytic_upper=upper)
+    if loss.kind == RELU:
+        dual = 0.0
+    elif loss.kind == HINGE:
+        dual = _dual_value(loss, reg, A, p, -alpha / p, lam)
+    elif loss.kind == LOGISTIC:
+        u = eval_loss_derivative(loss, A @ np.ldexp(best_x, e))
+        dual = _dual_value(loss, reg, A, p, u, lam)
+    else:
+        dual = lower  # sigmoid is not convex
+    if dual > best_val + 1e-9 * max(1.0, best_val):
+        raise OptimizerFailureError(f"dual value {dual} exceeds the attained {best_val}")
+    return OptReport(opt_value=best_val, minimizer=best_x, analytic_lower=lower,
+                     analytic_upper=upper, dual_lower=min(max(lower, dual), best_val))
+
+
+# The least regularizer weight of a rescaled problem: its square, its inverse
+# and |A^T alpha|^2 over four times it stay finite and normal
+MIN_WEIGHT = 2.0 ** -500
+SLSQP_MAX_ATOMS = 1000  # SLSQP keeps a dense O(n^2) workspace
+# L-BFGS-B and HiGHS tolerances, set well below the 1e-6 relative duality gap
+# that verify demands of every convex problem
+_LBFGS = {"ftol": 1e-15, "gtol": 1e-14, "maxiter": 15000}
+_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def _finite(res) -> np.ndarray:
+    """The solver's point: f is attained there even if the solver stopped early."""
+    if not np.all(np.isfinite(res.x)):
+        raise OptimizerFailureError(f"solver diverged: {res.message}")
+    return res.x
+
+
+def _hinge_l1(A, p, lam):
+    """LP min p @ xi + lam 1 @ (u + v) s.t. xi >= 1 - A (u - v), u, v, xi >= 0."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n, d = A.shape
+    cost = np.concatenate([np.full(2 * d, lam), p])
+    rows = sparse.hstack([sparse.csr_array(-A), sparse.csr_array(A), -sparse.eye_array(n)])
+    res = linprog(cost, A_ub=rows, b_ub=-np.ones(n), bounds=(0, None), method="highs",
+                  options=_HIGHS)
+    if res.status != 0:
+        raise OptimizerFailureError(f"hinge LP failed: {res.message}")
+    return res.x[:d] - res.x[d:2 * d], -res.ineqlin.marginals
+
+
+def _hinge_l2sq(A, p, lam):
+    """Box dual max sum(alpha) - |A^T alpha|^2 / (4 lam) over 0 <= alpha <= p."""
+    from scipy.optimize import Bounds, minimize
+
+    def neg_dual(alpha):
+        z = alpha @ A
+        return z @ z / (4.0 * lam) - alpha.sum(), A @ z / (2.0 * lam) - 1.0
+
+    res = minimize(neg_dual, p / 2.0, jac=True, method="L-BFGS-B", bounds=Bounds(0.0, p),
+                   options=_LBFGS)
+    alpha = _finite(res)
+    return alpha @ A / (2.0 * lam), alpha
+
+
+def _hinge_l2(A, p, lam):
+    """Dual max sum(alpha) s.t. 0 <= alpha <= p, |A^T alpha| <= lam; x along A^T alpha."""
+    from scipy.optimize import Bounds, minimize
+
+    n = A.shape[0]
+    if n > SLSQP_MAX_ATOMS:
+        raise BudgetExceededError(
+            f"hinge/l2 solves a dense dual in {n} variables; the limit is {SLSQP_MAX_ATOMS}")
+    ball = {"type": "ineq", "fun": lambda a: lam * lam - (a @ A) @ (a @ A),
+            "jac": lambda a: -2.0 * (A @ (a @ A))}
+    res = minimize(lambda a: (-a.sum(), -np.ones(n)), np.zeros(n), jac=True,
+                   method="SLSQP", bounds=Bounds(0.0, p), constraints=[ball],
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    alpha = np.clip(_finite(res), 0.0, p)
+    z = alpha @ A
+    size = float(np.linalg.norm(z))
+    if size == 0.0:
+        return np.zeros(A.shape[1]), alpha
+    # f(t v) is convex and piecewise linear in t >= 0, with kinks at 1/<a_i, v>;
+    # f(t v) >= lam t > 1 = f(0) beyond t = 1/lam, so kinks past it never win
+    v = z / size
+    m = A @ v
+    t = np.concatenate([[0.0], 1.0 / m[m >= lam]])
+    vals = p @ np.maximum(0.0, 1.0 - np.outer(m, t)) + lam * t
+    return t[int(np.argmin(vals))] * v, alpha
+
+
+_HINGE = {L1: _hinge_l1, L2: _hinge_l2, L2SQ: _hinge_l2sq}
+
+
+def _smooth_minimum(loss, reg, A, p, lam, y0):
+    """L-BFGS-B on p @ g(A y) + lam R(y) from y0; l1 as y = u - v with u, v >= 0."""
+    from scipy.optimize import Bounds, minimize
+
+    d = A.shape[1]
+    split = reg.kind == L1
+
+    def fun(w):
+        y = w[:d] - w[d:] if split else w
+        margins = A @ y
+        val = p @ eval_loss(loss, margins)
+        s = (p * eval_loss_derivative(loss, margins)) @ A
+        if split:
+            # lam 1 @ (u + v) is smooth and equals lam |y|_1 where u v = 0
+            return val + lam * w.sum(), np.concatenate([s + lam, lam - s])
+        val += lam * eval_regularizer(reg, y)
+        if reg.kind == L2SQ:
+            return val, s + 2.0 * lam * y
+        size = np.linalg.norm(y)
+        return val, s + (lam / size * y if size > 0.0 else 0.0)
+
+    w0 = np.concatenate([np.maximum(y0, 0.0), np.maximum(-y0, 0.0)]) if split else y0
+    res = minimize(fun, w0, jac=True, method="L-BFGS-B",
+                   bounds=Bounds(0.0, np.inf) if split else None, options=_LBFGS)
+    w = _finite(res)
+    return w[:d] - w[d:] if split else w
+
+
+def _dual_value(loss, reg, A, p, u, lam) -> float:
+    """Fenchel dual -sum p_i g*(u_i) - (lam R)*(-A^T (p u)), u clipped to [-1, 0].
+
+    g*(u) is u for hinge and the negative entropy (-u) ln(-u) + (1+u) ln(1+u)
+    for logistic.  For l1 and l2, (lam R)* is the indicator of a dual-norm
+    ball of radius lam, so u is first scaled into it; for l2sq it is
+    |.|^2 / (4 lam).
+    """
+    u = np.clip(u, -1.0, 0.0)
+    z = (p * u) @ A
+    penalty = 0.0
+    if reg.kind == L2SQ:
+        penalty = z @ z / (4.0 * lam)
+    else:
+        size = np.abs(z).max() if reg.kind == L1 else np.linalg.norm(z)
+        if size > lam:
+            u = u * (lam / size)
+    conj = u if loss.kind == HINGE else xlogy(-u, -u) + xlogy(1.0 + u, 1.0 + u)
+    return float(-(p @ conj) - penalty)
 
 
 def sensitivity(samples: Coreset, instance: Instance, spec: ObjectiveSpec, x) -> np.ndarray:

@@ -245,8 +245,9 @@ def check_scaling_separation(trials: int = 200) -> CheckResult:
         time.time() - t0)
 
 
-def check_opt_sandwich(restarts: int = 8, iters: int = 2000) -> CheckResult:
-    """estimate_opt lands between the analytic lower bound and g(0)."""
+def check_opt_sandwich(restarts: int = 8) -> CheckResult:
+    """estimate_opt lands between the analytic lower bound and g(0), and every
+    convex problem carries a dual certificate within 1e-6 relative of its value."""
     t0 = time.time()
     combos = []
     rng = derive_rng(77)
@@ -257,16 +258,24 @@ def check_opt_sandwich(restarts: int = 8, iters: int = 2000) -> CheckResult:
                        int(rng.integers(1, 1_000_000))))
     ok = True
     worst = ""
+    worst_gap = 0.0
     for loss_kind, reg_kind, k, seed in combos:
         inst = gaussian_instance(40, 6, seed=seed)
         spec = ObjectiveSpec(make_loss(loss_kind), make_reg(reg_kind), k)
-        report = estimate_opt(inst, spec, restarts=restarts, seed=seed, iters=iters)
+        report = estimate_opt(inst, spec, restarts=restarts, seed=seed)
         lo = report.analytic_lower - 1e-9
         hi = spec.loss.g0 + 1e-9
         if not (lo <= report.opt_value <= hi):
             ok = False
             worst = f"{loss_kind}/{reg_kind} k={k}: {report.opt_value} not in [{lo}, {hi}]"
-    return CheckResult("opt-sandwich", ok, worst or "20/20 inside the bracket",
+        if loss_kind != SIGMOID:
+            gap = (report.opt_value - report.dual_lower) / report.opt_value
+            worst_gap = max(worst_gap, gap)
+            if gap > 1e-6:
+                ok = False
+                worst = f"{loss_kind}/{reg_kind} k={k}: relative duality gap {gap:.3g} > 1e-6"
+    return CheckResult("opt-sandwich", ok,
+                       worst or f"20/20 inside the bracket; convex duality gaps <= {worst_gap:.3g}",
                        time.time() - t0)
 
 
@@ -341,7 +350,7 @@ def run_all(quick: bool = False) -> list[CheckResult]:
         check_coupon_collector(trials=100 if quick else 200),
         check_moment_curve(samples_to_try=30 if quick else 100),
         check_scaling_separation(trials=100 if quick else 200),
-        check_opt_sandwich(restarts=2 if quick else 8, iters=300 if quick else 2000),
+        check_opt_sandwich(restarts=2 if quick else 8),
         check_loss_structure(),
         check_sensitivity_bound(pairs=300 if quick else 1000),
     ]

@@ -196,6 +196,34 @@ class TestOpt:
                    "--restarts", "2", "--out", str(report_path)) == 0
         rep = json.loads(report_path.read_text())
         assert rep["analytic_lower"] - 1e-9 <= rep["opt_value"] <= rep["analytic_upper"] + 1e-9
+        assert rep["analytic_lower"] <= rep["dual_lower"] <= rep["opt_value"]
+        assert rep["opt_value"] - rep["dual_lower"] <= 1e-6 * rep["opt_value"]
+
+    @pytest.mark.parametrize("reg", ["l1", "l2sq"])
+    def test_huge_atoms_exit_with_one_error_line(self, tmp_path, reg):
+        # rescaled by 2^665, the weight 1/(4 * 2^665) (l1) or 1/(4 * 2^1330) (l2sq)
+        # is below 2^-500: one typed error, and no numpy warning from the 1e200 entries
+        inst_path = tmp_path / "huge.jsonl"
+        inst_path.write_text('{"dim": 3, "n": 2}\n{"a": [1e200, 1e200, 1e200], "p": 0.5}\n'
+                             '{"a": [1.0, 1.0, 1.0], "p": 0.5}\n')
+        env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "regsamp.cli", "opt", "--instance", str(inst_path),
+             "--loss", "logistic", "--reg", reg, "--k", "4"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: atom entries reach 2^665: the regularizer weight")
+        assert proc.stderr.count("\n") == 1
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about 0.3 s to every CLI start; the solvers import it lazily
+    env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, regsamp.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "False\n"
 
 
 class TestBench:

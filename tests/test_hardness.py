@@ -312,7 +312,7 @@ class TestIsolatingDirection:
     def test_interior_point_is_infeasible(self):
         atoms = np.array([[-1.0], [0.0], [1.0]])
         with pytest.raises(ConstructionError):
-            isolating_direction(atoms, 1, max_iters=300)
+            isolating_direction(atoms, 1)
 
     def test_documented_directions_satisfy_pattern(self):
         t = np.array([1.0, 2.0, 3.0, 4.0])

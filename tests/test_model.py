@@ -55,6 +55,14 @@ class TestInstanceInvariants:
         with pytest.raises(InvalidInputError):
             make_instance(np.array([[np.nan, 0.0]]))
 
+    def test_norms_do_not_overflow(self):
+        inst = make_instance(np.array([[1e200, 1e200, 1e200], [1.0, 1.0, 1.0]]))
+        assert inst.norms() == pytest.approx([3 ** 0.5 * 1e200, 3 ** 0.5], rel=1e-15)
+
+    def test_norms_keep_every_bit_of_ordinary_atoms(self):
+        atoms = np.random.default_rng(3).standard_normal((50, 7)) * 30.0
+        assert np.array_equal(make_instance(atoms).norms(), np.linalg.norm(atoms, axis=1))
+
 
 class TestComputeConstants:
     def test_uniform_unit_vectors(self):

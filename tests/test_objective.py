@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regsamp.errors import ApplicabilityError, DimensionMismatchError, InvalidInputError
+from regsamp.errors import (
+    ApplicabilityError,
+    BudgetExceededError,
+    DimensionMismatchError,
+    InvalidInputError,
+    OptimizerFailureError,
+)
 from regsamp.losses import (
     HINGE,
     L1,
@@ -214,14 +220,14 @@ class TestEstimateOpt:
     def test_symmetric_relu_instance_attains_zero(self):
         inst = make_instance(np.vstack([np.eye(3), -np.eye(3)]))
         spec = spec_of(RELU, L2, 4.0)
-        report = estimate_opt(inst, spec, restarts=2, seed=1, iters=200)
+        report = estimate_opt(inst, spec, restarts=2, seed=1)
         assert report.opt_value == 0.0
 
     def test_never_above_g0(self):
         for seed, loss in ((1, LOGISTIC), (2, SIGMOID), (3, HINGE)):
             inst = gaussian_instance(30, 4, seed=seed)
             spec = spec_of(loss, L2SQ, 8.0)
-            report = estimate_opt(inst, spec, restarts=3, seed=seed, iters=300)
+            report = estimate_opt(inst, spec, restarts=3, seed=seed)
             assert report.opt_value <= spec.loss.g0 + 1e-9
 
     def test_against_golden_section_oracle(self):
@@ -248,7 +254,7 @@ class TestEstimateOpt:
     def test_respects_analytic_sandwich(self):
         inst = gaussian_instance(40, 5, seed=11)
         spec = spec_of(LOGISTIC, L2SQ, 16.0)
-        report = estimate_opt(inst, spec, restarts=4, seed=3, iters=500)
+        report = estimate_opt(inst, spec, restarts=4, seed=3)
         assert report.analytic_lower - 1e-9 <= report.opt_value <= report.analytic_upper + 1e-9
 
     def test_half_sum_inequality(self):
@@ -264,6 +270,54 @@ class TestEstimateOpt:
             x = rng.standard_normal(4) * rng.uniform(0, 10)
             _, f = full_objective(inst, spec, x)
             assert f >= (lower + eval_regularizer(spec.reg, x) / spec.k) / 2.0 - 1e-12
+
+    def test_logistic_l1_reaches_the_optimum_of_opt_seed_102(self):
+        # perfbench opt seed 102, problem p0: the 8 x 2000 subgradient loop
+        # stopped at 0.692373, 1.29e-3 above the optimum
+        rng = np.random.default_rng(np.random.SeedSequence([102, 4]).generate_state(3)[0])
+        inst = make_instance(rng.standard_normal((40, 6)), np.full(40, 1.0 / 40))
+        report = estimate_opt(inst, spec_of(LOGISTIC, L1, 4.0))
+        assert report.opt_value <= 0.691478 + 1e-6
+        assert report.opt_value - report.dual_lower <= 1e-6 * report.opt_value
+        assert report.opt_value == pytest.approx(full_objective(inst, spec_of(LOGISTIC, L1, 4.0),
+                                                                report.minimizer)[1], rel=1e-15)
+
+    @pytest.mark.parametrize("loss", [LOGISTIC, HINGE, RELU])
+    @pytest.mark.parametrize("reg", [L1, L2, L2SQ])
+    @pytest.mark.parametrize("k", [1.0, 16.0])
+    def test_convex_classes_carry_a_tight_certificate(self, loss, reg, k):
+        inst = gaussian_instance(30, 5, seed=21, uniform_masses=False)
+        report = estimate_opt(inst, spec_of(loss, reg, k))
+        assert report.analytic_lower <= report.dual_lower <= report.opt_value
+        assert report.opt_value <= report.dual_lower + 1e-6 * report.opt_value
+
+    def test_sigmoid_reports_the_analytic_bound(self):
+        inst = gaussian_instance(30, 4, seed=22)
+        report = estimate_opt(inst, spec_of(SIGMOID, L1, 8.0), restarts=3, seed=5)
+        assert report.dual_lower == report.analytic_lower
+
+    @pytest.mark.parametrize("loss", [LOGISTIC, HINGE, SIGMOID])
+    def test_rescaled_atoms_give_the_same_minimum(self, loss):
+        # f at x on atoms c a with k equals f at c x on atoms a with k c^p (l1: p = 1)
+        inst = gaussian_instance(30, 4, seed=23)
+        c = 2.0 ** 300
+        big = make_instance(c * inst.atoms, inst.masses)
+        small = estimate_opt(inst, spec_of(loss, L1, 8.0 * c), restarts=2, seed=3)
+        large = estimate_opt(big, spec_of(loss, L1, 8.0), restarts=2, seed=3)
+        assert large.opt_value == pytest.approx(small.opt_value, rel=1e-9)
+        assert large.dual_lower == pytest.approx(small.dual_lower, rel=1e-9)
+
+    def test_hinge_l2_refuses_a_dual_beyond_its_atom_limit(self, monkeypatch):
+        import regsamp.objective as objective
+
+        monkeypatch.setattr(objective, "SLSQP_MAX_ATOMS", 29)
+        with pytest.raises(BudgetExceededError):
+            estimate_opt(gaussian_instance(30, 4, seed=24), spec_of(HINGE, L2, 8.0))
+
+    def test_vanishing_regularizer_weight_is_a_typed_error(self):
+        inst = make_instance(np.array([[1e200, 1e200, 1e200], [1.0, 1.0, 1.0]]))
+        with pytest.raises(OptimizerFailureError, match="below 2\\^-500"):
+            estimate_opt(inst, spec_of(LOGISTIC, L2SQ, 4.0))
 
 
 class TestSensitivity:
