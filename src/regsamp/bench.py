@@ -3,11 +3,14 @@
 The trials of a probe at sample size m are the rows of one multinomial
 count block drawn from the counter-based stream keyed by (master_seed, m),
 so results do not depend on probing order, and aggregation is
-order-independent.
+order-independent.  `failure_rate` always runs every trial; the m* search
+needs only each probe's verdict, so it draws the rows of that block in turn
+and stops once the verdict is fixed, which leaves m* unchanged.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -71,6 +74,12 @@ class TrialConfig:
         inst = self.target_instance
         return atom_probabilities(inst, kind, convention), atom_weights(inst, kind, convention)
 
+    @cached_property
+    def extra_queries(self) -> QuerySet:
+        """The random queries the adversarial-plus-random policy adds, built once per config."""
+        return build_query_set(self.target_instance.dim, self.hard.spec.k,
+                               seed=self.master_seed, n_gaussian=20, n_sparse=20)
+
 
 @dataclass(frozen=True)
 class ScalingCurve:
@@ -129,41 +138,77 @@ def _generic_query_failures(instance: Instance, spec: ObjectiveSpec, queries: Qu
     return np.any(err > eps, axis=1)
 
 
+def _trial_failures(cfg: TrialConfig, counts: np.ndarray, mean_w: np.ndarray,
+                    m: int) -> np.ndarray:
+    """Failure indicator per row of a count block drawn at sample size m."""
+    inst, w = cfg.target_instance, cfg.law[1]
+    if cfg.hard is None:
+        return _generic_query_failures(inst, cfg.spec, cfg.queries, w, counts, m, cfg.eps)
+    failed = batch_failed(cfg.hard, counts, mean_w, m, cfg.eps)
+    if cfg.query_policy == ADVERSARIAL_PLUS_RANDOM:
+        failed |= _generic_query_failures(inst, cfg.hard.spec, cfg.extra_queries, w,
+                                          counts, m, cfg.eps)
+    return failed
+
+
 def failure_rate(cfg: TrialConfig, m: int) -> tuple[float, tuple[float, float]]:
-    """Empirical failure probability at sample size m, with a Wilson 95% CI."""
+    """Empirical failure probability at sample size m over all trials, with a Wilson 95% CI."""
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
-    inst = cfg.target_instance
     q, w = cfg.law
     counts, mean_w = _draw_counts(q, w, m, cfg.trials, derive_rng(cfg.master_seed, m))
-    if cfg.hard is not None:
-        failed = batch_failed(cfg.hard, counts, mean_w, m, cfg.eps)
-        if cfg.query_policy == ADVERSARIAL_PLUS_RANDOM:
-            extra = build_query_set(inst.dim, cfg.hard.spec.k,
-                                    seed=cfg.master_seed, n_gaussian=20, n_sparse=20)
-            failed = failed | _generic_query_failures(
-                inst, cfg.hard.spec, extra, w, counts, m, cfg.eps)
-    else:
-        failed = _generic_query_failures(inst, cfg.spec, cfg.queries, w, counts,
-                                         m, cfg.eps)
-    k_fail = int(failed.sum())
-    return k_fail / cfg.trials, wilson_interval(k_fail, cfg.trials)
+    failures = int(_trial_failures(cfg, counts, mean_w, m).sum())
+    return failures / cfg.trials, wilson_interval(failures, cfg.trials)
+
+
+def _fail_threshold(trials: int, delta: float) -> int:
+    """Fewest failures whose Wilson upper bound exceeds delta; trials + 1 when none does.
+
+    The upper bound rises with the failure count, so a probe's verdict
+    (upper bound <= delta) is `failures < _fail_threshold(trials, delta)`.
+    """
+    return bisect.bisect_right(range(trials + 1), delta,
+                               key=lambda k: wilson_interval(k, trials)[1])
+
+
+def _probe_failures(cfg: TrialConfig, m: int, k_fail: int) -> int:
+    """Failures among the first trials at m that fix whether they reach k_fail.
+
+    The rows of the probe's count block are drawn in turn, each block exactly
+    as many rows as could first settle the verdict: `need` more failures
+    decide it, and so do T - done - need + 1 more passes, after which too
+    few rows are left.  Returns k_fail on a failed probe, less on a passed one.
+    """
+    q, w = cfg.law
+    rng = derive_rng(cfg.master_seed, m)
+    done = failures = 0
+    while failures < k_fail <= failures + cfg.trials - done:
+        need = k_fail - failures
+        rows = min(need, cfg.trials - done - need + 1)
+        counts, mean_w = _draw_counts(q, w, m, rows, rng)
+        failures += int(_trial_failures(cfg, counts, mean_w, m).sum())
+        done += rows
+    return failures
 
 
 def min_sample_size(cfg: TrialConfig, delta: float | None = None) -> int:
     """Smallest tested m whose Wilson upper bound on the failure rate is <= delta.
 
     Doubling search followed by binary search; an m is accepted only if the
-    bound also holds at 2m (guards non-monotone noise).  Exceeding the
-    configured m cap raises a budget error carrying the partial rate table.
+    bound also holds at 2m (guards non-monotone noise).  Each probe stops
+    drawing trials once its verdict is fixed, so m* is the one a full-trial
+    `failure_rate` search finds.  Exceeding the configured m cap raises a
+    budget error whose partial table maps each probed m to the Wilson upper
+    bound of the failures seen, over all trials: exact for a probe that ran
+    every trial, otherwise a lower bound already on its verdict's side of delta.
     """
     delta = cfg.delta if delta is None else delta
+    k_fail = _fail_threshold(cfg.trials, delta)
     rates: dict[int, float] = {}
 
     def upper(m: int) -> float:
         if m not in rates:
-            rate, (_, hi) = failure_rate(cfg, m)
-            rates[m] = hi
+            rates[m] = wilson_interval(_probe_failures(cfg, m, k_fail), cfg.trials)[1]
         return rates[m]
 
     def accept(m: int) -> bool:

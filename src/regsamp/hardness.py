@@ -403,11 +403,11 @@ def _quad_errors(hard: HardInstance, counts: np.ndarray, mean_w: np.ndarray, m: 
     n = inst.n
     h = params["half"]
     k = spec.k
-    J = np.argsort(counts, axis=1, kind="stable")[:, :h]
     # quadratic constructions have equal scores, so every sample weight equals
-    # the per-trial mean weight (canonical or estimate-rescaled alike)
+    # the per-trial mean weight (canonical or estimate-rescaled alike); cw then
+    # sorts like counts, and its h smallest entries are the least-sampled half's
     cw = counts * mean_w[:, None]
-    cw_J = np.take_along_axis(cw, J, axis=1).sum(axis=1)
+    cw_J = np.sort(cw, axis=1)[:, :h].sum(axis=1)
     cw_tot = cw.sum(axis=1)
     g = lambda r: float(eval_loss(spec.loss, r))
 

@@ -170,8 +170,12 @@ def opt_lower_bound(loss: LossSpec, reg: RegSpec, k: float, L: float, B: float) 
         # all mass at the origin: f0(x) = g(0) for every x
         return g0
     if reg.kind == L2SQ:
-        return g0 * g0 / (4.0 * (L * B) * (L * B) * k)
-    return g0 / (L * B * k)
+        a = (L * B) * (L * B) * k
+        if a < (2.0 - math.sqrt(3.0)) * g0:
+            # min over r >= 0 of max(g0 - L B r, 0) + r^2 / k, at r = L B k / 2
+            return g0 - a / 4.0
+        return g0 * g0 / (4.0 * a)
+    return min(g0, g0 / (L * B * k))
 
 
 def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,

@@ -18,7 +18,7 @@ from regsamp.bench import (
     write_scaling_csv,
 )
 from regsamp.errors import BudgetExceededError, DegenerateInstanceError, InvalidInputError
-from regsamp.hardness import gen_coupon_relu, gen_lin_relu, gen_quad_relu
+from regsamp.hardness import gen_coupon_relu, gen_lin_relu, gen_quad_hinge, gen_quad_relu
 from regsamp.losses import L2SQ, LOGISTIC, make_loss, make_reg
 from regsamp.model import ObjectiveSpec, gaussian_instance, make_instance
 from regsamp.objective import build_query_set
@@ -47,6 +47,26 @@ class TestWilson:
             lo, hi = wilson_interval(k, n)
             covered += lo <= p <= hi
         assert covered / reps >= 0.9
+
+
+class TestFailThreshold:
+    DELTAS = (0.001, 0.01, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 0.9, 0.99)
+
+    def test_threshold_splits_every_count(self):
+        # the early stop relies on the Wilson upper bound rising with the
+        # failure count at float level: upper > delta exactly from k_fail on
+        for trials in range(1, 401):
+            uppers = np.array([wilson_interval(k, trials)[1] for k in range(trials + 1)])
+            ks = np.arange(trials + 1)
+            # an attained upper bound is a delta on the boundary: it passes
+            deltas = self.DELTAS + (float(uppers[trials // 3]),)
+            for delta in deltas:
+                k_fail = bench._fail_threshold(trials, delta)
+                assert np.array_equal(uppers > delta, ks >= k_fail), (trials, delta)
+
+    def test_no_failing_count_gives_trials_plus_one(self):
+        assert bench._fail_threshold(10, 1.0) == 11
+        assert bench._fail_threshold(10, 1e-9) == 0
 
 
 class TestDrawCounts:
@@ -195,6 +215,134 @@ class TestMinSampleSize:
         with pytest.raises(BudgetExceededError) as err:
             min_sample_size(cfg)
         assert err.value.partial
+
+    def test_partial_table_bounds_the_full_rate_on_the_verdicts_side(self):
+        cfg = TrialConfig(eps=0.25, delta=0.2, trials=80, master_seed=4,
+                          hard=gen_lin_relu(8), m_cap=64)
+        with pytest.raises(BudgetExceededError) as err:
+            min_sample_size(cfg)
+        stopped_early = 0
+        for m, hi in err.value.partial.items():
+            full_hi = failure_rate(cfg, m)[1][1]
+            assert hi <= full_hi
+            assert (hi <= cfg.delta) == (full_hi <= cfg.delta)
+            stopped_early += hi < full_hi
+        assert stopped_early
+
+
+def reference_min_sample_size(cfg):
+    """The m* search on full-trial failure rates: doubling, then bisection."""
+    def accept(m):
+        return all(failure_rate(cfg, v)[1][1] <= cfg.delta for v in (m, 2 * m))
+
+    m = 1
+    while not accept(m):
+        m *= 2
+    lo, hi = m // 2 + 1, m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if accept(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def verdict_configs():
+    plain_inst = gaussian_instance(30, 3, seed=12)
+    spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ), 4.0)
+    queries = build_query_set(3, 4.0, seed=2, n_gaussian=6, n_sparse=6)
+    common = dict(eps=0.25, delta=0.2, trials=60)
+    return {
+        "lin-relu": TrialConfig(master_seed=1, hard=gen_lin_relu(8), **common),
+        "quad-hinge": TrialConfig(master_seed=2, hard=gen_quad_hinge(8.0, 0.25), **common),
+        "quad-relu": TrialConfig(master_seed=3, hard=gen_quad_relu(8.0, 0.25), **common),
+        "coupon-relu": TrialConfig(master_seed=4, hard=gen_coupon_relu(32, 16.0), **common),
+        "plain": TrialConfig(master_seed=5, instance=plain_inst, spec=spec, queries=queries,
+                             **dict(common, eps=0.1)),
+        "plus-random": TrialConfig(master_seed=6, hard=gen_lin_relu(4),
+                                   query_policy=bench.ADVERSARIAL_PLUS_RANDOM, **common),
+    }
+
+
+class TestVerdictProbes:
+    @pytest.mark.parametrize("name", list(verdict_configs()))
+    def test_search_matches_full_rate_search(self, name):
+        cfg = verdict_configs()[name]
+        assert min_sample_size(cfg) == reference_min_sample_size(cfg)
+
+    @pytest.mark.parametrize("name", ["lin-relu", "quad-hinge", "plain", "plus-random"])
+    def test_probe_verdict_matches_failure_rate(self, name):
+        cfg = verdict_configs()[name]
+        for delta in (0.05, cfg.delta, 0.5):
+            k_fail = bench._fail_threshold(cfg.trials, delta)
+            for m in range(1, 200, 7):
+                rate, (_, hi) = failure_rate(cfg, m)
+                seen = bench._probe_failures(cfg, m, k_fail)
+                assert (seen < k_fail) == (hi <= delta), (delta, m)
+                assert seen <= round(rate * cfg.trials)
+
+    def test_stop_rule_on_every_failure_sequence(self, monkeypatch):
+        # rows fail as a fixed 0/1 sequence says; for every sequence of up to 9
+        # trials and every threshold, the probe sees k_fail failures exactly
+        # when the whole sequence has that many, and stops at the first row
+        # after which the verdict is fixed
+        seq, drawn = [], []
+
+        def fake_draw(q, w, m, rows, rng):
+            drawn.append(rows)
+            return np.zeros((rows, 1)), np.zeros(rows)
+
+        def fake_failures(cfg, counts, mean_w, m):
+            start = sum(drawn) - len(counts)
+            return np.array(seq[start:start + len(counts)], dtype=bool)
+
+        monkeypatch.setattr(bench, "_draw_counts", fake_draw)
+        monkeypatch.setattr(bench, "_trial_failures", fake_failures)
+        for trials in range(1, 10):
+            cfg = TrialConfig(eps=0.25, delta=0.2, trials=trials, hard=gen_lin_relu(4))
+            for bits in range(2 ** trials):
+                seq[:] = [(bits >> i) & 1 for i in range(trials)]
+                for k_fail in range(trials + 2):
+                    drawn.clear()
+                    seen = bench._probe_failures(cfg, 1, k_fail)
+                    assert sum(drawn) <= trials and all(drawn)
+                    assert seen == min(k_fail, sum(seq[:sum(drawn)]))
+                    assert (seen < k_fail) == (sum(seq) < k_fail), (seq, k_fail)
+                    settled = next(j for j in range(trials + 1)
+                                   if not sum(seq[:j]) < k_fail <= sum(seq[:j]) + trials - j)
+                    assert sum(drawn) == settled
+
+    def test_search_draws_fewer_rows_from_one_stream_per_probe(self, monkeypatch):
+        rows, keys = [], []
+        draw, rng = bench._draw_counts, bench.derive_rng
+
+        def counting_draw(q, w, m, trials, gen):
+            rows.append(trials)
+            return draw(q, w, m, trials, gen)
+
+        def counting_rng(*key):
+            keys.append(key)
+            return rng(*key)
+
+        monkeypatch.setattr(bench, "_draw_counts", counting_draw)
+        monkeypatch.setattr(bench, "derive_rng", counting_rng)
+        cfg = TrialConfig(eps=0.25, delta=0.2, trials=200, master_seed=7,
+                          hard=gen_lin_relu(16))
+        min_sample_size(cfg)
+        assert len(keys) == len(set(keys))
+        assert sum(rows) < 0.75 * cfg.trials * len(keys)
+
+    def test_extra_queries_built_once_per_config(self, monkeypatch):
+        calls = []
+        build = bench.build_query_set
+        monkeypatch.setattr(bench, "build_query_set",
+                            lambda *a, **kw: calls.append(a) or build(*a, **kw))
+        cfg = verdict_configs()["plus-random"]
+        for m in (10, 40):
+            failure_rate(cfg, m)
+        min_sample_size(cfg)
+        assert len(calls) == 1
 
 
 class TestScalingCurve:

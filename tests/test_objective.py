@@ -215,6 +215,34 @@ class TestOptBounds:
     def test_hinge_l1_value(self):
         assert opt_lower_bound(make_loss(HINGE), make_reg(L1), 4.0, 1.0, 1.0) == 0.25
 
+    @pytest.mark.parametrize("reg", [L1, L2])
+    def test_small_lbk_capped_at_g0(self, reg):
+        g0 = math.log(2.0)
+        assert opt_lower_bound(make_loss(LOGISTIC), make_reg(reg), 4.0, 1.0, 0.05) == g0
+        assert opt_lower_bound(make_loss(LOGISTIC), make_reg(reg), 4.0, 1.0, 1.0) == g0 / 4.0
+
+    @pytest.mark.parametrize("lb", [0.01, 0.1, 0.2, 0.25, 0.5, 1.0, 3.0])
+    def test_l2sq_bound_below_its_own_minimum(self, lb):
+        # f(x) >= max(g0 - L B r, 0) + r^2 / k with r = |x|; the bound must not
+        # exceed that function's minimum, nor g(0)
+        g0, k = math.log(2.0), 4.0
+        val = opt_lower_bound(make_loss(LOGISTIC), make_reg(L2SQ), k, 1.0, lb)
+        r = np.linspace(0.0, 10.0, 200_001)
+        floor = float(np.min(np.maximum(g0 - lb * r, 0.0) + r * r / k))
+        assert val <= floor + 1e-12
+        assert val <= g0
+        if lb * lb * k < (2.0 - math.sqrt(3.0)) * g0:
+            assert val == pytest.approx(floor, abs=1e-8)
+        else:
+            assert val == g0 * g0 / (4.0 * lb * lb * k)
+
+    def test_l2sq_branches_meet_at_the_switch(self):
+        g0, k = math.log(2.0), 4.0
+        lb = math.sqrt((2.0 - math.sqrt(3.0)) * g0 / k)
+        below = opt_lower_bound(make_loss(LOGISTIC), make_reg(L2SQ), k, 1.0, lb * (1 - 1e-12))
+        above = opt_lower_bound(make_loss(LOGISTIC), make_reg(L2SQ), k, 1.0, lb * (1 + 1e-12))
+        assert below == pytest.approx(above, rel=1e-9)
+
 
 class TestEstimateOpt:
     def test_symmetric_relu_instance_attains_zero(self):
@@ -222,6 +250,14 @@ class TestEstimateOpt:
         spec = spec_of(RELU, L2, 4.0)
         report = estimate_opt(inst, spec, restarts=2, seed=1)
         assert report.opt_value == 0.0
+
+    @pytest.mark.parametrize("reg", [L1, L2, L2SQ])
+    def test_small_scale_instance_stays_in_its_bracket(self, reg):
+        # at scale 0.05, L B k < 1: the analytic bound once exceeded g(0), and
+        # the optimizer's value "escaped" the bracket
+        inst = gaussian_instance(40, 6, seed=1, scale=0.05)
+        report = estimate_opt(inst, spec_of(LOGISTIC, reg, 4.0))
+        assert report.analytic_lower <= report.opt_value <= math.log(2.0)
 
     def test_never_above_g0(self):
         for seed, loss in ((1, LOGISTIC), (2, SIGMOID), (3, HINGE)):
