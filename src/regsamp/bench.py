@@ -23,15 +23,13 @@ from .hardness import HardInstance, batch_failed, generate, kind_params
 from .losses import eval_loss
 from .model import Instance, ObjectiveSpec
 from .objective import QuerySet, build_query_set, evaluate
-from .sampler import MIXTURE, atom_probabilities, atom_weights, derive_rng
+from .sampler import COUNT_CELLS, MIXTURE, _law, derive_rng
 
 ADVERSARIAL_ONLY = "adversarial-only"
 ADVERSARIAL_PLUS_RANDOM = "adversarial-plus-random"
 
 DEFAULT_TRIALS = 200
 DEFAULT_M_CAP = 2_000_000
-# most cells of a count block `unbiasedness_check` draws at once
-COUNT_CELLS = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +65,15 @@ class TrialConfig:
 
     @cached_property
     def law(self) -> tuple[np.ndarray, np.ndarray]:
-        """(q, w) per atom, built once per config; unset sampling follows the hard instance."""
+        """(q, w) per atom, built once per config; unset sampling follows the hard
+        instance, whose own cached law is then the config's."""
         hard = self.hard
         kind = self.score_kind or (hard.score_kind if hard is not None else "norm")
         convention = self.convention or (hard.convention if hard is not None else MIXTURE)
+        if hard is not None and (kind, convention) == (hard.score_kind, hard.convention):
+            return hard.law[:2]
         inst = self.target_instance
-        return atom_probabilities(inst, kind, convention), atom_weights(inst, kind, convention)
+        return _law(inst.masses, kind, convention, inst.score_input(kind))[:2]
 
     @cached_property
     def extra_queries(self) -> QuerySet:
@@ -152,12 +153,19 @@ def _trial_failures(cfg: TrialConfig, counts: np.ndarray, mean_w: np.ndarray,
 
 
 def failure_rate(cfg: TrialConfig, m: int) -> tuple[float, tuple[float, float]]:
-    """Empirical failure probability at sample size m over all trials, with a Wilson 95% CI."""
+    """Empirical failure probability at sample size m over all trials, with a Wilson 95% CI.
+
+    The probe's count block is drawn in turn, in blocks of at most COUNT_CELLS
+    cells, which concatenate to the block drawn at once.
+    """
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
     q, w = cfg.law
-    counts, mean_w = _draw_counts(q, w, m, cfg.trials, derive_rng(cfg.master_seed, m))
-    failures = int(_trial_failures(cfg, counts, mean_w, m).sum())
+    rng, rows = derive_rng(cfg.master_seed, m), max(1, COUNT_CELLS // q.size)
+    failures = 0
+    for done in range(0, cfg.trials, rows):
+        counts, mean_w = _draw_counts(q, w, m, min(rows, cfg.trials - done), rng)
+        failures += int(_trial_failures(cfg, counts, mean_w, m).sum())
     return failures / cfg.trials, wilson_interval(failures, cfg.trials)
 
 
@@ -332,9 +340,9 @@ def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,
     if trials < 100 or m < 1:
         raise InvalidInputError("need at least 100 trials and m >= 1")
     x = np.asarray(x, dtype=float)
-    q = atom_probabilities(instance, kind, convention)
-    w = atom_weights(instance, kind, convention) if weights_override is None \
-        else np.asarray(weights_override, dtype=float)
+    q, w, _ = _law(instance.masses, kind, convention, instance.score_input(kind))
+    if weights_override is not None:
+        w = np.asarray(weights_override, dtype=float)
     gvals = np.asarray(eval_loss(spec.loss, instance.atoms @ x))
     f0 = float(instance.masses @ gvals)
     per_atom = w * gvals

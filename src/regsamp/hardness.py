@@ -10,6 +10,11 @@ Two families:
     its mean.  These use the score-only sampling convention (w = S/s).
 
 All failure checks are count-based and deterministic given the sample.
+The basis constructions (quad-*, coupon-relu) hand their instance the
+masses, one representative row and a builder, so their per-atom norms and
+sampling law come without the (n, d) atom matrix, which is built only when
+something reads `instance.atoms` (`regsamp gen`, the adversarial-plus-random
+query policy, `Coreset.of_atoms`).
 Each kind is one entry of KINDS: its generator, whose signature is the
 parameter schema, the regularizers it allows, its vectorised violation
 function and the witness query of each violation.  `generate` checks
@@ -27,7 +32,13 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import ApplicabilityError, ConfigurationError, ConstructionError, InvalidInputError
+from .errors import (
+    ApplicabilityError,
+    BudgetExceededError,
+    ConfigurationError,
+    ConstructionError,
+    InvalidInputError,
+)
 from .losses import (
     HINGE,
     L1,
@@ -42,14 +53,15 @@ from .losses import (
     make_loss,
     make_reg,
 )
-from .model import Instance, ObjectiveSpec, make_instance
+from .model import Instance, ObjectiveSpec, dense_budget, make_instance
 from .objective import TAG_ADVERSARIAL, QuerySet
 from .sampler import (
+    COUNT_CELLS,
     MIXTURE,
     NORM_PLUS_1,
     SCORE_ONLY,
     Coreset,
-    atom_probabilities,
+    _law,
     importance_weights,
     score_array,
 )
@@ -85,9 +97,15 @@ class HardInstance:
         return self.params["score_kind"]
 
     @cached_property
+    def law(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(q, w, s) per atom under the recorded score kind and convention, built once."""
+        inst, kind = self.instance, self.score_kind
+        return _law(inst.masses, kind, self.convention, inst.score_input(kind))
+
+    @property
     def probabilities(self) -> np.ndarray:
         """Per-atom sampling probabilities under the recorded score kind and convention."""
-        return atom_probabilities(self.instance, self.score_kind, self.convention)
+        return self.law[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,14 +126,35 @@ def _basis(d: int, j: int) -> np.ndarray:
     return e
 
 
+def _atom_count(n: float) -> int:
+    """ceil(n) atoms, refused before anything is allocated when one count row over
+    them (a trial's counts in `bench`) would exceed COUNT_CELLS cells."""
+    if not n <= COUNT_CELLS:  # inf and NaN too
+        raise BudgetExceededError(f"{n:.6g} atoms: one count row would exceed "
+                                  f"{COUNT_CELLS} cells")
+    return math.ceil(n)
+
+
+def _uniform_basis(build, n: int, row: np.ndarray) -> Instance:
+    """n atoms of mass 1/n that build() makes on first access, each row a permutation of row."""
+    return Instance.on_demand(build, np.full(n, 1.0 / n), row)
+
+
+def _hinge_atoms(d: int) -> np.ndarray:
+    atoms = np.zeros((d - 1, d))
+    atoms[:, d - 1] = 1.0
+    atoms[np.arange(d - 1), np.arange(d - 1)] = 1.0 / math.sqrt(2.0)
+    return atoms
+
+
 # ---------------------------------------------------------------------------
 # generators: quadratic regime
 # ---------------------------------------------------------------------------
 
 def _gen_quad_basis(loss: LossSpec, k: float, eps: float, d_formula: float,
                     kind: str, scale: float, c_const: float) -> HardInstance:
-    d = max(2, math.ceil(d_formula))
-    inst = make_instance(np.eye(d))
+    d = max(2, _atom_count(d_formula))
+    inst = _uniform_basis(partial(np.eye, d), d, _basis(d, 0))
     spec = ObjectiveSpec(loss=loss, reg=make_reg(L2), k=float(k))
     h = d // 2
     x = np.zeros(d)
@@ -128,7 +167,7 @@ def _gen_quad_basis(loss: LossSpec, k: float, eps: float, d_formula: float,
 
 
 def gen_quad_logistic(k: float, eps: float) -> HardInstance:
-    """Uniform basis vectors in d = ceil(2 (k ln2 / 40 eps)^2), logistic + l2."""
+    """Uniform basis vectors in d = ceil(2 (k ln2 / 40 eps)^2), logistic + l2; atoms on demand."""
     if not 0 < eps <= 0.1:
         raise InvalidInputError("eps must lie in (0, 1/10]")
     loss = make_loss(LOGISTIC)
@@ -139,7 +178,7 @@ def gen_quad_logistic(k: float, eps: float) -> HardInstance:
 
 
 def gen_quad_sigmoid(k: float, eps: float) -> HardInstance:
-    """Sigmoid variant: d = ceil(2 ((k/2) / 50 eps)^2), scale 1/g(0) = 2."""
+    """Sigmoid variant: d = ceil(2 ((k/2) / 50 eps)^2), scale 1/g(0) = 2; atoms on demand."""
     if not 0 < eps <= 0.1:
         raise InvalidInputError("eps must lie in (0, 1/10]")
     loss = make_loss(SIGMOID)
@@ -150,15 +189,16 @@ def gen_quad_sigmoid(k: float, eps: float) -> HardInstance:
 
 
 def gen_quad_hinge(k: float, eps: float, reg: str = L2SQ) -> HardInstance:
-    """Atoms v_j = e_d + e_j/sqrt(2), adversarial x = e_d - sum e_i/sqrt((d-1)/2)."""
+    """Atoms v_j = e_d + e_j/sqrt(2), adversarial x = e_d - sum e_i/sqrt((d-1)/2).
+
+    d = ceil((k / 6 eps)^2) + 1; the d - 1 atoms are built on first access.
+    """
     if not 0 < eps <= 0.25:
         raise InvalidInputError("eps must lie in (0, 1/4]")
-    d = math.ceil((k / (6.0 * eps)) ** 2) + 1
-    d = max(3, d)
-    atoms = np.zeros((d - 1, d))
-    atoms[:, d - 1] = 1.0
-    atoms[np.arange(d - 1), np.arange(d - 1)] = 1.0 / math.sqrt(2.0)
-    inst = make_instance(atoms)
+    d = max(3, _atom_count((k / (6.0 * eps)) ** 2) + 1)
+    row = np.zeros(d)
+    row[[0, d - 1]] = 1.0 / math.sqrt(2.0), 1.0
+    inst = _uniform_basis(partial(_hinge_atoms, d), d - 1, row)
     spec = ObjectiveSpec(loss=make_loss(HINGE), reg=make_reg(reg), k=float(k))
     h = (d - 1) // 2
     x = np.zeros(d)
@@ -171,7 +211,8 @@ def gen_quad_hinge(k: float, eps: float, reg: str = L2SQ) -> HardInstance:
 
 
 def gen_quad_relu(k: float, eps: float, reg: str = L2SQ) -> HardInstance:
-    """Uniform basis vectors in d = ceil((k/6 eps)^2), query on the missed half.
+    """Uniform basis vectors in d = ceil((k/6 eps)^2), built on first access; query on
+    the missed half.
 
     The construction's stated regularizer value at the adversarial query is 1
     for both l2 and l2sq; that nominal value is recorded and used by the
@@ -180,8 +221,8 @@ def gen_quad_relu(k: float, eps: float, reg: str = L2SQ) -> HardInstance:
     """
     if not 0 < eps <= 0.25:
         raise InvalidInputError("eps must lie in (0, 1/4]")
-    d = max(2, math.ceil((k / (6.0 * eps)) ** 2))
-    inst = make_instance(np.eye(d))
+    d = max(2, _atom_count((k / (6.0 * eps)) ** 2))
+    inst = _uniform_basis(partial(np.eye, d), d, _basis(d, 0))
     spec = ObjectiveSpec(loss=make_loss(RELU), reg=make_reg(reg), k=float(k))
     h = d // 2
     x = np.zeros(d)
@@ -200,6 +241,7 @@ def gen_lin_relu(k: int, reg: str = L1) -> HardInstance:
     """Mass 1/(2k) on the signed basis vectors of R^k; one isolating query per atom."""
     if k < 2:
         raise InvalidInputError("k must be >= 2")
+    dense_budget(2 * k, k)
     atoms = np.vstack([np.eye(k), -np.eye(k)])
     inst = make_instance(atoms)
     spec = ObjectiveSpec(loss=make_loss(RELU), reg=make_reg(reg), k=float(k))
@@ -215,6 +257,7 @@ def gen_lin_relu(k: int, reg: str = L1) -> HardInstance:
 
 def _gen_lin_smooth(loss_kind: str, k: int, reg: str, alpha: float,
                     factor: float, kind: str) -> HardInstance:
+    dense_budget(k, k + 1)
     atoms = np.hstack([np.eye(k), np.ones((k, 1))])
     inst = make_instance(atoms)
     spec = ObjectiveSpec(loss=make_loss(loss_kind), reg=make_reg(reg), k=float(k))
@@ -249,7 +292,8 @@ def gen_lin_sigmoid(k: int, reg: str = L1) -> HardInstance:
 
 
 def gen_coupon_relu(d: int, k: float) -> HardInstance:
-    """Uniform basis vectors; query -alpha * e_{i*} on a missed index, alpha = 2k/(3d).
+    """Uniform basis vectors, built on first access; query -alpha * e_{i*} on a missed
+    index, alpha = 2k/(3d).
 
     The minus sign makes the missed atom's relu margin -alpha, so the exact
     loss at the query is alpha/d + alpha^2/k while any sample missing the
@@ -257,7 +301,7 @@ def gen_coupon_relu(d: int, k: float) -> HardInstance:
     """
     if d < 2:
         raise InvalidInputError("d must be >= 2")
-    inst = make_instance(np.eye(d))
+    inst = _uniform_basis(partial(np.eye, d), _atom_count(d), _basis(d, 0))
     spec = ObjectiveSpec(loss=make_loss(RELU), reg=make_reg(L2SQ), k=float(k))
     alpha = 2.0 * k / (3.0 * d)
     queries = QuerySet((-alpha * _basis(d, 0))[None, :], (TAG_ADVERSARIAL,))
@@ -315,6 +359,7 @@ def gen_moment_curve(N: int, d: int, t_values: list[float] | None = None,
     """
     if not (N >= d + 1 >= 3):
         raise InvalidInputError("need N >= d + 1 >= 3")
+    dense_budget(N, d + 1)
     if t_values is None:
         t_values = np.arange(1.0, N + 1.0)
     t_values = np.asarray(t_values, dtype=float)
@@ -376,7 +421,7 @@ def _counts_from_samples(hard: HardInstance, samples: Coreset) -> tuple[np.ndarr
     idx, w_given = samples.idx, samples.w
     if np.any(idx < 0) or np.any(idx >= inst.n):
         raise ConfigurationError("sample indexes an atom outside the instance")
-    s = score_array(hard.score_kind, inst.atoms)
+    s = hard.law[2]
     # the reference mass the first sample's weight implies
     if hard.convention == MIXTURE:
         w0 = float(w_given[0])
@@ -592,7 +637,10 @@ def generate(kind: str, **params) -> HardInstance:
         raise InvalidInputError(f"{kind}: {exc}") from None
     if "reg" in args and args["reg"] not in entry.regs:
         raise InvalidInputError(f"{kind} supports the {' and '.join(entry.regs)} regularizers")
-    return entry.gen(**args)
+    try:
+        return entry.gen(**args)
+    except OverflowError:  # a size formula past the largest float
+        raise BudgetExceededError(f"{kind}: the instance size overflows a float") from None
 
 
 def batch_failed(hard: HardInstance, counts: np.ndarray, mean_w, m: int,

@@ -11,12 +11,14 @@ for a loss g, regularizer R in {l1, l2, l2sq} and strength parameter k >= 1.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sampler as _sampler
 from .errors import (
+    BudgetExceededError,
     DataError,
     DegenerateInstanceError,
     InvalidInputError,
@@ -25,42 +27,104 @@ from .errors import (
 from .losses import L2SQ, LossSpec, RegSpec
 
 MASS_TOL = 1e-12
+# most cells of an atom matrix a hard construction builds (256 MB of float64)
+MAX_DENSE_CELLS = 2 ** 25
 
 
-@dataclass(frozen=True, eq=False)
 class Instance:
-    atoms: np.ndarray   # (n, d) float64
-    masses: np.ndarray  # (n,) float64, positive, sums to 1
+    """Atoms a_i in R^d with positive masses p_i summing to one; both read-only.
 
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        masses = np.asarray(self.masses, dtype=float)
+    `Instance(atoms, masses)` holds a dense (n, d) atom matrix.  The basis
+    constructions of `hardness` make theirs with `Instance.on_demand`: such
+    an instance keeps n, d, the masses and one representative row, and
+    builds `atoms` only on first access.  Per-atom norms and the sampling
+    law's score input come from that row, so sampling, failure rates and
+    the m* search never build the (n, d) matrix.
+    """
+
+    def __init__(self, atoms, masses):
+        atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim != 2 or atoms.shape[0] == 0 or atoms.shape[1] == 0:
             raise InvalidInputError("atoms must be a nonempty (n, d) array")
-        if masses.shape != (atoms.shape[0],):
+        self._setup(masses, *atoms.shape, atoms)
+        self._atoms, self._row = atoms, None
+
+    @classmethod
+    def on_demand(cls, build: Callable[[], np.ndarray], masses, row) -> "Instance":
+        """The instance whose atoms `build()` makes on first access.
+
+        Every row of those atoms must hold the same multiset of entries as
+        `row`, so that a per-row reduction of `row` gives every row's bits;
+        the basis constructions' rows have at most two nonzero entries, whose
+        sum rounds the same in any order.
+        """
+        row = np.asarray(row, dtype=float)
+        inst = cls.__new__(cls)
+        inst._setup(masses, np.size(masses), row.size, row)
+        inst._atoms, inst._row, inst._build = None, row, build
+        return inst
+
+    def _setup(self, masses, n: int, dim: int, rows: np.ndarray) -> None:
+        masses = np.asarray(masses, dtype=float)
+        if masses.shape != (n,):
             raise InvalidInputError("masses must have one entry per atom")
-        if not np.all(np.isfinite(atoms)):
+        if not np.all(np.isfinite(rows)):
             raise InvalidInputError("atom coordinates must be finite")
         if not np.all(masses > 0):
             raise InvalidInputError("every mass must be positive")
         if abs(float(masses.sum()) - 1.0) > MASS_TOL:
             raise InvalidInputError("masses must sum to 1 within 1e-12")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "masses", masses)
-        atoms.setflags(write=False)
+        rows.setflags(write=False)
         masses.setflags(write=False)
+        self.masses, self.n, self.dim = masses, n, dim
+        self._inputs: dict[str, np.ndarray] = {}
 
     @property
-    def n(self) -> int:
-        return self.atoms.shape[0]
+    def atoms(self) -> np.ndarray:
+        """The (n, d) atom matrix, built here on an on-demand instance's first access.
 
-    @property
-    def dim(self) -> int:
-        return self.atoms.shape[1]
+        Raises BudgetExceededError, before building, past MAX_DENSE_CELLS cells.
+        """
+        if self._atoms is None:
+            dense_budget(self.n, self.dim)
+            atoms = np.asarray(self._build(), dtype=float)
+            atoms.setflags(write=False)
+            self._atoms = atoms
+        return self._atoms
+
+    def _per_row(self, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """reduce(atoms) for a per-row reduction; an on-demand instance reduces its row."""
+        if self._row is None:
+            return reduce(self.atoms)
+        return np.full(self.n, reduce(self._row[None, :])[0])
+
+    def score_input(self, kind: str) -> np.ndarray | None:
+        """What score `kind` reads of each atom, computed once: plain norms for the
+        norm score, squared norms for sqnorm, None for the uniform scores."""
+        reduce = _sampler._SCORE_INPUTS.get(kind)
+        if reduce is None:
+            return None
+        if kind not in self._inputs:
+            x = self._per_row(reduce)
+            x.setflags(write=False)
+            self._inputs[kind] = x
+        return self._inputs[kind]
 
     def norms(self) -> np.ndarray:
-        e = scale_exponent(self.atoms, axis=1)
-        return np.ldexp(np.linalg.norm(np.ldexp(self.atoms, -e[:, None]), axis=1), e)
+        """Per-atom norms, exact where the squares of the entries overflow."""
+        return self._per_row(_exact_norms)
+
+
+def dense_budget(n: int, dim: int) -> None:
+    """Raise BudgetExceededError when n atoms in R^dim exceed MAX_DENSE_CELLS cells."""
+    if n * dim > MAX_DENSE_CELLS:
+        raise BudgetExceededError(f"{n} x {dim} atoms take {n * dim * 8 / 2**20:.0f} MB dense, "
+                                  f"more than the {MAX_DENSE_CELLS * 8 // 2**20} MB budget")
+
+
+def _exact_norms(atoms: np.ndarray) -> np.ndarray:
+    e = scale_exponent(atoms, axis=1)
+    return np.ldexp(np.linalg.norm(np.ldexp(atoms, -e[:, None]), axis=1), e)
 
 
 def scale_exponent(atoms: np.ndarray, axis=None):
@@ -140,7 +204,7 @@ def compute_constants(instance: Instance, score: str, loss: LossSpec) -> Constan
     else:
         b = float(instance.masses @ norms)
     d_max = float(norms.max())
-    s_vals = _sampler.score_array(score, instance.atoms, D=d_max)
+    s_vals = _sampler._scores(score, instance.score_input(score), instance.n, D=d_max)
     s_mass = float(instance.masses @ s_vals)
     return Constants(L=loss.lipschitz_formula, B=b, S=s_mass, g0=loss.g0, D=d_max)
 
@@ -165,9 +229,10 @@ def normalize_instance(instance: Instance, spec: ObjectiveSpec):
 
 def save_instance(instance: Instance, path) -> None:
     """Write JSON Lines: a {"dim", "n"} header, then one {"a", "p"} record per atom."""
+    atoms = instance.atoms  # built, or refused, before the file is opened
     with open(path, "w") as fh:
         fh.write(json.dumps({"dim": instance.dim, "n": instance.n}) + "\n")
-        for a, p in zip(instance.atoms, instance.masses):
+        for a, p in zip(atoms, instance.masses):
             fh.write(json.dumps({"a": [float(v) for v in a], "p": float(p)}) + "\n")
 
 

@@ -44,6 +44,8 @@ CONVENTIONS = (MIXTURE, SCORE_ONLY)
 
 # most draws estimate_S makes: its index and score arrays then take 160 MB
 MAX_S_DRAWS = 10_000_000
+# most cells of one block of rows: a count block in `bench`, a block of atoms here
+COUNT_CELLS = 2_000_000
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -56,18 +58,48 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def score_array(kind: str, atoms: np.ndarray, D: float | None = None) -> np.ndarray:
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+def _row_norms(atoms: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, over blocks of rows of at most COUNT_CELLS cells.
+
+    Every row gets the bits of one call over all rows, without that call's
+    squared copy of the atoms; norms past about 1e154 overflow to inf.
+    """
+    rows = max(1, COUNT_CELLS // atoms.shape[1])
+    out = np.empty(atoms.shape[0])
+    with np.errstate(over="ignore"):  # an infinite norm fails the law's sum check
+        for lo in range(0, atoms.shape[0], rows):
+            out[lo:lo + rows] = np.linalg.norm(atoms[lo:lo + rows], axis=1)
+    return out
+
+
+def _row_sqnorms(atoms: np.ndarray) -> np.ndarray:
+    """Squared norm of each row, by one einsum, which makes no copy of the atoms."""
+    with np.errstate(over="ignore"):
+        return np.einsum("ij,ij->i", atoms, atoms)
+
+
+# what each score reads of an (n, d) atom matrix; the uniform scores read nothing
+_SCORE_INPUTS = {NORM_PLUS_1: _row_norms, SQNORM_PLUS_2: _row_sqnorms}
+
+
+def _scores(kind: str, x: np.ndarray | None, n: int, D: float | None = None) -> np.ndarray:
+    """The n scores of `kind` from x, what that kind reads of each atom (_SCORE_INPUTS)."""
     if kind == NORM_PLUS_1:
-        return np.linalg.norm(atoms, axis=1) + 1.0
+        return x + 1.0
     if kind == SQNORM_PLUS_2:
-        return np.einsum("ij,ij->i", atoms, atoms) + 2.0
+        return x + 2.0
     if kind in (UNIFORM_D, UNIFORM_D2):
         if D is None:
             raise ConfigurationError(f"score kind {kind!r} requires the norm bound D")
         val = D + 1.0 if kind == UNIFORM_D else D * D + 2.0
-        return np.full(atoms.shape[0], val)
+        return np.full(n, val)
     raise ConfigurationError(f"unknown score kind {kind!r}")
+
+
+def score_array(kind: str, atoms: np.ndarray, D: float | None = None) -> np.ndarray:
+    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+    reduce = _SCORE_INPUTS.get(kind)
+    return _scores(kind, None if reduce is None else reduce(atoms), atoms.shape[0], D=D)
 
 
 def score(kind: str, a, D: float | None = None) -> float:
@@ -91,10 +123,14 @@ def weight(s: float, S: float) -> float:
     return importance_weights(s, S, MIXTURE)
 
 
-def _law(instance: "Instance", kind: str, convention: str, D: float | None = None,
+def _law(masses: np.ndarray, kind: str, convention: str, x: np.ndarray | None,
+         D: float | None = None,
          s_hat: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(q, w, s) per atom: probabilities, weights and scores, against S or (mixture) s_hat.
 
+    The law reads no atom: x is what the score reads of each atom, as
+    `Instance.score_input` gives it (norms for the norm score, squared norms
+    for sqnorm, None for the uniform scores), and S = masses @ s.
     q_i = p_i (s_i + ref)/(S + ref) under the mixture and p_i s_i / S under score-only;
     q must sum to 1 within 1e-12 (what index and multinomial draws need).
     """
@@ -102,12 +138,11 @@ def _law(instance: "Instance", kind: str, convention: str, D: float | None = Non
         raise ConfigurationError(f"unknown sampling convention {convention!r}")
     if s_hat is not None and convention != MIXTURE:
         raise ConfigurationError("a score-mass estimate applies to the mixture convention only")
+    s = _scores(kind, x, masses.size, D=D)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing scores fail the sum check
-        s = score_array(kind, instance.atoms, D=D)
-        S = float(instance.masses @ s)
+        S = float(masses @ s)
         ref = S if s_hat is None else float(s_hat)
-        q = instance.masses * (s + ref) / (S + ref) if convention == MIXTURE \
-            else instance.masses * s / S
+        q = masses * (s + ref) / (S + ref) if convention == MIXTURE else masses * s / S
     total = float(q.sum())
     if not abs(total - 1.0) <= 1e-12:  # NaN fails too
         raise DegenerateInstanceError(f"sampling probabilities sum to {total!r}, not 1")
@@ -117,13 +152,14 @@ def _law(instance: "Instance", kind: str, convention: str, D: float | None = Non
 def atom_probabilities(instance: "Instance", kind: str, convention: str,
                        D: float | None = None, s_hat: float | None = None) -> np.ndarray:
     """Per-atom sampling probability; s_hat replaces S in the mixture."""
-    return _law(instance, kind, convention, D=D, s_hat=s_hat)[0]
+    return _law(instance.masses, kind, convention, instance.score_input(kind),
+                D=D, s_hat=s_hat)[0]
 
 
 def atom_weights(instance: "Instance", kind: str, convention: str,
                  D: float | None = None) -> np.ndarray:
     """Per-atom importance weight under the given convention."""
-    return _law(instance, kind, convention, D=D)[1]
+    return _law(instance.masses, kind, convention, instance.score_input(kind), D=D)[1]
 
 
 class CategoricalSampler:
@@ -178,7 +214,7 @@ class Coreset:
                  D: float | None = None) -> "Coreset":
         """The draws idx of an instance, weighted and scored under (kind, convention)."""
         idx = np.asarray(idx, dtype=np.int64)
-        _, w, s = _law(instance, kind, convention, D=D)
+        _, w, s = _law(instance.masses, kind, convention, instance.score_input(kind), D=D)
         return cls(idx, instance.atoms[idx], w[idx], s[idx])
 
     def __len__(self) -> int:
@@ -202,7 +238,7 @@ def draw_iid(instance: "Instance", kind: str, m: int, seed: int,
     """m i.i.d. categorical draws from the sampling distribution, with exact weights."""
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
-    q, w, s = _law(instance, kind, convention, D=D)
+    q, w, s = _law(instance.masses, kind, convention, instance.score_input(kind), D=D)
     idx = CategoricalSampler(q).draw(derive_rng(seed), m)
     return Coreset(idx, instance.atoms[idx], w[idx], s[idx])
 
@@ -297,7 +333,7 @@ def estimate_S(instance: "Instance", kind: str, eps: float, delta: float, seed: 
     m = max(1, math.ceil(draws / (eps * eps)))
     rng = derive_rng(seed)
     idx = CategoricalSampler(instance.masses).draw(rng, m)
-    s = score_array(kind, instance.atoms)
+    s = _scores(kind, instance.score_input(kind), instance.n)
     return SEstimate(s_hat=float(s[idx].mean()), m_used=m, eps=eps, delta=delta)
 
 

@@ -115,20 +115,20 @@ class TestFailureRate:
 
     def test_probabilities_and_weights_built_once_per_config(self, monkeypatch):
         import regsamp.hardness as hardness
+        from regsamp import sampler
         calls = []
 
-        def counting(fn):
-            return lambda *args, **kw: calls.append(fn.__name__) or fn(*args, **kw)
+        def counting(*args, **kw):
+            calls.append(args[1])
+            return sampler._law(*args, **kw)
 
         for module in (bench, hardness):
-            for name in ("atom_probabilities", "atom_weights"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(getattr(module, name)))
+            monkeypatch.setattr(module, "_law", counting)
         cfg = TrialConfig(eps=0.25, delta=0.2, trials=20, master_seed=3, hard=gen_lin_relu(4))
         for m in (10, 40, 80):
             failure_rate(cfg, m)
-        # the config's (q, w) and the hard instance's predicate probabilities
-        assert sorted(calls) == ["atom_probabilities", "atom_probabilities", "atom_weights"]
+        # one law, the hard instance's, gives the config's (q, w) and the predicate's q
+        assert calls == ["norm"]
 
     def test_single_atom_never_fails(self):
         inst = make_instance(np.ones((1, 2)))
@@ -472,3 +472,71 @@ class TestCsvOutputs:
         lines = path.read_text().splitlines()
         assert lines[0] == "kind,k,m_star,slope,slope_lo,slope_hi"
         assert len(lines) == 3
+
+
+class TestBasisInstancesStayImplicit:
+    """Failure rates and the m* search read the law and the counts only, so a
+    basis construction never builds its (n, d) atoms on that path."""
+
+    @staticmethod
+    def refusing(hard):
+        def build():
+            raise AssertionError("the failure-rate path built the atoms")
+
+        hard.instance._build = build
+        return hard
+
+    @pytest.mark.parametrize("kind,params", [
+        ("quad-logistic", {"k": 8.0, "eps": 0.05}), ("quad-sigmoid", {"k": 20.0, "eps": 0.1}),
+        ("quad-hinge", {"k": 8.0, "eps": 0.25}), ("quad-relu", {"k": 6.0, "eps": 0.25}),
+        ("coupon-relu", {"d": 16, "k": 8.0})])
+    def test_failure_rate_and_search_never_build_atoms(self, kind, params):
+        from regsamp.hardness import generate
+        from regsamp.sampler import estimate_S
+
+        hard = self.refusing(generate(kind, **params))
+        cfg = TrialConfig(eps=0.25, delta=0.2, trials=60, master_seed=4, hard=hard)
+        failure_rate(cfg, 20)
+        assert min_sample_size(cfg) >= 1
+        estimate_S(hard.instance, "norm", eps=0.5, delta=0.1, seed=0)
+        with pytest.raises(AssertionError, match="built the atoms"):
+            hard.instance.atoms
+
+    def test_mc_wide_probes_stay_small(self):
+        # coupon-relu at d = 4000 and the four probes of the benchmark's mc-wide
+        # workload; the dense identity alone would take 128 MB
+        import tracemalloc
+
+        from regsamp.hardness import generate
+
+        tracemalloc.start()
+        try:
+            hard = self.refusing(generate("coupon-relu", d=4000, k=16.0))
+            cfg = TrialConfig(eps=0.25, delta=0.2, trials=200, master_seed=9, hard=hard)
+            for m in (30000, 35000, 40000, 45000):
+                failure_rate(cfg, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+class TestFailureRateBlocks:
+    @pytest.mark.parametrize("hard", [gen_quad_hinge(8.0, 0.25), gen_lin_relu(6),
+                                      gen_coupon_relu(30, 8.0)])
+    def test_row_blocks_give_the_one_shot_counts(self, monkeypatch, hard):
+        cfg = TrialConfig(eps=0.25, delta=0.2, trials=100, master_seed=8, hard=hard)
+        ms = (16, 32, 64, 128)
+        whole = [failure_rate(cfg, m) for m in ms]
+        assert any(0 < rate < 1 for rate, _ in whole)
+        monkeypatch.setattr(bench, "COUNT_CELLS", 7 * hard.instance.n)  # 7-row blocks
+        assert [failure_rate(cfg, m) for m in ms] == whole
+
+    def test_blocks_concatenate_to_the_one_shot_block(self):
+        hard = gen_quad_hinge(8.0, 0.25)
+        q, w = TrialConfig(eps=0.25, delta=0.2, hard=hard).law
+        whole = bench._draw_counts(q, w, 90, 100, derive_rng(3, 90))
+        rng = derive_rng(3, 90)
+        parts = [bench._draw_counts(q, w, 90, rows, rng) for rows in (7, 7, 86)]
+        for one, blocks in zip(whole, zip(*parts)):
+            assert np.array_equal(one, np.concatenate(blocks))

@@ -394,3 +394,74 @@ class TestMissingFiles:
 
     def test_missing_bench_config_is_data_error(self, tmp_path):
         assert run("bench", "--config", str(tmp_path / "nope.json")) == 2
+
+
+# SHA-256 of instance.jsonl, queries.jsonl and manifest.json (its "version"
+# line left out) that `gen` wrote for each ROUND_TRIP call at version 0.4.0,
+# when every construction built its dense atoms up front
+GEN_SHA256 = {
+    "lin-relu": "84de431777c1b88368c886cb167d8e854e3791e4a8b8b843f60f571309f9d9cd",
+    "quad-hinge": "4bf9ca28ba49a5615dbd1c7dfee4b1d96a6b763f495dfc4ef0ccc95feae97d32",
+    "moment-curve": "bf7d753058e583223a43372ea9af76bf60a7dbd59aad64ede8615c037953c8c5",
+    "quad-logistic": "8b3f040161f16ecd29d66964ae408a9008f515c21b6c4ce4791f661d4c1c3aad",
+    "quad-sigmoid": "1b54cb5ed2459e7a1fcb925392e9b07b30462f06db12dcb70654b5dabab3039c",
+    "quad-relu": "3d3e57834e4e23a327277b4b18cc3b24c748dee096d1b898767355eeb5fb5bf9",
+    "lin-logistic": "7ed56b5f9ee40fa00f82172368777e63246effd775485d2762271285ae82673a",
+    "lin-sigmoid": "3ed09a5d69ee05497e2cb16715c64864985b1cdbe69669540fae284de62b984d",
+    "coupon-relu": "6d4aefca1fd959311e7ca07d64ada9b242c65609ca82033c2c4768030ad57d58",
+}
+
+
+@pytest.mark.parametrize("args,kind", ROUND_TRIP)
+def test_gen_output_is_pinned(tmp_path, args, kind):
+    import hashlib
+
+    out = tmp_path / "gen"
+    assert run("gen", *args, "--out", str(out)) == 0
+    digest = hashlib.sha256()
+    for name in ("instance.jsonl", "queries.jsonl", "manifest.json"):
+        lines = (out / name).read_bytes().splitlines(keepends=True)
+        digest.update(b"".join(line for line in lines
+                               if not line.lstrip().startswith(b'"version"')))
+    assert digest.hexdigest() == GEN_SHA256[kind]
+
+
+def run_cli(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "regsamp.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestSizeBudgets:
+    def test_gen_refuses_atoms_past_the_dense_budget(self, tmp_path):
+        # 10^6 x 10^6 basis atoms are 8 TB dense; the refusal comes before any row
+        proc = run_cli("gen", "--kind", "coupon-relu", "--d", "1000000", "--k", "16",
+                       "--out", str(tmp_path / "g"))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("budget error: 1000000 x 1000000 atoms take ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "g" / "instance.jsonl").exists()
+
+    @pytest.mark.parametrize("args", [["--kind", "coupon-relu", "--d", "3000000", "--k", "16"],
+                                      ["--kind", "quad-hinge", "--k", "1e200", "--eps", "0.25"],
+                                      ["--kind", "lin-relu", "--k", "1000000"]])
+    def test_generate_refuses_before_allocating(self, tmp_path, args):
+        # a count row over more than COUNT_CELLS atoms, a size past the largest
+        # float, and dense atoms past the budget
+        proc = run_cli("gen", *args, "--out", str(tmp_path / "g"))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("budget error: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_bench_failure_rate_at_a_million_atoms(self, tmp_path):
+        cfg = {"mode": "failure-rate", "kind": "coupon-relu",
+               "params": {"d": 1000000, "k": 16}, "eps": 0.25, "delta": 0.2,
+               "trials": 2, "master_seed": 1, "m_list": [10]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli("bench", "--config", str(cfg_path), "--out", str(tmp_path / "fr"))
+        assert proc.returncode == 0, proc.stderr
+        row = (tmp_path / "fr" / "failure_rates.csv").read_text().splitlines()[1].split(",")
+        assert row[7:10] == ["10", "2", "2"]  # m, trials, failures: 10 draws miss an atom

@@ -492,3 +492,76 @@ def test_check_failure_agrees_with_batch_failed(kind, data, eps, scale):
     if verdict.failed:
         assert verdict.witness_query is not None
         assert verdict.witness_query.shape == (hard.instance.dim,)
+
+
+# the basis constructions, whose instances build their atoms on demand
+BASIS = [(gen_quad_logistic, (8.0, 0.05)), (gen_quad_sigmoid, (20.0, 0.1)),
+         (gen_quad_hinge, (8.0, 0.2, L2)), (gen_quad_hinge, (8.0, 0.2, L2SQ)),
+         (gen_quad_relu, (6.0, 0.2, L2)), (gen_coupon_relu, (16, 8.0))]
+
+
+class TestAtomsOnDemand:
+    """A basis construction's instance keeps its norms and builds its atoms on
+    first access; everything read from it equals what the dense atoms give."""
+
+    @staticmethod
+    def dense_twin(hard):
+        from regsamp.model import Instance
+
+        return replace(hard, instance=Instance(np.array(hard.instance.atoms),
+                                               hard.instance.masses))
+
+    @pytest.mark.parametrize("gen,args", BASIS)
+    def test_law_and_norms_are_the_dense_bits(self, gen, args):
+        hard = gen(*args)
+        twin = self.dense_twin(hard)
+        for mine, dense in zip(hard.law, twin.law):  # q, w, s
+            assert np.array_equal(mine, dense)
+        assert np.array_equal(hard.instance.norms(), twin.instance.norms())
+        for kind in ("norm", "sqnorm"):
+            assert np.array_equal(hard.instance.score_input(kind),
+                                  twin.instance.score_input(kind))
+
+    @pytest.mark.parametrize("gen,args", BASIS)
+    def test_verdicts_are_the_dense_verdicts(self, gen, args):
+        hard = gen(*args)
+        twin = self.dense_twin(hard)
+        eps = 0.2
+        rng = np.random.default_rng(5)
+        n = hard.instance.n
+        for m in (n // 2, n, 4 * n):
+            counts = rng.multinomial(m, hard.probabilities, size=40)
+            mean_w = counts @ hard.law[1] / m
+            assert np.array_equal(batch_failed(hard, counts, mean_w, m, eps),
+                                  batch_failed(twin, counts, mean_w, m, eps))
+            samples = draw_iid(hard.instance, hard.score_kind, m, seed=m,
+                               convention=hard.convention)
+            mine, dense = check_failure(hard, samples, eps), check_failure(twin, samples, eps)
+            assert mine.failed == dense.failed and mine.threshold == dense.threshold
+            assert np.array_equal(mine.counts, dense.counts)
+            assert (mine.witness_query is None) == (dense.witness_query is None)
+            if mine.failed:
+                assert np.array_equal(mine.witness_query, dense.witness_query)
+
+    @pytest.mark.parametrize("gen,args", BASIS)
+    def test_atoms_are_built_once_and_read_only(self, gen, args):
+        inst = gen(*args).instance
+        atoms = inst.atoms
+        assert inst.atoms is atoms
+        assert atoms.shape == (inst.n, inst.dim) and not atoms.flags.writeable
+
+    def test_atoms_past_the_budget_are_refused_before_building(self):
+        from regsamp.errors import BudgetExceededError
+
+        inst = gen_coupon_relu(6000, 16.0).instance  # 6000^2 cells, 275 MB dense
+        assert inst.score_input("norm").shape == (6000,)
+        with pytest.raises(BudgetExceededError, match="256 MB budget"):
+            inst.atoms
+
+    def test_count_rows_past_count_cells_are_refused(self):
+        from regsamp.errors import BudgetExceededError
+
+        with pytest.raises(BudgetExceededError, match="count row"):
+            generate("coupon-relu", d=2_000_001, k=16.0)
+        with pytest.raises(BudgetExceededError, match="count row"):
+            generate("quad-relu", k=1e5, eps=0.01)

@@ -443,3 +443,58 @@ def test_mixture_sums_to_one_and_dominates(n, seed):
     q = atom_probabilities(inst, "norm", MIXTURE)
     assert abs(q.sum() - 1.0) <= 1e-12
     assert np.all(q >= inst.masses / 2.0 - 1e-15)
+
+
+class TestScoreInputs:
+    """The law reads norms, not atoms: a dense instance's score inputs keep the
+    bits of one np.linalg.norm / einsum call over all its rows."""
+
+    @pytest.mark.parametrize("n,d,cells", [(20000, 8, None), (3000, 700, None),
+                                           (700, 3000, None), (5, 100_000, None),
+                                           (1000, 3, 7 * 3), (999, 1, 10)])
+    def test_norm_and_sqnorm_keep_the_one_shot_bits(self, monkeypatch, n, d, cells):
+        from regsamp import sampler
+
+        if cells is not None:  # row blocks of 7 and 10 rows
+            monkeypatch.setattr(sampler, "COUNT_CELLS", cells)
+        rng = np.random.default_rng(n + d)
+        atoms = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+        inst = make_instance(atoms)
+        assert np.array_equal(inst.score_input("norm"), np.linalg.norm(atoms, axis=1))
+        assert np.array_equal(inst.score_input("sqnorm"), np.einsum("ij,ij->i", atoms, atoms))
+        assert np.array_equal(score_array("norm", atoms), np.linalg.norm(atoms, axis=1) + 1.0)
+        assert inst.score_input("uniform-d") is None
+
+    def test_overflowing_rows_keep_their_infinite_norms(self):
+        atoms = np.array([[1e200, 1e200, 1e200], [1.0, 2.0, 2.0]])
+        inst = make_instance(atoms)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(inst.score_input("norm"), np.linalg.norm(atoms, axis=1))
+            assert np.array_equal(inst.score_input("sqnorm"),
+                                  np.einsum("ij,ij->i", atoms, atoms))
+        assert inst.score_input("norm")[0] == np.inf
+        for kind in ("norm", "sqnorm"):  # so the law refuses the instance
+            with pytest.raises(DegenerateInstanceError, match="sum to nan"):
+                atom_probabilities(inst, kind, MIXTURE)
+
+    def test_norm_blocks_are_bounded(self, monkeypatch):
+        # one np.linalg.norm over 2000 x 1000 atoms takes a 16 MB squared copy;
+        # blocks of 100 rows take 0.8 MB
+        from regsamp import sampler
+
+        monkeypatch.setattr(sampler, "COUNT_CELLS", 100 * 1000)
+        inst = make_instance(np.ones((2000, 1000)))
+        tracemalloc.start()
+        try:
+            inst.score_input("norm")
+            inst.score_input("sqnorm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_inputs_are_computed_once_and_read_only(self):
+        inst = gaussian_instance(50, 4, seed=2)
+        x = inst.score_input("norm")
+        assert inst.score_input("norm") is x
+        assert not x.flags.writeable
