@@ -532,6 +532,22 @@ class TestFailureRateBlocks:
         monkeypatch.setattr(bench, "COUNT_CELLS", 7 * hard.instance.n)  # 7-row blocks
         assert [failure_rate(cfg, m) for m in ms] == whole
 
+    def test_row_blocks_bound_the_memory(self, monkeypatch):
+        # 200 trials x 4000 atoms are a 6.4 MB count block; blocks of 10 rows take 0.3 MB
+        import tracemalloc
+
+        cfg = TrialConfig(eps=0.25, delta=0.2, trials=200, master_seed=9,
+                          hard=gen_coupon_relu(4000, 16.0))
+        cfg.law  # built before tracing starts
+        monkeypatch.setattr(bench, "COUNT_CELLS", 10 * 4000)
+        tracemalloc.start()
+        try:
+            failure_rate(cfg, 30000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_blocks_concatenate_to_the_one_shot_block(self):
         hard = gen_quad_hinge(8.0, 0.25)
         q, w = TrialConfig(eps=0.25, delta=0.2, hard=hard).law

@@ -550,6 +550,19 @@ class TestAtomsOnDemand:
         assert inst.atoms is atoms
         assert atoms.shape == (inst.n, inst.dim) and not atoms.flags.writeable
 
+    @pytest.mark.parametrize("gen,args", BASIS)
+    def test_check_failure_reads_no_atoms(self, gen, args):
+        hard = gen(*args)
+        _, w, s = hard.law
+        idx = np.arange(hard.instance.n // 2)  # the other half is missed
+        samples = Coreset(idx, np.zeros((idx.size, hard.instance.dim)), w[idx], s[idx])
+
+        def build():
+            raise AssertionError("check_failure built the atoms")
+
+        hard.instance._build = build
+        assert check_failure(hard, samples, 0.2).failed
+
     def test_atoms_past_the_budget_are_refused_before_building(self):
         from regsamp.errors import BudgetExceededError
 
