@@ -9,11 +9,9 @@ measure empirical sample-complexity scaling.
 __version__ = "0.4.0"
 
 from .bench import (
-    FellerResult,
     ScalingCurve,
     TrialConfig,
     failure_rate,
-    feller_check,
     min_sample_size,
     scaling_curve,
     unbiasedness_check,
@@ -53,18 +51,15 @@ from .model import (
     Instance,
     ObjectiveSpec,
     compute_constants,
-    fold_label,
     gaussian_instance,
     load_instance,
     make_instance,
-    normalize_instance,
     save_instance,
 )
 from .objective import (
     OptReport,
     QuerySet,
     build_query_set,
-    coreset_objective,
     estimate_opt,
     evaluate,
     exhaustive_sample,

@@ -17,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (BudgetExceededError, ConfigurationError, DegenerateInstanceError,
-                     InvalidInputError)
+from .errors import BudgetExceededError, DegenerateInstanceError, InvalidInputError
 from .hardness import HardInstance, batch_failed, generate, kind_params
 from .losses import eval_loss
 from .model import Instance, ObjectiveSpec
@@ -34,16 +33,12 @@ DEFAULT_M_CAP = 2_000_000
 
 @dataclass(frozen=True, eq=False)
 class TrialConfig:
+    """Monte Carlo trials on a hard instance, sampled under the instance's own law."""
     eps: float
     delta: float
     trials: int = DEFAULT_TRIALS
     master_seed: int = 0
-    hard: HardInstance | None = None
-    instance: Instance | None = None
-    spec: ObjectiveSpec | None = None
-    queries: QuerySet | None = None
-    score_kind: str | None = None
-    convention: str | None = None
+    hard: HardInstance = field(kw_only=True)
     query_policy: str = ADVERSARIAL_ONLY
     m_cap: int = DEFAULT_M_CAP
 
@@ -54,31 +49,11 @@ class TrialConfig:
             raise InvalidInputError("trials must be >= 1")
         if self.query_policy not in (ADVERSARIAL_ONLY, ADVERSARIAL_PLUS_RANDOM):
             raise InvalidInputError(f"unknown query policy {self.query_policy!r}")
-        if self.hard is None and (self.instance is None or self.spec is None
-                                  or self.queries is None):
-            raise ConfigurationError(
-                "plain configs need an instance, an objective spec, and queries")
-
-    @property
-    def target_instance(self) -> Instance:
-        return self.hard.instance if self.hard is not None else self.instance
-
-    @cached_property
-    def law(self) -> tuple[np.ndarray, np.ndarray]:
-        """(q, w) per atom, built once per config; unset sampling follows the hard
-        instance, whose own cached law is then the config's."""
-        hard = self.hard
-        kind = self.score_kind or (hard.score_kind if hard is not None else "norm")
-        convention = self.convention or (hard.convention if hard is not None else MIXTURE)
-        if hard is not None and (kind, convention) == (hard.score_kind, hard.convention):
-            return hard.law[:2]
-        inst = self.target_instance
-        return _law(inst.masses, kind, convention, inst.score_input(kind))[:2]
 
     @cached_property
     def extra_queries(self) -> QuerySet:
         """The random queries the adversarial-plus-random policy adds, built once per config."""
-        return build_query_set(self.target_instance.dim, self.hard.spec.k,
+        return build_query_set(self.hard.instance.dim, self.hard.spec.k,
                                seed=self.master_seed, n_gaussian=20, n_sparse=20)
 
 
@@ -88,14 +63,6 @@ class ScalingCurve:
     fitted_slope: float
     slope_ci: tuple[float, float]
     budget_errors: tuple[tuple[float, str], ...] = field(default=())
-
-
-@dataclass(frozen=True)
-class FellerResult:
-    empirical: float
-    bound: float
-    fitted_c: float
-    advisories: tuple[str, ...] = field(default=())
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -142,13 +109,11 @@ def _generic_query_failures(instance: Instance, spec: ObjectiveSpec, queries: Qu
 def _trial_failures(cfg: TrialConfig, counts: np.ndarray, mean_w: np.ndarray,
                     m: int) -> np.ndarray:
     """Failure indicator per row of a count block drawn at sample size m."""
-    inst, w = cfg.target_instance, cfg.law[1]
-    if cfg.hard is None:
-        return _generic_query_failures(inst, cfg.spec, cfg.queries, w, counts, m, cfg.eps)
-    failed = batch_failed(cfg.hard, counts, mean_w, m, cfg.eps)
+    hard = cfg.hard
+    failed = batch_failed(hard, counts, mean_w, m, cfg.eps)
     if cfg.query_policy == ADVERSARIAL_PLUS_RANDOM:
-        failed |= _generic_query_failures(inst, cfg.hard.spec, cfg.extra_queries, w,
-                                          counts, m, cfg.eps)
+        failed |= _generic_query_failures(hard.instance, hard.spec, cfg.extra_queries,
+                                          hard.law[1], counts, m, cfg.eps)
     return failed
 
 
@@ -160,7 +125,7 @@ def failure_rate(cfg: TrialConfig, m: int) -> tuple[float, tuple[float, float]]:
     """
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
-    q, w = cfg.law
+    q, w, _ = cfg.hard.law
     rng, rows = derive_rng(cfg.master_seed, m), max(1, COUNT_CELLS // q.size)
     failures = 0
     for done in range(0, cfg.trials, rows):
@@ -187,7 +152,7 @@ def _probe_failures(cfg: TrialConfig, m: int, k_fail: int) -> int:
     decide it, and so do T - done - need + 1 more passes, after which too
     few rows are left.  Returns k_fail on a failed probe, less on a passed one.
     """
-    q, w = cfg.law
+    q, w, _ = cfg.hard.law
     rng = derive_rng(cfg.master_seed, m)
     done = failures = 0
     while failures < k_fail <= failures + cfg.trials - done:
@@ -301,30 +266,6 @@ def scaling_curve(kind: str, k_list, eps: float, delta: float,
         slope, ci = float("nan"), (float("nan"), float("nan"))
     return ScalingCurve(points=points, fitted_slope=slope, slope_ci=ci,
                         budget_errors=errors)
-
-
-def feller_check(q: float, m: int, t: float, trials: int, seed: int) -> FellerResult:
-    """Empirical binomial upper-tail mass P[Z >= mq + t] vs exp(-t^2 / 3 sigma^2).
-
-    The anti-concentration hypothesis wants sigma >= 200 and t <= sigma^2/100;
-    desk-scale runs outside that range are flagged as advisory.
-    """
-    if not (0 < q < 1 and m >= 1 and trials >= 1):
-        raise InvalidInputError("need q in (0,1), m >= 1, trials >= 1")
-    sigma2 = m * q * (1.0 - q)
-    sigma = math.sqrt(sigma2)
-    advisories = []
-    if sigma < 200.0:
-        advisories.append(f"sigma = {sigma:.1f} < 200: advisory only")
-    if t > sigma2 / 100.0:
-        advisories.append(f"t = {t:.3g} exceeds sigma^2/100 = {sigma2 / 100.0:.3g}")
-    rng = derive_rng(seed)
-    z = rng.binomial(m, q, size=trials)
-    empirical = float(np.mean(z >= m * q + t))
-    bound = math.exp(-t * t / (3.0 * sigma2))
-    fitted_c = empirical / bound if bound > 0 else float("inf")
-    return FellerResult(empirical=empirical, bound=bound, fitted_c=fitted_c,
-                        advisories=tuple(advisories))
 
 
 def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,

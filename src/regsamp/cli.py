@@ -63,6 +63,7 @@ def _cmd_gen(args) -> int:
     flags = {"k": args.k, "eps": args.eps, "d": args.d, "N": args.n, "reg": args.reg}
     hard = hardness.generate(args.kind, **{key: val for key, val in flags.items()
                                            if val is not None})
+    hard.instance.atoms  # built, or refused, before --out is created
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_instance(hard.instance, out / "instance.jsonl")
@@ -158,7 +159,6 @@ def _cmd_bench(args) -> int:
     seed = opts.get("master_seed", args.seed)
     m_cap = opts.get("m_cap", bench.DEFAULT_M_CAP)
     out = Path(args.out or opts.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
     outputs = []
     warnings = []
     if mode == "failure-rate":
@@ -179,12 +179,14 @@ def _cmd_bench(args) -> int:
                          "ci_lo": lo, "ci_hi": hi})
             if tc.trials == 1:
                 warnings.append(f"m={m}: single trial gives a vacuous CI")
+        out.mkdir(parents=True, exist_ok=True)
         bench.write_failure_rate_csv(out / "failure_rates.csv", rows)
         outputs.append("failure_rates.csv")
     else:
         curve = bench.scaling_curve(opts["kind"], opts["k_list"], eps=opts["eps"],
                                     delta=opts["delta"], trials=trials, seed=seed,
                                     reg=opts.get("reg"), m_cap=m_cap)
+        out.mkdir(parents=True, exist_ok=True)
         bench.write_scaling_csv(out / "scaling.csv", opts["kind"], curve)
         bench.write_plot_data(out / "scaling_plot.dat", curve)
         outputs += ["scaling.csv", "scaling_plot.dat"]

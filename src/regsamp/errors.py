@@ -17,10 +17,6 @@ class DegenerateInstanceError(RegsampError):
     """The instance cannot support the requested operation (e.g. B = 0)."""
 
 
-class UnsupportedNormalizationError(RegsampError):
-    """Parameter normalization is not defined for this regularizer."""
-
-
 class ConfigurationError(RegsampError):
     """Inconsistent or incomplete configuration (missing D, convention mismatch, ...)."""
 

@@ -17,14 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampler as _sampler
-from .errors import (
-    BudgetExceededError,
-    DataError,
-    DegenerateInstanceError,
-    InvalidInputError,
-    UnsupportedNormalizationError,
-)
-from .losses import L2SQ, LossSpec, RegSpec
+from .errors import BudgetExceededError, DataError, InvalidInputError
+from .losses import LossSpec, RegSpec
 
 MASS_TOL = 1e-12
 # most cells of an atom matrix a hard construction builds (256 MB of float64)
@@ -186,16 +180,6 @@ def gaussian_instance(n: int, dim: int, seed: int, scale: float = 1.0,
     return make_instance(atoms, masses)
 
 
-def fold_label(z, y) -> np.ndarray:
-    """Fold a +-1 label into the data vector: returns y * z."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError("data vector must be finite")
-    if y not in (1, -1, 1.0, -1.0):
-        raise InvalidInputError("label must be +1 or -1")
-    return float(y) * z
-
-
 def compute_constants(instance: Instance, score: str, loss: LossSpec) -> Constants:
     """Derived scalars: B (mean norm, squared for squared-norm scores), S, D, g(0), L."""
     norms = instance.norms()
@@ -207,24 +191,6 @@ def compute_constants(instance: Instance, score: str, loss: LossSpec) -> Constan
     s_vals = _sampler._scores(score, instance.score_input(score), instance.n, D=d_max)
     s_mass = float(instance.masses @ s_vals)
     return Constants(L=loss.lipschitz_formula, B=b, S=s_mass, g0=loss.g0, D=d_max)
-
-
-def normalize_instance(instance: Instance, spec: ObjectiveSpec):
-    """Rescale atoms by 1/B and fold L and B into k' = L*B*k.
-
-    Valid for regularizers that scale sub-multiplicatively (l1, l2); a
-    guarantee on the normalized pair implies one on the original pair.
-    """
-    if spec.reg.kind == L2SQ:
-        raise UnsupportedNormalizationError("l2sq does not rescale sub-multiplicatively")
-    norms = instance.norms()
-    b = float(instance.masses @ norms)
-    if b <= 0.0:
-        raise DegenerateInstanceError("mean atom norm is zero; nothing to normalize")
-    lip = spec.loss.lipschitz_formula
-    scaled = Instance(instance.atoms / b, instance.masses)
-    new_spec = ObjectiveSpec(loss=spec.loss, reg=spec.reg, k=lip * b * spec.k)
-    return scaled, new_spec
 
 
 def save_instance(instance: Instance, path) -> None:

@@ -116,12 +116,6 @@ def full_objective(instance: Instance, spec: ObjectiveSpec, x) -> tuple[float, f
     return float(f0[0]), float(f0[0] + r[0])
 
 
-def coreset_objective(samples: Coreset, spec: ObjectiveSpec, x) -> tuple[float, float]:
-    """(f0_hat, f_hat) at x: f0_hat = (1/m) sum_i w_i g(<a_i, x>)."""
-    f0_hat, r = evaluate(samples.a, samples.w / len(samples), spec, [x])
-    return float(f0_hat[0]), float(f0_hat[0] + r[0])
-
-
 def exhaustive_sample(instance: Instance, kind: str = "norm") -> Coreset:
     """Enumerate each atom once with weight n*p_i, so the coreset objective is exact."""
     return Coreset(np.arange(instance.n), instance.atoms, instance.n * instance.masses,
@@ -476,18 +470,6 @@ def build_query_set(dim: int, k: float, seed: int, adversarial=(),
         queries.append(x)
         tags.append(TAG_SPARSE)
     return QuerySet(np.vstack(queries), tuple(tags))
-
-
-def l1_scope_mask(instance: Instance, spec: ObjectiveSpec, queries: QuerySet,
-                  eps: float) -> np.ndarray:
-    """Boolean mask of queries inside {x : f(x) <= g(0)/eps}.
-
-    Outside that set the l1-regularized guarantee only holds up to the 4*eps
-    relaxation of the homogeneous-plus-bounded decomposition, so acceptance
-    checks may filter on this mask.
-    """
-    f0, r = evaluate(instance.atoms, instance.masses, spec, queries.queries)
-    return f0 + r <= spec.loss.g0 / eps
 
 
 def save_queries(queries: QuerySet, path) -> None:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from regsamp.bench import (
     ScalingCurve,
     TrialConfig,
     failure_rate,
-    feller_check,
     fit_loglog_slope,
     min_sample_size,
     scaling_curve,
@@ -18,17 +18,21 @@ from regsamp.bench import (
     write_scaling_csv,
 )
 from regsamp.errors import BudgetExceededError, DegenerateInstanceError, InvalidInputError
-from regsamp.hardness import gen_coupon_relu, gen_lin_relu, gen_quad_hinge, gen_quad_relu
+from regsamp.hardness import (gen_coupon_relu, gen_lin_logistic, gen_lin_relu, gen_quad_hinge,
+                              gen_quad_relu)
 from regsamp.losses import L2SQ, LOGISTIC, make_loss, make_reg
 from regsamp.model import ObjectiveSpec, gaussian_instance, make_instance
-from regsamp.objective import build_query_set
 from regsamp.sampler import derive_rng
 
 
-def plain_config(inst, spec, queries, **kw):
-    defaults = dict(eps=0.25, delta=0.2, trials=50, master_seed=7)
+def single_atom_config(**kw):
+    """A coupon-relu instance cut down to one atom, whose every sample is the
+    instance itself: no adversarial or random query can fail."""
+    hard = replace(gen_coupon_relu(2, 4.0), instance=make_instance(np.ones((1, 2))))
+    defaults = dict(eps=0.25, delta=0.2, trials=50, master_seed=7,
+                    query_policy=bench.ADVERSARIAL_PLUS_RANDOM)
     defaults.update(kw)
-    return TrialConfig(instance=inst, spec=spec, queries=queries, **defaults)
+    return TrialConfig(hard=hard, **defaults)
 
 
 class TestWilson:
@@ -131,10 +135,7 @@ class TestFailureRate:
         assert calls == ["norm"]
 
     def test_single_atom_never_fails(self):
-        inst = make_instance(np.ones((1, 2)))
-        spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ), 4.0)
-        queries = build_query_set(2, 4.0, seed=1, n_gaussian=5, n_sparse=5)
-        cfg = plain_config(inst, spec, queries)
+        cfg = single_atom_config()
         rate, (lo, hi) = failure_rate(cfg, 3)
         assert rate == 0.0
         assert lo == 0.0
@@ -168,11 +169,7 @@ class TestFailureRate:
 
 class TestMinSampleSize:
     def test_single_atom_returns_one(self):
-        inst = make_instance(np.ones((1, 2)))
-        spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ), 4.0)
-        queries = build_query_set(2, 4.0, seed=1, n_gaussian=3, n_sparse=3)
-        cfg = plain_config(inst, spec, queries, trials=30)
-        assert min_sample_size(cfg) == 1
+        assert min_sample_size(single_atom_config(trials=30)) == 1
 
     def test_quad_relu_needs_more_than_half(self):
         hard = gen_quad_relu(8.0, 0.25)
@@ -249,19 +246,17 @@ def reference_min_sample_size(cfg):
 
 
 def verdict_configs():
-    plain_inst = gaussian_instance(30, 3, seed=12)
-    spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ), 4.0)
-    queries = build_query_set(3, 4.0, seed=2, n_gaussian=6, n_sparse=6)
     common = dict(eps=0.25, delta=0.2, trials=60)
+    plus_random = dict(common, query_policy=bench.ADVERSARIAL_PLUS_RANDOM)
     return {
         "lin-relu": TrialConfig(master_seed=1, hard=gen_lin_relu(8), **common),
         "quad-hinge": TrialConfig(master_seed=2, hard=gen_quad_hinge(8.0, 0.25), **common),
         "quad-relu": TrialConfig(master_seed=3, hard=gen_quad_relu(8.0, 0.25), **common),
         "coupon-relu": TrialConfig(master_seed=4, hard=gen_coupon_relu(32, 16.0), **common),
-        "plain": TrialConfig(master_seed=5, instance=plain_inst, spec=spec, queries=queries,
-                             **dict(common, eps=0.1)),
-        "plus-random": TrialConfig(master_seed=6, hard=gen_lin_relu(4),
-                                   query_policy=bench.ADVERSARIAL_PLUS_RANDOM, **common),
+        "plus-random": TrialConfig(master_seed=6, hard=gen_lin_relu(4), **plus_random),
+        # its random queries decide m*: see test_random_queries_decide_the_search
+        "plus-random-logistic": TrialConfig(master_seed=5, hard=gen_lin_logistic(4),
+                                            **dict(plus_random, eps=0.1)),
     }
 
 
@@ -271,7 +266,8 @@ class TestVerdictProbes:
         cfg = verdict_configs()[name]
         assert min_sample_size(cfg) == reference_min_sample_size(cfg)
 
-    @pytest.mark.parametrize("name", ["lin-relu", "quad-hinge", "plain", "plus-random"])
+    @pytest.mark.parametrize("name", ["lin-relu", "quad-hinge", "plus-random",
+                                      "plus-random-logistic"])
     def test_probe_verdict_matches_failure_rate(self, name):
         cfg = verdict_configs()[name]
         for delta in (0.05, cfg.delta, 0.5):
@@ -333,6 +329,11 @@ class TestVerdictProbes:
         assert len(keys) == len(set(keys))
         assert sum(rows) < 0.75 * cfg.trials * len(keys)
 
+    def test_random_queries_decide_the_search(self):
+        cfg = verdict_configs()["plus-random-logistic"]
+        adversarial = replace(cfg, query_policy=bench.ADVERSARIAL_ONLY)
+        assert min_sample_size(adversarial) < min_sample_size(cfg)
+
     def test_extra_queries_built_once_per_config(self, monkeypatch):
         calls = []
         build = bench.build_query_set
@@ -381,34 +382,6 @@ class TestScalingCurve:
         assert np.isfinite(curve.fitted_slope)
         lo, hi = curve.slope_ci
         assert lo <= hi
-
-
-
-class TestFeller:
-    def test_zero_shift_is_median(self):
-        res = feller_check(q=0.05, m=10_000, t=0.0, trials=4000, seed=1)
-        assert res.bound == 1.0
-        assert 0.4 <= res.empirical <= 0.6
-
-    def test_one_sigma_example(self):
-        m, q = 10_000, 0.05
-        sigma = math.sqrt(m * q * (1 - q))
-        res = feller_check(q=q, m=m, t=sigma, trials=20_000, seed=2)
-        assert res.empirical == pytest.approx(0.159, abs=0.02)
-        assert res.bound == pytest.approx(math.exp(-1.0 / 3.0), abs=1e-12)
-        assert res.fitted_c <= 0.25
-
-    def test_three_sigma_example(self):
-        m, q = 10_000, 0.05
-        sigma = math.sqrt(m * q * (1 - q))
-        res = feller_check(q=q, m=m, t=3 * sigma, trials=40_000, seed=3)
-        assert 4e-4 <= res.empirical <= 3e-3
-        assert res.bound == pytest.approx(math.exp(-3.0), abs=1e-12)
-
-    def test_advisory_flags(self):
-        res = feller_check(q=0.5, m=100, t=60.0, trials=100, seed=4)
-        assert any("sigma" in a for a in res.advisories)
-        assert any("t =" in a for a in res.advisories)
 
 
 class TestUnbiasedness:
@@ -538,7 +511,7 @@ class TestFailureRateBlocks:
 
         cfg = TrialConfig(eps=0.25, delta=0.2, trials=200, master_seed=9,
                           hard=gen_coupon_relu(4000, 16.0))
-        cfg.law  # built before tracing starts
+        cfg.hard.law  # built before tracing starts
         monkeypatch.setattr(bench, "COUNT_CELLS", 10 * 4000)
         tracemalloc.start()
         try:
@@ -550,7 +523,7 @@ class TestFailureRateBlocks:
 
     def test_blocks_concatenate_to_the_one_shot_block(self):
         hard = gen_quad_hinge(8.0, 0.25)
-        q, w = TrialConfig(eps=0.25, delta=0.2, hard=hard).law
+        q, w, _ = hard.law
         whole = bench._draw_counts(q, w, 90, 100, derive_rng(3, 90))
         rng = derive_rng(3, 90)
         parts = [bench._draw_counts(q, w, 90, rows, rng) for rows in (7, 7, 86)]

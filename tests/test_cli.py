@@ -441,7 +441,7 @@ class TestSizeBudgets:
         assert proc.stdout == ""
         assert proc.stderr.startswith("budget error: 1000000 x 1000000 atoms take ")
         assert proc.stderr.count("\n") == 1
-        assert not (tmp_path / "g" / "instance.jsonl").exists()
+        assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("args", [["--kind", "coupon-relu", "--d", "3000000", "--k", "16"],
                                       ["--kind", "quad-hinge", "--k", "1e200", "--eps", "0.25"],
@@ -454,6 +454,15 @@ class TestSizeBudgets:
         assert proc.stdout == ""
         assert proc.stderr.startswith("budget error: ")
         assert proc.stderr.count("\n") == 1
+
+    def test_refused_bench_leaves_no_out_directory(self, tmp_path):
+        cfg = {"mode": "failure-rate", "kind": "coupon-relu",
+               "params": {"d": 3000000, "k": 4}, "eps": 0.25, "delta": 0.2,
+               "m_list": [10]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("bench", "--config", str(cfg_path), "--out", str(tmp_path / "x" / "b")) == 3
+        assert not (tmp_path / "x").exists()
 
     def test_bench_failure_rate_at_a_million_atoms(self, tmp_path):
         cfg = {"mode": "failure-rate", "kind": "coupon-relu",

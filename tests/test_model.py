@@ -1,41 +1,17 @@
 import numpy as np
 import pytest
 
-from regsamp.errors import (
-    DataError,
-    DegenerateInstanceError,
-    InvalidInputError,
-    UnsupportedNormalizationError,
-)
-from regsamp.losses import L1, L2SQ, LOGISTIC, make_loss, make_reg
+from regsamp.errors import DataError, InvalidInputError
+from regsamp.losses import L1, LOGISTIC, make_loss, make_reg
 from regsamp.model import (
     Instance,
     ObjectiveSpec,
     compute_constants,
-    fold_label,
     gaussian_instance,
     load_instance,
     make_instance,
-    normalize_instance,
     save_instance,
 )
-
-
-class TestFoldLabel:
-    def test_positive_label_is_identity(self):
-        assert np.array_equal(fold_label([1.0, 2.0], +1), [1.0, 2.0])
-
-    def test_negative_label_flips(self):
-        assert np.array_equal(fold_label([1.0, 2.0], -1), [-1.0, -2.0])
-
-    def test_zero_vector(self):
-        assert np.array_equal(fold_label([0.0, 0.0], -1), [0.0, 0.0])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            fold_label([1.0, np.inf], +1)
-        with pytest.raises(InvalidInputError):
-            fold_label([1.0, 2.0], 0)
 
 
 class TestInstanceInvariants:
@@ -101,42 +77,6 @@ class TestComputeConstants:
         assert c1.B == pytest.approx(c2.B, abs=1e-12)
         assert c1.S == pytest.approx(c2.S, abs=1e-12)
         assert c1.D == c2.D
-
-
-class TestNormalize:
-    def test_already_normalized(self):
-        inst = make_instance(np.eye(4))
-        spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L1), 10.0)
-        scaled, new_spec = normalize_instance(inst, spec)
-        assert new_spec.k == pytest.approx(10.0)
-        assert np.allclose(scaled.atoms, inst.atoms)
-
-    def test_halves_atoms_and_doubles_k(self):
-        inst = make_instance(2.0 * np.eye(4))
-        spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L1), 10.0)
-        scaled, new_spec = normalize_instance(inst, spec)
-        assert np.allclose(scaled.atoms, np.eye(4))
-        assert new_spec.k == pytest.approx(20.0)
-
-    def test_post_constants_are_unit(self):
-        inst = gaussian_instance(30, 3, seed=9, scale=4.0)
-        spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L1), 5.0)
-        scaled, _ = normalize_instance(inst, spec)
-        consts = compute_constants(scaled, "norm", spec.loss)
-        assert consts.B == pytest.approx(1.0, abs=1e-12)
-        assert consts.L == 1.0
-
-    def test_l2sq_unsupported(self):
-        inst = make_instance(2.0 * np.eye(4))
-        spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ), 10.0)
-        with pytest.raises(UnsupportedNormalizationError):
-            normalize_instance(inst, spec)
-
-    def test_degenerate_instance(self):
-        inst = make_instance(np.zeros((2, 3)))
-        spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L1), 10.0)
-        with pytest.raises(DegenerateInstanceError):
-            normalize_instance(inst, spec)
 
 
 class TestObjectiveSpec:

@@ -31,12 +31,10 @@ from regsamp.objective import (
     BLOCK,
     QuerySet,
     build_query_set,
-    coreset_objective,
     estimate_opt,
     evaluate,
     exhaustive_sample,
     full_objective,
-    l1_scope_mask,
     max_relative_error,
     opt_lower_bound,
     recommended_sample_size,
@@ -111,28 +109,24 @@ class TestEvaluate:
 
 
 class TestCoresetObjective:
+    """f0_hat(x) = mean_i w_i g(<a_i, x>), as relative_error compares it with f0(x)."""
+
     def test_exhaustive_sample_is_exact(self):
         for n, seed in ((10, 1), (200, 2), (1000, 3)):
             inst = gaussian_instance(n, 4, seed=seed, uniform_masses=False)
             spec = spec_of(LOGISTIC, L2SQ, 3.0)
             samples = exhaustive_sample(inst)
             x = np.random.default_rng(seed).standard_normal(4)
-            f0, _ = full_objective(inst, spec, x)
-            f0_hat, _ = coreset_objective(samples, spec, x)
-            assert f0_hat == pytest.approx(f0, abs=1e-10)
+            _, f = full_objective(inst, spec, x)
+            assert relative_error(inst, spec, samples, x) * f <= 1e-10  # |f0 - f0_hat|
 
     def test_constant_loss_at_origin(self):
+        # f(0) = g(0) and f0_hat(0) = mean(w) g(0), so the error is |1 - mean(w)|
         inst = gaussian_instance(30, 3, seed=4)
         spec = spec_of(LOGISTIC, L1, 2.0)
         samples = draw_iid(inst, "norm", 50, seed=5)
-        f0_hat, _ = coreset_objective(samples, spec, np.zeros(3))
-        mean_w = np.mean(samples.w)
-        assert f0_hat == pytest.approx(mean_w * math.log(2.0), abs=1e-12)
-
-    def test_empty_sample_rejected(self):
-        spec = spec_of(LOGISTIC, L1, 2.0)
-        with pytest.raises(InvalidInputError):
-            coreset_objective(Coreset([], np.zeros((0, 2)), [], []), spec, np.zeros(2))
+        err = relative_error(inst, spec, samples, np.zeros(3))
+        assert err == pytest.approx(abs(1.0 - np.mean(samples.w)), abs=1e-12)
 
 
 class TestRelativeError:
@@ -452,13 +446,3 @@ class TestQuerySets:
         assert qs.tags.count("adversarial") == 1
         assert qs.tags.count("random-gaussian") == 50
         assert qs.tags.count("random-sparse") == 7
-
-    def test_l1_scope_mask(self):
-        inst = gaussian_instance(20, 4, seed=17)
-        spec = spec_of(LOGISTIC, L1, 4.0)
-        qs = build_query_set(4, 4.0, seed=2, n_gaussian=10, n_sparse=5)
-        mask = l1_scope_mask(inst, spec, qs, eps=0.25)
-        limit = spec.loss.g0 / 0.25
-        for inside, x in zip(mask, qs.queries):
-            assert inside == (full_objective(inst, spec, x)[1] <= limit)
-        assert mask[0]  # the origin is always in scope
