@@ -396,19 +396,43 @@ class TestMissingFiles:
         assert run("bench", "--config", str(tmp_path / "nope.json")) == 2
 
 
-# SHA-256 of instance.jsonl, queries.jsonl and manifest.json (its "version"
-# line left out) that `gen` wrote for each ROUND_TRIP call at version 0.4.0,
-# when every construction built its dense atoms up front
+# SHA-256 of each file `gen` wrote for each ROUND_TRIP call (the manifest's
+# "version" line left out) at version 0.4.0, when every construction built
+# its dense atoms up front
 GEN_SHA256 = {
-    "lin-relu": "84de431777c1b88368c886cb167d8e854e3791e4a8b8b843f60f571309f9d9cd",
-    "quad-hinge": "4bf9ca28ba49a5615dbd1c7dfee4b1d96a6b763f495dfc4ef0ccc95feae97d32",
-    "moment-curve": "bf7d753058e583223a43372ea9af76bf60a7dbd59aad64ede8615c037953c8c5",
-    "quad-logistic": "8b3f040161f16ecd29d66964ae408a9008f515c21b6c4ce4791f661d4c1c3aad",
-    "quad-sigmoid": "1b54cb5ed2459e7a1fcb925392e9b07b30462f06db12dcb70654b5dabab3039c",
-    "quad-relu": "3d3e57834e4e23a327277b4b18cc3b24c748dee096d1b898767355eeb5fb5bf9",
-    "lin-logistic": "7ed56b5f9ee40fa00f82172368777e63246effd775485d2762271285ae82673a",
-    "lin-sigmoid": "3ed09a5d69ee05497e2cb16715c64864985b1cdbe69669540fae284de62b984d",
-    "coupon-relu": "6d4aefca1fd959311e7ca07d64ada9b242c65609ca82033c2c4768030ad57d58",
+    "instance.jsonl": {
+        "lin-relu": "a8ee516e2181210eb18e64fc0ac8c979575306ecf09e0e2d9cc9173fc4d66ef9",
+        "quad-hinge": "a0d1fafeff9ca8051e5f6659016d28eb52e4fba1dbe19f9b122774418397f6bb",
+        "moment-curve": "415bb7fcee021eeed2132b5760a89c4bb0f56cceadec89727a9857842278af9c",
+        "quad-logistic": "cbdf635d01ba2e6eaac14cc243815f0e029e5d65b47b372d34a9f402e4548fec",
+        "quad-sigmoid": "1994bb8b8e84097ea90e594c91b2ad0a75ab31cbb0685f8ee026967c6eb857aa",
+        "quad-relu": "f727401f27d319d6daa782b066bec7d206e9ce612376903545ec02eaf15d0458",
+        "lin-logistic": "79cf7ced9e1d22c10ef87a04b0ff9c8326d39073c7ce3995f5770c284462dac0",
+        "lin-sigmoid": "79cf7ced9e1d22c10ef87a04b0ff9c8326d39073c7ce3995f5770c284462dac0",
+        "coupon-relu": "cbdf635d01ba2e6eaac14cc243815f0e029e5d65b47b372d34a9f402e4548fec",
+    },
+    "queries.jsonl": {
+        "lin-relu": "48fa902a6c857dcbabdec1eecaad961b0e9f6e553a227ee3aaeec33aabc9ae91",
+        "quad-hinge": "d8d36268620743aadd947a1806d38e81490e78d17e07a1538be336593041c1aa",
+        "moment-curve": "d73b6dbea62feba3d2178d7023d5406105761387c62ba87472094ebe332d344d",
+        "quad-logistic": "427c03bc086749f38d21bece92fa248e190974b5c415e00b22da21f2ef0d72d9",
+        "quad-sigmoid": "ae9f86526aab2312c85a43262538bcf3e233dca3ebdf9fdf5215ead71b15431e",
+        "quad-relu": "6ea748aa6594b92c22b83559c1423cc2cea2214f1b6a67138818406abaa8a05e",
+        "lin-logistic": "78ef60244ec4cfe3b7028e1ee3d6a41a43523cd59b6bd908d7371e84d3150f44",
+        "lin-sigmoid": "74d42324ce33da0fa9e2324babddc0b0aaf699a877e7ed26957d6f6af9e92569",
+        "coupon-relu": "7fafb8f2135ef6cd27f7f2775cfeff3c8bab1a73ed81fe3c0ace618fd139e743",
+    },
+    "manifest.json": {
+        "lin-relu": "11622f7fb257b159e78f3ad267e0d30121fc86c252172d76a9af53fec1bc03e6",
+        "quad-hinge": "79227c2b21a0d5cd75c6bdb773eb24027b7811cae269f462e4e39d33f48bb3df",
+        "moment-curve": "46c8f2de9b12ee569081dbfa0a96385cbee02503ce6e3cbd13694557a00773ca",
+        "quad-logistic": "1de0ed2345612968022155fcec90fc3d7cb76e76d86e20d17158fdd7922566e2",
+        "quad-sigmoid": "29257533f25abfd7ca4e764d32c05df8289a85e664be6ba162154e9abc75ec61",
+        "quad-relu": "55081e31f75349ff94db6790b3febc18b6796ad535c4f282f88c664188d9e25f",
+        "lin-logistic": "ce148d197ce8bd1e262a3b4007acda95419a6de04b1fd744164544a5ef0608c1",
+        "lin-sigmoid": "18b36a2ef9ad1908a9d98946a5bd71c12ffb115ae01fa3b11811ac05d9eeb1b0",
+        "coupon-relu": "5eaea5acd2cfc88a660385f47e9a308e4470ea48d4af2c5febc3c9e166a02584",
+    },
 }
 
 
@@ -418,12 +442,10 @@ def test_gen_output_is_pinned(tmp_path, args, kind):
 
     out = tmp_path / "gen"
     assert run("gen", *args, "--out", str(out)) == 0
-    digest = hashlib.sha256()
-    for name in ("instance.jsonl", "queries.jsonl", "manifest.json"):
+    for name, digests in GEN_SHA256.items():
         lines = (out / name).read_bytes().splitlines(keepends=True)
-        digest.update(b"".join(line for line in lines
-                               if not line.lstrip().startswith(b'"version"')))
-    assert digest.hexdigest() == GEN_SHA256[kind]
+        kept = b"".join(line for line in lines if not line.lstrip().startswith(b'"version"'))
+        assert hashlib.sha256(kept).hexdigest() == digests[kind], name
 
 
 def run_cli(*argv):
