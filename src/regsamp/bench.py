@@ -77,6 +77,11 @@ def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float,
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _block_rows(n: int) -> int:
+    """Rows of a count block over n atoms that fit in COUNT_CELLS cells, at least one."""
+    return max(1, COUNT_CELLS // n)
+
+
 def _draw_counts(q: np.ndarray, w: np.ndarray, m: int, trials: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial counts of m i.i.d. draws from q, and the mean of w over each trial's draws.
@@ -126,7 +131,7 @@ def failure_rate(cfg: TrialConfig, m: int) -> tuple[float, tuple[float, float]]:
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
     q, w, _ = cfg.hard.law
-    rng, rows = derive_rng(cfg.master_seed, m), max(1, COUNT_CELLS // q.size)
+    rng, rows = derive_rng(cfg.master_seed, m), _block_rows(q.size)
     failures = 0
     for done in range(0, cfg.trials, rows):
         counts, mean_w = _draw_counts(q, w, m, min(rows, cfg.trials - done), rng)
@@ -147,17 +152,19 @@ def _fail_threshold(trials: int, delta: float) -> int:
 def _probe_failures(cfg: TrialConfig, m: int, k_fail: int) -> int:
     """Failures among the first trials at m that fix whether they reach k_fail.
 
-    The rows of the probe's count block are drawn in turn, each block exactly
+    The rows of the probe's count block are drawn in turn, each block at most
     as many rows as could first settle the verdict: `need` more failures
     decide it, and so do T - done - need + 1 more passes, after which too
-    few rows are left.  Returns k_fail on a failed probe, less on a passed one.
+    few rows are left.  A block also keeps to COUNT_CELLS cells; the verdict
+    cannot settle inside a block, so splitting one changes no count.
+    Returns k_fail on a failed probe, less on a passed one.
     """
     q, w, _ = cfg.hard.law
-    rng = derive_rng(cfg.master_seed, m)
+    rng, cap = derive_rng(cfg.master_seed, m), _block_rows(q.size)
     done = failures = 0
     while failures < k_fail <= failures + cfg.trials - done:
         need = k_fail - failures
-        rows = min(need, cfg.trials - done - need + 1)
+        rows = min(need, cfg.trials - done - need + 1, cap)
         counts, mean_w = _draw_counts(q, w, m, rows, rng)
         failures += int(_trial_failures(cfg, counts, mean_w, m).sum())
         done += rows
@@ -287,7 +294,7 @@ def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,
     gvals = np.asarray(eval_loss(spec.loss, instance.atoms @ x))
     f0 = float(instance.masses @ gvals)
     per_atom = w * gvals
-    rng, rows = derive_rng(seed, m), max(1, COUNT_CELLS // q.size)
+    rng, rows = derive_rng(seed, m), _block_rows(q.size)
     means = np.concatenate([_draw_counts(q, per_atom, m, min(rows, trials - t), rng)[1]
                             for t in range(0, trials, rows)])
     gap = float(means.mean() - f0)

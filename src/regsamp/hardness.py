@@ -3,8 +3,8 @@
 Two families:
 
   * quadratic-regime instances ("quad-*"): uniform support whose adversarial
-    query depends on which half of the support a sample missed; checked by
-    evaluating the relative error at the resolved query and at the origin.
+    query depends on which half of the support a sample missed; checked from
+    constants the generator records, at the resolved query and at the origin.
   * linear-regime instances ("lin-*", "moment-curve"): per-atom queries whose
     failure reduces exactly to a deviation of the atom's sample count from
     its mean.  These use the score-only sampling convention (w = S/s).
@@ -63,7 +63,6 @@ from .sampler import (
     Coreset,
     _law,
     importance_weights,
-    score_array,
 )
 
 QUAD_LOGISTIC = "quad-logistic"
@@ -135,11 +134,6 @@ def _atom_count(n: float) -> int:
     return math.ceil(n)
 
 
-def _uniform_basis(build, n: int, row: np.ndarray) -> Instance:
-    """n atoms of mass 1/n that build() makes on first access, each row a permutation of row."""
-    return Instance.on_demand(build, np.full(n, 1.0 / n), row)
-
-
 def _hinge_atoms(d: int) -> np.ndarray:
     atoms = np.zeros((d - 1, d))
     atoms[:, d - 1] = 1.0
@@ -151,17 +145,20 @@ def _hinge_atoms(d: int) -> np.ndarray:
 # generators: quadratic regime
 # ---------------------------------------------------------------------------
 
-def _gen_quad_basis(loss: LossSpec, k: float, eps: float, d_formula: float,
-                    kind: str, scale: float, c_const: float) -> HardInstance:
-    d = max(2, _atom_count(d_formula))
-    inst = _uniform_basis(partial(np.eye, d), d, _basis(d, 0))
-    spec = ObjectiveSpec(loss=loss, reg=make_reg(L2), k=float(k))
-    h = d // 2
-    x = np.zeros(d)
-    x[:h] = 1.0
+def _gen_quad(kind: str, spec: ObjectiveSpec, eps: float, build: Callable[[], np.ndarray],
+              row: np.ndarray, n: int, x: np.ndarray, h: int, g_hit: float, g_miss: float,
+              reg_value: float, **extra) -> HardInstance:
+    """The uniform construction behind every quad-* kind.
+
+    n atoms of mass 1/n that build() makes on first access, each row a
+    permutation of `row`, and the one adversarial query x.  At x the h
+    isolated atoms (rows 0..h-1) lose g_hit, the other n - h lose g_miss, and
+    the regularizer counts as reg_value; `_quad_errors` reads these, not atoms.
+    """
+    inst = Instance.on_demand(build, np.full(n, 1.0 / n), row)
     queries = QuerySet(x[None, :], (TAG_ADVERSARIAL,))
-    params = {"k": float(k), "eps": float(eps), "d": d, "half": h,
-              "scale": scale, "c": c_const,
+    params = {"k": spec.k, "eps": float(eps), "d": x.size, "half": h, **extra,
+              "g_hit": g_hit, "g_miss": g_miss, "reg_value": reg_value,
               "score_kind": NORM_PLUS_1, "convention": MIXTURE}
     return HardInstance(inst, spec, queries, kind, params)
 
@@ -170,22 +167,30 @@ def gen_quad_logistic(k: float, eps: float) -> HardInstance:
     """Uniform basis vectors in d = ceil(2 (k ln2 / 40 eps)^2), logistic + l2; atoms on demand."""
     if not 0 < eps <= 0.1:
         raise InvalidInputError("eps must lie in (0, 1/10]")
-    loss = make_loss(LOGISTIC)
-    d_formula = 2.0 * (k * math.log(2.0) / (40.0 * eps)) ** 2
+    d = max(2, _atom_count(2.0 * (k * math.log(2.0) / (40.0 * eps)) ** 2))
+    spec = ObjectiveSpec(loss=make_loss(LOGISTIC), reg=make_reg(L2), k=float(k))
+    h = d // 2
+    x = np.zeros(d)
+    x[:h] = 1.0
     c_const = math.log(1.0 + math.exp(-1.0)) / (2.0 * math.log(2.0))
-    return _gen_quad_basis(loss, k, eps, d_formula, QUAD_LOGISTIC,
-                           scale=1.0 / math.log(2.0), c_const=c_const)
+    return _gen_quad(QUAD_LOGISTIC, spec, eps, partial(np.eye, d), _basis(d, 0), d, x, h,
+                     float(eval_loss(spec.loss, 1.0)), float(eval_loss(spec.loss, 0.0)),
+                     math.sqrt(h), c=c_const)
 
 
 def gen_quad_sigmoid(k: float, eps: float) -> HardInstance:
-    """Sigmoid variant: d = ceil(2 ((k/2) / 50 eps)^2), scale 1/g(0) = 2; atoms on demand."""
+    """Sigmoid variant: d = ceil(2 ((k/2) / 50 eps)^2); atoms on demand."""
     if not 0 < eps <= 0.1:
         raise InvalidInputError("eps must lie in (0, 1/10]")
-    loss = make_loss(SIGMOID)
-    d_formula = 2.0 * ((k / 2.0) / (50.0 * eps)) ** 2
+    d = max(2, _atom_count(2.0 * ((k / 2.0) / (50.0 * eps)) ** 2))
+    spec = ObjectiveSpec(loss=make_loss(SIGMOID), reg=make_reg(L2), k=float(k))
+    h = d // 2
+    x = np.zeros(d)
+    x[:h] = 1.0
     c_const = 1.0 / (1.0 + math.e)
-    return _gen_quad_basis(loss, k, eps, d_formula, QUAD_SIGMOID,
-                           scale=2.0, c_const=c_const)
+    return _gen_quad(QUAD_SIGMOID, spec, eps, partial(np.eye, d), _basis(d, 0), d, x, h,
+                     float(eval_loss(spec.loss, 1.0)), float(eval_loss(spec.loss, 0.0)),
+                     math.sqrt(h), c=c_const)
 
 
 def gen_quad_hinge(k: float, eps: float, reg: str = L2SQ) -> HardInstance:
@@ -198,16 +203,14 @@ def gen_quad_hinge(k: float, eps: float, reg: str = L2SQ) -> HardInstance:
     d = max(3, _atom_count((k / (6.0 * eps)) ** 2) + 1)
     row = np.zeros(d)
     row[[0, d - 1]] = 1.0 / math.sqrt(2.0), 1.0
-    inst = _uniform_basis(partial(_hinge_atoms, d), d - 1, row)
     spec = ObjectiveSpec(loss=make_loss(HINGE), reg=make_reg(reg), k=float(k))
     h = (d - 1) // 2
-    x = np.zeros(d)
-    x[d - 1] = 1.0
+    x = _basis(d, d - 1)
     x[:h] = -1.0 / math.sqrt(h)
-    queries = QuerySet(x[None, :], (TAG_ADVERSARIAL,))
-    params = {"k": float(k), "eps": float(eps), "d": d, "half": h, "reg": reg,
-              "score_kind": NORM_PLUS_1, "convention": MIXTURE}
-    return HardInstance(inst, spec, queries, QUAD_HINGE, params)
+    # ||x||_2^2 = 2: the isolated atoms' margin is 1 - 1/sqrt(2h), the others' 1
+    return _gen_quad(QUAD_HINGE, spec, eps, partial(_hinge_atoms, d), row, d - 1, x, h,
+                     1.0 / math.sqrt(2.0 * h), 0.0, 2.0 if reg == L2SQ else math.sqrt(2.0),
+                     reg=reg)
 
 
 def gen_quad_relu(k: float, eps: float, reg: str = L2SQ) -> HardInstance:
@@ -215,22 +218,18 @@ def gen_quad_relu(k: float, eps: float, reg: str = L2SQ) -> HardInstance:
     the missed half.
 
     The construction's stated regularizer value at the adversarial query is 1
-    for both l2 and l2sq; that nominal value is recorded and used by the
-    failure predicate, making the failing relative error exactly
-    3 eps/(1 + 3 eps).
+    for both l2 and l2sq; the failure predicate uses that nominal value,
+    making the failing relative error exactly 3 eps/(1 + 3 eps).
     """
     if not 0 < eps <= 0.25:
         raise InvalidInputError("eps must lie in (0, 1/4]")
     d = max(2, _atom_count((k / (6.0 * eps)) ** 2))
-    inst = _uniform_basis(partial(np.eye, d), d, _basis(d, 0))
     spec = ObjectiveSpec(loss=make_loss(RELU), reg=make_reg(reg), k=float(k))
     h = d // 2
     x = np.zeros(d)
     x[:h] = -1.0 / math.sqrt(d)
-    queries = QuerySet(x[None, :], (TAG_ADVERSARIAL,))
-    params = {"k": float(k), "eps": float(eps), "d": d, "half": h, "reg": reg,
-              "reg_nominal": 1.0, "score_kind": NORM_PLUS_1, "convention": MIXTURE}
-    return HardInstance(inst, spec, queries, QUAD_RELU, params)
+    return _gen_quad(QUAD_RELU, spec, eps, partial(np.eye, d), _basis(d, 0), d, x, h,
+                     1.0 / math.sqrt(d), 0.0, 1.0, reg=reg)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +244,8 @@ def gen_lin_relu(k: int, reg: str = L1) -> HardInstance:
     atoms = np.vstack([np.eye(k), -np.eye(k)])
     inst = make_instance(atoms)
     spec = ObjectiveSpec(loss=make_loss(RELU), reg=make_reg(reg), k=float(k))
-    s = score_array(NORM_PLUS_1, atoms)
-    plus_mass = float(s[:k].sum())
-    minus_mass = float(s[k:].sum())
-    sigma = 1 if plus_mass <= minus_mass else -1
     queries = QuerySet(-atoms, tuple(TAG_ADVERSARIAL for _ in range(2 * k)))
-    params = {"k": float(k), "sigma": sigma, "reg": reg,
-              "score_kind": NORM_PLUS_1, "convention": SCORE_ONLY}
+    params = {"k": float(k), "reg": reg, "score_kind": NORM_PLUS_1, "convention": SCORE_ONLY}
     return HardInstance(inst, spec, queries, LIN_RELU, params)
 
 
@@ -301,7 +295,7 @@ def gen_coupon_relu(d: int, k: float) -> HardInstance:
     """
     if d < 2:
         raise InvalidInputError("d must be >= 2")
-    inst = _uniform_basis(partial(np.eye, d), _atom_count(d), _basis(d, 0))
+    inst = Instance.on_demand(partial(np.eye, d), np.full(_atom_count(d), 1.0 / d), _basis(d, 0))
     spec = ObjectiveSpec(loss=make_loss(RELU), reg=make_reg(L2SQ), k=float(k))
     alpha = 2.0 * k / (3.0 * d)
     queries = QuerySet((-alpha * _basis(d, 0))[None, :], (TAG_ADVERSARIAL,))
@@ -439,44 +433,24 @@ def _counts_from_samples(hard: HardInstance, samples: Coreset) -> tuple[np.ndarr
 
 
 def _quad_errors(hard: HardInstance, counts: np.ndarray, mean_w: np.ndarray, m: int):
-    """Per-trial (err_x, err_0) for the quadratic constructions.
+    """Per-trial (err_x, err_0) for the quadratic constructions, from their recorded constants.
 
     counts is (trials, n), mean_w (trials,); err_0 is NaN where the origin is
-    flagged (relu: f(0) = 0).
+    flagged (g(0) = 0, so f(0) = 0).
     """
-    inst, spec, params = hard.instance, hard.spec, hard.params
-    n = inst.n
-    h = params["half"]
-    k = spec.k
+    params, n = hard.params, hard.instance.n
+    h, g_hit, g_miss = params["half"], params["g_hit"], params["g_miss"]
     # quadratic constructions have equal scores, so every sample weight equals
     # the per-trial mean weight (canonical or estimate-rescaled alike); cw then
     # sorts like counts, and its h smallest entries are the least-sampled half's
     cw = counts * mean_w[:, None]
     cw_J = np.sort(cw, axis=1)[:, :h].sum(axis=1)
     cw_tot = cw.sum(axis=1)
-    g = lambda r: float(eval_loss(spec.loss, r))
-
-    if hard.kind in (QUAD_LOGISTIC, QUAD_SIGMOID):
-        g_hit, g_zero = g(1.0), g(0.0)
-        f0_x = (h * g_hit + (n - h) * g_zero) / n
-        f_x = f0_x + math.sqrt(h) / k
-        f0hat_x = (cw_J * g_hit + (cw_tot - cw_J) * g_zero) / m
-        err_0 = np.abs(1.0 - mean_w)
-    elif hard.kind == QUAD_HINGE:
-        g_iso = 1.0 / math.sqrt(2.0 * h)
-        f0_x = (h / n) * g_iso
-        reg_val = 2.0 if params["reg"] == L2SQ else math.sqrt(2.0)
-        f_x = f0_x + reg_val / k
-        f0hat_x = cw_J * g_iso / m
-        err_0 = np.abs(1.0 - mean_w)
-    elif hard.kind == QUAD_RELU:
-        g_iso = 1.0 / math.sqrt(n)
-        f0_x = (h / n) * g_iso
-        f_x = f0_x + params["reg_nominal"] / k
-        f0hat_x = cw_J * g_iso / m
-        err_0 = np.full(counts.shape[0], np.nan)
-    else:
-        raise ConfigurationError(f"{hard.kind} has no quadratic adversarial error")
+    # weighted by n's shares, so a zero g_miss adds an exact zero
+    f0_x = (h / n) * g_hit + ((n - h) / n) * g_miss
+    f0hat_x = (cw_J * g_hit + (cw_tot - cw_J) * g_miss) / m
+    f_x = f0_x + params["reg_value"] / hard.spec.k
+    err_0 = np.abs(1.0 - mean_w) if hard.spec.loss.g0 else np.full(counts.shape[0], np.nan)
     return np.abs(f0_x - f0hat_x) / f_x, err_0
 
 

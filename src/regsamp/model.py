@@ -213,11 +213,12 @@ def load_instance(path) -> Instance:
         dim, n = int(header["dim"]), int(header["n"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
         raise DataError(f"{path}: line 1: malformed header") from None
+    if dim < 1 or n < 1:
+        raise DataError(f"{path}: line 1: dim and n must be positive, got {dim} and {n}")
     if len(lines) - 1 != n:
         raise DataError(f"{path}: header announces {n} atoms, found {len(lines) - 1}")
-    atoms = np.empty((n, dim))
-    masses = np.empty(n)
-    for i, line in enumerate(lines[1:], start=2):
+
+    def record(i: int, line: str) -> tuple[np.ndarray, float]:
         try:
             rec = json.loads(line)
             vec = np.asarray(rec["a"], dtype=float)
@@ -226,8 +227,12 @@ def load_instance(path) -> Instance:
             raise DataError(f"{path}: line {i}: malformed atom record") from None
         if vec.shape != (dim,):
             raise DataError(f"{path}: line {i}: atom has dimension {vec.size}, expected {dim}")
-        atoms[i - 2] = vec
-        masses[i - 2] = mass
+        return vec, mass
+
+    record(2, lines[1])  # a record, not the header alone, vouches for dim before sizing
+    atoms, masses = np.empty((n, dim)), np.empty(n)
+    for i, line in enumerate(lines[1:], start=2):
+        atoms[i - 2], masses[i - 2] = record(i, line)
     try:
         return Instance(atoms, masses)
     except InvalidInputError as exc:

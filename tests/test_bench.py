@@ -521,6 +521,23 @@ class TestFailureRateBlocks:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("name", ["lin-relu", "quad-hinge", "coupon-relu"])
+    def test_search_blocks_keep_to_count_cells(self, monkeypatch, name):
+        # a probe's blocks also keep to COUNT_CELLS cells, and splitting them
+        # moves no verdict: m* is the one of the unsplit blocks
+        cfg = verdict_configs()[name]
+        m_star = min_sample_size(cfg)
+        rows, draw = [], bench._draw_counts
+
+        def spy(q, w, m, trials, rng):
+            rows.append(trials)
+            return draw(q, w, m, trials, rng)
+
+        monkeypatch.setattr(bench, "_draw_counts", spy)
+        monkeypatch.setattr(bench, "COUNT_CELLS", 3 * cfg.hard.instance.n)  # 3-row blocks
+        assert min_sample_size(cfg) == m_star
+        assert rows and max(rows) <= 3
+
     def test_blocks_concatenate_to_the_one_shot_block(self):
         hard = gen_quad_hinge(8.0, 0.25)
         q, w, _ = hard.law

@@ -216,6 +216,17 @@ class TestOpt:
         assert proc.stderr.startswith("error: atom entries reach 2^665: the regularizer weight")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("header", ['{"dim": -1, "n": 1}', '{"dim": 1000000000000, "n": 1}'])
+    def test_bad_header_is_one_data_error(self, tmp_path, header):
+        # nothing is sized from the header alone: the second dim is 7.28 TiB of atoms
+        inst_path = tmp_path / "bad.jsonl"
+        inst_path.write_text(header + '\n{"a": [1.0], "p": 1.0}\n')
+        proc = run_cli("opt", "--instance", str(inst_path), "--loss", "logistic",
+                       "--reg", "l2", "--k", "4")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1
+
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     # scipy.optimize adds about 0.3 s to every CLI start; the solvers import it lazily
@@ -397,8 +408,9 @@ class TestMissingFiles:
 
 
 # SHA-256 of each file `gen` wrote for each ROUND_TRIP call (the manifest's
-# "version" line left out) at version 0.4.0, when every construction built
-# its dense atoms up front
+# "version" line left out).  Instances and queries are those of version
+# 0.4.0, when every construction built its dense atoms up front; the
+# manifests are those of version 0.5.0.
 GEN_SHA256 = {
     "instance.jsonl": {
         "lin-relu": "a8ee516e2181210eb18e64fc0ac8c979575306ecf09e0e2d9cc9173fc4d66ef9",
@@ -423,12 +435,12 @@ GEN_SHA256 = {
         "coupon-relu": "7fafb8f2135ef6cd27f7f2775cfeff3c8bab1a73ed81fe3c0ace618fd139e743",
     },
     "manifest.json": {
-        "lin-relu": "11622f7fb257b159e78f3ad267e0d30121fc86c252172d76a9af53fec1bc03e6",
-        "quad-hinge": "79227c2b21a0d5cd75c6bdb773eb24027b7811cae269f462e4e39d33f48bb3df",
+        "lin-relu": "6b1e54e601ab57d1e4369b655f3a7725bb0d25329cd6226bc62ebc1ce2d9de5e",
+        "quad-hinge": "60c10dfd2db666ef68a50ecb88dab82e32bb39f5596ba706eb79c431ff801f7e",
         "moment-curve": "46c8f2de9b12ee569081dbfa0a96385cbee02503ce6e3cbd13694557a00773ca",
-        "quad-logistic": "1de0ed2345612968022155fcec90fc3d7cb76e76d86e20d17158fdd7922566e2",
-        "quad-sigmoid": "29257533f25abfd7ca4e764d32c05df8289a85e664be6ba162154e9abc75ec61",
-        "quad-relu": "55081e31f75349ff94db6790b3febc18b6796ad535c4f282f88c664188d9e25f",
+        "quad-logistic": "8de9552b75ec563fccc3576fb4f0f38765986d23c3980afe876cebaceeb61e82",
+        "quad-sigmoid": "f86f9bd680e6210d55c4dc4a7a32872c50bbba94221ac8ef0244b343fa2e1e84",
+        "quad-relu": "26dffce033ac71ac2c7b5444a28fca0bdc3dbb77b479209d202ebb2c31ef3167",
         "lin-logistic": "ce148d197ce8bd1e262a3b4007acda95419a6de04b1fd744164544a5ef0608c1",
         "lin-sigmoid": "18b36a2ef9ad1908a9d98946a5bd71c12ffb115ae01fa3b11811ac05d9eeb1b0",
         "coupon-relu": "5eaea5acd2cfc88a660385f47e9a308e4470ea48d4af2c5febc3c9e166a02584",

@@ -29,7 +29,7 @@ from regsamp.hardness import (
     isolating_direction,
     reduction_scale,
 )
-from regsamp.losses import L1, L2, L2SQ, eval_loss, make_loss, make_reg
+from regsamp.losses import L1, L2, L2SQ, eval_loss, eval_regularizer, make_loss, make_reg
 from regsamp.objective import full_objective, relative_error
 from regsamp.sampler import (
     Coreset,
@@ -86,7 +86,7 @@ class TestQuadSigmoid:
         hard = gen_quad_sigmoid(20.0, 0.1)
         assert hard.params["c"] == pytest.approx(1.0 / (1.0 + math.e), abs=1e-15)
         assert hard.params["c"] < 0.3
-        assert hard.params["scale"] == 2.0
+        assert hard.params["g_miss"] == 0.5  # g(0), the loss of every missed atom
 
 
 class TestQuadHinge:
@@ -111,8 +111,6 @@ class TestQuadHinge:
     def test_regularizer_value(self):
         hard = gen_quad_hinge(8.0, 1.0 / 6.0, reg=L2SQ)
         x = hard.queries.queries[1]
-        from regsamp.losses import eval_regularizer
-
         assert eval_regularizer(make_reg(L2SQ), x) == pytest.approx(2.0, abs=1e-12)
         assert eval_regularizer(make_reg(L2), x) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
@@ -127,7 +125,7 @@ class TestQuadRelu:
         assert f0 == pytest.approx(1.0 / 12.0, abs=1e-12)
         # with the construction's stated regularizer value the objective is
         # (2 + 6 eps)/(2k) = 0.25
-        f_nominal = f0 + hard.params["reg_nominal"] / hard.spec.k
+        f_nominal = f0 + hard.params["reg_value"] / hard.spec.k
         assert f_nominal == pytest.approx((2.0 + 6.0 * eps) / (2.0 * hard.spec.k), abs=1e-12)
         assert f_nominal == pytest.approx(0.25, abs=1e-12)
 
@@ -146,6 +144,26 @@ class TestQuadRelu:
         hard = gen_quad_relu(4.0, eps)
         samples = sample_atoms(hard, list(range(hard.instance.n)) * 3)
         assert not check_failure(hard, samples, eps).failed
+
+
+QUAD_CASES = [(gen_quad_logistic, {}), (gen_quad_sigmoid, {}),
+              (gen_quad_hinge, {"reg": L2}), (gen_quad_hinge, {"reg": L2SQ}),
+              (gen_quad_relu, {"reg": L2}), (gen_quad_relu, {"reg": L2SQ})]
+
+
+@pytest.mark.parametrize("k", [7.0, 8.0])
+@pytest.mark.parametrize("gen,kwargs", QUAD_CASES)
+def test_recorded_constants_are_the_construction(gen, kwargs, k):
+    # the constants _quad_errors reads instead of the atoms: g at the isolated
+    # and at the other atoms' margins, and the regularizer at the query
+    # (quad-relu's is the construction's nominal 1)
+    hard = gen(k, 0.1, **kwargs)
+    x, h = hard.queries.queries[1], hard.params["half"]
+    g = np.asarray(eval_loss(hard.spec.loss, hard.instance.atoms @ x))
+    assert np.all(np.abs(g[:h] - hard.params["g_hit"]) <= 1e-12)
+    assert np.all(np.abs(g[h:] - hard.params["g_miss"]) <= 1e-12)
+    want = 1.0 if gen is gen_quad_relu else eval_regularizer(hard.spec.reg, x)
+    assert abs(hard.params["reg_value"] - want) <= 1e-12
 
 
 class TestLinRelu:
