@@ -33,6 +33,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BUDGET = 3
 
+# largest count numpy's draws take (int64); larger bench sizes are usage errors
+INT64_MAX = 2 ** 63 - 1
+
 # keys a `bench` config must set and keys it may set, per mode; any other is rejected
 _COMMON = ("mode", "trials", "master_seed", "m_cap", "out")
 BENCH_KEYS = {"failure-rate": (("kind", "eps", "delta", "m_list"),
@@ -158,6 +161,13 @@ def _cmd_bench(args) -> int:
     trials = opts.get("trials", bench.DEFAULT_TRIALS)
     seed = opts.get("master_seed", args.seed)
     m_cap = opts.get("m_cap", bench.DEFAULT_M_CAP)
+    for key, values in (("m_list", opts.get("m_list", [])), ("m_cap", [m_cap]),
+                        ("trials", [trials])):
+        if max(values, default=0) > INT64_MAX:
+            raise InvalidInputError(f"{key!r} must not exceed 2^63 - 1, got {cfg[key]!r}")
+    over = [m for m in opts.get("m_list", ()) if m > m_cap]
+    if over:
+        raise BudgetExceededError(f"'m_list' entries {over} exceed the m cap {m_cap}")
     out = Path(args.out or opts.get("out", "."))
     outputs = []
     warnings = []

@@ -9,7 +9,9 @@ Losses are monotone non-increasing and nonnegative:
 
 Each loss carries its tight Lipschitz constant, the constant used in
 sample-size formulas (clamped to >= 1), g(0), whether |g'| <= g holds
-everywhere, and whether g is positively homogeneous.
+everywhere, and whether g is positively homogeneous.  `expit` is imported
+only where a sigmoid or logistic value needs it, so that the relu and hinge
+paths, and the CLI's start, load no scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InvalidInputError
 
@@ -84,6 +85,8 @@ def eval_loss(loss: LossSpec, r):
     if loss.kind == LOGISTIC:
         v = np.logaddexp(0.0, -r)
     elif loss.kind == SIGMOID:
+        from scipy.special import expit
+
         v = expit(-r)
     elif loss.kind == HINGE:
         v = np.maximum(0.0, 1.0 - r)
@@ -98,8 +101,12 @@ def eval_loss_derivative(loss: LossSpec, r):
     """Evaluate g'(r); at hinge r=1 and relu r=0 kinks returns the left derivative -1."""
     r = np.asarray(r, dtype=float)
     if loss.kind == LOGISTIC:
+        from scipy.special import expit
+
         v = -expit(-r)
     elif loss.kind == SIGMOID:
+        from scipy.special import expit
+
         v = -expit(r) * expit(-r)
     elif loss.kind == HINGE:
         v = np.where(r <= 1.0, -1.0, 0.0)

@@ -23,6 +23,8 @@ from .losses import LossSpec, RegSpec
 MASS_TOL = 1e-12
 # most cells of an atom matrix a hard construction builds (256 MB of float64)
 MAX_DENSE_CELLS = 2 ** 25
+# atom entries load_instance parses at once, a few hundred KB as Python objects
+RECORD_CELLS = 2 ** 12
 
 
 class Instance:
@@ -203,7 +205,12 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    """Read and validate the JSONL instance format written by save_instance."""
+    """Read and validate the JSONL instance format written by save_instance.
+
+    Atom records are parsed in blocks of at most RECORD_CELLS entries; a block
+    that does not parse at once is read line by line, which names the first
+    bad line.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -223,17 +230,45 @@ def load_instance(path) -> Instance:
             rec = json.loads(line)
             vec = np.asarray(rec["a"], dtype=float)
             mass = float(rec["p"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             raise DataError(f"{path}: line {i}: malformed atom record") from None
         if vec.shape != (dim,):
             raise DataError(f"{path}: line {i}: atom has dimension {vec.size}, expected {dim}")
         return vec, mass
 
-    record(2, lines[1])  # a record, not the header alone, vouches for dim before sizing
-    atoms, masses = np.empty((n, dim)), np.empty(n)
-    for i, line in enumerate(lines[1:], start=2):
-        atoms[i - 2], masses[i - 2] = record(i, line)
+    atoms = masses = None
+    rows = max(1, RECORD_CELLS // dim)
+    for lo in range(0, n, rows):
+        block = lines[1 + lo:1 + lo + rows]
+        parsed = _records(block, dim)
+        if parsed is None:
+            vecs, ps = zip(*(record(i, line) for i, line in enumerate(block, start=2 + lo)))
+            parsed = np.array(vecs), np.array(ps)
+        if atoms is None:  # a parsed block, not the header alone, vouches for dim
+            atoms, masses = np.empty((n, dim)), np.empty(n)
+        atoms[lo:lo + len(block)], masses[lo:lo + len(block)] = parsed
     try:
         return Instance(atoms, masses)
     except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _records(lines: list[str], dim: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(atoms, masses) of a block of atom records read at once, or None on any bad line.
+
+    Each line must hold exactly one JSON value, which `raw_decode` shows by
+    ending where the line does, so no value can span lines.  The conversions
+    are those of `load_instance`'s line-by-line check, so the arrays are too.
+    """
+    try:
+        recs, ends = zip(*map(_DECODER.raw_decode, lines))
+        if list(ends) != list(map(len, lines)):
+            return None
+        atoms = np.array([rec["a"] for rec in recs], dtype=float)
+        masses = np.array([float(rec["p"]) for rec in recs])
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return (atoms, masses) if atoms.shape == (len(lines), dim) else None

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     ApplicabilityError,
@@ -354,6 +353,8 @@ def _dual_value(loss, reg, A, p, u, lam) -> float:
     ball of radius lam, so u is first scaled into it; for l2sq it is
     |.|^2 / (4 lam).
     """
+    from scipy.special import xlogy
+
     u = np.clip(u, -1.0, 0.0)
     z = (p * u) @ A
     penalty = 0.0

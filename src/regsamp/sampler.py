@@ -52,8 +52,11 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator for stream `key` of a master seed.
 
     Streams are independent of scheduling: the same (seed, key) always
-    yields the same draws, regardless of how many other streams exist.
+    yields the same draws, regardless of how many other streams exist.  A
+    negative seed raises InvalidInputError.
     """
+    if int(master_seed) < 0:
+        raise InvalidInputError(f"a seed must be a non-negative integer, got {master_seed}")
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(v) for v in key))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -235,9 +238,16 @@ class SEstimate:
 
 def draw_iid(instance: "Instance", kind: str, m: int, seed: int,
              convention: str = MIXTURE, D: float | None = None) -> Coreset:
-    """m i.i.d. categorical draws from the sampling distribution, with exact weights."""
+    """m i.i.d. categorical draws from the sampling distribution, with exact weights.
+
+    Raises BudgetExceededError, before drawing, when the m drawn atoms would
+    take more than `model.MAX_DENSE_CELLS` cells.
+    """
+    from .model import dense_budget  # model imports this module
+
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
+    dense_budget(m, instance.dim)
     q, w, s = _law(instance.masses, kind, convention, instance.score_input(kind), D=D)
     idx = CategoricalSampler(q).draw(derive_rng(seed), m)
     return Coreset(idx, instance.atoms[idx], w[idx], s[idx])

@@ -124,6 +124,26 @@ class TestSample:
         assert proc.returncode == 2
         assert proc.stderr == "error: sampling probabilities sum to nan, not 1\n"
 
+    def test_negative_seed_is_one_usage_error(self, tmp_path, capsys):
+        out = gen_lin_relu_dir(tmp_path)
+        capsys.readouterr()
+        assert run("sample", "--instance", str(out / "instance.jsonl"), "--m", "3",
+                   "--seed", "-1", "--out", str(tmp_path / "s" / "x.jsonl")) == 1
+        assert capsys.readouterr().err == "error: a seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "s").exists()
+
+    def test_sample_past_the_dense_budget_is_refused(self, tmp_path, capsys):
+        # 10^15 drawn 2-dim atoms are 7.11 PiB of indices alone; nothing is drawn
+        inst_path = tmp_path / "one.jsonl"
+        inst_path.write_text('{"dim": 2, "n": 1}\n{"a": [1.0, 1.0], "p": 1.0}\n')
+        assert run("sample", "--instance", str(inst_path), "--m", "1000000000000000",
+                   "--out", str(tmp_path / "s" / "x.jsonl")) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget error: 1000000000000000 x 2 atoms take ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "s").exists()
+
 
 class TestEval:
     def test_exhaustive_sample_passes(self, tmp_path):
@@ -227,14 +247,56 @@ class TestOpt:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1
 
+    def test_negative_seed_is_one_usage_error(self, tmp_path, capsys):
+        # only sigmoid's restarts draw from the seed
+        out = gen_lin_relu_dir(tmp_path, k=4)
+        capsys.readouterr()
+        assert run("opt", "--instance", str(out / "instance.jsonl"), "--loss", "sigmoid",
+                   "--reg", "l2", "--k", "4", "--restarts", "2", "--seed", "-1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a seed must be a non-negative integer, got -1\n"
+
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    # scipy.optimize adds about 0.3 s to every CLI start; the solvers import it lazily
+    # scipy adds about 0.2 s to every CLI start; the solvers and the sigmoid and
+    # logistic derivatives import what they use of it where they use it
     env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, regsamp.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, regsamp.cli; print([m for m in sys.modules if m.startswith('scipy')])"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
+
+
+NO_SCIPY_RUN = """
+import json, sys
+from pathlib import Path
+from regsamp.cli import main
+
+out = Path(sys.argv[1])
+assert main(["gen", "--kind", "lin-relu", "--k", "8", "--out", str(out / "g")]) == 0
+assert main(["gen", "--kind", "quad-hinge", "--k", "4", "--eps", "0.25",
+             "--out", str(out / "q")]) == 0
+configs = {"fr": {"mode": "failure-rate", "kind": "coupon-relu", "params": {"d": 16, "k": 8},
+                  "eps": 0.25, "delta": 0.2, "trials": 20, "m_list": [16, 64]},
+           "sc": {"mode": "scaling", "kind": "lin-relu", "k_list": [4, 8, 16],
+                  "eps": 0.3, "delta": 0.25, "trials": 20}}
+for name, cfg in configs.items():
+    (out / f"{name}.json").write_text(json.dumps(cfg))
+    assert main(["bench", "--config", str(out / f"{name}.json"), "--out", str(out / name)]) == 0
+assert main(["sample", "--instance", str(out / "g" / "instance.jsonl"), "--m", "20",
+             "--out", str(out / "s.jsonl")]) == 0
+print([m for m in sys.modules if m.startswith("scipy")])
+"""
+
+
+def test_gen_bench_and_sample_load_no_scipy(tmp_path):
+    # relu and hinge instances, failure rates, the m* search and sampling need numpy alone
+    env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestBench:
@@ -496,6 +558,40 @@ class TestSizeBudgets:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run("bench", "--config", str(cfg_path), "--out", str(tmp_path / "x" / "b")) == 3
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("m", [2 ** 62, 2_000_001])
+    def test_failure_rate_m_past_the_cap_is_refused(self, tmp_path, capsys, m):
+        # the cap holds in both modes; 2^62 used to run, and nothing is drawn now
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**FAILURE_RATE, "m_list": [16, m]}))
+        assert run("bench", "--config", str(cfg_path), "--out", str(tmp_path / "x" / "b")) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"budget error: 'm_list' entries [{m}] exceed the m cap 2000000\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("cfg,key", [
+        ({**FAILURE_RATE, "m_list": [10 ** 30]}, "m_list"),
+        ({**FAILURE_RATE, "m_cap": 10 ** 30}, "m_cap"),
+        ({**SCALING, "m_cap": 2 ** 63}, "m_cap"),
+        ({**FAILURE_RATE, "trials": 2 ** 63}, "trials"),
+    ], ids=["m_list", "m_cap", "scaling-m_cap", "trials"])
+    def test_sizes_past_int64_are_usage_errors(self, tmp_path, capsys, cfg, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {key!r} must not exceed 2^63 - 1")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("cfg", [FAILURE_RATE, SCALING], ids=["failure-rate", "scaling"])
+    def test_negative_master_seed_is_one_usage_error(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, "master_seed": -1}))
+        assert run("bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err == "error: a seed must be a non-negative integer, got -1\n"
         assert not (tmp_path / "x").exists()
 
     def test_bench_failure_rate_at_a_million_atoms(self, tmp_path):

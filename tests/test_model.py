@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regsamp import model
 from regsamp.errors import DataError, InvalidInputError
 from regsamp.losses import L1, LOGISTIC, make_loss, make_reg
 from regsamp.model import (
@@ -110,6 +111,44 @@ class TestInstanceIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"dim": 1, "n": 2}\n{"a": [1.0], "p": 0.9}\n{"a": [2.0], "p": 0.9}\n')
         with pytest.raises(DataError):
+            load_instance(path)
+
+    @pytest.mark.parametrize("dim,body,line,what", [
+        (1, '{"a": [1.0], "p": 0.5}, {"a": [2.0], "p": 0.5}\n{"a": [3.0], "p": 0.5}\n',
+         2, "malformed atom record"),
+        # two lines that read as one list of two records once joined by a comma
+        (2, '{"a": [1.0, 2.0], "p": 0.5}, {"a": [1.0\n2.0], "p": 0.5}\n', 2,
+         "malformed atom record"),
+        (1, '{"a": [1.0], "p": 0.5}\n{"a": [2.0], "p": null}\n', 3, "malformed atom record"),
+        (1, '{"a": [1.0], "p": 0.5}\n{"a": [1' + "0" * 400 + '], "p": 0.5}\n', 3,
+         "malformed atom record"),
+        (1, '{"a": [1.0], "p": 0.5}\n{"a": [[2.0]], "p": 0.5}\n', 3,
+         "atom has dimension 1, expected 1"),
+    ], ids=["two-records-one-line", "record-across-lines", "null-mass", "int-past-float",
+            "nested-atom"])
+    def test_bad_record_names_its_line(self, tmp_path, dim, body, line, what):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f'{{"dim": {dim}, "n": 2}}\n' + body)
+        with pytest.raises(DataError) as info:
+            load_instance(path)
+        assert str(info.value) == f"{path}: line {line}: {what}"
+
+    def test_blocks_of_records_load_the_same(self, tmp_path, monkeypatch):
+        # blocks of 2 lines of 3 entries: a spaced line falls to the line-by-line
+        # read in the second block, and a bad line in the third is named
+        inst = gaussian_instance(7, 3, seed=5, uniform_masses=False)
+        path = tmp_path / "inst.jsonl"
+        save_instance(inst, path)
+        monkeypatch.setattr(model, "RECORD_CELLS", 6)
+        lines = path.read_text().splitlines()
+        lines[3] = " " + lines[3]
+        path.write_text("\n".join(lines) + "\n")
+        back = load_instance(path)
+        assert np.array_equal(back.atoms, inst.atoms)
+        assert np.array_equal(back.masses, inst.masses)
+        lines[6] = lines[6].replace('"p"', '"q"')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r": line 7: malformed atom record$"):
             load_instance(path)
 
     def test_header_count_mismatch(self, tmp_path):
