@@ -6,7 +6,7 @@ reservoir sampling, stress them against adversarial hard instances, and
 measure empirical sample-complexity scaling.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .bench import (
     ScalingCurve,
@@ -32,7 +32,6 @@ from .hardness import (
     gen_quad_relu,
     gen_quad_sigmoid,
     isolating_direction,
-    load_hard_instance,
     reduction_scale,
 )
 from .losses import (
@@ -62,7 +61,6 @@ from .objective import (
     build_query_set,
     estimate_opt,
     evaluate,
-    exhaustive_sample,
     full_objective,
     max_relative_error,
     opt_lower_bound,

@@ -172,15 +172,21 @@ def _probe_failures(cfg: TrialConfig, m: int, k_fail: int) -> int:
 
 
 def min_sample_size(cfg: TrialConfig, delta: float | None = None) -> int:
-    """Smallest tested m whose Wilson upper bound on the failure rate is <= delta.
+    """Smallest accepted m, to a resolution of m/64: the minimal sample size m*.
 
-    Doubling search followed by binary search; an m is accepted only if the
-    bound also holds at 2m (guards non-monotone noise).  Each probe stops
-    drawing trials once its verdict is fixed, so m* is the one a full-trial
-    `failure_rate` search finds.  Exceeding the configured m cap raises a
-    budget error whose partial table maps each probed m to the Wilson upper
-    bound of the failures seen, over all trials: exact for a probe that ran
-    every trial, otherwise a lower bound already on its verdict's side of delta.
+    An m is accepted when the Wilson upper bound on its failure rate is
+    <= delta, and also at 2m (guards non-monotone noise).  Doubling search
+    followed by binary search, which stops once hi - lo <= hi // 64 and
+    returns hi, an accepted m; unless hi = 1, lo - 1 >= hi - hi // 64 - 1
+    was rejected.  Finer steps are below the Monte Carlo noise of a verdict;
+    below 64 the step is 0, so such an m* is the exact bisection's.
+
+    Each probe stops drawing trials once its verdict is fixed, so m* is the
+    one a full-trial `failure_rate` search finds.  Exceeding the configured
+    m cap raises a budget error whose partial table maps each probed m to
+    the Wilson upper bound of the failures seen, over all trials: exact for
+    a probe that ran every trial, otherwise a lower bound already on its
+    verdict's side of delta.
     """
     delta = cfg.delta if delta is None else delta
     k_fail = _fail_threshold(cfg.trials, delta)
@@ -201,7 +207,7 @@ def min_sample_size(cfg: TrialConfig, delta: float | None = None) -> int:
             raise BudgetExceededError(
                 f"no accepted sample size below the cap {cfg.m_cap}", partial=rates)
     lo, hi = m // 2 + 1, m
-    while lo < hi:
+    while hi - lo > hi // 64:
         mid = (lo + hi) // 2
         if accept(mid):
             hi = mid
@@ -219,16 +225,21 @@ def fit_loglog_slope(ks, ms) -> float:
 
 
 def _bootstrap_slope_ci(points, seed: int, resamples: int = 200) -> tuple[float, float]:
-    ks = np.array([p[0] for p in points], dtype=float)
-    ms = np.array([p[1] for p in points], dtype=float)
-    rng = derive_rng(seed, 0xB007)
-    slopes = []
-    for _ in range(resamples):
-        idx = rng.integers(0, ks.size, size=ks.size)
-        if np.unique(ks[idx]).size < 2:
-            continue
-        slopes.append(fit_loglog_slope(ks[idx], ms[idx]))
-    if not slopes:
+    """2.5th and 97.5th percentiles of the log-log slope over case resamples of points.
+
+    All resamples are drawn at once from the stream (seed, 0xB007) and fitted
+    by the closed-form centred least-squares slope; a resample whose log k has
+    no spread has no slope and is dropped.  NaNs when every resample is dropped.
+    """
+    x = np.log(np.array([p[0] for p in points], dtype=float))
+    y = np.log(np.array([p[1] for p in points], dtype=float))
+    idx = derive_rng(seed, 0xB007).integers(0, x.size, size=(resamples, x.size))
+    xs, ys = x[idx], y[idx]
+    spread = np.any(xs != xs[:, :1], axis=1)
+    xc = xs[spread] - xs[spread].mean(axis=1, keepdims=True)
+    yc = ys[spread] - ys[spread].mean(axis=1, keepdims=True)
+    slopes = (xc * yc).sum(axis=1) / (xc * xc).sum(axis=1)
+    if slopes.size == 0:
         return (float("nan"), float("nan"))
     return (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5)))
 

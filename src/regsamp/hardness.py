@@ -658,19 +658,3 @@ def check_failure(hard: HardInstance, samples: Coreset, eps: float) -> FailureVe
         return FailureVerdict(False, None, counts, float(thresh.max()))
     j = int(violated[0])
     return FailureVerdict(True, entry.witness(hard, counts, j), counts, float(thresh[j]))
-
-
-def load_hard_instance(manifest_path) -> HardInstance:
-    """Rebuild a hard instance from a generation manifest.
-
-    Regeneration re-runs every construction-time verification (dimension
-    formulas, isolation sign patterns), so a loaded instance is re-checked.
-    """
-    import json
-
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    config = manifest.get("config", manifest)
-    kind, params = config["kind"], config["params"]
-    return generate(kind, **{name: params[name] for name in kind_params(kind)
-                             if name in params})

@@ -39,7 +39,7 @@ from .losses import (
     eval_regularizer,
 )
 from .model import Constants, Instance, ObjectiveSpec, scale_exponent
-from .sampler import Coreset, derive_rng, score_array
+from .sampler import Coreset, derive_rng
 
 TAG_ADVERSARIAL = "adversarial"
 TAG_GAUSSIAN = "random-gaussian"
@@ -113,12 +113,6 @@ def full_objective(instance: Instance, spec: ObjectiveSpec, x) -> tuple[float, f
     """(f0, f) at x over the full instance."""
     f0, r = evaluate(instance.atoms, instance.masses, spec, [x])
     return float(f0[0]), float(f0[0] + r[0])
-
-
-def exhaustive_sample(instance: Instance, kind: str = "norm") -> Coreset:
-    """Enumerate each atom once with weight n*p_i, so the coreset objective is exact."""
-    return Coreset(np.arange(instance.n), instance.atoms, instance.n * instance.masses,
-                   score_array(kind, instance.atoms))
 
 
 def relative_errors(instance: Instance, spec: ObjectiveSpec, samples: Coreset, X) -> np.ndarray:
@@ -491,7 +485,7 @@ def load_queries(path, dim: int | None = None) -> QuerySet:
             rec = json.loads(line)
             x = np.asarray(rec["x"], dtype=float)
             tag = str(rec.get("tag", TAG_GRID))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             raise DataError(f"{path}: line {i}: malformed query record") from None
         if dim is not None and x.size != dim:
             raise DataError(f"{path}: line {i}: query dimension {x.size}, expected {dim}")

@@ -378,7 +378,7 @@ def load_samples(path) -> Coreset:
                 rec = json.loads(line)
                 rows.append((int(rec["atom_index"]), [float(v) for v in rec["a"]],
                              float(rec["w"]), float(rec["s"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
                 raise DataError(f"{path}: line {i}: malformed sample record") from None
     if not rows:
         raise DataError(f"{path}: empty sample file")

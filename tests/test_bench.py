@@ -227,8 +227,9 @@ class TestMinSampleSize:
         assert stopped_early
 
 
-def reference_min_sample_size(cfg):
-    """The m* search on full-trial failure rates: doubling, then bisection."""
+def reference_min_sample_size(cfg, exact=False):
+    """The m* search on full-trial failure rates: doubling, then bisection
+    until hi - lo <= hi // 64, or until hi == lo when exact."""
     def accept(m):
         return all(failure_rate(cfg, v)[1][1] <= cfg.delta for v in (m, 2 * m))
 
@@ -236,7 +237,7 @@ def reference_min_sample_size(cfg):
     while not accept(m):
         m *= 2
     lo, hi = m // 2 + 1, m
-    while lo < hi:
+    while hi - lo > (0 if exact else hi // 64):
         mid = (lo + hi) // 2
         if accept(mid):
             hi = mid
@@ -329,6 +330,35 @@ class TestVerdictProbes:
         assert len(keys) == len(set(keys))
         assert sum(rows) < 0.75 * cfg.trials * len(keys)
 
+    def test_search_is_the_exact_bisection_to_a_64th(self):
+        # the exact bisection goes on from where the search stops, so it can
+        # only lower hi, by at most hi - lo <= hi // 64, which is 0 below 64
+        pairs = [(min_sample_size(cfg), reference_min_sample_size(cfg, exact=True))
+                 for cfg in verdict_configs().values()]
+        for m_star, exact in pairs:
+            assert exact <= m_star <= exact + m_star // 64
+        assert any(m_star < 64 for m_star, _ in pairs)
+        assert any(m_star > exact for m_star, exact in pairs)
+
+    @pytest.mark.parametrize("name", ["lin-relu", "coupon-relu"])
+    def test_above_64_hi_is_accepted_next_to_a_rejected_size(self, monkeypatch, name):
+        cfg = verdict_configs()[name]
+        k_fail = bench._fail_threshold(cfg.trials, cfg.delta)
+        passed, probe = {}, bench._probe_failures
+
+        def spy(cfg, m, k_fail):
+            failures = probe(cfg, m, k_fail)
+            passed[m] = failures < k_fail
+            return failures
+
+        monkeypatch.setattr(bench, "_probe_failures", spy)
+        hi = min_sample_size(cfg)
+        assert hi >= 64
+        assert passed[hi] and passed[2 * hi]
+        # a passed m is probed at 2m too, so an m is rejected when m or 2m failed
+        rejected = [m for m in passed if not (passed[m] and passed.get(2 * m, True))]
+        assert any(hi - hi // 64 - 1 <= m < hi for m in rejected)
+
     def test_random_queries_decide_the_search(self):
         cfg = verdict_configs()["plus-random-logistic"]
         adversarial = replace(cfg, query_policy=bench.ADVERSARIAL_ONLY)
@@ -371,6 +401,40 @@ class TestScalingCurve:
         scaling_curve("quad-relu", [8.2, 8.7, 9.0], eps=0.25, delta=0.2, seed=0)
         assert sorted(seeds) == [8.2, 8.7, 9.0]
         assert len(set(seeds.values())) == 3
+
+    @staticmethod
+    def polyfit_bootstrap(points, seed, resamples=200):
+        """One np.polyfit per resample; also counts the resamples without spread in k."""
+        ks = np.array([p[0] for p in points], dtype=float)
+        ms = np.array([p[1] for p in points], dtype=float)
+        rng = derive_rng(seed, 0xB007)
+        slopes, dropped = [], 0
+        for _ in range(resamples):
+            idx = rng.integers(0, ks.size, size=ks.size)
+            if np.unique(ks[idx]).size < 2:
+                dropped += 1
+                continue
+            slopes.append(np.polyfit(np.log(ks[idx]), np.log(ms[idx]), 1)[0])
+        if not slopes:
+            return (float("nan"), float("nan")), dropped
+        return (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5))), dropped
+
+    @pytest.mark.parametrize("points,some_dropped", [
+        (((8.0, 151), (16.0, 317), (32.0, 668)), True),
+        (((8.0, 190), (16.0, 390), (32.0, 1050), (64.0, 2414)), True),
+        (((4.0, 12), (4.0, 15), (8.0, 33), (16.0, 70), (16.0, 61)), True),
+        (tuple((float(k), m) for k, m in zip([8, 16] * 6, range(40, 52))), False)])
+    def test_batched_bootstrap_matches_polyfit_per_resample(self, points, some_dropped):
+        for seed in (0, 3, 13, 2**40):
+            ref, dropped = self.polyfit_bootstrap(points, seed)
+            assert (dropped > 0) == some_dropped
+            lo, hi = bench._bootstrap_slope_ci(points, seed)
+            assert abs(lo - ref[0]) <= 1e-12 and abs(hi - ref[1]) <= 1e-12
+
+    def test_bootstrap_without_spread_in_k_is_nan(self):
+        points = ((8.0, 40), (8.0, 44), (8.0, 47))
+        assert all(math.isnan(v) for v in self.polyfit_bootstrap(points, 5)[0])
+        assert all(math.isnan(v) for v in bench._bootstrap_slope_ci(points, 5))
 
     def test_small_linear_family_curve(self):
         curve = scaling_curve("lin-relu", [4, 8, 16], eps=0.3, delta=0.25,

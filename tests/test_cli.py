@@ -9,8 +9,10 @@ import pytest
 
 import regsamp
 from regsamp.cli import main
+from regsamp.hardness import generate, kind_params
 from regsamp.model import load_instance
 from regsamp.objective import load_queries
+from regsamp.sampler import Coreset, save_samples
 
 
 def run(*argv):
@@ -21,6 +23,19 @@ def gen_lin_relu_dir(tmp_path, k=8):
     out = tmp_path / f"h{k}"
     assert run("gen", "--kind", "lin-relu", "--k", str(k), "--out", str(out)) == 0
     return out
+
+
+def save_exhaustive_sample(instance, path):
+    """Each atom once with weight n*p_i, so the sample's objective is exact."""
+    n = instance.n
+    save_samples(Coreset(np.arange(n), instance.atoms, n * instance.masses, np.ones(n)), path)
+
+
+def regenerate(manifest_path):
+    """The hard instance a `gen` manifest records, generated again from its parameters."""
+    config = json.loads(Path(manifest_path).read_text())["config"]
+    kind, params = config["kind"], config["params"]
+    return generate(kind, **{name: params[name] for name in kind_params(kind) if name in params})
 
 
 class TestGen:
@@ -148,11 +163,7 @@ class TestSample:
 class TestEval:
     def test_exhaustive_sample_passes(self, tmp_path):
         out = gen_lin_relu_dir(tmp_path, k=4)
-        inst = load_instance(out / "instance.jsonl")
-        from regsamp.objective import exhaustive_sample
-        from regsamp.sampler import save_samples
-
-        save_samples(exhaustive_sample(inst), tmp_path / "ex.jsonl")
+        save_exhaustive_sample(load_instance(out / "instance.jsonl"), tmp_path / "ex.jsonl")
         report_path = tmp_path / "report.json"
         assert run("eval", "--instance", str(out / "instance.jsonl"),
                    "--sample", str(tmp_path / "ex.jsonl"),
@@ -170,7 +181,6 @@ class TestEval:
         inst = load_instance(out / "instance.jsonl")
         from regsamp.hardness import check_failure, gen_coupon_relu
         from regsamp.objective import QuerySet, save_queries
-        from regsamp.sampler import Coreset, save_samples
 
         hard = gen_coupon_relu(8, 6.0)
         miss = [1, 2, 3, 4, 5, 6, 7]
@@ -195,16 +205,33 @@ class TestEval:
         out = gen_lin_relu_dir(tmp_path, k=4)
         other = tmp_path / "other.jsonl"
         other.write_text('{"dim": 2, "n": 1}\n{"a": [1.0, 0.0], "p": 1.0}\n')
-        from regsamp.objective import exhaustive_sample
-        from regsamp.sampler import save_samples
-
-        inst = load_instance(out / "instance.jsonl")
-        save_samples(exhaustive_sample(inst), tmp_path / "ex.jsonl")
+        save_exhaustive_sample(load_instance(out / "instance.jsonl"), tmp_path / "ex.jsonl")
         assert run("eval", "--instance", str(other),
                    "--sample", str(tmp_path / "ex.jsonl"),
                    "--queries", str(out / "queries.jsonl"),
                    "--loss", "relu", "--reg", "l1", "--k", "4",
                    "--eps", "0.25") == 2
+
+    @pytest.mark.parametrize("which,record,what", [
+        ("sample", '{"atom_index": 0, "a": [1%s, 0.0, 0.0, 0.0], "w": 1.0, "s": 1.0}', "sample"),
+        ("queries", '{"x": [1%s, 0.0, 0.0, 0.0], "tag": "grid"}', "query")],
+        ids=["sample", "queries"])
+    def test_number_past_float_range_is_one_data_error(self, tmp_path, capsys, which,
+                                                       record, what):
+        # json reads 1 followed by 400 zeros as an int that no float holds
+        out = gen_lin_relu_dir(tmp_path, k=4)
+        files = {"sample": tmp_path / "ex.jsonl", "queries": out / "queries.jsonl"}
+        save_exhaustive_sample(load_instance(out / "instance.jsonl"), files["sample"])
+        bad = files[which]
+        good = bad.read_text().splitlines(keepends=True)
+        bad.write_text(good[0] + record % ("0" * 400) + "\n" + "".join(good[1:]))
+        capsys.readouterr()
+        assert run("eval", "--instance", str(out / "instance.jsonl"),
+                   "--sample", str(files["sample"]), "--queries", str(files["queries"]),
+                   "--loss", "relu", "--reg", "l1", "--k", "4", "--eps", "0.25",
+                   "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {bad}: line 2: malformed {what} record\n"
 
 
 class TestOpt:
@@ -431,11 +458,9 @@ class TestManifestRoundTrip:
 
     @pytest.mark.parametrize("args,kind", ROUND_TRIP)
     def test_regenerate_from_manifest(self, tmp_path, args, kind):
-        from regsamp.hardness import load_hard_instance
-
         out = tmp_path / "gen"
         assert run("gen", *args, "--out", str(out)) == 0
-        hard = load_hard_instance(out / "manifest.json")
+        hard = regenerate(out / "manifest.json")
         assert hard.kind == kind
         disk = load_instance(out / "instance.jsonl")
         assert np.allclose(hard.instance.atoms, disk.atoms)
@@ -445,8 +470,6 @@ class TestManifestRoundTrip:
         assert hard.spec.k == config["k"] and hard.spec.reg.kind == config["reg"]
 
     def test_moment_curve_t_values_survive(self, tmp_path):
-        from regsamp.hardness import load_hard_instance
-
         out = tmp_path / "gen"
         assert run("gen", "--kind", "moment-curve", "--n", "5", "--d", "2",
                    "--out", str(out)) == 0
@@ -455,7 +478,7 @@ class TestManifestRoundTrip:
         t_values = [0.5, 1.25, 2.0, 3.5, 5.0]
         manifest["config"]["params"]["t_values"] = t_values
         path.write_text(json.dumps(manifest))
-        hard = load_hard_instance(path)
+        hard = regenerate(path)
         assert hard.params["t_values"].tolist() == t_values
         assert hard.instance.atoms[:, 1].tolist() == t_values
 

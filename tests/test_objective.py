@@ -33,7 +33,6 @@ from regsamp.objective import (
     build_query_set,
     estimate_opt,
     evaluate,
-    exhaustive_sample,
     full_objective,
     max_relative_error,
     opt_lower_bound,
@@ -42,11 +41,17 @@ from regsamp.objective import (
     relative_errors,
     sensitivity,
 )
-from regsamp.sampler import Coreset, draw_iid
+from regsamp.sampler import Coreset, draw_iid, score_array
 
 
 def spec_of(loss, reg, k):
     return ObjectiveSpec(make_loss(loss), make_reg(reg), k)
+
+
+def exhaustive_sample(instance):
+    """Each atom once with weight n*p_i, so the coreset objective is exact."""
+    return Coreset(np.arange(instance.n), instance.atoms, instance.n * instance.masses,
+                   score_array("norm", instance.atoms))
 
 
 class TestFullObjective:
