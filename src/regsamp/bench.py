@@ -251,13 +251,16 @@ def scaling_curve(kind: str, k_list, eps: float, delta: float,
 
     Kinds whose generator takes eps (the quadratic constructions) are sized
     for the curve's eps.  Every k is generated before any is solved, so a bad
-    parameter fails the whole curve at once.  The slope CI is a 200-resample
-    case bootstrap.  Budget failures are recorded per k instead of aborting
-    the curve.
+    parameter, like a repeated k, fails the whole curve at once.  The slope
+    CI is a 200-resample case bootstrap.  Budget failures are recorded per k
+    instead of aborting the curve.
     """
     k_list = sorted(float(k) for k in k_list)
     if len(k_list) < 3:
         raise InvalidInputError("need at least three k values")
+    repeated = sorted({k for k, after in zip(k_list, k_list[1:]) if k == after})
+    if repeated:
+        raise InvalidInputError(f"k_list repeats k = {', '.join(f'{k:g}' for k in repeated)}")
     params = {"eps": eps} if "eps" in kind_params(kind) else {}
     if reg is not None:
         params["reg"] = reg

@@ -172,10 +172,9 @@ def gen_quad_logistic(k: float, eps: float) -> HardInstance:
     h = d // 2
     x = np.zeros(d)
     x[:h] = 1.0
-    c_const = math.log(1.0 + math.exp(-1.0)) / (2.0 * math.log(2.0))
     return _gen_quad(QUAD_LOGISTIC, spec, eps, partial(np.eye, d), _basis(d, 0), d, x, h,
                      float(eval_loss(spec.loss, 1.0)), float(eval_loss(spec.loss, 0.0)),
-                     math.sqrt(h), c=c_const)
+                     math.sqrt(h))
 
 
 def gen_quad_sigmoid(k: float, eps: float) -> HardInstance:
@@ -187,10 +186,9 @@ def gen_quad_sigmoid(k: float, eps: float) -> HardInstance:
     h = d // 2
     x = np.zeros(d)
     x[:h] = 1.0
-    c_const = 1.0 / (1.0 + math.e)
     return _gen_quad(QUAD_SIGMOID, spec, eps, partial(np.eye, d), _basis(d, 0), d, x, h,
                      float(eval_loss(spec.loss, 1.0)), float(eval_loss(spec.loss, 0.0)),
-                     math.sqrt(h), c=c_const)
+                     math.sqrt(h))
 
 
 def gen_quad_hinge(k: float, eps: float, reg: str = L2SQ) -> HardInstance:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     ApplicabilityError,
-    BudgetExceededError,
     DataError,
     DimensionMismatchError,
     InvalidInputError,
@@ -171,11 +170,11 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
 
     relu: the origin, since f >= 0 = f(0).  hinge/l1: an LP (HiGHS).
     hinge/l2sq: the box dual max sum(alpha) - (k/4)|A^T alpha|^2 over
-    0 <= alpha <= p by L-BFGS-B, with x = (k/2) A^T alpha.  hinge/l2: the dual
-    max sum(alpha) over the box and |A^T alpha| <= 1/k by SLSQP, then an exact
-    line search along A^T alpha.  logistic: L-BFGS-B, on x = u - v with
-    u, v >= 0 for l1.  sigmoid, which is not convex: L-BFGS-B from the origin
-    and restarts - 1 Gaussian starts derive_rng(seed, r).
+    0 <= alpha <= p by L-BFGS-B, with x = (k/2) A^T alpha.  hinge/l2: that box
+    dual at the l2sq weight where |A^T alpha| = 1/k, found by a 1-D search,
+    then an exact line search along A^T alpha.  logistic: L-BFGS-B, on
+    x = u - v with u, v >= 0 for l1.  sigmoid, which is not convex: L-BFGS-B
+    from the origin and restarts - 1 Gaussian starts derive_rng(seed, r).
 
     The solvers see the atoms divided by a power of two c >= 1 near their
     largest entry and the regularizer weight 1/(k c^p) of a degree-p
@@ -185,8 +184,7 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
     dual-feasible set; for sigmoid it is the analytic lower bound.  The
     origin is always a candidate, so opt_value <= g(0).  Raises
     OptimizerFailureError when the rescaled weight is below MIN_WEIGHT (l2sq
-    atoms with entries of 2^250 or more) and BudgetExceededError for hinge/l2
-    on more than SLSQP_MAX_ATOMS atoms.
+    atoms with entries of 2^250 or more).
     """
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
@@ -238,11 +236,11 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
 # The least regularizer weight of a rescaled problem: its square, its inverse
 # and |A^T alpha|^2 over four times it stay finite and normal
 MIN_WEIGHT = 2.0 ** -500
-SLSQP_MAX_ATOMS = 1000  # SLSQP keeps a dense O(n^2) workspace
-# L-BFGS-B and HiGHS tolerances, set well below the 1e-6 relative duality gap
-# that verify demands of every convex problem
+# L-BFGS-B and HiGHS tolerances and the gap that ends the hinge/l2 search, set
+# well below the 1e-6 relative duality gap that verify demands of every convex problem
 _LBFGS = {"ftol": 1e-15, "gtol": 1e-14, "maxiter": 15000}
 _HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+_L2_GAP = 1e-7
 
 
 def _finite(res) -> np.ndarray:
@@ -268,44 +266,85 @@ def _hinge_l1(A, p, lam):
 
 
 def _hinge_l2sq(A, p, lam):
-    """Box dual max sum(alpha) - |A^T alpha|^2 / (4 lam) over 0 <= alpha <= p."""
+    """Box dual max sum(alpha) - |A^T alpha|^2 / (4 lam) over 0 <= alpha <= p.
+
+    L-BFGS-B runs on beta = alpha / p in [0, 1]^n (on [0, p] it can stall at a
+    gap near 1e-3), restarted from its stop until a run gains under 1e-12
+    relative: a restart clears its memory, which can also stall on this rank-d
+    quadratic with a projected gradient near 2e-3.
+    """
     from scipy.optimize import Bounds, minimize
 
-    def neg_dual(alpha):
-        z = alpha @ A
-        return z @ z / (4.0 * lam) - alpha.sum(), A @ z / (2.0 * lam) - 1.0
+    def neg_dual(beta):
+        z = (p * beta) @ A
+        return z @ z / (4.0 * lam) - p @ beta, p * (A @ z / (2.0 * lam) - 1.0)
 
-    res = minimize(neg_dual, p / 2.0, jac=True, method="L-BFGS-B", bounds=Bounds(0.0, p),
-                   options=_LBFGS)
-    alpha = _finite(res)
-    return alpha @ A / (2.0 * lam), alpha
+    beta, value = np.full(len(p), 0.5), math.inf
+    for _ in range(8):
+        res = minimize(neg_dual, beta, jac=True, method="L-BFGS-B", bounds=Bounds(0.0, 1.0),
+                       options=_LBFGS)
+        beta, gain, value = _finite(res), value - res.fun, res.fun
+        if gain <= 1e-12 * abs(value):
+            break
+    return (p * beta) @ A / (2.0 * lam), p * beta
 
 
 def _hinge_l2(A, p, lam):
-    """Dual max sum(alpha) s.t. 0 <= alpha <= p, |A^T alpha| <= lam; x along A^T alpha."""
-    from scipy.optimize import Bounds, minimize
+    """Dual max sum(alpha) s.t. 0 <= alpha <= p, |A^T alpha| <= lam; x along A^T alpha.
 
-    n = A.shape[0]
-    if n > SLSQP_MAX_ATOMS:
-        raise BudgetExceededError(
-            f"hinge/l2 solves a dense dual in {n} variables; the limit is {SLSQP_MAX_ATOMS}")
-    ball = {"type": "ineq", "fun": lambda a: lam * lam - (a @ A) @ (a @ A),
-            "jac": lambda a: -2.0 * (A @ (a @ A))}
-    res = minimize(lambda a: (-a.sum(), -np.ones(n)), np.zeros(n), jac=True,
-                   method="SLSQP", bounds=Bounds(0.0, p), constraints=[ball],
-                   options={"ftol": 1e-15, "maxiter": 1000})
-    alpha = np.clip(_finite(res), 0.0, p)
-    z = alpha @ A
-    size = float(np.linalg.norm(z))
-    if size == 0.0:
-        return np.zeros(A.shape[1]), alpha
-    # f(t v) is convex and piecewise linear in t >= 0, with kinks at 1/<a_i, v>;
-    # f(t v) >= lam t > 1 = f(0) beyond t = 1/lam, so kinks past it never win
-    v = z / size
-    m = A @ v
-    t = np.concatenate([[0.0], 1.0 / m[m >= lam]])
-    vals = p @ np.maximum(0.0, 1.0 - np.outer(m, t)) + lam * t
-    return t[int(np.argmin(vals))] * v, alpha
+    This is the l2sq box dual at the weight mu where |A^T alpha(mu)| = lam, a
+    norm that does not decrease in mu: alpha = p above max|a_i| sum(p_i |a_i|)
+    / 2, where every margin is below 1, and the norm is below lam under
+    lam^2 / (4 sum(p)), as f(x) <= f(0) bounds mu |x|^2.  Bisection on log mu,
+    then regula falsi (Illinois) once the norm lies on both sides of lam,
+    stops when the least value along A^T alpha meets the dual value of alpha,
+    or of the mix of the last alphas either side of lam, to _L2_GAP relative,
+    or when the bracket reaches float resolution.
+    """
+    if np.linalg.norm(p @ A) <= lam:
+        return np.zeros(A.shape[1]), p  # alpha = p is optimal, and x = 0 attains its value
+    norms = np.linalg.norm(A, axis=1)
+    lo, hi = math.log(lam * lam / (4.0 * p.sum())), math.log(norms.max() * (p @ norms) / 2.0)
+    s, alpha, primal, dual, last, ends = hi, p, math.inf, -math.inf, None, {}
+    for _ in range(100):  # the bracket reaches float resolution sooner
+        z = alpha @ A
+        size = float(np.linalg.norm(z))
+        t, value = _kink_minimum(A @ (z / size), p, lam) if size > 0.0 else (0.0, math.inf)
+        if value < primal:
+            primal, x = value, t / size * z
+        side, g = size > lam, math.log(size / lam) if size > 0.0 else -math.inf
+        if len(ends) == 2 and last == side:
+            ends[not side][1] *= 0.5  # Illinois: the other end was kept twice
+        ends[side], last, mixes = [s, g, size, alpha], side, [alpha]
+        if len(ends) == 2:  # theta n_in + (1 - theta) n_out = lam bounds the mix's norm
+            (s_out, g_out, n_out, a_out), (s_in, g_in, n_in, a_in) = ends[True], ends[False]
+            mixes.append(a_out + (n_out - lam) / (n_out - n_in) * (a_in - a_out))
+        for a in mixes:
+            value = float(a.sum()) * min(1.0, lam / max(float(np.linalg.norm(a @ A)), lam))
+            if value > dual:
+                dual, best = value, a
+        if primal - dual <= _L2_GAP * primal:
+            break
+        lo, hi = (lo, s) if side else (s, hi)
+        s = (s_in * g_out - s_out * g_in) / (g_out - g_in) if len(ends) == 2 else math.nan
+        s = s if lo < s < hi else 0.5 * (lo + hi)
+        if not lo < s < hi:
+            break
+        alpha = _hinge_l2sq(A, p, math.exp(s))[1]
+    return x, best
+
+
+def _kink_minimum(m, p, lam):
+    """(t, value) minimising p @ max(0, 1 - t m) + lam t over t >= 0: the slope
+    lam - p @ m rises by p_i m_i at each kink 1/m_i, m_i > 0, so one sort finds
+    the kink where it turns non-negative."""
+    start = float(p @ m) - lam
+    if start <= 0.0:
+        return 0.0, float(p.sum())
+    order = np.argsort(-m)
+    rises = np.cumsum(p[order] * np.maximum(m[order], 0.0))
+    t = 1.0 / m[order[min(int(np.searchsorted(rises, start)), np.count_nonzero(m > 0.0) - 1)]]
+    return t, float(p @ np.maximum(0.0, 1.0 - t * m) + lam * t)
 
 
 _HINGE = {L1: _hinge_l1, L2: _hinge_l2, L2SQ: _hinge_l2sq}
@@ -365,12 +404,9 @@ def _dual_value(loss, reg, A, p, u, lam) -> float:
 def sensitivity(samples: Coreset, instance: Instance, spec: ObjectiveSpec, x) -> np.ndarray:
     """Per-sample fractional contribution w_i g(<a_i, x>) / f(x); all NaN when f(x) = 0."""
     _, f = full_objective(instance, spec, x)
-    out = np.empty(len(samples))
-    # a diagonal coefficient block keeps one row per sample; 256 rows bound its size
-    for lo in range(0, len(samples), 256):
-        rows = slice(lo, lo + 256)
-        out[rows] = evaluate(samples.a[rows], np.diag(samples.w[rows]), spec, [x])[0][:, 0]
-    return out / f if f > 0.0 else np.full(len(samples), np.nan)
+    if not f > 0.0:
+        return np.full(len(samples), np.nan)
+    return samples.w * eval_loss(spec.loss, samples.a @ np.asarray(x, dtype=float)) / f
 
 
 def _ln(v: float) -> float:

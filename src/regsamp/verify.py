@@ -172,7 +172,8 @@ def check_deterministic_lower_bounds() -> CheckResult:
             and np.any(verdict.witness_query != 0)
         # reweighted so the mean weight sits at the adversarial-query value:
         # the violation must then move to the origin
-        half_c = 0.5 + hard.params["c"]
+        # c = g(1) / (2 g(0)), so f0 at the adversarial query is (1/2 + c) g(0)
+        half_c = 0.5 + hard.params["g_hit"] / (2.0 * hard.params["g_miss"])
         s_hat = 2.0 * half_c / (2.0 - half_c)
         skew = weights_from_estimate(miss_half, s_hat)
         verdict = hardness.check_failure(hard, skew, eps_q)

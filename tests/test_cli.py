@@ -393,11 +393,12 @@ class TestBenchBadConfigs:
         ({**SCALING, "trails": 40}, "'trails'"),
         ({**SCALING, "m_list": [16]}, "'m_list'"),
         ({**FAILURE_RATE, "reg": "l1"}, "'reg'"),
+        ({**SCALING, "k_list": [8, 16, 8, 4]}, "repeats k = 8"),
     ], ids=["no-params", "unknown-param", "scaling-without-eps", "params-list",
             "params-wrong-type", "trials-string", "eps-string", "k_list-scalar",
             "config-list", "m_list-string", "m_list-zero", "trials-bool",
             "unknown-query-policy", "non-integral-lin-k", "reg-not-taken",
-            "unknown-key", "m_list-in-scaling", "reg-in-failure-rate"])
+            "unknown-key", "m_list-in-scaling", "reg-in-failure-rate", "repeated-k"])
     def test_one_line_usage_error(self, tmp_path, capsys, cfg, names):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -495,7 +496,8 @@ class TestMissingFiles:
 # SHA-256 of each file `gen` wrote for each ROUND_TRIP call (the manifest's
 # "version" line left out).  Instances and queries are those of version
 # 0.4.0, when every construction built its dense atoms up front; the
-# manifests are those of version 0.5.0.
+# manifests are those of version 0.5.0, apart from quad-logistic's and
+# quad-sigmoid's, which lost params "c" (= g_hit / (2 g_miss)) in 0.7.0.
 GEN_SHA256 = {
     "instance.jsonl": {
         "lin-relu": "a8ee516e2181210eb18e64fc0ac8c979575306ecf09e0e2d9cc9173fc4d66ef9",
@@ -523,8 +525,8 @@ GEN_SHA256 = {
         "lin-relu": "6b1e54e601ab57d1e4369b655f3a7725bb0d25329cd6226bc62ebc1ce2d9de5e",
         "quad-hinge": "60c10dfd2db666ef68a50ecb88dab82e32bb39f5596ba706eb79c431ff801f7e",
         "moment-curve": "46c8f2de9b12ee569081dbfa0a96385cbee02503ce6e3cbd13694557a00773ca",
-        "quad-logistic": "8de9552b75ec563fccc3576fb4f0f38765986d23c3980afe876cebaceeb61e82",
-        "quad-sigmoid": "f86f9bd680e6210d55c4dc4a7a32872c50bbba94221ac8ef0244b343fa2e1e84",
+        "quad-logistic": "3bc0b8a647b902dceda3e8d20b2868b6ef18d0c322a41eff5c2b6cbd71f45732",
+        "quad-sigmoid": "a44da674dde88e175a36a20bc981e0a542a329b1cc46296d161cbc1dc64ceae2",
         "quad-relu": "26dffce033ac71ac2c7b5444a28fca0bdc3dbb77b479209d202ebb2c31ef3167",
         "lin-logistic": "ce148d197ce8bd1e262a3b4007acda95419a6de04b1fd744164544a5ef0608c1",
         "lin-sigmoid": "18b36a2ef9ad1908a9d98946a5bd71c12ffb115ae01fa3b11811ac05d9eeb1b0",

@@ -65,12 +65,16 @@ class TestQuadLogistic:
         assert hard.params["d"] == 8
         x = hard.queries.queries[1]
         _, f = full_objective(hard.instance, hard.spec, x)
-        c = hard.params["c"]
+        c = hard.params["g_hit"] / (2.0 * hard.params["g_miss"])
         assert f / math.log(2.0) == pytest.approx(0.5 + c + 1.0 / (40.0 * eps), abs=1e-12)
 
     def test_c_constant(self):
+        # c = g(1) / (2 g(0)) = ln(1 + 1/e) / (2 ln 2), derived from the recorded losses
         hard = gen_quad_logistic(8.0, 0.05)
-        assert hard.params["c"] == pytest.approx(0.225971, abs=1e-6)
+        assert "c" not in hard.params
+        c = hard.params["g_hit"] / (2.0 * hard.params["g_miss"])
+        assert c == math.log(1.0 + math.exp(-1.0)) / (2.0 * math.log(2.0))
+        assert c == pytest.approx(0.225971, abs=1e-6)
 
     def test_origin_always_in_queries(self):
         hard = gen_quad_logistic(8.0, 0.05)
@@ -84,8 +88,10 @@ class TestQuadSigmoid:
 
     def test_c_constant(self):
         hard = gen_quad_sigmoid(20.0, 0.1)
-        assert hard.params["c"] == pytest.approx(1.0 / (1.0 + math.e), abs=1e-15)
-        assert hard.params["c"] < 0.3
+        assert "c" not in hard.params
+        c = hard.params["g_hit"] / (2.0 * hard.params["g_miss"])
+        assert c == 1.0 / (1.0 + math.e)
+        assert c < 0.3
         assert hard.params["g_miss"] == 0.5  # g(0), the loss of every missed atom
 
 
