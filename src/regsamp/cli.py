@@ -115,8 +115,10 @@ def _cmd_eval(args) -> int:
         Path(args.out).write_text(payload)
     else:
         sys.stdout.write(payload)
+    # with the report on stdout the summary goes to stderr, so stdout stays JSON
     print(f"max relative error {max_err:.6g} "
-          f"({'pass' if report['pass'] else 'FAIL'} at eps = {args.eps})")
+          f"({'pass' if report['pass'] else 'FAIL'} at eps = {args.eps})",
+          file=None if args.out else sys.stderr)
     return EXIT_OK
 
 

@@ -2,16 +2,17 @@
 
 Losses are monotone non-increasing and nonnegative:
 
-    logistic  g(r) = ln(1 + exp(-r))
+    logistic  g(r) = ln(1 + exp(-r)) = log1p(exp(-|r|)) - min(r, 0)
     sigmoid   g(r) = 1 / (1 + exp(r))
     hinge     g(r) = max(0, 1 - r)
     relu      g(r) = max(0, -r)
 
 Each loss carries its tight Lipschitz constant, the constant used in
 sample-size formulas (clamped to >= 1), g(0), whether |g'| <= g holds
-everywhere, and whether g is positively homogeneous.  `expit` is imported
-only where a sigmoid or logistic value needs it, so that the relu and hinge
-paths, and the CLI's start, load no scipy.
+everywhere, and whether g is positively homogeneous.  Logistic values are the
+split form on numpy's vector `exp` and `log1p`, which neither overflows nor
+cancels.  `expit` is imported only where a sigmoid or logistic value needs it,
+so that the relu and hinge paths, and the CLI's start, load no scipy.
 """
 
 from __future__ import annotations
@@ -80,18 +81,27 @@ def make_reg(kind: str) -> RegSpec:
 
 
 def eval_loss(loss: LossSpec, r):
-    """Evaluate g(r).  Accepts scalars or arrays; stable for |r| up to ~1e3 and beyond."""
+    """Evaluate g(r) for scalars or arrays, in place in one result array (never in r).
+
+    Logistic is log1p(exp(-|r|)) - min(r, 0): no overflow or cancellation at any r."""
     r = np.asarray(r, dtype=float)
     if loss.kind == LOGISTIC:
-        v = np.logaddexp(0.0, -r)
+        v = np.abs(r, out=np.empty_like(r))
+        np.negative(v, out=v)
+        np.exp(v, out=v)
+        np.log1p(v, out=v)
+        v -= np.minimum(r, 0.0)
     elif loss.kind == SIGMOID:
         from scipy.special import expit
 
-        v = expit(-r)
+        v = np.negative(r, out=np.empty_like(r))
+        expit(v, out=v)
     elif loss.kind == HINGE:
-        v = np.maximum(0.0, 1.0 - r)
+        v = np.subtract(1.0, r, out=np.empty_like(r))
+        np.maximum(0.0, v, out=v)
     elif loss.kind == RELU:
-        v = np.maximum(0.0, -r)
+        v = np.negative(r, out=np.empty_like(r))
+        np.maximum(0.0, v, out=v)
     else:
         raise InvalidInputError(f"unknown loss kind {loss.kind!r}")
     return v if v.ndim else float(v)
@@ -130,7 +140,8 @@ def check_bounded_derivative(loss: LossSpec, grid) -> bool:
 def decompose(loss: LossSpec):
     """Split g = h + b with h positively homogeneous and b bounded.
 
-    logistic/hinge: h(r) = max(0, -r), b = g - h in [0, g(0)].
+    logistic/hinge: h(r) = max(0, -r), b = g - h in [0, g(0)]; logistic's b is
+    `eval_loss`'s own log1p(exp(-|r|)), so h + b equals g bit for bit.
     sigmoid: h = 0, b = g in [0, 1] (no homogeneous h gets b under g(0)).
     relu: h = g, b = 0.
     """
@@ -150,10 +161,9 @@ def decompose(loss: LossSpec):
     if loss.kind == SIGMOID:
         return zero_part, (lambda r: eval_loss(loss, r))
     if loss.kind == LOGISTIC:
-        # softplus(-r) - max(0,-r) == softplus(-|r|), which avoids cancellation
         def b(r):
             r = np.asarray(r, dtype=float)
-            v = np.logaddexp(0.0, -np.abs(r))
+            v = np.log1p(np.exp(-np.abs(r)))
             return v if v.ndim else float(v)
 
         return relu_part, b

@@ -174,6 +174,22 @@ class TestEval:
         assert report["pass"]
         assert report["max_error"] <= 1e-12
 
+    def test_report_on_stdout_is_json_and_summary_on_stderr(self, tmp_path, capsys):
+        out = gen_lin_relu_dir(tmp_path, k=8)
+        assert run("sample", "--instance", str(out / "instance.jsonl"), "--m", "100",
+                   "--seed", "0", "--convention", "score-only",
+                   "--out", str(out / "samples.jsonl")) == 0
+        capsys.readouterr()
+        assert run("eval", "--instance", str(out / "instance.jsonl"),
+                   "--sample", str(out / "samples.jsonl"),
+                   "--queries", str(out / "queries.jsonl"),
+                   "--loss", "relu", "--reg", "l1", "--k", "8", "--eps", "0.25") == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert len(report["per_query"]) == 17
+        assert captured.err == (f"max relative error {report['max_error']:.6g} "
+                                f"({'pass' if report['pass'] else 'FAIL'} at eps = 0.25)\n")
+
     def test_coupon_miss_fails_then_passes_at_loose_eps(self, tmp_path):
         out = tmp_path / "coupon"
         assert run("gen", "--kind", "coupon-relu", "--d", "8", "--k", "6",

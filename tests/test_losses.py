@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from regsamp.losses import (
     HINGE,
@@ -46,6 +48,64 @@ class TestValues:
         loss = make_loss(LOGISTIC)
         assert eval_loss(loss, 1e3) == pytest.approx(0.0, abs=1e-300)
         assert eval_loss(loss, -1e3) == pytest.approx(1e3, rel=1e-12)
+
+
+def margin_grid():
+    """Signed linear and geometric margins, zeros, infinities and float-range ends."""
+    mags = np.geomspace(1e-300, 1e3, 4000)
+    lin = np.linspace(-800.0, 800.0, 16001)
+    ends = np.array([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308])
+    return np.concatenate([lin, mags, -mags, ends])
+
+
+class TestFormulas:
+    def test_logistic_within_two_ulps_of_logaddexp(self):
+        r = margin_grid()
+        got = eval_loss(make_loss(LOGISTIC), r)
+        ref = np.logaddexp(0.0, -r)
+        exact = (ref == 0.0) | np.isinf(ref) | (r == 0.0)
+        assert np.array_equal(got[exact], ref[exact])
+        got, ref = got[~exact], ref[~exact]
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))
+
+    @pytest.mark.parametrize("kind,ref", [
+        (RELU, lambda r: np.maximum(0.0, -r)),
+        (HINGE, lambda r: np.maximum(0.0, 1.0 - r)),
+        (SIGMOID, lambda r: expit(-r))],
+        ids=[RELU, HINGE, SIGMOID])
+    def test_piecewise_and_sigmoid_keep_every_bit(self, kind, ref):
+        r = margin_grid()
+        assert eval_loss(make_loss(kind), r).tobytes() == ref(r).tobytes()
+
+    def test_logistic_decomposition_sums_bit_for_bit(self):
+        loss = make_loss(LOGISTIC)
+        h, b = decompose(loss)
+        r = margin_grid()
+        assert np.array_equal(np.asarray(h(r)) + np.asarray(b(r)), eval_loss(loss, r))
+
+    @pytest.mark.parametrize("kind", ALL_LOSSES)
+    def test_scalar_in_float_out_and_input_untouched(self, kind):
+        loss = make_loss(kind)
+        assert type(eval_loss(loss, 0.5)) is float
+        assert type(eval_loss(loss, np.float64(-2.0))) is float
+        r = margin_grid()
+        before = r.copy()
+        eval_loss(loss, r)
+        assert r.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_LOSSES)
+    def test_peak_memory_is_the_result_and_one_temporary(self, kind):
+        loss = make_loss(kind)
+        n = 200_000
+        r = np.random.default_rng(3).uniform(-50.0, 50.0, n)
+        eval_loss(loss, r[:10])  # warm up outside the measurement
+        tracemalloc.start()
+        try:
+            eval_loss(loss, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * 8 + 64 * 1024
 
 
 class TestDerivatives:
