@@ -29,6 +29,8 @@ ADVERSARIAL_PLUS_RANDOM = "adversarial-plus-random"
 
 DEFAULT_TRIALS = 200
 DEFAULT_M_CAP = 2_000_000
+WILSON_Z = 1.96  # normal quantile of the 95% Wilson interval
+SLOPE_RESAMPLES = 200  # bootstrap resamples of the scaling slope's interval
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,15 +67,15 @@ class ScalingCurve:
     budget_errors: tuple[tuple[float, str], ...] = field(default=())
 
 
-def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     p = failures / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = WILSON_Z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -224,7 +226,7 @@ def fit_loglog_slope(ks, ms) -> float:
     return float(np.polyfit(np.log(ks), np.log(ms), 1)[0])
 
 
-def _bootstrap_slope_ci(points, seed: int, resamples: int = 200) -> tuple[float, float]:
+def _bootstrap_slope_ci(points, seed: int) -> tuple[float, float]:
     """2.5th and 97.5th percentiles of the log-log slope over case resamples of points.
 
     All resamples are drawn at once from the stream (seed, 0xB007) and fitted
@@ -233,7 +235,7 @@ def _bootstrap_slope_ci(points, seed: int, resamples: int = 200) -> tuple[float,
     """
     x = np.log(np.array([p[0] for p in points], dtype=float))
     y = np.log(np.array([p[1] for p in points], dtype=float))
-    idx = derive_rng(seed, 0xB007).integers(0, x.size, size=(resamples, x.size))
+    idx = derive_rng(seed, 0xB007).integers(0, x.size, size=(SLOPE_RESAMPLES, x.size))
     xs, ys = x[idx], y[idx]
     spread = np.any(xs != xs[:, :1], axis=1)
     xc = xs[spread] - xs[spread].mean(axis=1, keepdims=True)

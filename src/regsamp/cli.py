@@ -54,12 +54,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _write_json(doc: dict, path) -> None:
+    """Write doc as sorted, 2-space-indented JSON and a newline, to path, or stdout if none."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if not path:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str]):
-    manifest = {"command": command, "config": config, "version": __version__,
-                "outputs": sorted(outputs)}
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json({"command": command, "config": config, "version": __version__,
+                 "outputs": sorted(outputs)}, out_dir / "manifest.json")
 
 
 def _cmd_gen(args) -> int:
@@ -110,11 +116,7 @@ def _cmd_eval(args) -> int:
     max_err, _, skipped = worst_error(errors)
     report = {"eps": args.eps, "max_error": max_err, "skipped": skipped,
               "pass": bool(max_err <= args.eps), "per_query": per_query}
-    payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_json(report, args.out)
     # with the report on stdout the summary goes to stderr, so stdout stays JSON
     print(f"max relative error {max_err:.6g} "
           f"({'pass' if report['pass'] else 'FAIL'} at eps = {args.eps})",
@@ -126,16 +128,9 @@ def _cmd_opt(args) -> int:
     instance = load_instance(args.instance)
     spec = ObjectiveSpec(make_loss(args.loss), make_reg(args.reg), args.k)
     report = estimate_opt(instance, spec, restarts=args.restarts, seed=args.seed)
-    payload = json.dumps({"opt_value": report.opt_value,
-                          "analytic_lower": report.analytic_lower,
-                          "analytic_upper": report.analytic_upper,
-                          "dual_lower": report.dual_lower,
-                          "minimizer": [float(v) for v in report.minimizer]},
-                         sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_json({"opt_value": report.opt_value, "analytic_lower": report.analytic_lower,
+                 "analytic_upper": report.analytic_upper, "dual_lower": report.dual_lower,
+                 "minimizer": [float(v) for v in report.minimizer]}, args.out)
     return EXIT_OK
 
 

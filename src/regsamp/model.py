@@ -11,8 +11,9 @@ for a loss g, regularizer R in {l1, l2, l2sq} and strength parameter k >= 1.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .losses import LossSpec, RegSpec
 MASS_TOL = 1e-12
 # most cells of an atom matrix a hard construction builds (256 MB of float64)
 MAX_DENSE_CELLS = 2 ** 25
-# atom entries load_instance parses at once, a few hundred KB as Python objects
+# vector entries a JSONL reader converts at once, a few hundred KB as Python objects
 RECORD_CELLS = 2 ** 12
 
 
@@ -198,77 +199,102 @@ def compute_constants(instance: Instance, score: str, loss: LossSpec) -> Constan
 def save_instance(instance: Instance, path) -> None:
     """Write JSON Lines: a {"dim", "n"} header, then one {"a", "p"} record per atom."""
     atoms = instance.atoms  # built, or refused, before the file is opened
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"dim": instance.dim, "n": instance.n}) + "\n")
-        for a, p in zip(atoms, instance.masses):
-            fh.write(json.dumps({"a": [float(v) for v in a], "p": float(p)}) + "\n")
+    _write_records(path, chain([{"dim": instance.dim, "n": instance.n}],
+                               ({"a": a.tolist(), "p": p}
+                                for a, p in zip(atoms, instance.masses.tolist()))))
 
 
 def load_instance(path) -> Instance:
-    """Read and validate the JSONL instance format written by save_instance.
-
-    Atom records are parsed in blocks of at most RECORD_CELLS entries; a block
-    that does not parse at once is read line by line, which names the first
-    bad line.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    """Read save_instance's format: a header of positive JSON integers "dim" and
+    "n", then n records of dim entries "a" and a mass "p" (see `_read_records`)."""
+    lines = _read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty instance file")
     try:
-        header = json.loads(lines[0])
-        dim, n = int(header["dim"]), int(header["n"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-        raise DataError(f"{path}: line 1: malformed header") from None
+        header = _object(lines[0])
+        dim, n = header["dim"], header["n"]
+    except _MALFORMED:
+        dim = n = None
+    if type(dim) is not int or type(n) is not int:  # bools are not counts
+        raise DataError(f"{path}: line 1: malformed header")
     if dim < 1 or n < 1:
         raise DataError(f"{path}: line 1: dim and n must be positive, got {dim} and {n}")
     if len(lines) - 1 != n:
         raise DataError(f"{path}: header announces {n} atoms, found {len(lines) - 1}")
-
-    def record(i: int, line: str) -> tuple[np.ndarray, float]:
-        try:
-            rec = json.loads(line)
-            vec = np.asarray(rec["a"], dtype=float)
-            mass = float(rec["p"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
-            raise DataError(f"{path}: line {i}: malformed atom record") from None
-        if vec.shape != (dim,):
-            raise DataError(f"{path}: line {i}: atom has dimension {vec.size}, expected {dim}")
-        return vec, mass
-
-    atoms = masses = None
-    rows = max(1, RECORD_CELLS // dim)
-    for lo in range(0, n, rows):
-        block = lines[1 + lo:1 + lo + rows]
-        parsed = _records(block, dim)
-        if parsed is None:
-            vecs, ps = zip(*(record(i, line) for i, line in enumerate(block, start=2 + lo)))
-            parsed = np.array(vecs), np.array(ps)
-        if atoms is None:  # a parsed block, not the header alone, vouches for dim
-            atoms, masses = np.empty((n, dim)), np.empty(n)
-        atoms[lo:lo + len(block)], masses[lo:lo + len(block)] = parsed
+    atoms, (masses,) = _read_records(path, lines[1:], 2, "atom", "a", dim, [("p", float)])
     try:
         return Instance(atoms, masses)
     except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
+# The one JSONL writer and reader of all three formats; what a bad record raises:
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 _DECODER = json.JSONDecoder()
 
 
-def _records(lines: list[str], dim: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(atoms, masses) of a block of atom records read at once, or None on any bad line.
+def _write_records(path, records: Iterable[dict]) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in records)
 
-    Each line must hold exactly one JSON value, which `raw_decode` shows by
-    ending where the line does, so no value can span lines.  The conversions
-    are those of `load_instance`'s line-by-line check, so the arrays are too.
+
+def _read_lines(path) -> list[str]:
+    with open(path) as fh:
+        return [line.strip() for line in fh.read().splitlines()]
+
+
+def _object(line: str) -> dict:
+    """The one JSON object a line holds; a blank line, or anything else, raises."""
+    rec, end = _DECODER.raw_decode(line)
+    if end != len(line) or type(rec) is not dict:
+        raise ValueError("a record is one JSON object on a line of its own")
+    return rec
+
+
+def _column(recs: list[dict], key: str, kind: type, *default) -> np.ndarray:
+    """Field key of each record, read with float() or exactly a JSON int or str; a
+    missing field takes the default if one is given, and is otherwise malformed."""
+    values = [rec.get(key, *default) for rec in recs]
+    if kind is float:
+        return np.array([float(v) for v in values])
+    if not all(type(v) is kind for v in values):
+        raise TypeError(f"{key!r} must be a JSON {kind.__name__}")
+    return np.array(values, dtype=np.int64 if kind is int else object)
+
+
+def _read_records(path, lines: list[str], start: int, what: str, vector: str,
+                  dim: int | None, fields) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The vectors and field columns of the nonempty stripped lines, line `start` on.
+
+    Each line is one JSON object: `vector` holds dim finite numbers (dim None:
+    the first record's count) and `fields` are (key, kind, *default) for
+    `_column`.  Records are converted in blocks of at most RECORD_CELLS
+    entries, and a block that fails again line by line, to name the bad line.
     """
-    try:
-        recs, ends = zip(*map(_DECODER.raw_decode, lines))
-        if list(ends) != list(map(len, lines)):
-            return None
-        atoms = np.array([rec["a"] for rec in recs], dtype=float)
-        masses = np.array([float(rec["p"]) for rec in recs])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
-        return None
-    return (atoms, masses) if atoms.shape == (len(lines), dim) else None
+    out, lo, single_until = None, 0, 0
+    while lo < len(lines):
+        rows = 1 if not dim or lo < single_until else max(1, RECORD_CELLS // dim)
+        try:
+            recs = [_object(line) for line in lines[lo:lo + rows]]
+            # null reads as NaN; a nested, non-array or ragged vector fails or raises
+            vecs = np.array([rec[vector] for rec in recs], dtype=float)
+            if vecs.ndim != 2 or not np.isfinite(vecs).all():
+                raise ValueError(f"{vector!r} must be an array of finite numbers")
+            cols = [_column(recs, *field) for field in fields]
+        except _MALFORMED:
+            vecs = None
+        if dim is None and vecs is not None:
+            dim = vecs.shape[1]
+        if vecs is None or vecs.shape[1] != dim:
+            if rows > 1:
+                single_until = lo + rows
+                continue
+            raise DataError(f"{path}: line {start + lo}: " + (
+                f"malformed {what} record" if vecs is None
+                else f"{what} has dimension {vecs.shape[1]}, expected {dim}"))
+        if out is None:  # a converted block, not a header alone, vouches for the sizes
+            out = [np.empty((len(lines), *col.shape[1:]), col.dtype) for col in (vecs, *cols)]
+        for whole, col in zip(out, (vecs, *cols)):
+            whole[lo:lo + len(col)] = col
+        lo += len(vecs)
+    return out[0], out[1:]

@@ -10,7 +10,6 @@ the relu loss) are flagged as NaN and skipped by the maximizer.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +17,6 @@ import numpy as np
 
 from .errors import (
     ApplicabilityError,
-    DataError,
     DimensionMismatchError,
     InvalidInputError,
     OptimizerFailureError,
@@ -38,6 +36,7 @@ from .losses import (
     eval_regularizer,
 )
 from .model import Constants, Instance, ObjectiveSpec, scale_exponent
+from .model import _read_lines, _read_records, _write_records  # the JSONL reader and writer
 from .sampler import Coreset, derive_rng
 
 TAG_ADVERSARIAL = "adversarial"
@@ -505,30 +504,15 @@ def build_query_set(dim: int, k: float, seed: int, adversarial=(),
 
 def save_queries(queries: QuerySet, path) -> None:
     """One {"x", "tag"} JSONL record per non-origin query (origin is implicit)."""
-    with open(path, "w") as fh:
-        for x, tag in zip(queries.queries, queries.tags):
-            if tag == TAG_ORIGIN:
-                continue
-            fh.write(json.dumps({"x": [float(v) for v in x], "tag": tag}) + "\n")
+    _write_records(path, ({"x": x.tolist(), "tag": tag}
+                          for x, tag in zip(queries.queries, queries.tags) if tag != TAG_ORIGIN))
 
 
-def load_queries(path, dim: int | None = None) -> QuerySet:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    vecs, tags = [], []
-    for i, line in enumerate(lines, start=1):
-        try:
-            rec = json.loads(line)
-            x = np.asarray(rec["x"], dtype=float)
-            tag = str(rec.get("tag", TAG_GRID))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
-            raise DataError(f"{path}: line {i}: malformed query record") from None
-        if dim is not None and x.size != dim:
-            raise DataError(f"{path}: line {i}: query dimension {x.size}, expected {dim}")
-        vecs.append(x)
-        tags.append(tag)
-    if not vecs:
-        if dim is None:
-            raise DataError(f"{path}: empty query file and no dimension given")
+def load_queries(path, dim: int) -> QuerySet:
+    """Read save_queries's format: an "x" of dim entries and a JSON string "tag",
+    "grid" if absent (see `model._read_records`); an empty file is the origin alone."""
+    lines = _read_lines(path)
+    if not lines:
         return QuerySet(np.zeros((1, dim)), (TAG_ORIGIN,))
-    return QuerySet(np.vstack(vecs), tuple(tags))
+    x, (tags,) = _read_records(path, lines, 1, "query", "x", dim, [("tag", str, TAG_GRID)])
+    return QuerySet(x, tuple(tags))

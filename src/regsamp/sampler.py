@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     ConfigurationError,
+    DataError,
     DegenerateInstanceError,
     EstimatorInconsistencyError,
     InvalidInputError,
@@ -355,34 +356,25 @@ def weights_from_estimate(samples: Coreset, s_hat: float) -> Coreset:
 
 
 def save_samples(samples: Coreset, path) -> None:
-    """One JSONL record per drawn sample."""
-    import json
+    """One {"atom_index", "a", "w", "s"} JSONL record per drawn sample."""
+    from .model import _write_records  # model imports this module
 
-    with open(path, "w") as fh:
-        for i, a, w, s in zip(samples.idx.tolist(), samples.a.tolist(),
-                              samples.w.tolist(), samples.s.tolist()):
-            fh.write(json.dumps({"atom_index": i, "a": a, "w": w, "s": s}) + "\n")
+    _write_records(path, ({"atom_index": i, "a": a, "w": w, "s": s} for i, a, w, s in
+                          zip(samples.idx.tolist(), samples.a.tolist(),
+                              samples.w.tolist(), samples.s.tolist())))
 
 
 def load_samples(path) -> Coreset:
-    import json
+    """Read save_samples's format: a JSON integer "atom_index", an "a" as long as
+    the first record's, and "w" and "s" (see `model._read_records`)."""
+    from .model import _read_lines, _read_records  # model imports this module
 
-    from .errors import DataError
-
-    rows = []
-    with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                rows.append((int(rec["atom_index"]), [float(v) for v in rec["a"]],
-                             float(rec["w"]), float(rec["s"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
-                raise DataError(f"{path}: line {i}: malformed sample record") from None
-    if not rows:
+    lines = _read_lines(path)
+    if not lines:
         raise DataError(f"{path}: empty sample file")
+    a, (idx, w, s) = _read_records(path, lines, 1, "sample", "a", None,
+                                   [("atom_index", int), ("w", float), ("s", float)])
     try:
-        return Coreset(*zip(*rows))
-    except (InvalidInputError, ValueError) as exc:
+        return Coreset(idx, a, w, s)
+    except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}") from None

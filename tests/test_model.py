@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from regsamp import model
+from regsamp.cli import main
 from regsamp.errors import DataError, InvalidInputError
 from regsamp.losses import L1, LOGISTIC, make_loss, make_reg
 from regsamp.model import (
@@ -13,6 +15,81 @@ from regsamp.model import (
     make_instance,
     save_instance,
 )
+from regsamp.objective import TAG_ORIGIN, QuerySet, load_queries, save_queries
+from regsamp.sampler import Coreset, load_samples, save_samples
+
+
+def jsonl(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+ATOM1, ATOM2 = '{"a": [1.0], "p": 0.5}', '{"a": [1.0, 2.0], "p": 0.5}'
+HEADER1, HEADER2 = '{"dim": 1, "n": 2}', '{"dim": 2, "n": 2}'
+SAMPLE = '{"atom_index": 0, "a": [1.0, 2.0], "w": 1.0, "s": 2.0}'
+QUERY = '{"x": [1.0, 2.0], "tag": "grid"}'
+LOADERS = {"instance": load_instance, "sample": load_samples,
+           "queries": lambda path: load_queries(path, 2)}
+# files of dimension 2 that load, for the CLI case
+GOOD_FILES = {"instance": jsonl(HEADER2, ATOM2, '{"a": [-1.0, 0.5], "p": 0.5}'),
+              "sample": jsonl(SAMPLE), "queries": jsonl(QUERY)}
+
+# (format, file text, line, what "<path>: line <line>: " is followed by)
+BAD_RECORDS = [
+    pytest.param("instance", jsonl(HEADER1, ATOM1 + ', {"a": [2.0], "p": 0.5}', ATOM1), 2,
+                 "malformed atom record", id="two-records-one-line"),
+    # two lines that read as one list of two records once joined by a comma
+    pytest.param("instance", jsonl(HEADER2, ATOM2 + ', {"a": [1.0', '2.0], "p": 0.5}'), 2,
+                 "malformed atom record", id="record-across-lines"),
+    pytest.param("instance", jsonl(HEADER1, ATOM1, '{"a": [2.0], "p": null}'), 3,
+                 "malformed atom record", id="null-mass"),
+    # json reads 1 followed by 400 zeros as an int that no float holds
+    pytest.param("instance", jsonl(HEADER1, ATOM1, '{"a": [1' + "0" * 400 + '], "p": 0.5}'), 3,
+                 "malformed atom record", id="int-past-float"),
+    pytest.param("instance", jsonl(HEADER1, ATOM1, '{"a": [[2.0]], "p": 0.5}'), 3,
+                 "malformed atom record", id="nested-atom"),
+    pytest.param("instance", jsonl(HEADER2, ATOM2, '{"a": "12", "p": 0.5}'), 3,
+                 "malformed atom record", id="string-atom"),
+    pytest.param("instance", jsonl(HEADER2, ATOM2, '{"a": [1.0, null], "p": 0.5}'), 3,
+                 "malformed atom record", id="null-atom-entry"),
+    pytest.param("instance", jsonl(HEADER2, ATOM2, ATOM1), 3,
+                 "atom has dimension 1, expected 2", id="short-atom"),
+    pytest.param("instance", jsonl(HEADER2, "", ATOM2), 2,
+                 "malformed atom record", id="blank-atom-line"),
+    pytest.param("instance", jsonl('{"dim": true, "n": 1}', ATOM1), 1,
+                 "malformed header", id="bool-dim"),
+    pytest.param("instance", jsonl('{"dim": 1.9, "n": 1}', ATOM1), 1,
+                 "malformed header", id="float-dim"),
+    pytest.param("instance", jsonl('{"dim": 1, "n": "1"}', ATOM1), 1,
+                 "malformed header", id="string-n"),
+    pytest.param("sample", jsonl(SAMPLE, '{"atom_index": 1, "a": "12", "w": 1.0, "s": 2.0}'), 2,
+                 "malformed sample record", id="string-sample"),
+    pytest.param("sample", jsonl(SAMPLE, SAMPLE.replace("0", "1.9", 1)), 2,
+                 "malformed sample record", id="float-atom-index"),
+    pytest.param("sample", jsonl(SAMPLE, SAMPLE.replace("0", "true", 1)), 2,
+                 "malformed sample record", id="bool-atom-index"),
+    pytest.param("sample", jsonl(SAMPLE, SAMPLE.replace("0", '"3"', 1)), 2,
+                 "malformed sample record", id="string-atom-index"),
+    pytest.param("sample", jsonl(SAMPLE, SAMPLE.replace("0", str(2 ** 63), 1)), 2,
+                 "malformed sample record", id="atom-index-past-int64"),
+    pytest.param("sample", jsonl(SAMPLE, SAMPLE.replace('"w": 1.0', '"w": null')), 2,
+                 "malformed sample record", id="null-weight"),
+    pytest.param("sample", jsonl(SAMPLE, SAMPLE.replace("[1.0, 2.0]", "[NaN, 2.0]")), 2,
+                 "malformed sample record", id="nan-sample-entry"),
+    pytest.param("sample", jsonl(SAMPLE, SAMPLE.replace("[1.0, 2.0]", "[1.0]")), 2,
+                 "sample has dimension 1, expected 2", id="ragged-sample"),
+    pytest.param("sample", jsonl(SAMPLE, "", SAMPLE), 2,
+                 "malformed sample record", id="blank-sample-line"),
+    pytest.param("queries", jsonl(QUERY, '{"x": "1.5", "tag": "grid"}'), 2,
+                 "malformed query record", id="string-query"),
+    pytest.param("queries", jsonl(QUERY, '{"x": [1.0, 2.0], "tag": 7}'), 2,
+                 "malformed query record", id="int-tag"),
+    pytest.param("queries", jsonl(QUERY, '{"x": [1e999, 0.0]}'), 2,
+                 "malformed query record", id="infinite-query-entry"),
+    pytest.param("queries", jsonl(QUERY, '{"x": [1.0]}'), 2,
+                 "query has dimension 1, expected 2", id="short-query"),
+    pytest.param("queries", jsonl(QUERY, "", QUERY), 2,
+                 "malformed query record", id="blank-query-line"),
+]
 
 
 class TestInstanceInvariants:
@@ -113,29 +190,32 @@ class TestInstanceIO:
         with pytest.raises(DataError):
             load_instance(path)
 
-    @pytest.mark.parametrize("dim,body,line,what", [
-        (1, '{"a": [1.0], "p": 0.5}, {"a": [2.0], "p": 0.5}\n{"a": [3.0], "p": 0.5}\n',
-         2, "malformed atom record"),
-        # two lines that read as one list of two records once joined by a comma
-        (2, '{"a": [1.0, 2.0], "p": 0.5}, {"a": [1.0\n2.0], "p": 0.5}\n', 2,
-         "malformed atom record"),
-        (1, '{"a": [1.0], "p": 0.5}\n{"a": [2.0], "p": null}\n', 3, "malformed atom record"),
-        (1, '{"a": [1.0], "p": 0.5}\n{"a": [1' + "0" * 400 + '], "p": 0.5}\n', 3,
-         "malformed atom record"),
-        (1, '{"a": [1.0], "p": 0.5}\n{"a": [[2.0]], "p": 0.5}\n', 3,
-         "atom has dimension 1, expected 1"),
-    ], ids=["two-records-one-line", "record-across-lines", "null-mass", "int-past-float",
-            "nested-atom"])
-    def test_bad_record_names_its_line(self, tmp_path, dim, body, line, what):
+    @pytest.mark.parametrize("fmt,text,line,what", BAD_RECORDS)
+    def test_bad_record_names_its_line(self, tmp_path, fmt, text, line, what):
+        # the three formats share one reader, so one table covers them all
         path = tmp_path / "bad.jsonl"
-        path.write_text(f'{{"dim": {dim}, "n": 2}}\n' + body)
+        path.write_text(text)
         with pytest.raises(DataError) as info:
-            load_instance(path)
+            LOADERS[fmt](path)
         assert str(info.value) == f"{path}: line {line}: {what}"
 
+    @pytest.mark.parametrize("fmt,text,line,what", BAD_RECORDS)
+    def test_bad_record_is_one_cli_data_error(self, tmp_path, capsys, fmt, text, line, what):
+        files = {name: tmp_path / f"{name}.jsonl" for name in LOADERS}
+        for name, path in files.items():
+            path.write_text(text if name == fmt else GOOD_FILES[name])
+        capsys.readouterr()
+        assert main(["eval", "--instance", str(files["instance"]),
+                     "--sample", str(files["sample"]), "--queries", str(files["queries"]),
+                     "--loss", "relu", "--reg", "l1", "--k", "4", "--eps", "0.5",
+                     "--out", str(tmp_path / "report.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: {files[fmt]}: line {line}: {what}\n"
+
     def test_blocks_of_records_load_the_same(self, tmp_path, monkeypatch):
-        # blocks of 2 lines of 3 entries: a spaced line falls to the line-by-line
-        # read in the second block, and a bad line in the third is named
+        # blocks of 2 lines of 3 entries: lines are stripped, so a spaced line in
+        # the second block loads, and a bad line in the third is named
         inst = gaussian_instance(7, 3, seed=5, uniform_masses=False)
         path = tmp_path / "inst.jsonl"
         save_instance(inst, path)
@@ -156,3 +236,75 @@ class TestInstanceIO:
         path.write_text('{"dim": 1, "n": 3}\n{"a": [1.0], "p": 1.0}\n')
         with pytest.raises(DataError):
             load_instance(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ROUND_TRIP = settings(max_examples=60, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def saved_twice(save, load, obj, path):
+    """The bytes save writes for obj, what load reads back, and the bytes that saves."""
+    save(obj, path)
+    text = path.read_bytes()
+    back = load(path)
+    save(back, path)
+    return text, back, path.read_bytes()
+
+
+class TestRoundTrips:
+    """save -> load gives the same bits, and save -> load -> save the same bytes."""
+
+    @ROUND_TRIP
+    @given(st.data(), st.integers(1, 4), st.integers(1, 6))
+    def test_instance(self, tmp_path, data, dim, n):
+        atoms = data.draw(st.lists(FINITE, min_size=n * dim, max_size=n * dim))
+        masses = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+        inst = make_instance(np.reshape(atoms, (n, dim)), masses)
+        text, back, again = saved_twice(save_instance, load_instance, inst,
+                                        tmp_path / "i.jsonl")
+        assert same_bits(back.atoms, inst.atoms) and same_bits(back.masses, inst.masses)
+        assert again == text
+
+    @ROUND_TRIP
+    @given(st.data(), st.integers(0, 4), st.integers(1, 6))
+    def test_samples(self, tmp_path, data, dim, m):
+        # a sample's dimension is its first record's, which may be 0
+        def column(elements, size=m):
+            return data.draw(st.lists(elements, min_size=size, max_size=size))
+
+        samples = Coreset(column(st.integers(0, 2 ** 63 - 1)),
+                          np.reshape(column(FINITE, m * dim), (m, dim)),
+                          column(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+                          column(FINITE))
+        text, back, again = saved_twice(save_samples, load_samples, samples,
+                                        tmp_path / "s.jsonl")
+        for name in ("idx", "a", "w", "s"):
+            assert same_bits(getattr(back, name), getattr(samples, name))
+        assert again == text
+
+    @ROUND_TRIP
+    @given(st.data(), st.integers(1, 4), st.integers(1, 5))
+    def test_queries(self, tmp_path, data, dim, q):
+        # zero rows are likely, so the implicit origin is sometimes added and sometimes not
+        entries = st.sampled_from([0.0, -0.0]) | FINITE
+        rows = data.draw(st.lists(entries, min_size=q * dim, max_size=q * dim))
+        tags = data.draw(st.lists(st.text().filter(lambda t: t != TAG_ORIGIN),
+                                  min_size=q, max_size=q))
+        queries = QuerySet(np.reshape(rows, (q, dim)), tuple(tags))
+        text, back, again = saved_twice(save_queries, lambda path: load_queries(path, dim),
+                                        queries, tmp_path / "q.jsonl")
+        assert same_bits(back.queries, queries.queries) and back.tags == queries.tags
+        assert again == text
+
+    def test_origin_alone_is_an_empty_file(self, tmp_path):
+        origin = QuerySet(np.zeros((1, 3)), (TAG_ORIGIN,))
+        text, back, again = saved_twice(save_queries, lambda path: load_queries(path, 3),
+                                        origin, tmp_path / "q.jsonl")
+        assert text == again == b""
+        assert same_bits(back.queries, origin.queries) and back.tags == origin.tags
