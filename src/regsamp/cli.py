@@ -106,8 +106,13 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if not 0.0 < args.eps < 1.0:
+        raise InvalidInputError(f"--eps must lie in (0, 1), got {args.eps}")
     instance = load_instance(args.instance)
     samples = load_samples(args.sample)
+    if samples.a.shape[1] != instance.dim:
+        raise DataError(f"{args.sample}: sample has dimension {samples.a.shape[1]}, "
+                        f"instance {args.instance} has dimension {instance.dim}")
     queries = load_queries(args.queries, dim=instance.dim)
     spec = ObjectiveSpec(make_loss(args.loss), make_reg(args.reg), args.k)
     errors = relative_errors(instance, spec, samples, queries.queries)

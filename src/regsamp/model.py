@@ -112,10 +112,11 @@ class Instance:
         return self._per_row(_exact_norms)
 
 
-def dense_budget(n: int, dim: int) -> None:
-    """Raise BudgetExceededError when n atoms in R^dim exceed MAX_DENSE_CELLS cells."""
+def dense_budget(n: int, dim: int, what: str = "atoms") -> None:
+    """Raise BudgetExceededError when n vectors (atoms, or what) in R^dim exceed
+    MAX_DENSE_CELLS cells."""
     if n * dim > MAX_DENSE_CELLS:
-        raise BudgetExceededError(f"{n} x {dim} atoms take {n * dim * 8 / 2**20:.0f} MB dense, "
+        raise BudgetExceededError(f"{n} x {dim} {what} take {n * dim * 8 / 2**20:.0f} MB dense, "
                                   f"more than the {MAX_DENSE_CELLS * 8 // 2**20} MB budget")
 
 
@@ -239,8 +240,16 @@ def _write_records(path, records: Iterable[dict]) -> None:
 
 
 def _read_lines(path) -> list[str]:
-    with open(path) as fh:
-        return [line.strip() for line in fh.read().splitlines()]
+    """The stripped lines of a UTF-8 file; bytes that are not UTF-8 raise a DataError
+    naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise DataError(f"{path}: line {line}: not UTF-8 text") from None
+    return [line.strip() for line in text.splitlines()]
 
 
 def _object(line: str) -> dict:

@@ -35,7 +35,7 @@ from .losses import (
     eval_loss_derivative,
     eval_regularizer,
 )
-from .model import Constants, Instance, ObjectiveSpec, scale_exponent
+from .model import Constants, Instance, ObjectiveSpec, dense_budget, scale_exponent
 from .model import _read_lines, _read_records, _write_records  # the JSONL reader and writer
 from .sampler import Coreset, derive_rng
 
@@ -167,13 +167,17 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
                  seed: int = 0) -> OptReport:
     """Minimum of f by one solver per problem class, with a certified lower bound.
 
-    relu: the origin, since f >= 0 = f(0).  hinge/l1: an LP (HiGHS).
-    hinge/l2sq: the box dual max sum(alpha) - (k/4)|A^T alpha|^2 over
-    0 <= alpha <= p by L-BFGS-B, with x = (k/2) A^T alpha.  hinge/l2: that box
-    dual at the l2sq weight where |A^T alpha| = 1/k, found by a 1-D search,
-    then an exact line search along A^T alpha.  logistic: L-BFGS-B, on
-    x = u - v with u, v >= 0 for l1.  sigmoid, which is not convex: L-BFGS-B
-    from the origin and restarts - 1 Gaussian starts derive_rng(seed, r).
+    relu: the origin, since f >= 0 = f(0).  hinge first merges repeated
+    atoms into one of their summed mass; hinge/l1: an LP (HiGHS).
+    hinge/l2sq: the exact minimum by a primal active set in d dimensions,
+    whose multipliers alpha maximize the box dual sum(alpha) -
+    (k/4)|A^T alpha|^2 over 0 <= alpha <= p.  hinge/l2: that box dual at the
+    l2sq weight where |A^T alpha| = 1/k, found by a 1-D search over exact
+    l2sq solves, then an exact line search along A^T alpha.  logistic:
+    L-BFGS-B, on x = u - v with u, v >= 0 for l1.  sigmoid, which is not
+    convex: L-BFGS-B from the origin and restarts - 1 Gaussian starts
+    derive_rng(seed, r), refused with BudgetExceededError when the starts
+    exceed `model.MAX_DENSE_CELLS` cells.
 
     The solvers see the atoms divided by a power of two c >= 1 near their
     largest entry and the regularizer weight 1/(k c^p) of a degree-p
@@ -183,7 +187,7 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
     dual-feasible set; for sigmoid it is the analytic lower bound.  The
     origin is always a candidate, so opt_value <= g(0).  Raises
     OptimizerFailureError when the rescaled weight is below MIN_WEIGHT (l2sq
-    atoms with entries of 2^250 or more).
+    atoms with entries of 2^250 or more) or a solver cannot finish.
     """
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
@@ -202,16 +206,19 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
             f"atom entries reach 2^{e}: the regularizer weight {lam:.3g} of the rescaled "
             "problem is below 2^-500")
     elif loss.kind == HINGE:
+        A, p = _merge_repeats(A, p)
         y, alpha = _HINGE[reg.kind](A, p, lam)
         ys = [y]
     else:
-        starts = np.zeros((restarts if loss.kind == SIGMOID else 1, instance.dim))
+        count = restarts if loss.kind == SIGMOID else 1
+        dense_budget(count, instance.dim, "starts")
+        starts = np.zeros((count, instance.dim))
         for r in range(1, len(starts)):
             starts[r] = derive_rng(seed, r).standard_normal(instance.dim)
         ys = [_smooth_minimum(loss, reg, A, p, lam, y0) for y0 in starts]
 
     X = np.vstack([np.ldexp(y, -e) for y in ys] + [np.zeros(instance.dim)])
-    vals = np.add(*evaluate(instance.atoms, p, spec, X))
+    vals = np.add(*evaluate(instance.atoms, instance.masses, spec, X))
     r = int(np.argmin(vals))
     best_val, best_x = float(vals[r]), X[r]
     if not (lower - 1e-9 <= best_val <= upper + 1e-9):
@@ -240,13 +247,10 @@ MIN_WEIGHT = 2.0 ** -500
 _LBFGS = {"ftol": 1e-15, "gtol": 1e-14, "maxiter": 15000}
 _HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 _L2_GAP = 1e-7
-
-
-def _finite(res) -> np.ndarray:
-    """The solver's point: f is attained there even if the solver stopped early."""
-    if not np.all(np.isfinite(res.x)):
-        raise OptimizerFailureError(f"solver diverged: {res.message}")
-    return res.x
+# hinge active set: a step moves a margin towards 1 only if by more than this
+# share of |a_i| (|x| + |target|), which is above its rounding; the most steps
+_TINY = 2.0 ** -36
+_ACTIVE_SET_STEPS = 10000
 
 
 def _hinge_l1(A, p, lam):
@@ -264,37 +268,100 @@ def _hinge_l1(A, p, lam):
     return res.x[:d] - res.x[d:2 * d], -res.ineqlin.marginals
 
 
+def _merge_repeats(A, p):
+    """One row per distinct atom, carrying the summed mass of its copies; A and p
+    themselves when no row repeats.  Repeated rows would make the working-set
+    system of `_hinge_l2sq` singular."""
+    _, first, inverse = np.unique(A, axis=0, return_index=True, return_inverse=True)
+    if len(first) == len(p):
+        return A, p
+    return A[first], np.bincount(inverse.ravel(), weights=p)
+
+
 def _hinge_l2sq(A, p, lam):
-    """Box dual max sum(alpha) - |A^T alpha|^2 / (4 lam) over 0 <= alpha <= p.
+    """Exact minimum of F(x) = p @ max(0, 1 - A x) + lam |x|^2 by a primal active set,
+    with the optimal alpha of the box dual max sum(alpha) - |A^T alpha|^2 / (4 lam)
+    over 0 <= alpha <= p (Nocedal & Wright, Numerical Optimization, 2nd ed., 16.5).
 
-    L-BFGS-B runs on beta = alpha / p in [0, 1]^n (on [0, p] it can stall at a
-    gap near 1e-3), restarted from its stop until a run gains under 1e-12
-    relative: a restart clears its memory, which can also stall on this rank-d
-    quadratic with a projected gradient near 2e-3.
+    Every atom is in one of three states, kept as state and never read back
+    from rounded margins: the loss side L (margin below 1), the zero side, or
+    the working set W of margins held at 1.  A step goes towards the least
+    point of F on the current face, x = (g + A_W^T nu) / (2 lam) with
+    A_W x = 1 and g = sum over L of p_i a_i, by an exact line search over the
+    kinks on the way (one sort): the kinks it passes change side, and the
+    kink it stops at joins W.  A margin the step moves by no more than its
+    rounding has no kink, so a row in the span of A_W never joins W, where
+    it would make the |W| x |W| system singular.  Once the step reaches the
+    face's least point, the least-index member of W with nu_i outside
+    [0, p_i] leaves for the side it points to (Bland's rule); when there is
+    none, alpha = p on L, nu on W and 0 elsewhere is optimal.  The rows of A
+    must be distinct (`_merge_repeats`).  Raises OptimizerFailureError on a
+    singular working set or after _ACTIVE_SET_STEPS steps.
     """
-    from scipy.optimize import Bounds, minimize
-
-    def neg_dual(beta):
-        z = (p * beta) @ A
-        return z @ z / (4.0 * lam) - p @ beta, p * (A @ z / (2.0 * lam) - 1.0)
-
-    beta, value = np.full(len(p), 0.5), math.inf
-    for _ in range(8):
-        res = minimize(neg_dual, beta, jac=True, method="L-BFGS-B", bounds=Bounds(0.0, 1.0),
-                       options=_LBFGS)
-        beta, gain, value = _finite(res), value - res.fun, res.fun
-        if gain <= 1e-12 * abs(value):
-            break
-    return (p * beta) @ A / (2.0 * lam), p * beta
+    n, d = A.shape
+    norms = np.linalg.norm(A, axis=1)
+    low = np.ones(n, dtype=bool)   # L: x = 0 puts every margin at 0
+    held = np.zeros(n, dtype=bool)  # W, also listed in order of entry by `work`
+    work, x = [], np.zeros(d)
+    for _ in range(_ACTIVE_SET_STEPS):
+        g, w = (p * low) @ A, len(work)
+        target = g / (2.0 * lam)
+        if w:
+            # A_W^T = Q1 R with Q2 spanning the rest, so A_W target = 1 holds to
+            # rounding whatever the size of g / (2 lam), and exactly at a vertex
+            Q, R = np.linalg.qr(A[work].T, mode="complete")
+            try:
+                c = np.linalg.solve(R[:w].T, np.ones(w))
+            except np.linalg.LinAlgError:
+                c = np.full(w, math.nan)
+            if not np.all(np.isfinite(c)):
+                raise OptimizerFailureError(f"singular hinge working set of {w} atoms")
+            target = Q[:, w:] @ (Q[:, w:].T @ target) + Q[:, :w] @ c
+        step = target - x
+        slope, margin = A @ step, A @ x
+        # kinks ahead: a loss-side margin rising to 1, or a zero-side one falling to
+        # it, by more than its rounding (W holds rows along which it is 0)
+        size = math.sqrt(x @ x) + math.sqrt(target @ target)
+        ahead = np.flatnonzero((np.where(low, slope, -slope) > _TINY * size * norms) & ~held)
+        t = (1.0 - margin[ahead]) / slope[ahead]
+        near = t < 1.0
+        order = np.argsort(t[near], kind="stable")  # ties: the least index first
+        ahead, t = ahead[near][order], np.maximum(t[near][order], 0.0)
+        if not len(t):  # at the face's least point, where 2 lam x - g = A_W^T nu
+            x, nu = target, np.linalg.solve(R[:w], 2.0 * lam * c - Q[:, :w].T @ g) if w else g[:0]
+            bad = np.flatnonzero((nu < 0.0) | (nu > p[work]))
+            if not len(bad):
+                alpha = p * low
+                alpha[work] = nu
+                return x, alpha
+            i = min(work[j] for j in bad)  # Bland: the least index leaves W
+            low[i], held[i] = nu[work.index(i)] > p[i], False
+            work.remove(i)
+            continue
+        # along the step, F's slope is q (t - 1) plus p_i |slope_i| for each kink passed
+        q = 2.0 * lam * float(step @ step)
+        rise = np.cumsum(p[ahead] * np.abs(slope[ahead]))
+        past = q * (t - 1.0) + rise >= 0.0  # the slope past each kink, which only rises
+        j = int(np.argmax(past)) if past[-1] else len(t)
+        root = 1.0 - rise[j - 1] / q if j else 1.0
+        low[ahead[:j]] = ~low[ahead[:j]]
+        if j < len(t) and t[j] <= root:
+            i = int(ahead[j])
+            low[i], held[i] = False, True
+            work.append(i)
+            root = t[j]
+        x = x + root * step
+    raise OptimizerFailureError(f"hinge active set did not finish in {_ACTIVE_SET_STEPS} steps")
 
 
 def _hinge_l2(A, p, lam):
     """Dual max sum(alpha) s.t. 0 <= alpha <= p, |A^T alpha| <= lam; x along A^T alpha.
 
-    This is the l2sq box dual at the weight mu where |A^T alpha(mu)| = lam, a
-    norm that does not decrease in mu: alpha = p above max|a_i| sum(p_i |a_i|)
-    / 2, where every margin is below 1, and the norm is below lam under
-    lam^2 / (4 sum(p)), as f(x) <= f(0) bounds mu |x|^2.  Bisection on log mu,
+    This is the l2sq box dual at the weight mu where |A^T alpha(mu)| = lam,
+    each probe's alpha(mu) an exact `_hinge_l2sq` solve.  That norm does not
+    decrease in mu: alpha = p above max|a_i| sum(p_i |a_i|) / 2, where every
+    margin is below 1, and the norm is below lam under lam^2 / (4 sum(p)),
+    as f(x) <= f(0) bounds mu |x|^2.  Bisection on log mu,
     then regula falsi (Illinois) once the norm lies on both sides of lam,
     stops when the least value along A^T alpha meets the dual value of alpha,
     or of the mix of the last alphas either side of lam, to _L2_GAP relative,
@@ -373,7 +440,9 @@ def _smooth_minimum(loss, reg, A, p, lam, y0):
     w0 = np.concatenate([np.maximum(y0, 0.0), np.maximum(-y0, 0.0)]) if split else y0
     res = minimize(fun, w0, jac=True, method="L-BFGS-B",
                    bounds=Bounds(0.0, np.inf) if split else None, options=_LBFGS)
-    w = _finite(res)
+    w = res.x  # f is attained there even if the solver stopped early
+    if not np.all(np.isfinite(w)):
+        raise OptimizerFailureError(f"solver diverged: {res.message}")
     return w[:d] - w[d:] if split else w
 
 

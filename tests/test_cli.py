@@ -217,16 +217,36 @@ class TestEval:
         rep = json.loads((tmp_path / "r.json").read_text())
         assert rep["pass"]
 
-    def test_dimension_mismatch_is_data_error(self, tmp_path):
+    def test_dimension_mismatch_is_data_error(self, tmp_path, capsys):
         out = gen_lin_relu_dir(tmp_path, k=4)
         other = tmp_path / "other.jsonl"
         other.write_text('{"dim": 2, "n": 1}\n{"a": [1.0, 0.0], "p": 1.0}\n')
-        save_exhaustive_sample(load_instance(out / "instance.jsonl"), tmp_path / "ex.jsonl")
+        instance = load_instance(out / "instance.jsonl")
+        save_exhaustive_sample(instance, tmp_path / "ex.jsonl")
+        (tmp_path / "origin.jsonl").write_text("")  # the origin alone, of any dimension
+        capsys.readouterr()
         assert run("eval", "--instance", str(other),
                    "--sample", str(tmp_path / "ex.jsonl"),
-                   "--queries", str(out / "queries.jsonl"),
+                   "--queries", str(tmp_path / "origin.jsonl"),
                    "--loss", "relu", "--reg", "l1", "--k", "4",
                    "--eps", "0.25") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"data error: {tmp_path / 'ex.jsonl'}: sample has dimension "
+                                f"{instance.dim}, instance {other} has dimension 2\n")
+
+    @pytest.mark.parametrize("eps", ["nan", "-1", "0", "1", "inf"])
+    def test_eps_outside_the_unit_interval_is_one_usage_error(self, tmp_path, capsys, eps):
+        out = gen_lin_relu_dir(tmp_path, k=4)
+        save_exhaustive_sample(load_instance(out / "instance.jsonl"), tmp_path / "ex.jsonl")
+        capsys.readouterr()
+        assert run("eval", "--instance", str(out / "instance.jsonl"),
+                   "--sample", str(tmp_path / "ex.jsonl"),
+                   "--queries", str(out / "queries.jsonl"),
+                   "--loss", "relu", "--reg", "l1", "--k", "4", "--eps", eps) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --eps must lie in (0, 1), got {float(eps)}\n"
 
     @pytest.mark.parametrize("which,record,what", [
         ("sample", '{"atom_index": 0, "a": [1%s, 0.0, 0.0, 0.0], "w": 1.0, "s": 1.0}', "sample"),
@@ -289,6 +309,17 @@ class TestOpt:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1
+
+    def test_sigmoid_restarts_past_the_dense_budget_are_one_budget_error(self, tmp_path, capsys):
+        # 10^11 starts in R^4 would take 2.9 TiB
+        out = gen_lin_relu_dir(tmp_path, k=4)
+        capsys.readouterr()
+        assert run("opt", "--instance", str(out / "instance.jsonl"), "--loss", "sigmoid",
+                   "--reg", "l2", "--k", "4", "--restarts", "100000000000") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget error: 100000000000 x 4 starts take ")
+        assert captured.err.count("\n") == 1
 
     def test_negative_seed_is_one_usage_error(self, tmp_path, capsys):
         # only sigmoid's restarts draw from the seed

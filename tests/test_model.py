@@ -89,7 +89,19 @@ BAD_RECORDS = [
                  "query has dimension 1, expected 2", id="short-query"),
     pytest.param("queries", jsonl(QUERY, "", QUERY), 2,
                  "malformed query record", id="blank-query-line"),
+    # "\udcff" is written as the byte 0xff, which no UTF-8 text holds
+    pytest.param("instance", jsonl(HEADER1, ATOM1, '{"a": [2.0], "p": 0.5}\udcff'), 3,
+                 "not UTF-8 text", id="byte-ff-instance"),
+    pytest.param("sample", jsonl(SAMPLE, "\udcff" + SAMPLE), 2,
+                 "not UTF-8 text", id="byte-ff-sample"),
+    pytest.param("queries", jsonl(QUERY, '{"x": [1.0, 2.0], "tag": "\udcff"}'), 2,
+                 "not UTF-8 text", id="byte-ff-query"),
 ]
+
+
+def write(path, text):
+    """text as UTF-8, with each lone surrogate U+DC80..U+DCFF as the byte 0x80..0xff."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 class TestInstanceInvariants:
@@ -194,7 +206,7 @@ class TestInstanceIO:
     def test_bad_record_names_its_line(self, tmp_path, fmt, text, line, what):
         # the three formats share one reader, so one table covers them all
         path = tmp_path / "bad.jsonl"
-        path.write_text(text)
+        write(path, text)
         with pytest.raises(DataError) as info:
             LOADERS[fmt](path)
         assert str(info.value) == f"{path}: line {line}: {what}"
@@ -203,7 +215,7 @@ class TestInstanceIO:
     def test_bad_record_is_one_cli_data_error(self, tmp_path, capsys, fmt, text, line, what):
         files = {name: tmp_path / f"{name}.jsonl" for name in LOADERS}
         for name, path in files.items():
-            path.write_text(text if name == fmt else GOOD_FILES[name])
+            write(path, text if name == fmt else GOOD_FILES[name])
         capsys.readouterr()
         assert main(["eval", "--instance", str(files["instance"]),
                      "--sample", str(files["sample"]), "--queries", str(files["queries"]),

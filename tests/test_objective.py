@@ -25,7 +25,13 @@ from regsamp.losses import (
     make_loss,
     make_reg,
 )
-from regsamp.model import ObjectiveSpec, compute_constants, gaussian_instance, make_instance
+from regsamp.model import (
+    ObjectiveSpec,
+    compute_constants,
+    gaussian_instance,
+    make_instance,
+    scale_exponent,
+)
 from regsamp.objective import (
     BLOCK,
     QuerySet,
@@ -41,6 +47,24 @@ from regsamp.objective import (
     sensitivity,
 )
 from regsamp.sampler import Coreset, draw_iid, score_array
+
+
+def hinge_gap_scan():
+    """The 400 (instance, k) of the hinge gap scan, from default_rng(0): n in
+    [2, 59] atoms in d in [1, 8] dimensions at scale 10^U(-3, 3), a third of
+    them shifted off the origin and a third with repeated rows, Dirichlet
+    masses plus 1e-3, and k = 10^U(0, 4)."""
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 9))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        atoms = scale * rng.standard_normal((n, d))
+        kind = int(rng.integers(3))
+        if kind == 1:
+            atoms += scale * rng.standard_normal(d)
+        elif kind == 2:
+            atoms[n // 2:] = atoms[rng.integers(0, n // 2, n - n // 2)]
+        yield make_instance(atoms, rng.dirichlet(np.ones(n)) + 1e-3), 10.0 ** rng.uniform(0, 4)
 
 
 def spec_of(loss, reg, k):
@@ -344,7 +368,7 @@ class TestEstimateOpt:
     def test_hinge_l2_solves_5000_atoms_in_linear_memory(self):
         import tracemalloc
 
-        import scipy.optimize  # noqa: F401  its first import is not the solver's memory
+        import scipy.special  # noqa: F401  its first import is not the solver's memory
 
         rng = np.random.default_rng(5)
         inst = make_instance(rng.standard_normal((5000, 6)) + 0.3)
@@ -370,16 +394,102 @@ class TestEstimateOpt:
         assert report.opt_value <= 0.616306
         assert report.opt_value - report.dual_lower <= 1e-6 * report.opt_value
 
-    def test_hinge_l2_restarts_a_stalled_box_dual(self):
-        # perfbench opt seed 198, problem p5: inside the hinge/l2 search one
-        # L-BFGS-B run stopped with a projected gradient of 2e-3, leaving a
-        # certified gap of 1.15e-6; a restart from that point clears it
+    def test_hinge_l2_closes_the_gap_of_opt_seed_198(self):
+        # perfbench opt seed 198, problem p5: L-BFGS-B on the box dual once
+        # stopped inside the hinge/l2 search with a projected gradient of 2e-3,
+        # leaving a certified gap of 1.15e-6
         rng = np.random.default_rng(np.random.SeedSequence([198, 4]).generate_state(3)[0])
         for _ in range(6):
             atoms = rng.standard_normal((40, 6))
         report = estimate_opt(make_instance(atoms, np.full(40, 1.0 / 40)),
                               spec_of(HINGE, L2, 64.0))
         assert report.opt_value - report.dual_lower <= 1e-6 * report.opt_value
+
+    @pytest.mark.parametrize("reg", [L2SQ, L2])
+    def test_hinge_gap_scan_is_certified_in_every_weight_band(self, reg):
+        # the rescaled l2sq weight 1/(k c^2) of the scan spans four bands: at least
+        # 1e-3, [1e-6, 1e-3), [1e-9, 1e-6) and below 1e-9
+        bands, worst = [0, 0, 0, 0], 0.0
+        for inst, k in hinge_gap_scan():
+            weight = math.ldexp(1.0 / k, -2 * int(scale_exponent(inst.atoms)))
+            bands[int(np.searchsorted([1e-9, 1e-6, 1e-3], weight, side="right"))] += 1
+            report = estimate_opt(inst, spec_of(HINGE, reg, k))
+            assert report.dual_lower <= report.opt_value
+            worst = max(worst, (report.opt_value - report.dual_lower) / report.opt_value)
+        assert bands == [15, 90, 149, 146]
+        assert worst <= 1e-6
+
+    @pytest.mark.parametrize("reg", [L2SQ, L2])
+    def test_hinge_repeated_atoms_act_as_one_atom_of_their_summed_mass(self, reg):
+        rng = np.random.default_rng(8)
+        atoms, masses = rng.standard_normal((12, 4)) + 0.3, rng.dirichlet(np.ones(12))
+        rows = np.concatenate([np.arange(12), rng.integers(0, 12, 30)])
+        copies = make_instance(atoms[rows], masses[rows])
+        merged = make_instance(atoms, np.bincount(rows, weights=masses[rows]))
+        want = estimate_opt(merged, spec_of(HINGE, reg, 64.0))
+        got = estimate_opt(copies, spec_of(HINGE, reg, 64.0))
+        assert got.opt_value == pytest.approx(want.opt_value, rel=1e-12)
+        assert got.opt_value - got.dual_lower <= 1e-12 * got.opt_value
+
+    @pytest.mark.parametrize("reg,value", [(L2SQ, 2.0 / 64.0), (L2, math.sqrt(2.0) / 64.0)])
+    def test_hinge_optimum_with_more_margins_at_one_than_dimensions(self, reg, value):
+        # x = (1, 1) puts all five margins at exactly 1 in d = 2; it is optimal at
+        # k = 64, where the multipliers on e_1 and e_2 are at most 1/32 <= 1/5
+        atoms = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.25, 0.75], [0.75, 0.25]])
+        report = estimate_opt(make_instance(atoms), spec_of(HINGE, reg, 64.0))
+        assert report.opt_value == pytest.approx(value, rel=1e-12)
+        assert report.dual_lower == pytest.approx(value, rel=1e-12)
+        assert report.minimizer == pytest.approx([1.0, 1.0], rel=1e-12)
+
+    @pytest.mark.parametrize("reg", [L2SQ, L2])
+    @pytest.mark.parametrize("k", [1.0, 8.0, 1e4])
+    def test_hinge_in_one_dimension_is_the_least_candidate(self, reg, k):
+        # F is convex and piecewise quadratic (l2sq) or linear (l2) in x, with
+        # kinks at 0 (l2) and at each 1/a_i: its minimum is at a kink or at the
+        # stationary point of a piece
+        a = np.array([2.0, -1.0, 0.5, 3.0, -0.25, 0.0])
+        p = np.random.default_rng(9).dirichlet(np.ones(6))
+        kinks = np.sort(np.concatenate([[0.0], 1.0 / a[a != 0.0]]))
+        candidates = list(kinks)
+        if reg == L2SQ:
+            for lo, hi in zip(np.concatenate([[kinks[0] - 1.0], kinks]),
+                              np.concatenate([kinks, [kinks[-1] + 1.0]])):
+                x = k / 2.0 * (p * (a * 0.5 * (lo + hi) < 1.0)) @ a
+                if (lo == kinks[0] - 1.0 or lo <= x) and (hi == kinks[-1] + 1.0 or x <= hi):
+                    candidates.append(x)
+        x = np.array(candidates)
+        values = p @ np.maximum(0.0, 1.0 - np.outer(a, x)) + eval_regularizer(
+            make_reg(reg), x[:, None]) / k
+        report = estimate_opt(make_instance(a[:, None], p), spec_of(HINGE, reg, k))
+        assert report.opt_value == pytest.approx(values.min(), rel=1e-12)
+        assert report.opt_value - report.dual_lower <= 1e-12 * report.opt_value
+
+    # in d = 2, x = (1, 0) puts three margins at exactly 1, and a_4 = (a_1 + a_5) / 2
+    LATTICE = np.array([[1.0, -1.0], [-1.0, 0.0], [0.0, 0.5], [1.0, -0.5], [1.0, 0.5],
+                        [0.0, -0.5]])
+
+    @pytest.mark.parametrize("reg", [L2SQ, L2])
+    def test_hinge_dependent_margins_at_one_are_solved(self, reg):
+        # a margin that moves by rounding alone must not join W: a_4 with a_1 and
+        # a_5 there would make the working set singular
+        report = estimate_opt(make_instance(self.LATTICE), spec_of(HINGE, reg, 256.0))
+        assert report.opt_value == pytest.approx(2.0 / 3.0 + 1.0 / 256.0, rel=1e-14)
+        assert report.opt_value - report.dual_lower <= 1e-14 * report.opt_value
+        assert report.minimizer == pytest.approx([1.0, 0.0], abs=1e-14)
+
+    def test_hinge_singular_working_set_is_a_typed_error(self, monkeypatch):
+        from regsamp import objective
+
+        monkeypatch.setattr(objective, "_TINY", 0.0)  # margins then move by rounding too
+        with pytest.raises(OptimizerFailureError, match="singular hinge working set of 3"):
+            estimate_opt(make_instance(self.LATTICE), spec_of(HINGE, L2SQ, 256.0))
+
+    def test_hinge_active_set_that_cannot_finish_is_a_typed_error(self, monkeypatch):
+        from regsamp import objective
+
+        monkeypatch.setattr(objective, "_ACTIVE_SET_STEPS", 1)
+        with pytest.raises(OptimizerFailureError, match="did not finish in 1 steps"):
+            estimate_opt(gaussian_instance(30, 4, seed=3), spec_of(HINGE, L2SQ, 16.0))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hinge_l2_kink_search_is_the_least_kink(self, seed):
