@@ -23,34 +23,57 @@ from .errors import (
     InvalidInputError,
     RegsampError,
 )
-from .losses import make_loss, make_reg
+from .losses import LOSS_KINDS, REG_KINDS, make_loss, make_reg
 from .model import ObjectiveSpec, load_instance, save_instance
 from .objective import estimate_opt, load_queries, relative_errors, save_queries, worst_error
-from .sampler import MIXTURE, draw_iid, load_samples, save_samples
+from .sampler import MIXTURE, SCORE_KINDS, draw_iid, load_samples, save_samples
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_BUDGET = 3
-
-# largest count numpy's draws take (int64); larger bench sizes are usage errors
-INT64_MAX = 2 ** 63 - 1
+EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_BUDGET = 0, 1, 2, 3
+# the stderr prefix and exit code of each refusal, by the first class that matches
+_REFUSALS = ((InvalidInputError, "error", EXIT_USAGE),
+             (BudgetExceededError, "budget error", EXIT_BUDGET),
+             ((DataError, DimensionMismatchError, OSError), "data error", EXIT_DATA),
+             (RegsampError, "error", EXIT_DATA))
 
 # keys a `bench` config must set and keys it may set, per mode; any other is rejected
-_COMMON = ("mode", "trials", "master_seed", "m_cap", "out")
-BENCH_KEYS = {"failure-rate": (("kind", "eps", "delta", "m_list"),
-                               ("params", "query_policy", *_COMMON)),
+_COMMON = ("mode", "trials", "master_seed", "m_cap")
+BENCH_KEYS = {"failure-rate": (("kind", "eps", "delta", "m_list", "params"),
+                               ("query_policy", *_COMMON)),
               "scaling": (("kind", "k_list", "eps", "delta"), ("reg", *_COMMON))}
-# the type of each bench config key, as `hardness.typed` names it; `params`
-# must be an object and is checked against the kind's generator
-BENCH_TYPES = {"kind": "str", "reg": "str", "query_policy": "str", "out": "str",
-               "eps": "float", "delta": "float", "trials": "int", "master_seed": "int",
-               "m_cap": "int", "m_list": "list[int]", "k_list": "list[float]"}
+
+_UNIT = ("float", lambda v: 0 < v < 1, "{name} must lie in (0, 1)")
+_COUNT = ("int", lambda v: 1 <= v <= 2 ** 63 - 1,  # the largest count numpy draws (int64)
+          "{name} must not exceed 2^63 - 1 nor fall below 1")
+_SEED = ("int", lambda v: v >= 0, "a seed must be a non-negative integer")
+_TEXT = ("str", lambda v: True, "")  # checked where used: the kind table, TrialConfig
+# the domain of every value a flag or a bench config key sets: its `hardness.typed`
+# annotation, an in-range test and the refusal, which names the flag or key
+DOMAINS = {
+    "k": ("float", lambda v: 1 <= v < math.inf, "{name} must be a finite real >= 1"),
+    "k_list": ("list[float]", lambda v: min(v, default=1) >= 1, "{name} must hold reals >= 1"),
+    "eps": _UNIT, "delta": _UNIT, "m": _COUNT, "trials": _COUNT, "m_cap": _COUNT,
+    "m_list": ("list[int]", lambda v: all(map(_COUNT[1], v)), _COUNT[2]),
+    "restarts": ("int", lambda v: v >= 1, "{name} must be >= 1"),
+    "seed": _SEED, "master_seed": _SEED,
+    "norm_bound": ("float | None", lambda v: 0 <= v < math.inf,
+                   "{name} must lie in [0, inf)"),
+    "kind": _TEXT, "reg": _TEXT, "query_policy": _TEXT,
+}
+
+
+def _checked(name: str, value, flag: str | None = None):
+    """value if in DOMAINS[name]; argparse types a flag's value, this a config key's."""
+    annotation, inside, refusal = DOMAINS[name]
+    if flag is None:
+        value = hardness.typed(name, value, annotation)
+    if value is not None and not inside(value):
+        raise InvalidInputError(f"{refusal.format(name=flag or repr(name))}, got {value!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
+    def error(self, message):  # argparse prints usage and exits 2
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -90,24 +113,23 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.score.startswith("uniform-") != (args.norm_bound is not None):
+        verb = "needs" if args.norm_bound is None else "takes no"
+        raise InvalidInputError(f"--score {args.score} {verb} --norm-bound")
     instance = load_instance(args.instance)
     samples = draw_iid(instance, args.score, args.m, args.seed,
                        convention=args.convention, D=args.norm_bound)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_samples(samples, out)
-    _write_manifest(out.parent, "sample",
-                    {"instance": str(args.instance), "score": args.score,
-                     "convention": args.convention, "m": args.m,
-                     "seed": args.seed, "out": out.name},
-                    [out.name])
+    config = {k: getattr(args, k) for k in ("score", "convention", "m", "seed", "norm_bound")}
+    _write_manifest(out.parent, "sample", {**config, "instance": str(args.instance),
+                                           "out": out.name}, [out.name])
     print(f"wrote {len(samples)} weighted samples to {out}")
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    if not 0.0 < args.eps < 1.0:
-        raise InvalidInputError(f"--eps must lie in (0, 1), got {args.eps}")
     instance = load_instance(args.instance)
     samples = load_samples(args.sample)
     if samples.a.shape[1] != instance.dim:
@@ -140,8 +162,10 @@ def _cmd_opt(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    try:
+        cfg = json.loads(Path(args.config).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise DataError(f"{args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise InvalidInputError("a bench config must be a JSON object")
     mode = cfg.get("mode", "scaling")
@@ -154,41 +178,28 @@ def _cmd_bench(args) -> int:
     unknown = [repr(key) for key in cfg if key not in required + optional]
     if unknown:
         raise InvalidInputError(f"{mode} config does not take key(s) {', '.join(unknown)}")
-    opts = {key: hardness.typed(key, val, BENCH_TYPES[key])
-            for key, val in cfg.items() if key in BENCH_TYPES}
+    opts = {"trials": bench.DEFAULT_TRIALS, "master_seed": 0, "m_cap": bench.DEFAULT_M_CAP,
+            **{key: _checked(key, val) for key, val in cfg.items() if key in DOMAINS}}
     if not isinstance(cfg.get("params", {}), dict):
         raise InvalidInputError(f"'params' must be an object, got {cfg['params']!r}")
-    if any(m < 1 for m in opts.get("m_list", ())):
-        raise InvalidInputError(f"'m_list' must hold positive integers, got {cfg['m_list']!r}")
-    trials = opts.get("trials", bench.DEFAULT_TRIALS)
-    seed = opts.get("master_seed", args.seed)
-    m_cap = opts.get("m_cap", bench.DEFAULT_M_CAP)
-    for key, values in (("m_list", opts.get("m_list", [])), ("m_cap", [m_cap]),
-                        ("trials", [trials])):
-        if max(values, default=0) > INT64_MAX:
-            raise InvalidInputError(f"{key!r} must not exceed 2^63 - 1, got {cfg[key]!r}")
-    over = [m for m in opts.get("m_list", ()) if m > m_cap]
+    over = [m for m in opts.get("m_list", ()) if m > opts["m_cap"]]
     if over:
-        raise BudgetExceededError(f"'m_list' entries {over} exceed the m cap {m_cap}")
-    out = Path(args.out or opts.get("out", "."))
-    outputs = []
-    warnings = []
+        raise BudgetExceededError(f"'m_list' entries {over} exceed the m cap {opts['m_cap']}")
+    out = Path(args.out)
+    outputs, warnings = [], []
     if mode == "failure-rate":
-        hard = hardness.generate(opts["kind"], **cfg.get("params", {}))
-        tc = bench.TrialConfig(eps=opts["eps"], delta=opts["delta"], trials=trials,
-                               master_seed=seed, hard=hard,
-                               query_policy=opts.get("query_policy", bench.ADVERSARIAL_ONLY),
-                               m_cap=m_cap)
+        hard = hardness.generate(opts["kind"], **cfg["params"])
+        tc = bench.TrialConfig(opts["eps"], opts["delta"], opts["trials"], opts["master_seed"],
+                               hard=hard, m_cap=opts["m_cap"],
+                               query_policy=opts.get("query_policy", bench.ADVERSARIAL_ONLY))
         rows = []
         for m in opts["m_list"]:
             rate, (lo, hi) = bench.failure_rate(tc, m)
             rows.append({"run_id": f"{opts['kind']}-k{hard.spec.k:g}-m{m}",
                          "kind": opts["kind"], "loss": hard.spec.loss.kind,
-                         "reg": hard.spec.reg.kind, "k": hard.spec.k,
-                         "eps": tc.eps, "delta": tc.delta, "m": m,
-                         "trials": tc.trials,
-                         "failures": int(round(rate * tc.trials)), "rate": rate,
-                         "ci_lo": lo, "ci_hi": hi})
+                         "reg": hard.spec.reg.kind, "k": hard.spec.k, "eps": tc.eps,
+                         "delta": tc.delta, "m": m, "trials": tc.trials, "rate": rate,
+                         "failures": int(round(rate * tc.trials)), "ci_lo": lo, "ci_hi": hi})
             if tc.trials == 1:
                 warnings.append(f"m={m}: single trial gives a vacuous CI")
         out.mkdir(parents=True, exist_ok=True)
@@ -196,8 +207,9 @@ def _cmd_bench(args) -> int:
         outputs.append("failure_rates.csv")
     else:
         curve = bench.scaling_curve(opts["kind"], opts["k_list"], eps=opts["eps"],
-                                    delta=opts["delta"], trials=trials, seed=seed,
-                                    reg=opts.get("reg"), m_cap=m_cap)
+                                    delta=opts["delta"], trials=opts["trials"],
+                                    seed=opts["master_seed"], reg=opts.get("reg"),
+                                    m_cap=opts["m_cap"])
         out.mkdir(parents=True, exist_ok=True)
         bench.write_scaling_csv(out / "scaling.csv", opts["kind"], curve)
         bench.write_plot_data(out / "scaling_plot.dat", curve)
@@ -215,96 +227,84 @@ def _cmd_verify(args) -> int:
     from .verify import run_all
 
     results = run_all(quick=args.quick)
-    failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name} ({res.seconds:.1f}s): {res.detail}")
-        failed += 0 if res.passed else 1
-    if failed:
-        print(f"{failed} of {len(results)} checks failed")
-        return EXIT_DATA
-    print(f"all {len(results)} checks passed")
-    return EXIT_OK
+    failed = sum(not res.passed for res in results)
+    print(f"{failed} of {len(results)} checks failed" if failed
+          else f"all {len(results)} checks passed")
+    return EXIT_DATA if failed else EXIT_OK
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="regsamp",
-                     description="Importance-sampling coresets for regularized "
-                                 "linear classification losses")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", type=str, default=None)
+    parser = _Parser(prog="regsamp", description="Importance-sampling coresets for "
+                                                 "regularized linear classification losses")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a hard instance")
+    p = sub.add_parser("gen", help="generate a hard instance")
     p.add_argument("--kind", required=True, choices=hardness.HARD_KINDS)
     p.add_argument("--k", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--d", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--reg", choices=["l1", "l2", "l2sq"])
-    p.set_defaults(func=_cmd_gen, out_required=True)
+    p.add_argument("--reg", choices=REG_KINDS)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("sample", parents=[common], help="draw weighted samples")
+    p = sub.add_parser("sample", help="draw weighted samples")
     p.add_argument("--instance", required=True)
-    p.add_argument("--score", default="norm",
-                   choices=["norm", "sqnorm", "uniform-d", "uniform-d2"])
+    p.add_argument("--score", default="norm", choices=SCORE_KINDS)
     p.add_argument("--convention", default=MIXTURE, choices=["mixture", "score-only"])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--norm-bound", type=float, default=None)
-    p.set_defaults(func=_cmd_sample, out_required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("eval", parents=[common], help="relative errors on a query set")
-    p.add_argument("--instance", required=True)
+    objective = argparse.ArgumentParser(add_help=False)  # the flags eval and opt share
+    objective.add_argument("--instance", required=True)
+    objective.add_argument("--loss", required=True, choices=LOSS_KINDS)
+    objective.add_argument("--reg", required=True, choices=REG_KINDS)
+    objective.add_argument("--k", type=float, required=True)
+    objective.add_argument("--out")
+
+    p = sub.add_parser("eval", parents=[objective], help="relative errors on a query set")
     p.add_argument("--sample", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--loss", required=True, choices=["logistic", "sigmoid", "hinge", "relu"])
-    p.add_argument("--reg", required=True, choices=["l1", "l2", "l2sq"])
-    p.add_argument("--k", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=_cmd_eval, out_required=False)
+    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("opt", parents=[common], help="estimate the objective minimum")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--loss", required=True, choices=["logistic", "sigmoid", "hinge", "relu"])
-    p.add_argument("--reg", required=True, choices=["l1", "l2", "l2sq"])
-    p.add_argument("--k", type=float, required=True)
+    p = sub.add_parser("opt", parents=[objective], help="estimate the objective minimum")
     p.add_argument("--restarts", type=int, default=8)
-    p.set_defaults(func=_cmd_opt, out_required=False)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=_cmd_opt)
 
-    p = sub.add_parser("bench", parents=[common], help="failure rates and scaling curves")
+    p = sub.add_parser("bench", help="failure rates and scaling curves")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_bench, out_required=False)
+    p.add_argument("--out", default=".")
+    p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("verify", parents=[common], help="run the acceptance battery")
+    p = sub.add_parser("verify", help="run the acceptance battery")
     p.add_argument("--quick", action="store_true")
-    p.set_defaults(func=_cmd_verify, out_required=False)
+    p.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "out_required", False) and not args.out:
-        print("error: --out is required for this command", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        if args.command != "gen":  # gen's flags are typed by its kind's schema
+            for name, value in vars(args).items():
+                if name in DOMAINS:
+                    _checked(name, value, "--" + name.replace("_", "-"))
         return args.func(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (DataError, DimensionMismatchError, OSError, json.JSONDecodeError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except RegsampError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except (RegsampError, OSError) as exc:
+        prefix, code = next((p, c) for cls, p, c in _REFUSALS if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

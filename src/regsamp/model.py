@@ -230,7 +230,7 @@ def load_instance(path) -> Instance:
 
 
 # The one JSONL writer and reader of all three formats; what a bad record raises:
-_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 _DECODER = json.JSONDecoder()
 
 

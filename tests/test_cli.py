@@ -420,7 +420,7 @@ SCALING = {"mode": "scaling", "kind": "lin-relu", "k_list": [4, 8, 16], "eps": 0
 class TestBenchBadConfigs:
     @pytest.mark.parametrize("cfg,names", [
         ({"mode": "failure-rate", "kind": "coupon-relu", "eps": 0.25, "delta": 0.2,
-          "m_list": [16]}, "'d'"),
+          "m_list": [16]}, "params"),
         ({"mode": "failure-rate", "kind": "coupon-relu", "eps": 0.25, "delta": 0.2,
           "m_list": [16], "params": {"d": 16, "k": 8.0, "bogus": 1}}, "'bogus'"),
         ({"mode": "scaling", "kind": "lin-relu", "k_list": [4, 8, 16], "delta": 0.25},
