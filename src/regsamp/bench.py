@@ -31,6 +31,7 @@ DEFAULT_TRIALS = 200
 DEFAULT_M_CAP = 2_000_000
 WILSON_Z = 1.96  # normal quantile of the 95% Wilson interval
 SLOPE_RESAMPLES = 200  # bootstrap resamples of the scaling slope's interval
+PRODUCT_ROWS = 16  # count rows per float copy in `_draw_counts`
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +96,14 @@ def _draw_counts(q: np.ndarray, w: np.ndarray, m: int, trials: int,
         counts = rng.multinomial(m, q, size=trials)
     except ValueError as exc:  # numpy's own pvals check, at a rounding error of q's
         raise DegenerateInstanceError(f"sampling probabilities rejected: {exc}") from None
-    return counts, counts @ w / m
+    # int @ float casts the int operand to a float copy, so take the product a
+    # few rows at a time; a one-row product sums in another order, so the last
+    # row of a longer block joins the rows before it
+    mean_w = np.empty(trials)
+    for lo in range(0, max(trials - 1, 1), PRODUCT_ROWS):
+        hi = trials if trials - lo == PRODUCT_ROWS + 1 else lo + PRODUCT_ROWS
+        mean_w[lo:hi] = counts[lo:hi] @ w
+    return counts, mean_w / m
 
 
 def _generic_query_failures(instance: Instance, spec: ObjectiveSpec, queries: QuerySet,

@@ -8,6 +8,7 @@ any output can be regenerated from the manifest alone.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -52,11 +53,13 @@ DOMAINS = {
     "k": ("float", lambda v: 1 <= v < math.inf, "{name} must be a finite real >= 1"),
     "k_list": ("list[float]", lambda v: min(v, default=1) >= 1, "{name} must hold reals >= 1"),
     "eps": _UNIT, "delta": _UNIT, "m": _COUNT, "trials": _COUNT, "m_cap": _COUNT,
-    "m_list": ("list[int]", lambda v: all(map(_COUNT[1], v)), _COUNT[2]),
+    "m_list": ("list[int]", lambda v: len(v) > 0 and all(map(_COUNT[1], v)),
+               _COUNT[2] + ", nor be empty"),
     "restarts": ("int", lambda v: v >= 1, "{name} must be >= 1"),
     "seed": _SEED, "master_seed": _SEED,
-    "norm_bound": ("float | None", lambda v: 0 <= v < math.inf,
-                   "{name} must lie in [0, inf)"),
+    # a uniform score D^2 + 2, and twice it, stay finite: S + s forms the law
+    "norm_bound": ("float | None", lambda v: 0 <= v <= 2.0 ** 511,
+                   "{name} must lie in [0, 2^511]"),
     "kind": _TEXT, "reg": _TEXT, "query_policy": _TEXT,
 }
 
@@ -236,7 +239,9 @@ def _cmd_verify(args) -> int:
     return EXIT_DATA if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="regsamp", description="Importance-sampling coresets for "
                                                  "regularized linear classification losses")
     sub = parser.add_subparsers(dest="command", required=True)

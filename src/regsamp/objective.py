@@ -174,10 +174,12 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
     (k/4)|A^T alpha|^2 over 0 <= alpha <= p.  hinge/l2: that box dual at the
     l2sq weight where |A^T alpha| = 1/k, found by a 1-D search over exact
     l2sq solves, then an exact line search along A^T alpha.  logistic:
-    L-BFGS-B, on x = u - v with u, v >= 0 for l1.  sigmoid, which is not
-    convex: L-BFGS-B from the origin and restarts - 1 Gaussian starts
-    derive_rng(seed, r), refused with BudgetExceededError when the starts
-    exceed `model.MAX_DENSE_CELLS` cells.
+    L-BFGS-B, on x = u - v with u, v >= 0 for l1 and on x = r u / |u| with
+    r >= 0 for l2, so the kink of the norm at the origin is a bound
+    (`_smooth_minimum`).  sigmoid, which is not convex: the same L-BFGS-B
+    from the origin and restarts - 1 Gaussian starts derive_rng(seed, r),
+    refused with BudgetExceededError when the starts exceed
+    `model.MAX_DENSE_CELLS` cells.
 
     The solvers see the atoms divided by a power of two c >= 1 near their
     largest entry and the regularizer weight 1/(k c^p) of a degree-p
@@ -185,7 +187,8 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
     overflows.  For a convex class dual_lower is a Fenchel dual value at the
     solver's multipliers (hinge) or at g'(margins) (logistic), scaled into the
     dual-feasible set; for sigmoid it is the analytic lower bound.  The
-    origin is always a candidate, so opt_value <= g(0).  Raises
+    analytic bound is capped at opt_value, so analytic_lower <= dual_lower
+    <= opt_value.  The origin is always a candidate, so opt_value <= g(0).  Raises
     OptimizerFailureError when the rescaled weight is below MIN_WEIGHT (l2sq
     atoms with entries of 2^250 or more) or a solver cannot finish.
     """
@@ -224,6 +227,9 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
     if not (lower - 1e-9 <= best_val <= upper + 1e-9):
         raise OptimizerFailureError(
             f"optimizer value {best_val} escaped bracket [{lower}, {upper}]")
+    # the analytic bound takes the masses to sum to 1 exactly, so an attained
+    # value can fall below it by their rounding, as f(0) = sum(p) g(0) does
+    lower = min(lower, best_val)
     if loss.kind == RELU:
         dual = 0.0
     elif loss.kind == HINGE:
@@ -417,33 +423,63 @@ _HINGE = {L1: _hinge_l1, L2: _hinge_l2, L2SQ: _hinge_l2sq}
 
 
 def _smooth_minimum(loss, reg, A, p, lam, y0):
-    """L-BFGS-B on p @ g(A y) + lam R(y) from y0; l1 as y = u - v with u, v >= 0."""
+    """L-BFGS-B on p @ g(A y) + lam R(y) from y0, with the kink of a norm at the
+    origin given to its bound handling (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
+    Comput. 1995): l1 as y = u - v with u, v >= 0, l2 as y = r u / |u| with
+    r >= 0.  The l2 start at the origin is r = 0 along u = -grad f0(0) (e_1
+    if that is 0): a non-optimal origin leaves it at once, and an optimal one,
+    like a start that falls into the kink, stops on the bound."""
     from scipy.optimize import Bounds, minimize
 
     d = A.shape[1]
-    split = reg.kind == L1
 
-    def fun(w):
-        y = w[:d] - w[d:] if split else w
+    def loss_and_gradient(y):
         margins = A @ y
-        val = p @ eval_loss(loss, margins)
-        s = (p * eval_loss_derivative(loss, margins)) @ A
-        if split:
+        return p @ eval_loss(loss, margins), (p * eval_loss_derivative(loss, margins)) @ A
+
+    if reg.kind == L1:
+        def fun(w):
+            val, s = loss_and_gradient(w[:d] - w[d:])
             # lam 1 @ (u + v) is smooth and equals lam |y|_1 where u v = 0
             return val + lam * w.sum(), np.concatenate([s + lam, lam - s])
-        val += lam * eval_regularizer(reg, y)
-        if reg.kind == L2SQ:
-            return val, s + 2.0 * lam * y
-        size = np.linalg.norm(y)
-        return val, s + (lam / size * y if size > 0.0 else 0.0)
 
-    w0 = np.concatenate([np.maximum(y0, 0.0), np.maximum(-y0, 0.0)]) if split else y0
-    res = minimize(fun, w0, jac=True, method="L-BFGS-B",
-                   bounds=Bounds(0.0, np.inf) if split else None, options=_LBFGS)
+        def point(w):
+            return w[:d] - w[d:]
+
+        w0, bounds = np.concatenate([np.maximum(y0, 0.0), np.maximum(-y0, 0.0)]), Bounds(0.0)
+    elif reg.kind == L2:
+        def fun(w):
+            r, u = w[0], w[1:]
+            size = np.linalg.norm(u)
+            theta = u / size
+            val, s = loss_and_gradient(r * theta)
+            along = s @ theta
+            # lam r equals lam |y|; d/du of y is (r / |u|)(I - theta theta^T)
+            return val + lam * r, np.concatenate([[along + lam], r / size * (s - along * theta)])
+
+        def point(w):
+            return w[0] * (w[1:] / np.linalg.norm(w[1:]))
+
+        r0 = np.linalg.norm(y0)
+        u0 = y0 if r0 > 0.0 else -loss_and_gradient(y0)[1]
+        if not np.any(u0):
+            u0 = np.eye(1, d)[0]
+        w0, bounds = np.concatenate([[r0], u0]), Bounds(np.r_[0.0, np.full(d, -np.inf)])
+    else:
+        def fun(y):
+            val, s = loss_and_gradient(y)
+            return val + lam * eval_regularizer(reg, y), s + 2.0 * lam * y
+
+        def point(w):
+            return w
+
+        w0, bounds = y0, None
+
+    res = minimize(fun, w0, jac=True, method="L-BFGS-B", bounds=bounds, options=_LBFGS)
     w = res.x  # f is attained there even if the solver stopped early
     if not np.all(np.isfinite(w)):
         raise OptimizerFailureError(f"solver diverged: {res.message}")
-    return w[:d] - w[d:] if split else w
+    return point(w)
 
 
 def _dual_value(loss, reg, A, p, u, lam) -> float:

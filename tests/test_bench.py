@@ -85,6 +85,30 @@ class TestDrawCounts:
         stderr = np.sqrt(m * q * (1 - q) / trials)
         assert np.all(np.abs(counts.mean(axis=0) - m * q) <= 4 * stderr)
 
+    @pytest.mark.parametrize("n", [128, 456])
+    @pytest.mark.parametrize("trials", [1, 2, 16, 17, 33, 200])
+    def test_row_chunks_give_the_one_product(self, n, trials):
+        # the product is taken PRODUCT_ROWS rows at a time, never one row of a
+        # longer block alone, whose sum would take another order
+        rng = np.random.default_rng(n)
+        q, w = rng.dirichlet(np.ones(n)), rng.uniform(0.1, 2.0, n)
+        counts, mean_w = bench._draw_counts(q, w, 5000, trials, derive_rng(2, n))
+        assert np.array_equal(mean_w, counts @ w / 5000)
+
+    def test_mc_wide_probe_peaks_near_one_count_block(self):
+        # 200 trials x 4000 atoms: the int64 block is 6.4 MB, and the mean weight
+        # no longer casts all of it to a float copy at once
+        import tracemalloc
+
+        q, w, _ = gen_coupon_relu(4000, 16.0).law
+        tracemalloc.start()
+        try:
+            counts, _ = bench._draw_counts(q, w, 30000, 200, derive_rng(1, 30000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * counts.nbytes
+
     def test_probabilities_numpy_rejects_are_a_typed_error(self):
         # the first n-1 entries sum above 1, which numpy rejects with ValueError
         with pytest.raises(DegenerateInstanceError):

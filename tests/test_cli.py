@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import regsamp
+from regsamp import cli
 from regsamp.cli import main
 from regsamp.hardness import generate, kind_params
-from regsamp.model import load_instance
+from regsamp.model import gaussian_instance, load_instance, save_instance
 from regsamp.objective import load_queries
 from regsamp.sampler import Coreset, save_samples
 
@@ -454,6 +455,25 @@ class TestBenchBadConfigs:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and names in lines[0]
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_parse_state_leaks_between_calls(self, tmp_path):
+        # sigmoid/l2 at k = 64 on this instance ends elsewhere from 2 starts than from 8
+        inst_path = tmp_path / "inst.jsonl"
+        save_instance(gaussian_instance(40, 6, seed=11), inst_path)
+        argv = ["opt", "--instance", str(inst_path), "--loss", "sigmoid", "--reg", "l2",
+                "--k", "64"]
+        cli.build_parser.cache_clear()
+        assert run(*argv, "--out", str(tmp_path / "alone.json")) == 0
+        assert run(*argv, "--restarts", "2", "--out", str(tmp_path / "two.json")) == 0
+        assert run(*argv, "--out", str(tmp_path / "after.json")) == 0
+        alone = (tmp_path / "alone.json").read_bytes()
+        assert (tmp_path / "two.json").read_bytes() != alone
+        assert (tmp_path / "after.json").read_bytes() == alone
 
 
 class TestUsage:

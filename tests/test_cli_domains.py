@@ -12,6 +12,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -160,20 +161,24 @@ def test_deleted_inputs_are_usage_errors(tmp_path, inputs, argv):
     assert not (tmp_path / "o").exists()
 
 
-BOUND = "--norm-bound must lie in [0, inf)"
+BOUND = "--norm-bound must lie in [0, 2^511]"
 
 
 @pytest.mark.parametrize("flags,message", [
     (["--score", "uniform-d", "--norm-bound", "-5"], f"{BOUND}, got -5.0"),
     (["--score", "uniform-d", "--norm-bound", "nan"], f"{BOUND}, got nan"),
     (["--score", "uniform-d2", "--norm-bound", "inf"], f"{BOUND}, got inf"),
+    (["--score", "uniform-d2", "--norm-bound", "1e308"], f"{BOUND}, got 1e+308"),
+    (["--score", "uniform-d", "--norm-bound", "1.7976931348623157e308"],
+     f"{BOUND}, got 1.7976931348623157e+308"),
     (["--score", "uniform-d"], "--score uniform-d needs --norm-bound"),
     (["--score", "sqnorm", "--norm-bound", "3"], "--score sqnorm takes no --norm-bound"),
     (["--norm-bound", "0"], "--score norm takes no --norm-bound"),
     (["--m", "0"], "--m must not exceed 2^63 - 1 nor fall below 1, got 0"),
     (["--m", str(2 ** 63)], f"--m must not exceed 2^63 - 1 nor fall below 1, got {2 ** 63}"),
     (["--m", "abc"], "argument --m: invalid int value: 'abc'"),
-], ids=["norm-bound-negative", "norm-bound-nan", "norm-bound-inf", "uniform-without-bound",
+], ids=["norm-bound-negative", "norm-bound-nan", "norm-bound-inf", "norm-bound-1e308",
+        "norm-bound-largest-float", "uniform-without-bound",
         "bound-with-sqnorm", "bound-with-norm", "m-zero", "m-past-int64", "m-not-int"])
 def test_sample_refusals(tmp_path, inputs, flags, message):
     argv = ["sample", "--instance", inputs["instance"], "--m", "5", *flags,
@@ -181,6 +186,19 @@ def test_sample_refusals(tmp_path, inputs, flags, message):
     code, out, err = run(argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("score", ["uniform-d", "uniform-d2"])
+def test_largest_norm_bound_gives_finite_scores_and_unit_weights(tmp_path, inputs, score):
+    # a uniform law is the masses: at D = 2^511 the scores D + 1 or D^2 + 2
+    # and the score mass S stay finite, and every weight 2S/(s + S) is 1
+    out = tmp_path / "s.jsonl"
+    code, _, err = run(["sample", "--instance", inputs["instance"], "--m", "9", "--score",
+                        score, "--norm-bound", str(2.0 ** 511), "--out", out])
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 9 and all(math.isfinite(rec["s"]) for rec in records)
+    assert [rec["w"] for rec in records] == pytest.approx([1.0] * 9, rel=1e-12)
 
 
 @pytest.mark.parametrize("score,bound", [("uniform-d", "2.5"), ("uniform-d2", "0"),
@@ -218,6 +236,16 @@ def test_bench_key_refusals(tmp_path, changes, message):
     code, out, err = run(["bench", "--config", _bench_config(tmp_path, **changes),
                           "--out", tmp_path / "o"])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_m_list_is_a_usage_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**FAILURE_RATE, "m_list": []}))
+    code, out, err = run(["bench", "--config", path, "--out", tmp_path / "o"])
+    assert (code, out) == (1, "")
+    assert err == ("error: 'm_list' must not exceed 2^63 - 1 nor fall below 1, nor be empty, "
+                   "got []\n")
     assert not (tmp_path / "o").exists()
 
 

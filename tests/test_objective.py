@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from regsamp.losses import (
     RELU,
     SIGMOID,
     eval_loss,
+    eval_loss_derivative,
     eval_regularizer,
     make_loss,
     make_reg,
@@ -32,6 +34,7 @@ from regsamp.model import (
     make_instance,
     scale_exponent,
 )
+from regsamp import objective
 from regsamp.objective import (
     BLOCK,
     QuerySet,
@@ -354,6 +357,43 @@ class TestEstimateOpt:
         report = estimate_opt(inst, spec_of(SIGMOID, L1, 8.0), restarts=3, seed=5)
         assert report.dual_lower == report.analytic_lower
 
+    def test_sigmoid_l2_origin_minimum_stops_on_the_bound(self, monkeypatch):
+        # |grad f0(0)| < 1/k makes the origin a strict local minimum, in the kink
+        # of |x|: every start that reaches it stops on the bound r >= 0
+        inst, spec = gaussian_instance(40, 6, seed=7), spec_of(SIGMOID, L2, 4.0)
+        slope = eval_loss_derivative(spec.loss, np.zeros(1))[0] * (inst.masses @ inst.atoms)
+        assert np.linalg.norm(slope) < 1.0 / spec.k
+        calls = []
+
+        def counted(loss, margins):
+            calls.append(np.shape(margins))
+            return eval_loss(loss, margins)
+
+        monkeypatch.setattr(objective, "eval_loss", counted)
+        report = estimate_opt(inst, spec, restarts=8)
+        assert not np.any(report.minimizer)
+        assert report.opt_value == pytest.approx(full_objective(inst, spec, np.zeros(6))[1],
+                                                 rel=1e-15)
+        assert len(calls) < 100  # every L-BFGS-B evaluation over 8 starts, and the final one
+
+    # opt_value of estimate_opt(gaussian_instance(40, 6, seed), l2, k) with L-BFGS-B
+    # on y itself, whose gradient at the kink y = 0 drops the regularizer
+    L2_VALUES = [
+        (LOGISTIC, 7, 4.0, 0.6931471805599453), (LOGISTIC, 7, 16.0, 0.6842163477559562),
+        (LOGISTIC, 7, 64.0, 0.6651346235012677), (LOGISTIC, 11, 4.0, 0.6931471805599453),
+        (LOGISTIC, 11, 16.0, 0.601756098127891), (LOGISTIC, 11, 64.0, 0.5316328592873778),
+        (SIGMOID, 7, 4.0, 0.49999999999999994), (SIGMOID, 7, 16.0, 0.4987553776594419),
+        (SIGMOID, 7, 64.0, 0.3910954476026628), (SIGMOID, 11, 4.0, 0.49999999999999994),
+        (SIGMOID, 11, 16.0, 0.45560294581192073), (SIGMOID, 11, 64.0, 0.33709832598501965),
+    ]
+
+    @pytest.mark.parametrize("loss,seed,k,value", L2_VALUES)
+    def test_l2_bound_form_keeps_the_minimum(self, loss, seed, k, value):
+        report = estimate_opt(gaussian_instance(40, 6, seed=seed), spec_of(loss, L2, k))
+        assert report.opt_value == pytest.approx(value, rel=1e-12, abs=0.0)
+        if loss == LOGISTIC:
+            assert report.opt_value - report.dual_lower <= 1e-6 * report.opt_value
+
     @pytest.mark.parametrize("loss", [LOGISTIC, HINGE, SIGMOID])
     def test_rescaled_atoms_give_the_same_minimum(self, loss):
         # f at x on atoms c a with k equals f at c x on atoms a with k c^p (l1: p = 1)
@@ -414,10 +454,19 @@ class TestEstimateOpt:
             weight = math.ldexp(1.0 / k, -2 * int(scale_exponent(inst.atoms)))
             bands[int(np.searchsorted([1e-9, 1e-6, 1e-3], weight, side="right"))] += 1
             report = estimate_opt(inst, spec_of(HINGE, reg, k))
-            assert report.dual_lower <= report.opt_value
+            assert report.analytic_lower <= report.dual_lower <= report.opt_value
             worst = max(worst, (report.opt_value - report.dual_lower) / report.opt_value)
         assert bands == [15, 90, 149, 146]
         assert worst <= 1e-6
+
+    def test_no_bound_exceeds_an_origin_value_below_g0(self):
+        # scan instance 12 (hinge/l2, n = 19, d = 1, k = 27.4): alpha = p is optimal,
+        # and f(0) = sum(p) rounds to 1 - 3e-16, below the analytic bound g(0) = 1
+        inst, k = next(itertools.islice(hinge_gap_scan(), 12, None))
+        report = estimate_opt(inst, spec_of(HINGE, L2, k))
+        assert not np.any(report.minimizer)
+        assert report.opt_value < 1.0
+        assert report.analytic_lower <= report.dual_lower <= report.opt_value
 
     @pytest.mark.parametrize("reg", [L2SQ, L2])
     def test_hinge_repeated_atoms_act_as_one_atom_of_their_summed_mass(self, reg):
