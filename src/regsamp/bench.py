@@ -181,11 +181,11 @@ def _probe_failures(cfg: TrialConfig, m: int, k_fail: int) -> int:
     return failures
 
 
-def min_sample_size(cfg: TrialConfig, delta: float | None = None) -> int:
+def min_sample_size(cfg: TrialConfig) -> int:
     """Smallest accepted m, to a resolution of m/64: the minimal sample size m*.
 
     An m is accepted when the Wilson upper bound on its failure rate is
-    <= delta, and also at 2m (guards non-monotone noise).  Doubling search
+    <= cfg.delta, and also at 2m (guards non-monotone noise).  Doubling search
     followed by binary search, which stops once hi - lo <= hi // 64 and
     returns hi, an accepted m; unless hi = 1, lo - 1 >= hi - hi // 64 - 1
     was rejected.  Finer steps are below the Monte Carlo noise of a verdict;
@@ -198,8 +198,7 @@ def min_sample_size(cfg: TrialConfig, delta: float | None = None) -> int:
     a probe that ran every trial, otherwise a lower bound already on its
     verdict's side of delta.
     """
-    delta = cfg.delta if delta is None else delta
-    k_fail = _fail_threshold(cfg.trials, delta)
+    k_fail = _fail_threshold(cfg.trials, cfg.delta)
     rates: dict[int, float] = {}
 
     def upper(m: int) -> float:
@@ -208,7 +207,7 @@ def min_sample_size(cfg: TrialConfig, delta: float | None = None) -> int:
         return rates[m]
 
     def accept(m: int) -> bool:
-        return upper(m) <= delta and upper(2 * m) <= delta
+        return upper(m) <= cfg.delta and upper(2 * m) <= cfg.delta
 
     m = 1
     while not accept(m):
@@ -312,7 +311,7 @@ def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,
     if trials < 100 or m < 1:
         raise InvalidInputError("need at least 100 trials and m >= 1")
     x = np.asarray(x, dtype=float)
-    q, w, _ = _law(instance.masses, kind, convention, instance.score_input(kind))
+    q, w, _ = _law(instance, kind, convention)
     if weights_override is not None:
         w = np.asarray(weights_override, dtype=float)
     gvals = np.asarray(eval_loss(spec.loss, instance.atoms @ x))

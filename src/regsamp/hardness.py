@@ -75,10 +75,6 @@ LIN_SIGMOID = "lin-sigmoid"
 COUPON_RELU = "coupon-relu"
 MOMENT_CURVE = "moment-curve"
 
-HARD_KINDS = (QUAD_LOGISTIC, QUAD_SIGMOID, QUAD_HINGE, QUAD_RELU,
-              LIN_RELU, LIN_LOGISTIC, LIN_SIGMOID, COUPON_RELU, MOMENT_CURVE)
-
-
 @dataclass(frozen=True, eq=False)
 class HardInstance:
     instance: Instance
@@ -98,8 +94,7 @@ class HardInstance:
     @cached_property
     def law(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(q, w, s) per atom under the recorded score kind and convention, built once."""
-        inst, kind = self.instance, self.score_kind
-        return _law(inst.masses, kind, self.convention, inst.score_input(kind))
+        return _law(self.instance, self.score_kind, self.convention)
 
     @property
     def probabilities(self) -> np.ndarray:

@@ -11,6 +11,7 @@ for a loss g, regularizer R in {l1, l2, l2sq} and strength parameter k >= 1.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain
@@ -18,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from . import sampler as _sampler
-from .errors import BudgetExceededError, DataError, InvalidInputError
+from .errors import BudgetExceededError, DataError, DegenerateInstanceError, InvalidInputError
 from .losses import LossSpec, RegSpec
 
 MASS_TOL = 1e-12
@@ -34,9 +35,9 @@ class Instance:
     `Instance(atoms, masses)` holds a dense (n, d) atom matrix.  The basis
     constructions of `hardness` make theirs with `Instance.on_demand`: such
     an instance keeps n, d, the masses and one representative row, and
-    builds `atoms` only on first access.  Per-atom norms and the sampling
-    law's score input come from that row, so sampling, failure rates and
-    the m* search never build the (n, d) matrix.
+    builds `atoms` only on first access.  Its per-atom norms, which are all
+    the sampling law reads of the atoms, come from that row, so sampling,
+    failure rates and the m* search never build the (n, d) matrix.
     """
 
     def __init__(self, atoms, masses):
@@ -74,7 +75,7 @@ class Instance:
         rows.setflags(write=False)
         masses.setflags(write=False)
         self.masses, self.n, self.dim = masses, n, dim
-        self._inputs: dict[str, np.ndarray] = {}
+        self._norms: np.ndarray | None = None
 
     @property
     def atoms(self) -> np.ndarray:
@@ -89,27 +90,15 @@ class Instance:
             self._atoms = atoms
         return self._atoms
 
-    def _per_row(self, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """reduce(atoms) for a per-row reduction; an on-demand instance reduces its row."""
-        if self._row is None:
-            return reduce(self.atoms)
-        return np.full(self.n, reduce(self._row[None, :])[0])
-
-    def score_input(self, kind: str) -> np.ndarray | None:
-        """What score `kind` reads of each atom, computed once: plain norms for the
-        norm score, squared norms for sqnorm, None for the uniform scores."""
-        reduce = _sampler._SCORE_INPUTS.get(kind)
-        if reduce is None:
-            return None
-        if kind not in self._inputs:
-            x = self._per_row(reduce)
-            x.setflags(write=False)
-            self._inputs[kind] = x
-        return self._inputs[kind]
-
     def norms(self) -> np.ndarray:
-        """Per-atom norms, exact where the squares of the entries overflow."""
-        return self._per_row(_exact_norms)
+        """Per-atom Euclidean norms, computed once and read-only: np.linalg.norm's
+        bits where they are finite, exact where that norm overflows
+        (`sampler._row_norms`).  An on-demand instance takes its row's norm."""
+        if self._norms is None:
+            rows = self.atoms if self._row is None else self._row[None, :]
+            self._norms = np.resize(_sampler._row_norms(rows), self.n)  # an on-demand row's n times
+            self._norms.setflags(write=False)
+        return self._norms
 
 
 def dense_budget(n: int, dim: int, what: str = "atoms") -> None:
@@ -120,19 +109,14 @@ def dense_budget(n: int, dim: int, what: str = "atoms") -> None:
                                   f"more than the {MAX_DENSE_CELLS * 8 // 2**20} MB budget")
 
 
-def _exact_norms(atoms: np.ndarray) -> np.ndarray:
-    e = scale_exponent(atoms, axis=1)
-    return np.ldexp(np.linalg.norm(np.ldexp(atoms, -e[:, None]), axis=1), e)
-
-
-def scale_exponent(atoms: np.ndarray, axis=None):
-    """The least e >= 0 with every |entry| / 2^e below 1, over all atoms or along axis.
+def scale_exponent(atoms: np.ndarray) -> int:
+    """The least e >= 0 with every |entry| / 2^e below 1.
 
     Dividing by 2^e is exact, so ordinary entries keep every bit, and the
     squares of the scaled entries cannot overflow; entries below 1 are left
     as they are.
     """
-    return np.maximum(0, np.frexp(np.abs(atoms).max(axis=axis))[1])
+    return max(0, int(np.frexp(np.abs(atoms).max())[1]))
 
 
 @dataclass(frozen=True)
@@ -185,15 +169,18 @@ def gaussian_instance(n: int, dim: int, seed: int, scale: float = 1.0,
 
 
 def compute_constants(instance: Instance, score: str, loss: LossSpec) -> Constants:
-    """Derived scalars: B (mean norm, squared for squared-norm scores), S, D, g(0), L."""
-    norms = instance.norms()
-    if score in (_sampler.SQNORM_PLUS_2, _sampler.UNIFORM_D2):
-        b = float(instance.masses @ (norms ** 2))
-    else:
-        b = float(instance.masses @ norms)
+    """Derived scalars: B (mean norm, squared for squared-norm scores), S, D, g(0), L.
+
+    Raises DegenerateInstanceError when S, which is at least B, overflows float range.
+    """
+    norms, p = instance.norms(), instance.masses
     d_max = float(norms.max())
-    s_vals = _sampler._scores(score, instance.score_input(score), instance.n, D=d_max)
-    s_mass = float(instance.masses @ s_vals)
+    with np.errstate(over="ignore"):
+        b = float(p @ (norms ** 2 if score in (_sampler.SQNORM_PLUS_2, _sampler.UNIFORM_D2)
+                       else norms))
+        s_mass = float(p @ _sampler._scores(score, instance.norms, instance.n, D=d_max))
+    if not math.isfinite(s_mass):
+        raise DegenerateInstanceError(f"the {score} score mass overflows at D = {d_max:.6g}")
     return Constants(L=loss.lipschitz_formula, B=b, S=s_mass, g0=loss.g0, D=d_max)
 
 

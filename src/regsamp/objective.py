@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     ApplicabilityError,
+    BudgetExceededError,
     DimensionMismatchError,
     InvalidInputError,
     OptimizerFailureError,
@@ -48,7 +49,6 @@ TAG_ORIGIN = "origin"
 RULE_NORM = "norm"
 RULE_BOUNDED_DERIVATIVE = "bounded-derivative"
 RULE_L1 = "l1"
-SAMPLE_SIZE_RULES = (RULE_NORM, RULE_BOUNDED_DERIVATIVE, RULE_L1)
 
 BLOCK = 2 ** 18  # margin elements per query block of evaluate
 
@@ -188,7 +188,9 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
     solver's multipliers (hinge) or at g'(margins) (logistic), scaled into the
     dual-feasible set; for sigmoid it is the analytic lower bound.  The
     analytic bound is capped at opt_value, so analytic_lower <= dual_lower
-    <= opt_value.  The origin is always a candidate, so opt_value <= g(0).  Raises
+    <= opt_value.  Each candidate's value is `full_objective`'s, bit for bit.
+    The origin is always a candidate, so opt_value <= f(0) = sum(p) g(0),
+    which is g(0) up to the rounding of the masses' sum.  Raises
     OptimizerFailureError when the rescaled weight is below MIN_WEIGHT (l2sq
     atoms with entries of 2^250 or more) or a solver cannot finish.
     """
@@ -199,7 +201,7 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
                             float(instance.masses @ instance.norms()))
     upper = loss.g0
 
-    e = int(scale_exponent(instance.atoms))
+    e = scale_exponent(instance.atoms)
     A, p = np.ldexp(instance.atoms, -e), instance.masses
     lam = math.ldexp(1.0 / k, -reg.homogeneity_degree * e)
     if loss.kind == RELU:
@@ -220,10 +222,11 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
             starts[r] = derive_rng(seed, r).standard_normal(instance.dim)
         ys = [_smooth_minimum(loss, reg, A, p, lam, y0) for y0 in starts]
 
-    X = np.vstack([np.ldexp(y, -e) for y in ys] + [np.zeros(instance.dim)])
-    vals = np.add(*evaluate(instance.atoms, instance.masses, spec, X))
+    # each candidate on its own: a block's rounding depends on how many rows it holds
+    X = [np.ldexp(y, -e) for y in ys] + [np.zeros(instance.dim)]
+    vals = [full_objective(instance, spec, x)[1] for x in X]
     r = int(np.argmin(vals))
-    best_val, best_x = float(vals[r]), X[r]
+    best_val, best_x = vals[r], X[r]
     if not (lower - 1e-9 <= best_val <= upper + 1e-9):
         raise OptimizerFailureError(
             f"optimizer value {best_val} escaped bracket [{lower}, {upper}]")
@@ -529,21 +532,23 @@ def recommended_sample_size(rule: str, loss: LossSpec, reg: RegSpec, k: float,
     "bounded-derivative" (|g'| <= g losses with l2sq), "l1" (l1 regularizer).
     With uniform=True the mass S is replaced by the norm bound D (D^2 for the
     bounded-derivative rule), matching plain uniform sampling.  Results are
-    up to the theory's unstated constant.
+    up to the theory's unstated constant.  Raises BudgetExceededError when
+    the size is past float range.
     """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise InvalidInputError("eps and delta must lie in (0, 1)")
+    # squares are products, not **, so that a size past float range is inf and refused below
     L = constants.L
     if uniform:
         if constants.D is None:
             raise ApplicabilityError("uniform-sampling rule needs the norm bound D")
-        S = constants.D ** 2 if rule == RULE_BOUNDED_DERIVATIVE else constants.D
+        S = constants.D * constants.D if rule == RULE_BOUNDED_DERIVATIVE else constants.D
     else:
         S = constants.S
     ln_delta = math.log(1.0 / delta)
 
     if rule == RULE_NORM:
-        C = (S * L) ** 2
+        C = (S * L) * (S * L)
         if reg.kind == L2SQ:
             opt = opt_hint if opt_hint is not None else opt_lower_bound(
                 loss, reg, k, L, constants.B)
@@ -574,7 +579,10 @@ def recommended_sample_size(rule: str, loss: LossSpec, reg: RegSpec, k: float,
                  * _ln(_ln(constants.B * L * k / eps) / delta))
     else:
         raise ApplicabilityError(f"unknown sample-size rule {rule!r}")
-    return int(math.ceil(c_abs * m))
+    m *= c_abs
+    if not math.isfinite(m):
+        raise BudgetExceededError(f"the {rule} rule's sample size {m} is past float range")
+    return int(math.ceil(m))
 
 
 def build_query_set(dim: int, k: float, seed: int, adversarial=(),

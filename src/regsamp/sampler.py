@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,35 +64,39 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def _row_norms(atoms: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row, over blocks of rows of at most COUNT_CELLS cells.
+    """The Euclidean norm of each row, over blocks of rows of at most COUNT_CELLS cells.
 
-    Every row gets the bits of one call over all rows, without that call's
-    squared copy of the atoms; norms past about 1e154 overflow to inf.
+    Every row gets the bits of one np.linalg.norm call over all rows, without
+    that call's squared copy of the atoms.  A row whose plain norm overflows
+    (past about 1.3e154) is divided by a power of two 2^e that brings its
+    entries below 1, which is exact, and its norm is 2^e times the scaled one.
     """
     rows = max(1, COUNT_CELLS // atoms.shape[1])
     out = np.empty(atoms.shape[0])
-    with np.errstate(over="ignore"):  # an infinite norm fails the law's sum check
-        for lo in range(0, atoms.shape[0], rows):
-            out[lo:lo + rows] = np.linalg.norm(atoms[lo:lo + rows], axis=1)
+    for lo in range(0, atoms.shape[0], rows):
+        block = atoms[lo:lo + rows]
+        try:
+            with np.errstate(over="raise"):  # so a block without overflow is not scanned
+                out[lo:lo + rows] = np.linalg.norm(block, axis=1)
+        except FloatingPointError:
+            with np.errstate(over="ignore"):  # a norm past float range fails the law's sum check
+                norms = np.linalg.norm(block, axis=1)
+                big = np.isinf(norms)
+                e = np.frexp(np.abs(block[big]).max(axis=1))[1]
+                norms[big] = np.ldexp(np.linalg.norm(np.ldexp(block[big], -e[:, None]), axis=1), e)
+            out[lo:lo + rows] = norms
     return out
 
 
-def _row_sqnorms(atoms: np.ndarray) -> np.ndarray:
-    """Squared norm of each row, by one einsum, which makes no copy of the atoms."""
-    with np.errstate(over="ignore"):
-        return np.einsum("ij,ij->i", atoms, atoms)
-
-
-# what each score reads of an (n, d) atom matrix; the uniform scores read nothing
-_SCORE_INPUTS = {NORM_PLUS_1: _row_norms, SQNORM_PLUS_2: _row_sqnorms}
-
-
-def _scores(kind: str, x: np.ndarray | None, n: int, D: float | None = None) -> np.ndarray:
-    """The n scores of `kind` from x, what that kind reads of each atom (_SCORE_INPUTS)."""
+def _scores(kind: str, norms: Callable[[], np.ndarray], n: int,
+            D: float | None = None) -> np.ndarray:
+    """The n scores of `kind`; norms() gives the atoms' norms, which only the
+    norm and sqnorm scores read."""
     if kind == NORM_PLUS_1:
-        return x + 1.0
+        return norms() + 1.0
     if kind == SQNORM_PLUS_2:
-        return x + 2.0
+        with np.errstate(over="ignore"):  # an infinite square fails the law's sum check
+            return norms() ** 2 + 2.0
     if kind in (UNIFORM_D, UNIFORM_D2):
         if D is None:
             raise ConfigurationError(f"score kind {kind!r} requires the norm bound D")
@@ -102,8 +107,7 @@ def _scores(kind: str, x: np.ndarray | None, n: int, D: float | None = None) -> 
 
 def score_array(kind: str, atoms: np.ndarray, D: float | None = None) -> np.ndarray:
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    reduce = _SCORE_INPUTS.get(kind)
-    return _scores(kind, None if reduce is None else reduce(atoms), atoms.shape[0], D=D)
+    return _scores(kind, lambda: _row_norms(atoms), atoms.shape[0], D=D)
 
 
 def score(kind: str, a, D: float | None = None) -> float:
@@ -127,14 +131,12 @@ def weight(s: float, S: float) -> float:
     return importance_weights(s, S, MIXTURE)
 
 
-def _law(masses: np.ndarray, kind: str, convention: str, x: np.ndarray | None,
-         D: float | None = None,
+def _law(instance: "Instance", kind: str, convention: str, D: float | None = None,
          s_hat: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(q, w, s) per atom: probabilities, weights and scores, against S or (mixture) s_hat.
 
-    The law reads no atom: x is what the score reads of each atom, as
-    `Instance.score_input` gives it (norms for the norm score, squared norms
-    for sqnorm, None for the uniform scores), and S = masses @ s.
+    The law reads the masses and, for the norm and sqnorm scores,
+    `instance.norms()`, never the atoms; S = masses @ s.
     q_i = p_i (s_i + ref)/(S + ref) under the mixture and p_i s_i / S under score-only;
     q must sum to 1 within 1e-12 (what index and multinomial draws need).
     """
@@ -142,7 +144,8 @@ def _law(masses: np.ndarray, kind: str, convention: str, x: np.ndarray | None,
         raise ConfigurationError(f"unknown sampling convention {convention!r}")
     if s_hat is not None and convention != MIXTURE:
         raise ConfigurationError("a score-mass estimate applies to the mixture convention only")
-    s = _scores(kind, x, masses.size, D=D)
+    masses = instance.masses
+    s = _scores(kind, instance.norms, instance.n, D=D)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing scores fail the sum check
         S = float(masses @ s)
         ref = S if s_hat is None else float(s_hat)
@@ -156,14 +159,13 @@ def _law(masses: np.ndarray, kind: str, convention: str, x: np.ndarray | None,
 def atom_probabilities(instance: "Instance", kind: str, convention: str,
                        D: float | None = None, s_hat: float | None = None) -> np.ndarray:
     """Per-atom sampling probability; s_hat replaces S in the mixture."""
-    return _law(instance.masses, kind, convention, instance.score_input(kind),
-                D=D, s_hat=s_hat)[0]
+    return _law(instance, kind, convention, D=D, s_hat=s_hat)[0]
 
 
 def atom_weights(instance: "Instance", kind: str, convention: str,
                  D: float | None = None) -> np.ndarray:
     """Per-atom importance weight under the given convention."""
-    return _law(instance.masses, kind, convention, instance.score_input(kind), D=D)[1]
+    return _law(instance, kind, convention, D=D)[1]
 
 
 class CategoricalSampler:
@@ -218,7 +220,7 @@ class Coreset:
                  D: float | None = None) -> "Coreset":
         """The draws idx of an instance, weighted and scored under (kind, convention)."""
         idx = np.asarray(idx, dtype=np.int64)
-        _, w, s = _law(instance.masses, kind, convention, instance.score_input(kind), D=D)
+        _, w, s = _law(instance, kind, convention, D=D)
         return cls(idx, instance.atoms[idx], w[idx], s[idx])
 
     def __len__(self) -> int:
@@ -249,7 +251,7 @@ def draw_iid(instance: "Instance", kind: str, m: int, seed: int,
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
     dense_budget(m, instance.dim)
-    q, w, s = _law(instance.masses, kind, convention, instance.score_input(kind), D=D)
+    q, w, s = _law(instance, kind, convention, D=D)
     idx = CategoricalSampler(q).draw(derive_rng(seed), m)
     return Coreset(idx, instance.atoms[idx], w[idx], s[idx])
 
@@ -327,24 +329,20 @@ def estimate_S(instance: "Instance", kind: str, eps: float, delta: float, seed: 
     scores and p = 2 for squared-norm scores; requires a bounded instance.
     Raises BudgetExceededError, before drawing, when m exceeds MAX_S_DRAWS.
     """
-    if kind == NORM_PLUS_1:
-        p = 1
-    elif kind == SQNORM_PLUS_2:
-        p = 2
-    else:
+    if kind not in (NORM_PLUS_1, SQNORM_PLUS_2):
         raise ConfigurationError("S estimation is defined for the norm and sqnorm scores")
     if not (0 < eps and 0 < delta < 1):
         raise InvalidInputError("eps must be positive and delta in (0, 1)")
-    norms = instance.norms()
-    d_max = float(norms.max())
-    draws = (d_max ** p) * math.log(1.0 / delta)  # times 1/eps^2, which may overflow
+    d_max = float(instance.norms().max())
+    d_p = d_max if kind == NORM_PLUS_1 else d_max * d_max  # inf past float range, where ** raises
+    draws = d_p * math.log(1.0 / delta)  # times 1/eps^2, which may overflow
     if draws > MAX_S_DRAWS * eps * eps:
         raise BudgetExceededError(f"estimating S at D = {d_max:.6g}, eps = {eps:g} "
                                   f"needs more than {MAX_S_DRAWS} draws")
     m = max(1, math.ceil(draws / (eps * eps)))
     rng = derive_rng(seed)
     idx = CategoricalSampler(instance.masses).draw(rng, m)
-    s = _scores(kind, instance.score_input(kind), instance.n)
+    s = _scores(kind, instance.norms, instance.n)
     return SEstimate(s_hat=float(s[idx].mean()), m_used=m, eps=eps, delta=delta)
 
 

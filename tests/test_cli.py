@@ -13,7 +13,7 @@ from regsamp.cli import main
 from regsamp.hardness import generate, kind_params
 from regsamp.model import gaussian_instance, load_instance, save_instance
 from regsamp.objective import load_queries
-from regsamp.sampler import Coreset, save_samples
+from regsamp.sampler import Coreset, load_samples, save_samples
 
 
 def run(*argv):
@@ -126,19 +126,32 @@ class TestSample:
         assert run("sample", "--instance", str(bad), "--m", "3",
                    "--out", str(tmp_path / "s.jsonl")) == 2
 
-    @pytest.mark.parametrize("score", ["sqnorm", "norm"])
-    def test_overflowing_scores_print_one_error_line(self, tmp_path, score):
-        # squares of 1e200 overflow: the score mass is infinite and q is NaN
+    @staticmethod
+    def sample_huge_atoms(tmp_path, score):
+        """`regsamp sample` in a fresh interpreter on two atoms of entries 1e200."""
         inst_path = tmp_path / "huge.jsonl"
         inst_path.write_text('{"dim": 3, "n": 2}\n'
                              + '{"a": [1e200, 1e200, 1e200], "p": 0.5}\n' * 2)
         env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "regsamp.cli", "sample", "--instance", str(inst_path),
              "--score", score, "--m", "3", "--out", str(tmp_path / "s.jsonl")],
             env=env, capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("score", ["sqnorm"])
+    def test_overflowing_scores_print_one_error_line(self, tmp_path, score):
+        # squares of norms of 1.7e200 overflow: the score mass is infinite and q is NaN
+        proc = self.sample_huge_atoms(tmp_path, score)
         assert proc.returncode == 2
         assert proc.stderr == "error: sampling probabilities sum to nan, not 1\n"
+
+    def test_huge_atoms_sample_by_norm(self, tmp_path):
+        # their norms of 1.7e200 are finite, so equal atoms get weight 1
+        proc = self.sample_huge_atoms(tmp_path, "norm")
+        assert proc.returncode == 0 and proc.stderr == ""
+        samples = load_samples(tmp_path / "s.jsonl")
+        assert np.array_equal(samples.w, np.ones(3))
+        assert samples.s == pytest.approx(np.full(3, 3 ** 0.5 * 1e200), rel=1e-15)
 
     def test_negative_seed_is_one_usage_error(self, tmp_path, capsys):
         out = gen_lin_relu_dir(tmp_path)

@@ -32,7 +32,9 @@ from regsamp.hardness import (
 from regsamp.losses import L1, L2, L2SQ, eval_loss, eval_regularizer, make_loss, make_reg
 from regsamp.objective import full_objective, relative_error
 from regsamp.sampler import (
+    MIXTURE,
     Coreset,
+    _law,
     draw_iid,
     weight,
 )
@@ -543,8 +545,9 @@ class TestAtomsOnDemand:
             assert np.array_equal(mine, dense)
         assert np.array_equal(hard.instance.norms(), twin.instance.norms())
         for kind in ("norm", "sqnorm"):
-            assert np.array_equal(hard.instance.score_input(kind),
-                                  twin.instance.score_input(kind))
+            for mine, dense in zip(_law(hard.instance, kind, MIXTURE),
+                                   _law(twin.instance, kind, MIXTURE)):
+                assert np.array_equal(mine, dense)
 
     @pytest.mark.parametrize("gen,args", BASIS)
     def test_verdicts_are_the_dense_verdicts(self, gen, args):
@@ -590,8 +593,11 @@ class TestAtomsOnDemand:
     def test_atoms_past_the_budget_are_refused_before_building(self):
         from regsamp.errors import BudgetExceededError
 
-        inst = gen_coupon_relu(6000, 16.0).instance  # 6000^2 cells, 275 MB dense
-        assert inst.score_input("norm").shape == (6000,)
+        hard = gen_coupon_relu(6000, 16.0)  # 6000^2 cells, 275 MB dense
+        inst = hard.instance
+        assert np.array_equal(inst.norms(), np.ones(6000))
+        assert np.array_equal(hard.law[2], np.full(6000, 2.0))  # the norm scores
+        assert inst._atoms is None
         with pytest.raises(BudgetExceededError, match="256 MB budget"):
             inst.atoms
 

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from regsamp import model
 from regsamp.cli import main
-from regsamp.errors import DataError, InvalidInputError
+from regsamp.errors import DataError, DegenerateInstanceError, InvalidInputError
 from regsamp.losses import L1, LOGISTIC, make_loss, make_reg
 from regsamp.model import (
     Instance,
@@ -167,6 +167,18 @@ class TestComputeConstants:
         assert c1.B == pytest.approx(c2.B, abs=1e-12)
         assert c1.S == pytest.approx(c2.S, abs=1e-12)
         assert c1.D == c2.D
+
+    def test_norm_score_constants_of_huge_atoms_are_finite(self):
+        # norms of 1.7e200, whose squares overflow
+        consts = compute_constants(make_instance(np.full((2, 3), 1e200)), "norm",
+                                   make_loss(LOGISTIC))
+        assert consts.B == consts.D == pytest.approx(3 ** 0.5 * 1e200, rel=1e-15)
+        assert consts.S == consts.D + 1.0
+
+    @pytest.mark.parametrize("score", ["sqnorm", "uniform-d2"])
+    def test_squared_constants_past_float_range_are_a_typed_error(self, score):
+        with pytest.raises(DegenerateInstanceError, match="score mass overflows"):
+            compute_constants(make_instance(np.full((2, 3), 1e200)), score, make_loss(LOGISTIC))
 
 
 class TestObjectiveSpec:

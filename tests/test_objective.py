@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from regsamp.errors import (
     ApplicabilityError,
+    BudgetExceededError,
     DimensionMismatchError,
     InvalidInputError,
     OptimizerFailureError,
@@ -283,6 +284,26 @@ class TestEstimateOpt:
         inst = gaussian_instance(40, 6, seed=1, scale=0.05)
         report = estimate_opt(inst, spec_of(LOGISTIC, reg, 4.0))
         assert report.analytic_lower <= report.opt_value <= math.log(2.0)
+
+    def test_opt_value_does_not_depend_on_the_number_of_starts(self):
+        # 2 and 8 sigmoid starts find the same minimizer, so they must report the
+        # same value, whatever other candidates are evaluated beside it
+        inst = gaussian_instance(40, 6, seed=3)
+        spec = spec_of(SIGMOID, L2, 16.0)
+        few, many = estimate_opt(inst, spec, restarts=2), estimate_opt(inst, spec, restarts=8)
+        assert np.array_equal(few.minimizer, many.minimizer)
+        assert few.opt_value == many.opt_value == full_objective(inst, spec, few.minimizer)[1]
+
+    @pytest.mark.parametrize("reg", [L1, L2])
+    def test_an_origin_minimum_reports_the_objective_at_the_origin(self, reg):
+        # f(0) = sum(p) g(0) = 0.5000000000000001 over 40 masses of 1/40, one ulp
+        # above g(0); the report must give that value, not one rounded otherwise
+        inst = gaussian_instance(40, 6, seed=7)
+        spec = spec_of(SIGMOID, reg, 4.0)
+        report = estimate_opt(inst, spec)
+        assert not np.any(report.minimizer)
+        assert report.opt_value == full_objective(inst, spec, np.zeros(6))[1]
+        assert report.analytic_lower <= report.dual_lower <= report.opt_value
 
     def test_never_above_g0(self):
         for seed, loss in ((1, LOGISTIC), (2, SIGMOID), (3, HINGE)):
@@ -651,6 +672,16 @@ class TestRecommendedSampleSize:
         m3 = recommended_sample_size("norm", loss, make_reg(L1), 4.0, 0.2, 0.1,
                                      self.consts(), c_abs=3.0)
         assert m3 == pytest.approx(3 * m1, abs=2.0)  # up to integer ceilings
+
+    @pytest.mark.parametrize("rule,reg,eps", [("norm", L1, 0.1), ("norm", L2, 0.1),
+                                              ("bounded-derivative", L2SQ, 0.1),
+                                              ("l1", L1, 1e-60)])
+    def test_sizes_past_float_range_are_a_budget_error(self, rule, reg, eps):
+        # the norm bound of atoms of entries 1e200
+        consts = self.consts(S=1.8e200, B=1.7e200, D=1.7e200)
+        with pytest.raises(BudgetExceededError, match="past float range"):
+            recommended_sample_size(rule, make_loss(LOGISTIC), make_reg(reg), 4.0, eps, 0.1,
+                                    consts, uniform=True)
 
 
 class TestQuerySets:

@@ -23,6 +23,7 @@ from regsamp.sampler import (
     SCORE_ONLY,
     CategoricalSampler,
     Coreset,
+    _law,
     atom_probabilities,
     atom_weights,
     derive_rng,
@@ -397,6 +398,10 @@ class TestEstimateS:
             # eps^2 underflows to 0 here
             with pytest.raises(BudgetExceededError):
                 estimate_S(TWO_ATOM, "norm", eps=1e-200, delta=0.1, seed=0)
+            # D^2 = (1.7e200)^2 is past float range
+            with pytest.raises(BudgetExceededError, match="D = 1.73205e\\+200"):
+                estimate_S(make_instance(np.full((2, 3), 1e200)), "sqnorm", eps=0.1,
+                           delta=0.1, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -446,8 +451,9 @@ def test_mixture_sums_to_one_and_dominates(n, seed):
 
 
 class TestScoreInputs:
-    """The law reads norms, not atoms: a dense instance's score inputs keep the
-    bits of one np.linalg.norm / einsum call over all its rows."""
+    """What every score reads of the atoms is `Instance.norms()`: a dense
+    instance's norms keep the bits of one np.linalg.norm call over all its
+    rows wherever they are finite."""
 
     @pytest.mark.parametrize("n,d,cells", [(20000, 8, None), (3000, 700, None),
                                            (700, 3000, None), (5, 100_000, None),
@@ -460,41 +466,67 @@ class TestScoreInputs:
         rng = np.random.default_rng(n + d)
         atoms = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, size=(n, 1))
         inst = make_instance(atoms)
-        assert np.array_equal(inst.score_input("norm"), np.linalg.norm(atoms, axis=1))
-        assert np.array_equal(inst.score_input("sqnorm"), np.einsum("ij,ij->i", atoms, atoms))
-        assert np.array_equal(score_array("norm", atoms), np.linalg.norm(atoms, axis=1) + 1.0)
-        assert inst.score_input("uniform-d") is None
+        one_shot = np.linalg.norm(atoms, axis=1)
+        assert np.array_equal(inst.norms(), one_shot)
+        assert np.array_equal(score_array("norm", atoms), one_shot + 1.0)
+        assert np.array_equal(_law(inst, "norm", MIXTURE)[2], one_shot + 1.0)
+        assert np.array_equal(_law(inst, "sqnorm", MIXTURE)[2], one_shot ** 2 + 2.0)
 
-    def test_overflowing_rows_keep_their_infinite_norms(self):
-        atoms = np.array([[1e200, 1e200, 1e200], [1.0, 2.0, 2.0]])
-        inst = make_instance(atoms)
-        with np.errstate(over="ignore"):
-            assert np.array_equal(inst.score_input("norm"), np.linalg.norm(atoms, axis=1))
-            assert np.array_equal(inst.score_input("sqnorm"),
-                                  np.einsum("ij,ij->i", atoms, atoms))
-        assert inst.score_input("norm")[0] == np.inf
-        for kind in ("norm", "sqnorm"):  # so the law refuses the instance
-            with pytest.raises(DegenerateInstanceError, match="sum to nan"):
-                atom_probabilities(inst, kind, MIXTURE)
+    @pytest.mark.parametrize("n,d", [(20000, 8), (1000, 3), (999, 1), (3000, 700),
+                                     (5, 100_000)])
+    def test_sqnorm_is_the_square_of_the_norm(self, n, d):
+        # a few ulps from an einsum over few columns, and as close to the exact
+        # sum of squares at every width, where the einsum drifts by tens of ulps
+        rng = np.random.default_rng(n + d)
+        atoms = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+        _, _, s = _law(make_instance(atoms), "sqnorm", MIXTURE)
+        exact = np.array([math.fsum(row) for row in atoms * atoms]) + 2.0
+        assert np.all(np.abs(s - exact) <= 3 * np.spacing(exact))
+        if d <= 8:
+            einsum = np.einsum("ij,ij->i", atoms, atoms) + 2.0
+            assert np.all(np.abs(s - einsum) <= 4 * np.spacing(einsum))
+
+    def test_overflowing_rows_get_their_finite_norms(self):
+        # the plain norm of a row of 1e200s overflows; its rescaled norm does not
+        atoms = np.array([[1e200, 1e200, 1e200], [1.0, 2.0, 2.0], [1e300, -1e300, 0.0]])
+        norms = make_instance(atoms).norms()
+        assert norms[1] == 3.0
+        assert norms[[0, 2]] == pytest.approx([3 ** 0.5 * 1e200, 2 ** 0.5 * 1e300], rel=1e-15)
+        assert np.array_equal(score_array("norm", atoms), norms + 1.0)
+        assert score("norm", atoms[0]) == norms[0] + 1.0
+        # a norm past float range stays infinite, and the law refuses it
+        beyond = make_instance(np.array([[1.5e308, 1.5e308], [1.0, 0.0]]))
+        assert np.array_equal(beyond.norms(), [np.inf, 1.0])
+        with pytest.raises(DegenerateInstanceError, match="not 1"):
+            atom_probabilities(beyond, "norm", MIXTURE)
+
+    def test_the_norm_score_law_is_finite_where_sqnorm_overflows(self):
+        inst = make_instance(np.array([[1e200, 1e200, 1e200], [1.0, 2.0, 2.0]]))
+        q, w, s = _law(inst, "norm", SCORE_ONLY)
+        assert np.all(np.isfinite(q)) and np.all(np.isfinite(w)) and abs(q.sum() - 1.0) <= 1e-12
+        with pytest.raises(DegenerateInstanceError, match="sum to nan"):
+            atom_probabilities(inst, "sqnorm", MIXTURE)
 
     def test_norm_blocks_are_bounded(self, monkeypatch):
         # one np.linalg.norm over 2000 x 1000 atoms takes a 16 MB squared copy;
-        # blocks of 100 rows take 0.8 MB
+        # blocks of 100 rows take 0.8 MB, and so does a block of overflowing rows
         from regsamp import sampler
 
         monkeypatch.setattr(sampler, "COUNT_CELLS", 100 * 1000)
-        inst = make_instance(np.ones((2000, 1000)))
-        tracemalloc.start()
-        try:
-            inst.score_input("norm")
-            inst.score_input("sqnorm")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+        for entry in (1.0, 1e200):
+            inst = make_instance(np.full((2000, 1000), entry))
+            tracemalloc.start()
+            try:
+                inst.norms()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000
 
     def test_inputs_are_computed_once_and_read_only(self):
         inst = gaussian_instance(50, 4, seed=2)
-        x = inst.score_input("norm")
-        assert inst.score_input("norm") is x
+        x = inst.norms()
+        assert inst.norms() is x
         assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 1.0
