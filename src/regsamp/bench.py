@@ -1,11 +1,14 @@
 """Monte Carlo harness: failure rates, minimal sample sizes, scaling curves.
 
-The trials of a probe at sample size m are the rows of one multinomial
+The trials of a probe at sample size m are the rows of one Multinomial(m, q)
 count block drawn from the counter-based stream keyed by (master_seed, m),
 so results do not depend on probing order, and aggregation is
-order-independent.  `failure_rate` always runs every trial; the m* search
-needs only each probe's verdict, so it draws the rows of that block in turn
-and stops once the verdict is fixed, which leaves m* unchanged.
+order-independent.  Under a uniform law, as every lin-*, quad-* and
+coupon-relu construction has, a row at m <= 12 n counts m uniform index
+draws, which costs less than the multinomial's binomial per atom.
+`failure_rate` always runs every trial; the m* search needs only each
+probe's verdict, so it draws the rows of that block in turn and stops once
+the verdict is fixed, which leaves m* unchanged.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ DEFAULT_M_CAP = 2_000_000
 WILSON_Z = 1.96  # normal quantile of the 95% Wilson interval
 SLOPE_RESAMPLES = 200  # bootstrap resamples of the scaling slope's interval
 PRODUCT_ROWS = 16  # count rows per float copy in `_draw_counts`
+INDEX_RATIO = 12  # largest m/n at which `_draw_counts` counts uniform index draws
+INDEX_CELLS = 2 ** 16  # indices, and bins, per chunk of those index draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +96,25 @@ def _draw_counts(q: np.ndarray, w: np.ndarray, m: int, trials: int,
 
     Such counts are Multinomial(m, q): the trials are the rows of one block,
     and blocks drawn in turn from one generator concatenate to one drawn at once.
+    A uniform q at m <= INDEX_RATIO n counts m uniform indices per row, which
+    costs less than the multinomial's n binomials per row; otherwise the
+    multinomial draws them.
     """
-    try:
-        counts = rng.multinomial(m, q, size=trials)
-    except ValueError as exc:  # numpy's own pvals check, at a rounding error of q's
-        raise DegenerateInstanceError(f"sampling probabilities rejected: {exc}") from None
+    n = q.size
+    if q.min() == q.max() and m <= INDEX_RATIO * n:
+        counts = np.empty((trials, n), dtype=np.int64)
+        # chunks of at most INDEX_CELLS indices and bins keep the bins in cache
+        step = max(1, INDEX_CELLS // max(m, n))
+        for lo in range(0, trials, step):
+            rows = min(step, trials - lo)
+            idx = rng.integers(0, n, size=(rows, m))
+            idx += np.arange(0, rows * n, n)[:, None]  # row r's atom i is bin r n + i
+            counts[lo:lo + rows] = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
+    else:
+        try:
+            counts = rng.multinomial(m, q, size=trials)
+        except ValueError as exc:  # numpy's own pvals check, at a rounding error of q's
+            raise DegenerateInstanceError(f"sampling probabilities rejected: {exc}") from None
     # int @ float casts the int operand to a float copy, so take the product a
     # few rows at a time; a one-row product sums in another order, so the last
     # row of a longer block joins the rows before it

@@ -92,8 +92,9 @@ class Instance:
 
     def norms(self) -> np.ndarray:
         """Per-atom Euclidean norms, computed once and read-only: np.linalg.norm's
-        bits where they are finite, exact where that norm overflows
-        (`sampler._row_norms`).  An on-demand instance takes its row's norm."""
+        bits where they are finite and at least 2^-500, exact where that
+        norm overflows or its squares underflow (`sampler._row_norms`).  An
+        on-demand instance takes its row's norm."""
         if self._norms is None:
             rows = self.atoms if self._row is None else self._row[None, :]
             self._norms = np.resize(_sampler._row_norms(rows), self.n)  # an on-demand row's n times

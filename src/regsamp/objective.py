@@ -430,8 +430,9 @@ def _smooth_minimum(loss, reg, A, p, lam, y0):
     origin given to its bound handling (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
     Comput. 1995): l1 as y = u - v with u, v >= 0, l2 as y = r u / |u| with
     r >= 0.  The l2 start at the origin is r = 0 along u = -grad f0(0) (e_1
-    if that is 0): a non-optimal origin leaves it at once, and an optimal one,
-    like a start that falls into the kink, stops on the bound."""
+    if that is 0, divided by its largest |entry| if its norm underflows): a
+    non-optimal origin leaves it at once, and an optimal one, like a start
+    that falls into the kink, stops on the bound."""
     from scipy.optimize import Bounds, minimize
 
     d = A.shape[1]
@@ -467,6 +468,8 @@ def _smooth_minimum(loss, reg, A, p, lam, y0):
         u0 = y0 if r0 > 0.0 else -loss_and_gradient(y0)[1]
         if not np.any(u0):
             u0 = np.eye(1, d)[0]
+        elif np.linalg.norm(u0) == 0.0:  # its squares underflow
+            u0 = u0 / np.abs(u0).max()
         w0, bounds = np.concatenate([[r0], u0]), Bounds(np.r_[0.0, np.full(d, -np.inf)])
     else:
         def fun(y):

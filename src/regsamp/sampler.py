@@ -68,23 +68,21 @@ def _row_norms(atoms: np.ndarray) -> np.ndarray:
 
     Every row gets the bits of one np.linalg.norm call over all rows, without
     that call's squared copy of the atoms.  A row whose plain norm overflows
-    (past about 1.3e154) is divided by a power of two 2^e that brings its
-    entries below 1, which is exact, and its norm is 2^e times the scaled one.
+    (past about 1.3e154) or falls below 2^-500, where its squares may
+    underflow, is divided by a power of two 2^e that brings its largest entry
+    into [1/2, 1), which is exact, and its norm is 2^e times the scaled one.
     """
     rows = max(1, COUNT_CELLS // atoms.shape[1])
     out = np.empty(atoms.shape[0])
     for lo in range(0, atoms.shape[0], rows):
         block = atoms[lo:lo + rows]
-        try:
-            with np.errstate(over="raise"):  # so a block without overflow is not scanned
-                out[lo:lo + rows] = np.linalg.norm(block, axis=1)
-        except FloatingPointError:
-            with np.errstate(over="ignore"):  # a norm past float range fails the law's sum check
-                norms = np.linalg.norm(block, axis=1)
-                big = np.isinf(norms)
-                e = np.frexp(np.abs(block[big]).max(axis=1))[1]
-                norms[big] = np.ldexp(np.linalg.norm(np.ldexp(block[big], -e[:, None]), axis=1), e)
-            out[lo:lo + rows] = norms
+        with np.errstate(over="ignore"):  # a norm past float range fails the law's sum check
+            norms = np.linalg.norm(block, axis=1)
+            odd = (norms < 2.0 ** -500) | np.isinf(norms)  # a zero row keeps its 0
+            if np.any(odd):
+                e = np.frexp(np.abs(block[odd]).max(axis=1))[1]
+                norms[odd] = np.ldexp(np.linalg.norm(np.ldexp(block[odd], -e[:, None]), axis=1), e)
+        out[lo:lo + rows] = norms
     return out
 
 

@@ -85,6 +85,39 @@ class TestDrawCounts:
         stderr = np.sqrt(m * q * (1 - q) / trials)
         assert np.all(np.abs(counts.mean(axis=0) - m * q) <= 4 * stderr)
 
+    @pytest.mark.parametrize("m", [3, 10, 64, 120])
+    def test_uniform_rows_count_index_draws(self, m):
+        # a uniform law at m <= 12 n counts each row's m uniform indices
+        n, trials = 10, 3000
+        q, w = np.full(n, 1.0 / n), np.linspace(0.5, 1.5, n)
+        counts, mean_w = bench._draw_counts(q, w, m, trials, derive_rng(5, m))
+        assert np.all(counts.sum(axis=1) == m)
+        stderr = np.sqrt(m * (1 / n) * (1 - 1 / n) / trials)
+        assert np.all(np.abs(counts.mean(axis=0) - m / n) <= 4 * stderr)
+        assert np.array_equal(mean_w, counts @ w / m)
+        idx = derive_rng(5, m).integers(0, n, size=(trials, m))
+        assert np.array_equal(counts, [np.bincount(row, minlength=n) for row in idx])
+
+    @pytest.mark.parametrize("q", [np.full(10, 0.1), np.linspace(1, 2, 10) / 15])
+    def test_other_laws_and_sizes_keep_the_multinomial(self, q):
+        # past m = 12 n, or under a law that is not uniform, the rows are numpy's multinomial
+        m = 12 * q.size + 1 if q.min() == q.max() else 12
+        counts, _ = bench._draw_counts(q, np.ones(q.size), m, 50, derive_rng(6, m))
+        assert np.array_equal(counts, derive_rng(6, m).multinomial(m, q, size=50))
+
+    @pytest.mark.parametrize("m", [120, 121])  # 12 n, where index draws end, and one past
+    def test_uniform_blocks_concatenate_to_the_one_shot_block(self, m):
+        # 1200 rows of 120 indices span three index chunks; the blocks of 1,
+        # 2 and 7 rows shift where the later chunks start.  The weights are
+        # the uniform law's own, so one-row products sum in the same order
+        q, w = np.full(10, 0.1), np.ones(10)
+        assert bench.INDEX_CELLS // m < 1200 - 10
+        whole = bench._draw_counts(q, w, m, 1200, derive_rng(4, m))
+        rng = derive_rng(4, m)
+        parts = [bench._draw_counts(q, w, m, rows, rng) for rows in (1, 2, 7, 1190)]
+        for one, blocks in zip(whole, zip(*parts)):
+            assert np.array_equal(one, np.concatenate(blocks))
+
     @pytest.mark.parametrize("n", [128, 456])
     @pytest.mark.parametrize("trials", [1, 2, 16, 17, 33, 200])
     def test_row_chunks_give_the_one_product(self, n, trials):
@@ -299,6 +332,20 @@ class TestVerdictProbes:
             k_fail = bench._fail_threshold(cfg.trials, delta)
             for m in range(1, 200, 7):
                 rate, (_, hi) = failure_rate(cfg, m)
+                seen = bench._probe_failures(cfg, m, k_fail)
+                assert (seen < k_fail) == (hi <= delta), (delta, m)
+                assert seen <= round(rate * cfg.trials)
+
+    def test_probe_verdict_matches_failure_rate_on_both_draw_paths(self):
+        # at eps 0.05 about 88% of quad-hinge trials fail near m = 12 n, where
+        # the uniform law's index draws give way to the multinomial
+        cfg = replace(verdict_configs()["quad-hinge"], eps=0.05)
+        ms = range(12 * cfg.hard.instance.n - 20, 12 * cfg.hard.instance.n + 21, 4)
+        rates = {m: failure_rate(cfg, m) for m in ms}
+        assert all(0.7 < rate < 1 for rate, _ in rates.values())
+        for delta in (0.2, 0.9, 0.95):
+            k_fail = bench._fail_threshold(cfg.trials, delta)
+            for m, (rate, (_, hi)) in rates.items():
                 seen = bench._probe_failures(cfg, m, k_fail)
                 assert (seen < k_fail) == (hi <= delta), (delta, m)
                 assert seen <= round(rate * cfg.trials)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -312,6 +313,21 @@ class TestOpt:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: atom entries reach 2^665: the regularizer weight")
         assert proc.stderr.count("\n") == 1
+
+    def test_tiny_atoms_solve_without_warnings(self, tmp_path):
+        # -grad f0(0) is about 1e-170, whose squares underflow: the l2 start scales
+        # it up instead of dividing by a zero norm
+        inst_path = tmp_path / "tiny.jsonl"
+        inst_path.write_text('{"dim": 2, "n": 2}\n{"a": [1e-200, 1e-200], "p": 0.5}\n'
+                             '{"a": [3e-170, 0], "p": 0.5}\n')
+        env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "regsamp.cli", "opt", "--instance", str(inst_path),
+             "--loss", "logistic", "--reg", "l2", "--k", "4"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rep = json.loads(proc.stdout)
+        assert rep["opt_value"] == rep["dual_lower"] == math.log(2.0)
 
     @pytest.mark.parametrize("header", ['{"dim": -1, "n": 1}', '{"dim": 1000000000000, "n": 1}'])
     def test_bad_header_is_one_data_error(self, tmp_path, header):

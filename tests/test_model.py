@@ -175,6 +175,13 @@ class TestComputeConstants:
         assert consts.B == consts.D == pytest.approx(3 ** 0.5 * 1e200, rel=1e-15)
         assert consts.S == consts.D + 1.0
 
+    def test_norm_constants_of_tiny_atoms_are_positive(self):
+        # norms of 1.4e-200 and 3e-170, whose squares underflow
+        consts = compute_constants(make_instance(np.array([[1e-200, 1e-200], [3e-170, 0.0]])),
+                                   "norm", make_loss(LOGISTIC))
+        assert consts.B > 0.0
+        assert consts.D == pytest.approx(3e-170, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("score", ["sqnorm", "uniform-d2"])
     def test_squared_constants_past_float_range_are_a_typed_error(self, score):
         with pytest.raises(DegenerateInstanceError, match="score mass overflows"):

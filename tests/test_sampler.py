@@ -453,7 +453,7 @@ def test_mixture_sums_to_one_and_dominates(n, seed):
 class TestScoreInputs:
     """What every score reads of the atoms is `Instance.norms()`: a dense
     instance's norms keep the bits of one np.linalg.norm call over all its
-    rows wherever they are finite."""
+    rows wherever they are finite and at least 2^-500."""
 
     @pytest.mark.parametrize("n,d,cells", [(20000, 8, None), (3000, 700, None),
                                            (700, 3000, None), (5, 100_000, None),
@@ -499,6 +499,16 @@ class TestScoreInputs:
         assert np.array_equal(beyond.norms(), [np.inf, 1.0])
         with pytest.raises(DegenerateInstanceError, match="not 1"):
             atom_probabilities(beyond, "norm", MIXTURE)
+
+    def test_underflowing_rows_keep_their_nonzero_norms(self):
+        # the squares of 1e-200 underflow to 0, so the plain norm of that row
+        # is 0; below 2^-500 a row is rescaled as an overflowing one is
+        atoms = np.array([[1e-200, 1e-200], [3e-170, 0.0], [0.0, 0.0], [3.0, 4.0],
+                          [2.0 ** -499, 0.0]])
+        norms = make_instance(atoms).norms()
+        assert norms[0] == pytest.approx(2 ** 0.5 * 1e-200, rel=1e-15, abs=0.0)
+        assert norms[1] == pytest.approx(3e-170, rel=1e-15, abs=0.0)
+        assert np.array_equal(norms[2:], np.linalg.norm(atoms[2:], axis=1))
 
     def test_the_norm_score_law_is_finite_where_sqnorm_overflows(self):
         inst = make_instance(np.array([[1e200, 1e200, 1e200], [1.0, 2.0, 2.0]]))
