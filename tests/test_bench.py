@@ -318,6 +318,18 @@ def verdict_configs():
     }
 
 
+def assert_probes_match_failure_rate(cfg, ms, deltas):
+    """Each probe's verdict at each m and delta is the full failure rate's; returns the rates."""
+    rates = {m: failure_rate(cfg, m) for m in ms}
+    for delta in deltas:
+        k_fail = bench._fail_threshold(cfg.trials, delta)
+        for m, (rate, (_, hi)) in rates.items():
+            seen = bench._probe_failures(cfg, m, k_fail)
+            assert (seen < k_fail) == (hi <= delta), (delta, m)
+            assert seen <= round(rate * cfg.trials)
+    return rates
+
+
 class TestVerdictProbes:
     @pytest.mark.parametrize("name", list(verdict_configs()))
     def test_search_matches_full_rate_search(self, name):
@@ -328,27 +340,16 @@ class TestVerdictProbes:
                                       "plus-random-logistic"])
     def test_probe_verdict_matches_failure_rate(self, name):
         cfg = verdict_configs()[name]
-        for delta in (0.05, cfg.delta, 0.5):
-            k_fail = bench._fail_threshold(cfg.trials, delta)
-            for m in range(1, 200, 7):
-                rate, (_, hi) = failure_rate(cfg, m)
-                seen = bench._probe_failures(cfg, m, k_fail)
-                assert (seen < k_fail) == (hi <= delta), (delta, m)
-                assert seen <= round(rate * cfg.trials)
+        assert_probes_match_failure_rate(cfg, range(1, 200, 7), (0.05, cfg.delta, 0.5))
 
     def test_probe_verdict_matches_failure_rate_on_both_draw_paths(self):
         # at eps 0.05 about 88% of quad-hinge trials fail near m = 12 n, where
         # the uniform law's index draws give way to the multinomial
         cfg = replace(verdict_configs()["quad-hinge"], eps=0.05)
-        ms = range(12 * cfg.hard.instance.n - 20, 12 * cfg.hard.instance.n + 21, 4)
-        rates = {m: failure_rate(cfg, m) for m in ms}
+        n = cfg.hard.instance.n
+        rates = assert_probes_match_failure_rate(cfg, range(12 * n - 20, 12 * n + 21, 4),
+                                                 (0.2, 0.9, 0.95))
         assert all(0.7 < rate < 1 for rate, _ in rates.values())
-        for delta in (0.2, 0.9, 0.95):
-            k_fail = bench._fail_threshold(cfg.trials, delta)
-            for m, (rate, (_, hi)) in rates.items():
-                seen = bench._probe_failures(cfg, m, k_fail)
-                assert (seen < k_fail) == (hi <= delta), (delta, m)
-                assert seen <= round(rate * cfg.trials)
 
     def test_stop_rule_on_every_failure_sequence(self, monkeypatch):
         # rows fail as a fixed 0/1 sequence says; for every sequence of up to 9
