@@ -5,10 +5,12 @@ count block drawn from the counter-based stream keyed by (master_seed, m),
 so results do not depend on probing order, and aggregation is
 order-independent.  Under a uniform law, as every lin-*, quad-* and
 coupon-relu construction has, a row at m <= 12 n counts m uniform index
-draws, which costs less than the multinomial's binomial per atom.
-`failure_rate` always runs every trial; the m* search needs only each
-probe's verdict, so it draws the rows of that block in turn and stops once
-the verdict is fixed, which leaves m* unchanged.
+draws, which costs less than the multinomial's binomial per atom.  A row's
+counts, mean weight and failure verdict are reductions over that row alone,
+so under every law, draw path and query policy they have the same bits
+whatever block the row is drawn in.  `failure_rate` always runs every
+trial; the m* search needs only each probe's verdict, so it draws the rows
+of that block in turn and stops once the verdict is fixed: m* is unchanged.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, DegenerateInstanceError, InvalidInputError
 from .hardness import HardInstance, batch_failed, generate, kind_params
-from .losses import eval_loss
+from .losses import eval_loss, eval_regularizer
 from .model import Instance, ObjectiveSpec
-from .objective import QuerySet, build_query_set, evaluate
+from .objective import build_query_set, relative_gaps
 from .sampler import COUNT_CELLS, MIXTURE, _law, derive_rng
 
 ADVERSARIAL_ONLY = "adversarial-only"
@@ -34,7 +36,6 @@ DEFAULT_TRIALS = 200
 DEFAULT_M_CAP = 2_000_000
 WILSON_Z = 1.96  # normal quantile of the 95% Wilson interval
 SLOPE_RESAMPLES = 200  # bootstrap resamples of the scaling slope's interval
-PRODUCT_ROWS = 16  # count rows per float copy in `_draw_counts`
 INDEX_RATIO = 12  # largest m/n at which `_draw_counts` counts uniform index draws
 INDEX_CELLS = 2 ** 16  # indices, and bins, per chunk of those index draws
 
@@ -59,10 +60,15 @@ class TrialConfig:
             raise InvalidInputError(f"unknown query policy {self.query_policy!r}")
 
     @cached_property
-    def extra_queries(self) -> QuerySet:
-        """The random queries the adversarial-plus-random policy adds, built once per config."""
-        return build_query_set(self.hard.instance.dim, self.hard.spec.k,
-                               seed=self.master_seed, n_gaussian=20, n_sparse=20)
+    def random_queries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w g(A X^T), f0, f) at the random queries X the adversarial-plus-random
+        policy adds: weighted atom losses and the full objective, built once per config."""
+        inst, spec = self.hard.instance, self.hard.spec
+        X = build_query_set(inst.dim, spec.k, seed=self.master_seed,
+                            n_gaussian=20, n_sparse=20).queries
+        G = eval_loss(spec.loss, inst.atoms @ X.T)
+        f0 = inst.masses @ G
+        return self.hard.law[1][:, None] * G, f0, f0 + eval_regularizer(spec.reg, X) / spec.k
 
 
 @dataclass(frozen=True)
@@ -94,11 +100,11 @@ def _draw_counts(q: np.ndarray, w: np.ndarray, m: int, trials: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial counts of m i.i.d. draws from q, and the mean of w over each trial's draws.
 
-    Such counts are Multinomial(m, q): the trials are the rows of one block,
-    and blocks drawn in turn from one generator concatenate to one drawn at once.
+    Such counts are Multinomial(m, q): the trials are the rows of one block.
     A uniform q at m <= INDEX_RATIO n counts m uniform indices per row, which
     costs less than the multinomial's n binomials per row; otherwise the
-    multinomial draws them.
+    multinomial draws them.  Blocks drawn in turn from one generator equal one
+    drawn at once bit for bit, mean weights too, whatever the law's weights.
     """
     n = q.size
     if q.min() == q.max() and m <= INDEX_RATIO * n:
@@ -115,39 +121,22 @@ def _draw_counts(q: np.ndarray, w: np.ndarray, m: int, trials: int,
             counts = rng.multinomial(m, q, size=trials)
         except ValueError as exc:  # numpy's own pvals check, at a rounding error of q's
             raise DegenerateInstanceError(f"sampling probabilities rejected: {exc}") from None
-    # int @ float casts the int operand to a float copy, so take the product a
-    # few rows at a time; a one-row product sums in another order, so the last
-    # row of a longer block joins the rows before it
-    mean_w = np.empty(trials)
-    for lo in range(0, max(trials - 1, 1), PRODUCT_ROWS):
-        hi = trials if trials - lo == PRODUCT_ROWS + 1 else lo + PRODUCT_ROWS
-        mean_w[lo:hi] = counts[lo:hi] @ w
-    return counts, mean_w / m
-
-
-def _generic_query_failures(instance: Instance, spec: ObjectiveSpec, queries: QuerySet,
-                            w: np.ndarray, counts: np.ndarray, m: int,
-                            eps: float) -> np.ndarray:
-    """Failure indicator per trial: any query with relative error above eps."""
-    # row 0 is the full objective f0, rows 1.. the per-trial coreset objectives
-    f0, reg = evaluate(instance.atoms, np.vstack([instance.masses, counts * w / m]),
-                       spec, queries.queries)
-    f = f0[0] + reg
-    valid = f > 0.0
-    if not np.any(valid):
-        return np.zeros(counts.shape[0], dtype=bool)
-    err = np.abs(f0[0, valid] - f0[1:, valid]) / f[valid]
-    return np.any(err > eps, axis=1)
+    # einsum sums each row in an order that does not depend on the block's rows,
+    # and casts the int counts a buffer at a time, not as a float copy of the block
+    return counts, np.einsum("ij,j->i", counts, w) / m
 
 
 def _trial_failures(cfg: TrialConfig, counts: np.ndarray, mean_w: np.ndarray,
                     m: int) -> np.ndarray:
-    """Failure indicator per row of a count block drawn at sample size m."""
-    hard = cfg.hard
-    failed = batch_failed(hard, counts, mean_w, m, cfg.eps)
+    """Failure indicator per row of a count block drawn at sample size m.
+
+    A random query's estimate is one same-shape product per row, so no
+    verdict depends on the row's block."""
+    failed = batch_failed(cfg.hard, counts, mean_w, m, cfg.eps)
     if cfg.query_policy == ADVERSARIAL_PLUS_RANDOM:
-        failed |= _generic_query_failures(hard.instance, hard.spec, cfg.extra_queries,
-                                          hard.law[1], counts, m, cfg.eps)
+        wG, f0, f = cfg.random_queries
+        f0_hat = np.array([row @ wG for row in counts]) / m
+        failed |= np.any(relative_gaps(f0, f0_hat, f) > cfg.eps, axis=1)  # NaN never fails
     return failed
 
 
@@ -185,7 +174,8 @@ def _probe_failures(cfg: TrialConfig, m: int, k_fail: int) -> int:
     as many rows as could first settle the verdict: `need` more failures
     decide it, and so do T - done - need + 1 more passes, after which too
     few rows are left.  A block also keeps to COUNT_CELLS cells; the verdict
-    cannot settle inside a block, so splitting one changes no count.
+    cannot settle inside a block, so splitting one changes no count: a row
+    fails as in `failure_rate`'s block, under every law and query policy.
     Returns k_fail on a failed probe, less on a passed one.
     """
     q, w, _ = cfg.hard.law
@@ -210,8 +200,9 @@ def min_sample_size(cfg: TrialConfig) -> int:
     was rejected.  Finer steps are below the Monte Carlo noise of a verdict;
     below 64 the step is 0, so such an m* is the exact bisection's.
 
-    Each probe stops drawing trials once its verdict is fixed, so m* is the
-    one a full-trial `failure_rate` search finds.  Exceeding the configured
+    Each probe stops drawing trials once its verdict is fixed, and its rows
+    fail as `failure_rate`'s do under every law and query policy, so m* is
+    the one a full-trial `failure_rate` search finds.  Exceeding the configured
     m cap raises a budget error whose partial table maps each probed m to
     the Wilson upper bound of the failures seen, over all trials: exact for
     a probe that ran every trial, otherwise a lower bound already on its
@@ -325,7 +316,7 @@ def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,
 
     Returns (mean over trials of f0_hat(x) - f0(x), standard error of that
     mean).  Pass |gap| <= 4 * stderr.  weights_override replaces the per-atom
-    importance weights (negative-control hook).
+    importance weights (negative-control hook): one finite weight per atom.
     """
     if trials < 100 or m < 1:
         raise InvalidInputError("need at least 100 trials and m >= 1")
@@ -333,6 +324,8 @@ def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,
     q, w, _ = _law(instance, kind, convention)
     if weights_override is not None:
         w = np.asarray(weights_override, dtype=float)
+        if w.shape != q.shape or not np.all(np.isfinite(w)):
+            raise InvalidInputError(f"weights_override must hold {q.size} finite weights")
     gvals = np.asarray(eval_loss(spec.loss, instance.atoms @ x))
     f0 = float(instance.masses @ gvals)
     per_atom = w * gvals

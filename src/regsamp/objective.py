@@ -113,13 +113,17 @@ def full_objective(instance: Instance, spec: ObjectiveSpec, x) -> tuple[float, f
     return float(f0[0]), float(f0[0] + r[0])
 
 
+def relative_gaps(f0, f0_hat, f) -> np.ndarray:
+    """|f0 - f0_hat| / f, broadcast; NaN where f <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(f > 0.0, np.abs(f0 - f0_hat) / f, np.nan)
+
+
 def relative_errors(instance: Instance, spec: ObjectiveSpec, samples: Coreset, X) -> np.ndarray:
     """|f0(x) - f0_hat(x)| / f(x) for every query row of X; NaN where f(x) <= 0."""
     f0, r = evaluate(instance.atoms, instance.masses, spec, X)
     f0_hat, _ = evaluate(samples.a, samples.w / len(samples), spec, X)
-    f = f0 + r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(f > 0.0, np.abs(f0 - f0_hat) / f, np.nan)
+    return relative_gaps(f0, f0_hat, f0 + r)
 
 
 def relative_error(instance: Instance, spec: ObjectiveSpec, samples: Coreset, x) -> float:

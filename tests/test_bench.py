@@ -1,8 +1,11 @@
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regsamp import bench
 from regsamp.bench import (
@@ -18,8 +21,8 @@ from regsamp.bench import (
     write_scaling_csv,
 )
 from regsamp.errors import BudgetExceededError, DegenerateInstanceError, InvalidInputError
-from regsamp.hardness import (gen_coupon_relu, gen_lin_logistic, gen_lin_relu, gen_quad_hinge,
-                              gen_quad_relu)
+from regsamp.hardness import (HARD_KINDS, gen_coupon_relu, gen_lin_logistic, gen_lin_relu,
+                              gen_moment_curve, gen_quad_hinge, gen_quad_relu, generate)
 from regsamp.losses import L2SQ, LOGISTIC, make_loss, make_reg
 from regsamp.model import ObjectiveSpec, gaussian_instance, make_instance
 from regsamp.sampler import derive_rng
@@ -73,6 +76,24 @@ class TestFailThreshold:
         assert bench._fail_threshold(10, 1e-9) == 0
 
 
+# a small instance of every kind, each but moment-curve (unequal weights) with
+# a uniform weight off 1 in its last bit, so the order of a row's sum shows
+BLOCK_KINDS = {
+    "quad-logistic": {"k": 16.0, "eps": 0.05}, "quad-sigmoid": {"k": 16.0, "eps": 0.1},
+    "quad-hinge": {"k": 12.0, "eps": 0.1}, "quad-relu": {"k": 8.0, "eps": 0.25},
+    "lin-relu": {"k": 7}, "lin-logistic": {"k": 8}, "lin-sigmoid": {"k": 8},
+    "coupon-relu": {"d": 30, "k": 8.0}, "moment-curve": {"N": 12, "d": 3},
+}
+
+
+@functools.cache
+def block_configs(kind):
+    """The kind's small instance under both query policies."""
+    hard = generate(kind, **BLOCK_KINDS[kind])
+    return tuple(TrialConfig(eps=0.25, delta=0.2, master_seed=3, hard=hard, query_policy=policy)
+                 for policy in (bench.ADVERSARIAL_ONLY, bench.ADVERSARIAL_PLUS_RANDOM))
+
+
 class TestDrawCounts:
     def test_rows_are_multinomial_counts(self):
         q = np.random.default_rng(4).dirichlet(np.ones(30))
@@ -81,7 +102,7 @@ class TestDrawCounts:
         counts, mean_w = bench._draw_counts(q, w, m, trials, derive_rng(8, m))
         assert counts.shape == (trials, 30)
         assert np.all(counts.sum(axis=1) == m)
-        assert np.array_equal(mean_w, counts @ w / m)
+        np.testing.assert_allclose(mean_w, counts @ w / m, rtol=1e-14, atol=0)
         stderr = np.sqrt(m * q * (1 - q) / trials)
         assert np.all(np.abs(counts.mean(axis=0) - m * q) <= 4 * stderr)
 
@@ -94,7 +115,7 @@ class TestDrawCounts:
         assert np.all(counts.sum(axis=1) == m)
         stderr = np.sqrt(m * (1 / n) * (1 - 1 / n) / trials)
         assert np.all(np.abs(counts.mean(axis=0) - m / n) <= 4 * stderr)
-        assert np.array_equal(mean_w, counts @ w / m)
+        np.testing.assert_allclose(mean_w, counts @ w / m, rtol=1e-14, atol=0)
         idx = derive_rng(5, m).integers(0, n, size=(trials, m))
         assert np.array_equal(counts, [np.bincount(row, minlength=n) for row in idx])
 
@@ -105,42 +126,61 @@ class TestDrawCounts:
         counts, _ = bench._draw_counts(q, np.ones(q.size), m, 50, derive_rng(6, m))
         assert np.array_equal(counts, derive_rng(6, m).multinomial(m, q, size=50))
 
-    @pytest.mark.parametrize("m", [120, 121])  # 12 n, where index draws end, and one past
-    def test_uniform_blocks_concatenate_to_the_one_shot_block(self, m):
-        # 1200 rows of 120 indices span three index chunks; the blocks of 1,
-        # 2 and 7 rows shift where the later chunks start.  The weights are
-        # the uniform law's own, so one-row products sum in the same order
-        q, w = np.full(10, 0.1), np.ones(10)
-        assert bench.INDEX_CELLS // m < 1200 - 10
-        whole = bench._draw_counts(q, w, m, 1200, derive_rng(4, m))
-        rng = derive_rng(4, m)
-        parts = [bench._draw_counts(q, w, m, rows, rng) for rows in (1, 2, 7, 1190)]
+    @pytest.mark.parametrize("kind", HARD_KINDS)
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(past_index_draws=st.booleans(), spot=st.floats(0, 1), trials=st.integers(1, 600),
+           cuts=st.lists(st.floats(0, 1), max_size=6))
+    def test_blocks_give_the_one_shot_rows(self, kind, past_index_draws, spot, trials, cuts):
+        # rows drawn in blocks split anywhere, on both draw paths (m <= 12 n
+        # and past it), give the counts, mean weights and failure rows under
+        # both policies of the block drawn at once, bit for bit; splits also
+        # fall across the index draws' chunks
+        cfgs = block_configs(kind)
+        q, w, _ = cfgs[0].hard.law
+        n = q.size
+        m = 12 * n + 1 + int(spot * 28 * n) if past_index_draws else 1 + int(spot * (12 * n - 1))
+        bounds = sorted({0, trials, *(int(cut * trials) for cut in cuts)})
+        whole = bench._draw_counts(q, w, m, trials, derive_rng(5, m))
+        rng = derive_rng(5, m)
+        parts = [bench._draw_counts(q, w, m, hi - lo, rng) for lo, hi in zip(bounds, bounds[1:])]
         for one, blocks in zip(whole, zip(*parts)):
             assert np.array_equal(one, np.concatenate(blocks))
+        for cfg in cfgs:
+            failed = [bench._trial_failures(cfg, counts, mean_w, m) for counts, mean_w in parts]
+            assert np.array_equal(bench._trial_failures(cfg, *whole, m), np.concatenate(failed))
 
     @pytest.mark.parametrize("n", [128, 456])
     @pytest.mark.parametrize("trials", [1, 2, 16, 17, 33, 200])
     def test_row_chunks_give_the_one_product(self, n, trials):
-        # the product is taken PRODUCT_ROWS rows at a time, never one row of a
-        # longer block alone, whose sum would take another order
+        # unequal weights over far more atoms than moment-curve's 12: rows drawn
+        # one at a time, or 16 at a time, get the one-shot block's mean weights
         rng = np.random.default_rng(n)
         q, w = rng.dirichlet(np.ones(n)), rng.uniform(0.1, 2.0, n)
-        counts, mean_w = bench._draw_counts(q, w, 5000, trials, derive_rng(2, n))
-        assert np.array_equal(mean_w, counts @ w / 5000)
+        whole = bench._draw_counts(q, w, 5000, trials, derive_rng(2, n))
+        for chunk in (1, 16):
+            gen = derive_rng(2, n)
+            parts = [bench._draw_counts(q, w, 5000, min(chunk, trials - lo), gen)
+                     for lo in range(0, trials, chunk)]
+            for one, blocks in zip(whole, zip(*parts)):
+                assert np.array_equal(one, np.concatenate(blocks))
 
     def test_mc_wide_probe_peaks_near_one_count_block(self):
         # 200 trials x 4000 atoms: the int64 block is 6.4 MB, and the mean weight
-        # no longer casts all of it to a float copy at once
+        # casts no float copy of it, under mc-wide's uniform law (index draws)
+        # and under a law with unequal weights (the multinomial)
         import tracemalloc
 
-        q, w, _ = gen_coupon_relu(4000, 16.0).law
-        tracemalloc.start()
-        try:
-            counts, _ = bench._draw_counts(q, w, 30000, 200, derive_rng(1, 30000))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * counts.nbytes
+        rng = np.random.default_rng(4000)
+        laws = [gen_coupon_relu(4000, 16.0).law[:2],
+                (rng.dirichlet(np.ones(4000)), rng.uniform(0.1, 2.0, 4000))]
+        for q, w in laws:
+            tracemalloc.start()
+            try:
+                counts, _ = bench._draw_counts(q, w, 30000, 200, derive_rng(1, 30000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * counts.nbytes
 
     def test_probabilities_numpy_rejects_are_a_typed_error(self):
         # the first n-1 entries sum above 1, which numpy rejects with ValueError
@@ -315,6 +355,11 @@ def verdict_configs():
         # its random queries decide m*: see test_random_queries_decide_the_search
         "plus-random-logistic": TrialConfig(master_seed=5, hard=gen_lin_logistic(4),
                                             **dict(plus_random, eps=0.1)),
+        # the one kind whose weights are unequal
+        "moment-curve": TrialConfig(master_seed=7, hard=gen_moment_curve(12, 3), **common),
+        # random queries over 64 atoms, whose rates cross delta below m = 200
+        "plus-random-logistic-64": TrialConfig(master_seed=8, hard=gen_lin_logistic(64),
+                                               **plus_random),
     }
 
 
@@ -337,7 +382,8 @@ class TestVerdictProbes:
         assert min_sample_size(cfg) == reference_min_sample_size(cfg)
 
     @pytest.mark.parametrize("name", ["lin-relu", "quad-hinge", "plus-random",
-                                      "plus-random-logistic"])
+                                      "plus-random-logistic", "moment-curve",
+                                      "plus-random-logistic-64"])
     def test_probe_verdict_matches_failure_rate(self, name):
         cfg = verdict_configs()[name]
         assert_probes_match_failure_rate(cfg, range(1, 200, 7), (0.05, cfg.delta, 0.5))
@@ -437,15 +483,20 @@ class TestVerdictProbes:
         assert min_sample_size(adversarial) < min_sample_size(cfg)
 
     def test_extra_queries_built_once_per_config(self, monkeypatch):
-        calls = []
-        build = bench.build_query_set
+        # the random queries and their per-atom loss matrix are built once;
+        # no probe evaluates a loss again
+        calls, losses = [], []
+        build, loss = bench.build_query_set, bench.eval_loss
         monkeypatch.setattr(bench, "build_query_set",
                             lambda *a, **kw: calls.append(a) or build(*a, **kw))
+        monkeypatch.setattr(bench, "eval_loss",
+                            lambda *a, **kw: losses.append(a) or loss(*a, **kw))
         cfg = verdict_configs()["plus-random"]
         for m in (10, 40):
             failure_rate(cfg, m)
         min_sample_size(cfg)
         assert len(calls) == 1
+        assert len(losses) == 1
 
 
 class TestScalingCurve:
@@ -558,6 +609,15 @@ class TestUnbiasedness:
         spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ), 4.0)
         with pytest.raises(InvalidInputError):
             unbiasedness_check(inst, spec, "norm", np.ones(2), m=5, trials=10, seed=1)
+
+    @pytest.mark.parametrize("override", [np.ones(3), np.ones((2, 1)), [1.0, np.nan],
+                                          [np.inf, 1.0]])
+    def test_malformed_weights_override_is_a_typed_error(self, override):
+        inst = make_instance(np.array([[0.0], [100.0]]))
+        spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ), 4.0)
+        with pytest.raises(InvalidInputError, match="weights_override"):
+            unbiasedness_check(inst, spec, "norm", np.array([1.0]), m=5, trials=100, seed=1,
+                               weights_override=override)
 
 
 class TestCsvOutputs:
