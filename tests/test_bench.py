@@ -126,6 +126,19 @@ class TestDrawCounts:
         counts, _ = bench._draw_counts(q, np.ones(q.size), m, 50, derive_rng(6, m))
         assert np.array_equal(counts, derive_rng(6, m).multinomial(m, q, size=50))
 
+    @pytest.mark.parametrize("m", [120, 121])  # 12 n, where index draws end, and one past
+    def test_uniform_blocks_concatenate_to_the_one_shot_block(self, m):
+        # 1200 rows of 120 indices span three index chunks; the blocks of 1,
+        # 2 and 7 rows shift where the later chunks start.  Unit weights keep
+        # every sum exact; the property test below covers weights off 1
+        q, w = np.full(10, 0.1), np.ones(10)
+        assert bench.INDEX_CELLS // m < 1200 - 10
+        whole = bench._draw_counts(q, w, m, 1200, derive_rng(4, m))
+        rng = derive_rng(4, m)
+        parts = [bench._draw_counts(q, w, m, rows, rng) for rows in (1, 2, 7, 1190)]
+        for one, blocks in zip(whole, zip(*parts)):
+            assert np.array_equal(one, np.concatenate(blocks))
+
     @pytest.mark.parametrize("kind", HARD_KINDS)
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(past_index_draws=st.booleans(), spot=st.floats(0, 1), trials=st.integers(1, 600),
