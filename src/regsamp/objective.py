@@ -175,9 +175,10 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
     atoms into one of their summed mass; hinge/l1: an LP (HiGHS).
     hinge/l2sq: the exact minimum by a primal active set in d dimensions,
     whose multipliers alpha maximize the box dual sum(alpha) -
-    (k/4)|A^T alpha|^2 over 0 <= alpha <= p.  hinge/l2: that box dual at the
-    l2sq weight where |A^T alpha| = 1/k, found by a 1-D search over exact
-    l2sq solves, then an exact line search along A^T alpha.  logistic:
+    (k/4)|A^T alpha|^2 over 0 <= alpha <= p.  hinge/l2: the hinge/l2sq
+    minimum at the weight where |A^T alpha| = 1/k, which is the l2 minimum;
+    each exact l2sq solve of that 1-D search gives the next weight, the root
+    on its last face, where x and alpha are affine in the weight.  logistic:
     L-BFGS-B, on x = u - v with u, v >= 0 for l1 and on x = r u / |u| with
     r >= 0 for l2, so the kink of the norm at the origin is a bound
     (`_smooth_minimum`).  sigmoid, which is not convex: the same L-BFGS-B
@@ -216,7 +217,7 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
             "problem is below 2^-500")
     elif loss.kind == HINGE:
         A, p = _merge_repeats(A, p)
-        y, alpha = _HINGE[reg.kind](A, p, lam)
+        y, alpha = _HINGE[reg.kind](A, p, lam)[:2]  # l2sq adds its last face
         ys = [y]
     else:
         count = restarts if loss.kind == SIGMOID else 1
@@ -255,11 +256,11 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
 # The least regularizer weight of a rescaled problem: its square, its inverse
 # and |A^T alpha|^2 over four times it stay finite and normal
 MIN_WEIGHT = 2.0 ** -500
-# L-BFGS-B and HiGHS tolerances and the gap that ends the hinge/l2 search, set
-# well below the 1e-6 relative duality gap that verify demands of every convex problem
+# L-BFGS-B and HiGHS tolerances and the hinge/l2 search's match of |A^T alpha| to lam,
+# set well below the 1e-6 relative duality gap that verify demands of every convex problem
 _LBFGS = {"ftol": 1e-15, "gtol": 1e-14, "maxiter": 15000}
 _HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-_L2_GAP = 1e-7
+_L2_MATCH = 1e-12
 # hinge active set: a step moves a margin towards 1 only if by more than this
 # share of |a_i| (|x| + |target|), which is above its rounding; the most steps
 _TINY = 2.0 ** -36
@@ -291,6 +292,27 @@ def _merge_repeats(A, p):
     return A[first], np.bincount(inverse.ravel(), weights=p)
 
 
+def _face(A, p, low, work):
+    """(u, v, nu0, nu1) of the `_hinge_l2sq` face with loss side `low` and the
+    margins of `work` at 1: its least point at weight mu is x = u / (2 mu) + v,
+    with 2 mu x - g = A_W^T (nu0 + mu nu1) and g = sum over L of p_i a_i.  From
+    A_W^T = Q1 R: u = Q2 Q2^T g, v = Q1 R^-T 1, nu0 = -R^-1 Q1^T g and nu1 =
+    2 R^-1 R^-T 1; u is orthogonal to v, so |2 mu x| = sqrt(|u|^2 + 4 mu^2 |v|^2)."""
+    g, w = (p * low) @ A, len(work)
+    if not w:
+        return g, np.zeros_like(g), g[:0], g[:0]
+    # A_W x = 1 holds to rounding whatever the size of u / (2 mu)
+    Q, R = np.linalg.qr(A[work].T, mode="complete")
+    try:
+        c = np.linalg.solve(R[:w].T, np.ones(w))
+        nu = np.linalg.solve(R[:w], np.column_stack([-Q[:, :w].T @ g, 2.0 * c]))
+    except np.linalg.LinAlgError:
+        nu = np.full((w, 2), math.nan)
+    if not np.all(np.isfinite(nu)):
+        raise OptimizerFailureError(f"singular hinge working set of {w} atoms")
+    return Q[:, w:] @ (Q[:, w:].T @ g), Q[:, :w] @ c, nu[:, 0], nu[:, 1]
+
+
 def _hinge_l2sq(A, p, lam):
     """Exact minimum of F(x) = p @ max(0, 1 - A x) + lam |x|^2 by a primal active set,
     with the optimal alpha of the box dual max sum(alpha) - |A^T alpha|^2 / (4 lam)
@@ -299,17 +321,17 @@ def _hinge_l2sq(A, p, lam):
     Every atom is in one of three states, kept as state and never read back
     from rounded margins: the loss side L (margin below 1), the zero side, or
     the working set W of margins held at 1.  A step goes towards the least
-    point of F on the current face, x = (g + A_W^T nu) / (2 lam) with
-    A_W x = 1 and g = sum over L of p_i a_i, by an exact line search over the
-    kinks on the way (one sort): the kinks it passes change side, and the
-    kink it stops at joins W.  A margin the step moves by no more than its
-    rounding has no kink, so a row in the span of A_W never joins W, where
-    it would make the |W| x |W| system singular.  Once the step reaches the
-    face's least point, the least-index member of W with nu_i outside
-    [0, p_i] leaves for the side it points to (Bland's rule); when there is
-    none, alpha = p on L, nu on W and 0 elsewhere is optimal.  The rows of A
-    must be distinct (`_merge_repeats`).  Raises OptimizerFailureError on a
-    singular working set or after _ACTIVE_SET_STEPS steps.
+    point of F on the current face (`_face`), by an exact line search over
+    the kinks on the way (one sort): the kinks it passes change side, and
+    the kink it stops at joins W.  A margin the step moves by no more than
+    its rounding has no kink, so a row in the span of A_W never joins W,
+    where it would make the |W| x |W| system singular.  Once the step
+    reaches the face's least point, the least-index member of W with nu_i
+    outside [0, p_i] leaves for the side it points to (Bland's rule); when
+    there is none, alpha = p on L, nu on W and 0 elsewhere is optimal, and
+    x, alpha and the (u, v) of that face are returned.  The rows of A must be
+    distinct (`_merge_repeats`).  Raises OptimizerFailureError on a singular
+    working set or after _ACTIVE_SET_STEPS steps.
     """
     n, d = A.shape
     norms = np.linalg.norm(A, axis=1)
@@ -317,19 +339,8 @@ def _hinge_l2sq(A, p, lam):
     held = np.zeros(n, dtype=bool)  # W, also listed in order of entry by `work`
     work, x = [], np.zeros(d)
     for _ in range(_ACTIVE_SET_STEPS):
-        g, w = (p * low) @ A, len(work)
-        target = g / (2.0 * lam)
-        if w:
-            # A_W^T = Q1 R with Q2 spanning the rest, so A_W target = 1 holds to
-            # rounding whatever the size of g / (2 lam), and exactly at a vertex
-            Q, R = np.linalg.qr(A[work].T, mode="complete")
-            try:
-                c = np.linalg.solve(R[:w].T, np.ones(w))
-            except np.linalg.LinAlgError:
-                c = np.full(w, math.nan)
-            if not np.all(np.isfinite(c)):
-                raise OptimizerFailureError(f"singular hinge working set of {w} atoms")
-            target = Q[:, w:] @ (Q[:, w:].T @ target) + Q[:, :w] @ c
+        u, v, nu0, nu1 = _face(A, p, low, work)
+        target = u / (2.0 * lam) + v
         step = target - x
         slope, margin = A @ step, A @ x
         # kinks ahead: a loss-side margin rising to 1, or a zero-side one falling to
@@ -340,13 +351,13 @@ def _hinge_l2sq(A, p, lam):
         near = t < 1.0
         order = np.argsort(t[near], kind="stable")  # ties: the least index first
         ahead, t = ahead[near][order], np.maximum(t[near][order], 0.0)
-        if not len(t):  # at the face's least point, where 2 lam x - g = A_W^T nu
-            x, nu = target, np.linalg.solve(R[:w], 2.0 * lam * c - Q[:, :w].T @ g) if w else g[:0]
+        if not len(t):  # at the face's least point
+            x, nu = target, nu0 + lam * nu1
             bad = np.flatnonzero((nu < 0.0) | (nu > p[work]))
             if not len(bad):
                 alpha = p * low
                 alpha[work] = nu
-                return x, alpha
+                return x, alpha, (u, v)
             i = min(work[j] for j in bad)  # Bland: the least index leaves W
             low[i], held[i] = nu[work.index(i)] > p[i], False
             work.remove(i)
@@ -368,62 +379,39 @@ def _hinge_l2sq(A, p, lam):
 
 
 def _hinge_l2(A, p, lam):
-    """Dual max sum(alpha) s.t. 0 <= alpha <= p, |A^T alpha| <= lam; x along A^T alpha.
+    """Dual max sum(alpha) s.t. 0 <= alpha <= p, |A^T alpha| <= lam, and its x.
 
-    This is the l2sq box dual at the weight mu where |A^T alpha(mu)| = lam,
-    each probe's alpha(mu) an exact `_hinge_l2sq` solve.  That norm does not
-    decrease in mu: alpha = p above max|a_i| sum(p_i |a_i|) / 2, where every
-    margin is below 1, and the norm is below lam under lam^2 / (4 sum(p)),
-    as f(x) <= f(0) bounds mu |x|^2.  Bisection on log mu,
-    then regula falsi (Illinois) once the norm lies on both sides of lam,
-    stops when the least value along A^T alpha meets the dual value of alpha,
-    or of the mix of the last alphas either side of lam, to _L2_GAP relative,
-    or when the bracket reaches float resolution.
+    That is the l2sq box dual at the weight mu where |A^T alpha(mu)| = lam:
+    there A^T alpha = lam x / |x| at the l2sq minimum x(mu), which is thus
+    the l2 minimum.  The norm does not decrease in mu: alpha = p above
+    max|a_i| sum(p_i |a_i|) / 2, where every margin is below 1, and it is
+    below lam under lam^2 / (4 sum(p)), as f(x) <= f(0) bounds mu |x|^2.
+    Each probe is an exact `_hinge_l2sq` solve at or above MIN_WEIGHT.  The
+    next is at the root sqrt(lam^2 - |u|^2) / (2 |v|) of the last probe's
+    face (`_face`; the path is piecewise so, Hastie, Rosset, Tibshirani &
+    Zhu, JMLR 2004), or at the bracket's geometric mean when that root lies
+    outside it.  The search stops once the face's norm is lam to _L2_MATCH
+    relative, or when it can go no further.
     """
     if np.linalg.norm(p @ A) <= lam:
         return np.zeros(A.shape[1]), p  # alpha = p is optimal, and x = 0 attains its value
     norms = np.linalg.norm(A, axis=1)
-    lo, hi = math.log(lam * lam / (4.0 * p.sum())), math.log(norms.max() * (p @ norms) / 2.0)
-    s, alpha, primal, dual, last, ends = hi, p, math.inf, -math.inf, None, {}
+    lo, hi = lam * lam / (4.0 * p.sum()), norms.max() * (p @ norms) / 2.0
+    mu = math.sqrt(lo) * math.sqrt(hi)
     for _ in range(100):  # the bracket reaches float resolution sooner
-        z = alpha @ A
-        size = float(np.linalg.norm(z))
-        t, value = _kink_minimum(A @ (z / size), p, lam) if size > 0.0 else (0.0, math.inf)
-        if value < primal:
-            primal, x = value, t / size * z
-        side, g = size > lam, math.log(size / lam) if size > 0.0 else -math.inf
-        if len(ends) == 2 and last == side:
-            ends[not side][1] *= 0.5  # Illinois: the other end was kept twice
-        ends[side], last, mixes = [s, g, size, alpha], side, [alpha]
-        if len(ends) == 2:  # theta n_in + (1 - theta) n_out = lam bounds the mix's norm
-            (s_out, g_out, n_out, a_out), (s_in, g_in, n_in, a_in) = ends[True], ends[False]
-            mixes.append(a_out + (n_out - lam) / (n_out - n_in) * (a_in - a_out))
-        for a in mixes:
-            value = float(a.sum()) * min(1.0, lam / max(float(np.linalg.norm(a @ A)), lam))
-            if value > dual:
-                dual, best = value, a
-        if primal - dual <= _L2_GAP * primal:
+        mu = max(mu, MIN_WEIGHT)
+        x, alpha, (u, v) = _hinge_l2sq(A, p, mu)
+        # |A^T alpha| from the face: u + 2 mu v itself cancels to rounding of |g|
+        a, b = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+        size = math.hypot(a, 2.0 * mu * b)
+        if abs(size - lam) <= _L2_MATCH * lam or (size > lam and mu == MIN_WEIGHT):
+            break  # matched, or the weight that matches is below MIN_WEIGHT
+        lo, hi = (lo, mu) if size > lam else (mu, hi)
+        root = math.sqrt((lam - a) * (lam + a)) / (2.0 * b) if a < lam and b > 0.0 else 0.0
+        mu = root if lo < root < hi else math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mu < hi:
             break
-        lo, hi = (lo, s) if side else (s, hi)
-        s = (s_in * g_out - s_out * g_in) / (g_out - g_in) if len(ends) == 2 else math.nan
-        s = s if lo < s < hi else 0.5 * (lo + hi)
-        if not lo < s < hi:
-            break
-        alpha = _hinge_l2sq(A, p, math.exp(s))[1]
-    return x, best
-
-
-def _kink_minimum(m, p, lam):
-    """(t, value) minimising p @ max(0, 1 - t m) + lam t over t >= 0: the slope
-    lam - p @ m rises by p_i m_i at each kink 1/m_i, m_i > 0, so one sort finds
-    the kink where it turns non-negative."""
-    start = float(p @ m) - lam
-    if start <= 0.0:
-        return 0.0, float(p.sum())
-    order = np.argsort(-m)
-    rises = np.cumsum(p[order] * np.maximum(m[order], 0.0))
-    t = 1.0 / m[order[min(int(np.searchsorted(rises, start)), np.count_nonzero(m > 0.0) - 1)]]
-    return t, float(p @ np.maximum(0.0, 1.0 - t * m) + lam * t)
+    return x, alpha
 
 
 _HINGE = {L1: _hinge_l1, L2: _hinge_l2, L2SQ: _hinge_l2sq}

@@ -260,21 +260,31 @@ def rejection_stream(atoms: Iterable, kind: str, s_hat: float, seed: int,
 
     With s_hat >= every observed score the acceptance probability stays in
     (0, 1]; the accepted multiset is distributed as the mixture built from
-    s_hat in place of the true score mass.
+    s_hat in place of the true score mass.  Runs of equal-length atoms are
+    scored in blocks of at most COUNT_CELLS cells, with one draw per atom.
     """
     if not s_hat > 0:
         raise InvalidInputError("s_hat must be positive")
     rng = derive_rng(seed)
-    accepted = []
+    accepted, block = [], []
+
+    def take():
+        s = score_array(kind, np.stack(block).reshape(len(block), -1), D=D)
+        p_accept = 0.5 + s / (2.0 * s_hat)
+        over = np.flatnonzero(p_accept > 1.0 + 1e-12)
+        if len(over):
+            raise EstimatorInconsistencyError(
+                f"score {float(s[over[0]])} exceeds estimate {s_hat}: acceptance probability > 1")
+        accepted.extend(a for a, keep in zip(block, rng.random(len(block)) < p_accept) if keep)
+        block.clear()
+
     for a in atoms:
         a = np.asarray(a, dtype=float)
-        s = score(kind, a, D=D)
-        p_accept = 0.5 + s / (2.0 * s_hat)
-        if p_accept > 1.0 + 1e-12:
-            raise EstimatorInconsistencyError(
-                f"score {s} exceeds estimate {s_hat}: acceptance probability > 1")
-        if rng.random() < p_accept:
-            accepted.append(a)
+        if block and (a.shape != block[0].shape or len(block) * a.size >= COUNT_CELLS):
+            take()
+        block.append(a)
+    if block:
+        take()
     return accepted
 
 

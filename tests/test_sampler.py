@@ -310,8 +310,11 @@ class TestRejectionStream:
         assert len(accepted) == 100
 
     def test_estimator_inconsistency(self):
-        atoms = [np.array([0.0, 5.0])]  # score 6 > 3
-        with pytest.raises(EstimatorInconsistencyError):
+        # the first score past 3 is named, in a stream of atoms of two lengths
+        atoms = [np.array([0.0, 1.0]), np.array([1.0]), np.array([0.0, 5.0]),
+                 np.array([0.0, 7.0])]
+        with pytest.raises(EstimatorInconsistencyError,
+                           match=r"^score 6\.0 exceeds estimate 3\.0: acceptance probability > 1$"):
             rejection_stream(atoms, "norm", s_hat=3.0, seed=1)
 
     def test_accepted_composition_matches_mixture(self):
@@ -327,6 +330,24 @@ class TestRejectionStream:
         n_acc = len(accepted)
         sigma = math.sqrt(n_acc * q[1] * (1 - q[1]))
         assert abs(got1 - n_acc * q[1]) <= 3 * sigma
+
+    @pytest.mark.parametrize("kind,D", [("norm", None), ("sqnorm", None), ("uniform-d", 4.0)])
+    def test_blocks_accept_what_one_atom_at_a_time_accepts(self, monkeypatch, kind, D):
+        # runs of 3- and 2-vectors, with a norm near 1e150 and one below 2^-500, in
+        # blocks of at most 10 cells: the draws of a per-atom reference loop
+        from regsamp import sampler
+
+        rng = np.random.default_rng(4)
+        atoms = [rng.standard_normal(3 if (i // 7) % 2 else 2) for i in range(300)]
+        atoms[5] *= 1e150
+        atoms[40] *= 1e-200
+        s_hat = 2.0 * max(score(kind, a, D=D) for a in atoms)
+        draws = derive_rng(9)
+        want = [a for a in atoms if draws.random() < 0.5 + score(kind, a, D=D) / (2.0 * s_hat)]
+        monkeypatch.setattr(sampler, "COUNT_CELLS", 10)
+        got = rejection_stream(iter(atoms), kind, s_hat=s_hat, seed=9, D=D)
+        assert 0 < len(got) < len(atoms)
+        assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
 
 class TestWeightedReservoir:
