@@ -179,12 +179,12 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
     minimum at the weight where |A^T alpha| = 1/k, which is the l2 minimum;
     each exact l2sq solve of that 1-D search gives the next weight, the root
     on its last face, where x and alpha are affine in the weight.  logistic:
-    L-BFGS-B, on x = u - v with u, v >= 0 for l1 and on x = r u / |u| with
-    r >= 0 for l2, so the kink of the norm at the origin is a bound
-    (`_smooth_minimum`).  sigmoid, which is not convex: the same L-BFGS-B
-    from the origin and restarts - 1 Gaussian starts derive_rng(seed, r),
-    refused with BudgetExceededError when the starts exceed
-    `model.MAX_DENSE_CELLS` cells.
+    a modified Newton method in d dimensions from the origin, orthant-wise
+    for l1 and with the origin tested directly for l2 (`_newton_minima`).
+    sigmoid, which is not convex: the same method from the origin and
+    restarts - 1 Gaussian starts derive_rng(seed, r), all run together,
+    refused with BudgetExceededError when the starts, or the d x d Hessian,
+    exceed `model.MAX_DENSE_CELLS` cells.
 
     The solvers see the atoms divided by a power of two c >= 1 near their
     largest entry and the regularizer weight 1/(k c^p) of a degree-p
@@ -193,7 +193,8 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
     solver's multipliers (hinge) or at g'(margins) (logistic), scaled into the
     dual-feasible set; for sigmoid it is the analytic lower bound.  The
     analytic bound is capped at opt_value, so analytic_lower <= dual_lower
-    <= opt_value.  Each candidate's value is `full_objective`'s, bit for bit.
+    <= opt_value.  Each candidate's value is `full_objective`'s, bit for bit,
+    and the first candidate within _NEWTON_TOL of the least value is reported.
     The origin is always a candidate, so opt_value <= f(0) = sum(p) g(0),
     which is g(0) up to the rounding of the masses' sum.  Raises
     OptimizerFailureError when the rescaled weight is below MIN_WEIGHT (l2sq
@@ -222,15 +223,19 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
     else:
         count = restarts if loss.kind == SIGMOID else 1
         dense_budget(count, instance.dim, "starts")
+        dense_budget(instance.dim, instance.dim, "Hessian rows")
         starts = np.zeros((count, instance.dim))
         for r in range(1, len(starts)):
             starts[r] = derive_rng(seed, r).standard_normal(instance.dim)
-        ys = [_smooth_minimum(loss, reg, A, p, lam, y0) for y0 in starts]
+        ys = list(_newton_minima(loss, reg, A, p, lam, starts))
 
     # each candidate on its own: a block's rounding depends on how many rows it holds
     X = [np.ldexp(y, -e) for y in ys] + [np.zeros(instance.dim)]
     vals = [full_objective(instance, spec, x)[1] for x in X]
-    r = int(np.argmin(vals))
+    # values within _NEWTON_TOL of the least are one minimum, reached again by later
+    # starts in other last bits: the first is reported, whatever the number of starts
+    least = min(vals)
+    r = next(j for j, v in enumerate(vals) if v <= least + _NEWTON_TOL * abs(least))
     best_val, best_x = vals[r], X[r]
     if not (lower - 1e-9 <= best_val <= upper + 1e-9):
         raise OptimizerFailureError(
@@ -256,15 +261,23 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
 # The least regularizer weight of a rescaled problem: its square, its inverse
 # and |A^T alpha|^2 over four times it stay finite and normal
 MIN_WEIGHT = 2.0 ** -500
-# L-BFGS-B and HiGHS tolerances and the hinge/l2 search's match of |A^T alpha| to lam,
-# set well below the 1e-6 relative duality gap that verify demands of every convex problem
-_LBFGS = {"ftol": 1e-15, "gtol": 1e-14, "maxiter": 15000}
-_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# the Newton decrement relative to F at which a start takes its last step, and
+# HiGHS's tolerances, set well below the 1e-6 relative duality gap that verify
+# demands of every convex problem, and the hinge/l2 search's match of |A^T alpha| to lam
+_NEWTON_TOL = 2.0 ** -44
+_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
+          "presolve": False}
 _L2_MATCH = 1e-12
 # hinge active set: a step moves a margin towards 1 only if by more than this
 # share of |a_i| (|x| + |target|), which is above its rounding; the most steps
 _TINY = 2.0 ** -36
 _ACTIVE_SET_STEPS = 10000
+# modified Newton: the eigenvalue floor relative to |H|_F + lam, Armijo's constant,
+# the most backtracks of one step and the most steps of one start
+_EIG_FLOOR = 2.0 ** -40
+_ARMIJO = 1e-4
+_BACKTRACKS = 60
+_NEWTON_STEPS = 200
 
 
 def _hinge_l1(A, p, lam):
@@ -417,67 +430,155 @@ def _hinge_l2(A, p, lam):
 _HINGE = {L1: _hinge_l1, L2: _hinge_l2, L2SQ: _hinge_l2sq}
 
 
-def _smooth_minimum(loss, reg, A, p, lam, y0):
-    """L-BFGS-B on p @ g(A y) + lam R(y) from y0, with the kink of a norm at the
-    origin given to its bound handling (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
-    Comput. 1995): l1 as y = u - v with u, v >= 0, l2 as y = r u / |u| with
-    r >= 0.  The l2 start at the origin is r = 0 along u = -grad f0(0) (e_1
-    if that is 0, divided by its largest |entry| if its norm underflows): a
-    non-optimal origin leaves it at once, and an optimal one, like a start
-    that falls into the kink, stops on the bound."""
-    from scipy.optimize import Bounds, minimize
+def _newton_minima(loss, reg, A, p, lam, starts):
+    """A local minimum of F(y) = p @ g(A y) + lam R(y) from each row of starts,
+    by a modified Newton method on blocks of at most BLOCK // (max(n, d) d) starts.
 
-    d = A.shape[1]
+    Each step s = -H^-1 G takes the exact Hessian A^T diag(p g''(A y)) A plus
+    the regularizer's, with its eigenvalues in absolute value and floored at
+    _EIG_FLOOR (|H|_F + lam), so that s descends also where sigmoid is not
+    convex (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.4).  l2sq
+    adds 2 lam I.  l1 is orthant-wise (Andrew & Gao, ICML 2007): G is the
+    least-norm subgradient, a zero coordinate is free once |d f0| > lam and
+    moves only into the orthant of -G (else it is held at 0 and s solved
+    again), and a coordinate that a step takes across 0 stops at 0.  l2 adds
+    lam (I - u u^T) / |y|, u = y / |y|, away from the origin.  At the origin G
+    is the least-norm subgradient g (1 - lam / |g|)+ of g = grad f0(0), and s
+    is -G over the curvature along g.  The origin is a minimum when |g| <=
+    lam: then a step that passes it (<y + s, y> <= 0) stops there; otherwise
+    such a step loses its part along y, as an l1 coordinate that crosses 0.
+    A start that reaches the origin ends there, since it would retrace the
+    origin start's steps.  A step needs Armijo's decrease, unless its
+    decrement -G.s is within _NEWTON_TOL F, F's rounding: that step is taken
+    whole, which puts G near its own rounding, and is the start's last.  A
+    start also ends when no step lowers F, or after _NEWTON_STEPS steps.
+    Every quantity is a reduction over one start's row (einsum, a stacked
+    matmul and eigh, whose BLAS and LAPACK calls are one per start), so a
+    start's iterates have the same bits in any block.
+    """
+    Y = np.array(starts, dtype=float)
+    rows = max(1, BLOCK // (max(A.shape) * A.shape[1]))
+    kink = reg.kind == L2 and abs(eval_loss_derivative(loss, 0.0)) * np.linalg.norm(p @ A) <= lam
+    with np.errstate(all="ignore"):  # a rejected trial may overflow
+        for lo in range(0, len(Y), rows):
+            _newton_block(loss, reg, A, p, lam, Y[lo:lo + rows], kink)
+    return Y
 
-    def loss_and_gradient(y):
-        margins = A @ y
-        return p @ eval_loss(loss, margins), (p * eval_loss_derivative(loss, margins)) @ A
 
+def _newton_block(loss, reg, A, p, lam, Y, kink):
+    """`_newton_minima` on the starts Y, in place."""
+    F, M = _values(loss, reg, A, p, lam, Y)
+    live = np.arange(len(Y))
+    for _ in range(_NEWTON_STEPS):
+        G, step = _newton_step(loss, reg, A, p, lam, Y[live], M[live])
+        slope = np.einsum("sd,sd->s", G, step)
+        live, step, slope = live[slope < 0.0], step[slope < 0.0], slope[slope < 0.0]
+        # a step whose decrease is within _NEWTON_TOL F is the last, taken whole unless
+        # it raises F by more.  Any other needs Armijo's decrease; each failed trial
+        # shrinks it to the least point of the quadratic through F, the slope and the
+        # trial's value, within [t / 10, t / 2] (Nocedal & Wright, 3.5)
+        near = -slope <= _NEWTON_TOL * F[live]
+        bar = np.where(near, _NEWTON_TOL * F[live], _ARMIJO * slope)
+        t, todo, keep = np.ones(len(live)), np.arange(len(live)), np.zeros(len(live), bool)
+        for _ in range(_BACKTRACKS):
+            i = live[todo]
+            trial = _orthant(reg, Y[i], t[todo, None] * step[todo], kink)
+            f, m = _values(loss, reg, A, p, lam, trial)
+            ok = f <= F[i] + t[todo] * bar[todo]
+            keep[todo[ok]] = ~near[todo[ok]] & (f[ok] < F[i[ok]]) & np.any(trial[ok], axis=1)
+            Y[i[ok]], F[i[ok]], M[i[ok]] = trial[ok], f[ok], m[ok]
+            fail = ~ok & ~near[todo]
+            i, todo, f = i[fail], todo[fail], f[fail]
+            if not len(todo):
+                break
+            rise = f - F[i] - t[todo] * slope[todo]
+            shrink = np.where(rise > 0.0, -0.5 * t[todo] * slope[todo] / rise, 0.1)
+            t[todo] *= np.clip(shrink, 0.1, 0.5)  # 0.1 after a value that overflowed
+        live = live[keep]
+        if not len(live):
+            return
+
+
+def _values(loss, reg, A, p, lam, Y):
+    """(F, margins) of each row of Y."""
+    M = np.einsum("sd,nd->sn", Y, A)
+    return np.einsum("sn,n->s", eval_loss(loss, M), p) + lam * eval_regularizer(reg, Y), M
+
+
+def _orthant(reg, Y, step, kink):
+    """The trial points Y + step: l1 coordinates that cross 0 stop at 0, and l2 points
+    past the origin stop at it under kink (the origin is a minimum) and else lose their
+    part along y."""
+    Z = Y + step
     if reg.kind == L1:
-        def fun(w):
-            val, s = loss_and_gradient(w[:d] - w[d:])
-            # lam 1 @ (u + v) is smooth and equals lam |y|_1 where u v = 0
-            return val + lam * w.sum(), np.concatenate([s + lam, lam - s])
-
-        def point(w):
-            return w[:d] - w[d:]
-
-        w0, bounds = np.concatenate([np.maximum(y0, 0.0), np.maximum(-y0, 0.0)]), Bounds(0.0)
+        Z[Y * Z < 0.0] = 0.0
     elif reg.kind == L2:
-        def fun(w):
-            r, u = w[0], w[1:]
-            size = np.linalg.norm(u)
-            theta = u / size
-            val, s = loss_and_gradient(r * theta)
-            along = s @ theta
-            # lam r equals lam |y|; d/du of y is (r / |u|)(I - theta theta^T)
-            return val + lam * r, np.concatenate([[along + lam], r / size * (s - along * theta)])
+        ahead = np.einsum("sd,sd->s", Z, Y)
+        cross = (ahead <= 0.0) & np.any(Y, axis=1)
+        if kink:
+            Z[cross] = 0.0
+        else:
+            y = Y[cross]
+            Z[cross] -= (ahead[cross] / np.einsum("sd,sd->s", y, y))[:, None] * y
+    return Z
 
-        def point(w):
-            return w[0] * (w[1:] / np.linalg.norm(w[1:]))
 
-        r0 = np.linalg.norm(y0)
-        u0 = y0 if r0 > 0.0 else -loss_and_gradient(y0)[1]
-        if not np.any(u0):
-            u0 = np.eye(1, d)[0]
-        elif np.linalg.norm(u0) == 0.0:  # its squares underflow
-            u0 = u0 / np.abs(u0).max()
-        w0, bounds = np.concatenate([[r0], u0]), Bounds(np.r_[0.0, np.full(d, -np.inf)])
-    else:
-        def fun(y):
-            val, s = loss_and_gradient(y)
-            return val + lam * eval_regularizer(reg, y), s + 2.0 * lam * y
+def _newton_step(loss, reg, A, p, lam, Y, M):
+    """(G, step) of `_newton_minima` at each row of Y, whose margins are M."""
+    from scipy.special import expit
 
-        def point(w):
-            return w
+    up, down = expit(M), expit(-M)
+    if loss.kind == LOGISTIC:
+        slope, curve = -down, up * down
+    else:  # sigmoid: g' = -up down, g'' = up down (up - down)
+        slope, curve = -(up * down), up * down * (up - down)
+    G = np.einsum("sn,nd->sd", slope * p, A)
+    H = np.matmul(np.swapaxes((curve * p)[:, :, None] * A, 1, 2), A)  # one GEMM per start
+    eye = np.eye(Y.shape[1])
+    if reg.kind == L2SQ:
+        G = G + 2.0 * lam * Y
+        return G, _solve(H + 2.0 * lam * eye, G, lam)
+    if reg.kind == L1:
+        zero = Y == 0.0
+        G = np.where(zero, np.sign(G) * np.maximum(np.abs(G) - lam, 0.0), G + lam * np.sign(Y))
+        fixed = zero & (G == 0.0)
+        while True:  # a zero coordinate moves only into the orthant of -G, or stays
+            H = np.where(fixed[:, :, None] | fixed[:, None, :], 0.0, H)
+            step = _solve(H, G, lam, fixed)
+            wrong = zero & ~fixed & (step * G >= 0.0)
+            if not wrong.any():
+                return G, step
+            fixed |= wrong
+    size = np.sqrt(np.einsum("sd,sd->s", Y, Y))
+    origin = size == 0.0
+    u = Y / np.where(origin, 1.0, size)[:, None]
+    step = _solve(H + (lam / np.where(origin, math.inf, size))[:, None, None]
+                  * (eye - u[:, :, None] * u[:, None, :]), G + lam * u, lam)
+    if origin.any():  # along g = grad f0(0), over the curvature of f0 along it
+        g, Hg = G[origin], H[origin]
+        norm = np.sqrt(np.einsum("sd,sd->s", g, g))
+        unit = g / np.where(norm > 0.0, norm, 1.0)[:, None]
+        bend = np.abs(np.einsum("sd,sde,se->s", unit, Hg, unit))
+        floor = _EIG_FLOOR * (np.sqrt(np.einsum("sde,sde->s", Hg, Hg)) + lam)
+        G[origin] = unit * np.maximum(norm - lam, 0.0)[:, None]
+        step[origin] = -G[origin] / np.maximum(bend, floor)[:, None]
+    G[~origin] += lam * u[~origin]
+    return G, step
 
-        w0, bounds = y0, None
 
-    res = minimize(fun, w0, jac=True, method="L-BFGS-B", bounds=bounds, options=_LBFGS)
-    w = res.x  # f is attained there even if the solver stopped early
-    if not np.all(np.isfinite(w)):
-        raise OptimizerFailureError(f"solver diverged: {res.message}")
-    return point(w)
+def _solve(H, G, lam, fixed=None):
+    """-H^-1 G for each row, with the eigenvalues of H taken in absolute value and
+    floored at _EIG_FLOOR (|H|_F + lam); coordinates in fixed, whose rows and
+    columns of H are 0, do not move."""
+    floor = _EIG_FLOOR * (np.sqrt(np.einsum("sde,sde->s", H, H)) + lam)
+    if fixed is not None:
+        H = H + np.eye(H.shape[1]) * fixed[:, None, :]
+    values, V = np.linalg.eigh(H)
+    scale = np.maximum(np.abs(values), floor[:, None])
+    step = -np.einsum("sde,se->sd", V, np.einsum("sde,sd->se", V, G) / scale)
+    if fixed is not None:
+        step[fixed] = 0.0
+    return step
 
 
 def _dual_value(loss, reg, A, p, u, lam) -> float:

@@ -50,7 +50,7 @@ from regsamp.objective import (
     relative_errors,
     sensitivity,
 )
-from regsamp.sampler import Coreset, draw_iid, score_array
+from regsamp.sampler import Coreset, derive_rng, draw_iid, score_array
 
 
 def hinge_gap_scan():
@@ -69,6 +69,19 @@ def hinge_gap_scan():
         elif kind == 2:
             atoms[n // 2:] = atoms[rng.integers(0, n // 2, n - n // 2)]
         yield make_instance(atoms, rng.dirichlet(np.ones(n)) + 1e-3), 10.0 ** rng.uniform(0, 4)
+
+
+def logistic_gap_scan():
+    """The 600 (instance, k) of the logistic gap scans: 300 from default_rng(5) at
+    atom scale 10^U(-3, 3), then 300 from default_rng(11) at 10^U(-6, 6); each
+    draws n in [1, 29] atoms in d in [1, 5] dimensions, Dirichlet masses and
+    k = 10^U(0, 4), in that order."""
+    for seed, lo, hi in ((5, -3, 3), (11, -6, 6)):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            n, d = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            atoms = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(lo, hi)
+            yield make_instance(atoms, rng.dirichlet(np.ones(n))), 10.0 ** rng.uniform(0, 4)
 
 
 def spec_of(loss, reg, k):
@@ -305,6 +318,33 @@ class TestEstimateOpt:
         assert report.opt_value == full_objective(inst, spec, np.zeros(6))[1]
         assert report.analytic_lower <= report.dual_lower <= report.opt_value
 
+    @pytest.mark.parametrize("loss", [LOGISTIC, SIGMOID])
+    @pytest.mark.parametrize("reg", [L1, L2, L2SQ])
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 8])
+    def test_each_start_has_the_same_bits_in_any_block(self, monkeypatch, loss, reg, restarts):
+        # every quantity of a Newton step is a reduction over one start's row, so a
+        # start's minimizer is the same alone, among the first `restarts` starts, among
+        # all 8 and in blocks of 1 and 3 starts
+        inst, spec = gaussian_instance(40, 6, seed=3), spec_of(loss, reg, 16.0)
+        starts = np.vstack([np.zeros(6)] + [derive_rng(0, r).standard_normal(6)
+                                            for r in range(1, 8)])
+
+        def solve(rows):
+            return objective._newton_minima(spec.loss, spec.reg, inst.atoms, inst.masses,
+                                            1.0 / spec.k, rows)
+
+        alone = np.vstack([solve(y[None]) for y in starts[:restarts]])
+        got = [solve(starts[:restarts]), solve(starts)[:restarts]]
+        report = estimate_opt(inst, spec, restarts=restarts)
+        for rows in (1, 3):
+            monkeypatch.setattr(objective, "BLOCK", rows * inst.n)
+            got.append(solve(starts[:restarts]))
+            blocked = estimate_opt(inst, spec, restarts=restarts)
+            assert np.array_equal(blocked.minimizer, report.minimizer)
+            assert blocked.opt_value == report.opt_value
+        for minima in got:
+            assert np.array_equal(minima, alone)
+
     def test_never_above_g0(self):
         for seed, loss in ((1, LOGISTIC), (2, SIGMOID), (3, HINGE)):
             inst = gaussian_instance(30, 4, seed=seed)
@@ -380,7 +420,8 @@ class TestEstimateOpt:
 
     def test_sigmoid_l2_origin_minimum_stops_on_the_bound(self, monkeypatch):
         # |grad f0(0)| < 1/k makes the origin a strict local minimum, in the kink
-        # of |x|: every start that reaches it stops on the bound r >= 0
+        # of |x|: the origin start stops at once, and every step that passes the
+        # origin stops there and ends its start, instead of crawling into the kink
         inst, spec = gaussian_instance(40, 6, seed=7), spec_of(SIGMOID, L2, 4.0)
         slope = eval_loss_derivative(spec.loss, np.zeros(1))[0] * (inst.masses @ inst.atoms)
         assert np.linalg.norm(slope) < 1.0 / spec.k
@@ -395,10 +436,11 @@ class TestEstimateOpt:
         assert not np.any(report.minimizer)
         assert report.opt_value == pytest.approx(full_objective(inst, spec, np.zeros(6))[1],
                                                  rel=1e-15)
-        assert len(calls) < 100  # every L-BFGS-B evaluation over 8 starts, and the final one
+        assert len(calls) < 100  # every batched evaluation of the 8 starts, and the final ones
 
-    # opt_value of estimate_opt(gaussian_instance(40, 6, seed), l2, k) with L-BFGS-B
-    # on y itself, whose gradient at the kink y = 0 drops the regularizer
+    # opt_value of estimate_opt(gaussian_instance(40, 6, seed), l2, k), first pinned
+    # from a quasi-Newton solve on y itself, whose gradient at the kink y = 0 drops
+    # the regularizer; the Newton engine keeps every one of them to 1e-12
     L2_VALUES = [
         (LOGISTIC, 7, 4.0, 0.6931471805599453), (LOGISTIC, 7, 16.0, 0.6842163477559562),
         (LOGISTIC, 7, 64.0, 0.6651346235012677), (LOGISTIC, 11, 4.0, 0.6931471805599453),
@@ -445,8 +487,9 @@ class TestEstimateOpt:
         assert peak < 50 * 2 ** 20
 
     def test_hinge_l2sq_closes_the_gap_of_opt_seed_134(self):
-        # perfbench opt seed 134, problem p8: L-BFGS-B on the box [0, p] of
-        # masses 1/40 stopped at opt_value 0.61708, a relative gap of 1.27e-3
+        # perfbench opt seed 134, problem p8: a quasi-Newton solve of the box dual
+        # over [0, p], masses 1/40, once stopped at opt_value 0.61708, a relative
+        # gap of 1.27e-3
         rng = np.random.default_rng(np.random.SeedSequence([134, 4]).generate_state(3)[0])
         for _ in range(9):
             atoms = rng.standard_normal((40, 6))
@@ -456,8 +499,8 @@ class TestEstimateOpt:
         assert report.opt_value - report.dual_lower <= 1e-6 * report.opt_value
 
     def test_hinge_l2_closes_the_gap_of_opt_seed_198(self):
-        # perfbench opt seed 198, problem p5: L-BFGS-B on the box dual once
-        # stopped inside the hinge/l2 search with a projected gradient of 2e-3,
+        # perfbench opt seed 198, problem p5: a quasi-Newton solve of the box dual
+        # once stopped inside the hinge/l2 search with a projected gradient of 2e-3,
         # leaving a certified gap of 1.15e-6
         rng = np.random.default_rng(np.random.SeedSequence([198, 4]).generate_state(3)[0])
         for _ in range(6):
@@ -481,6 +524,22 @@ class TestEstimateOpt:
         # l2 stops where |A^T alpha| meets 1/k to 1e-12; l2sq measures 1.13e-8
         assert worst <= {L2SQ: 1e-6, L2: 1e-9}[reg]
 
+    @pytest.mark.parametrize("reg", [L1, L2, L2SQ])
+    def test_logistic_gap_scan_is_certified_in_every_weight_band(self, reg):
+        # the rescaled weight 1/(k c^p) spans four bands: at least 1e-3, [1e-6, 1e-3),
+        # [1e-9, 1e-6) and below 1e-9, where the dual's A^T (p u) cancels to lam
+        bands, worst = [0, 0, 0, 0], 0.0
+        degree = make_reg(reg).homogeneity_degree
+        for inst, k in logistic_gap_scan():
+            weight = math.ldexp(1.0 / k, -degree * int(scale_exponent(inst.atoms)))
+            bands[int(np.searchsorted([1e-9, 1e-6, 1e-3], weight, side="right"))] += 1
+            report = estimate_opt(inst, spec_of(LOGISTIC, reg, k), restarts=4)
+            assert report.analytic_lower <= report.dual_lower <= report.opt_value
+            worst = max(worst, (report.opt_value - report.dual_lower) / report.opt_value)
+        assert bands == {L1: [7, 74, 243, 276], L2: [7, 74, 243, 276],
+                         L2SQ: [93, 98, 181, 228]}[reg]
+        assert worst <= 1e-6
+
     LADDER = [1e10, 1e20, 1e30, 1e60, 1e100, 1e150]
 
     def test_hinge_l2_is_at_most_hinge_l1_at_every_scale(self):
@@ -502,8 +561,8 @@ class TestEstimateOpt:
                 continue
             assert estimate_opt(big, spec_of(HINGE, L2, k)).opt_value <= l1 * (1.0 + 1e-9)
         assert refused == 12
-        # a known fault of the hinge/l1 LP, which HiGHS leaves with status "Not Set"
-        assert lp_failed == [(4, 1e10, 64.0)]
+        # HiGHS's presolve once left (4, 1e10, 64) with status "Not Set"
+        assert lp_failed == []
 
     def test_hinge_l2_at_1e20_reaches_the_l1_minimum(self):
         # the l2 search once stopped at 0.7771329862, 2.6% above the minimum that
@@ -613,6 +672,13 @@ class TestEstimateOpt:
         monkeypatch.setattr(objective, "_ACTIVE_SET_STEPS", 1)
         with pytest.raises(OptimizerFailureError, match="did not finish in 1 steps"):
             estimate_opt(gaussian_instance(30, 4, seed=3), spec_of(HINGE, L2SQ, 16.0))
+
+    @pytest.mark.parametrize("loss", [LOGISTIC, SIGMOID])
+    def test_hessian_past_the_budget_is_refused(self, loss):
+        # one 6000 x 6000 Hessian takes 275 MB, more than MAX_DENSE_CELLS allows
+        inst = make_instance(np.ones((1, 6000)))
+        with pytest.raises(BudgetExceededError, match="6000 x 6000 Hessian rows"):
+            estimate_opt(inst, spec_of(loss, L2SQ, 4.0), restarts=1)
 
     def test_vanishing_regularizer_weight_is_a_typed_error(self):
         inst = make_instance(np.array([[1e200, 1e200, 1e200], [1.0, 1.0, 1.0]]))
