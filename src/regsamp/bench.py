@@ -1,16 +1,18 @@
 """Monte Carlo harness: failure rates, minimal sample sizes, scaling curves.
 
 The trials of a probe at sample size m are the rows of one Multinomial(m, q)
-count block drawn from the counter-based stream keyed by (master_seed, m),
-so results do not depend on probing order, and aggregation is
-order-independent.  Under a uniform law, as every lin-*, quad-* and
-coupon-relu construction has, a row at m <= 12 n counts m uniform index
-draws, which costs less than the multinomial's binomial per atom.  A row's
-counts, mean weight and failure verdict are reductions over that row alone,
-so under every law, draw path and query policy they have the same bits
-whatever block the row is drawn in.  `failure_rate` always runs every
-trial; the m* search needs only each probe's verdict, so it draws the rows
-of that block in turn and stops once the verdict is fixed: m* is unchanged.
+count block drawn from the SFC64 stream keyed by (master_seed, m), so
+results do not depend on probing order, and aggregation is
+order-independent.  Each row takes the cheapest exact draw: under a uniform
+law, as every lin-*, quad-* and coupon-relu construction has, a row at
+m <= 30 n counts m uniform index draws; under any other law a row at
+m <= n/2 counts m inverse-CDF index draws; every other row is numpy's
+multinomial, one binomial per atom.  A row's counts, mean weight and
+failure verdict are reductions over that row alone, so under every law,
+draw path and query policy they have the same bits whatever block the row
+is drawn in.  `failure_rate` always runs every trial; the m* search needs
+only each probe's verdict, so it draws the rows of that block in turn and
+stops once the verdict is fixed: m* is unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .hardness import HardInstance, batch_failed, generate, kind_params
 from .losses import eval_loss, eval_regularizer
 from .model import Instance, ObjectiveSpec
 from .objective import build_query_set, relative_gaps
-from .sampler import COUNT_CELLS, MIXTURE, _law, derive_rng
+from .sampler import COUNT_CELLS, MIXTURE, CategoricalSampler, _law, derive_rng
 
 ADVERSARIAL_ONLY = "adversarial-only"
 ADVERSARIAL_PLUS_RANDOM = "adversarial-plus-random"
@@ -36,8 +38,14 @@ DEFAULT_TRIALS = 200
 DEFAULT_M_CAP = 2_000_000
 WILSON_Z = 1.96  # normal quantile of the 95% Wilson interval
 SLOPE_RESAMPLES = 200  # bootstrap resamples of the scaling slope's interval
-INDEX_RATIO = 12  # largest m/n at which `_draw_counts` counts uniform index draws
-INDEX_CELLS = 2 ** 16  # indices, and bins, per chunk of those index draws
+# largest m/n at which `_draw_counts` counts uniform index draws.  The
+# multinomial's binomials have mean about m/n, and numpy draws one by inversion,
+# whose cost grows with the mean, up to a mean of 30 and by BTPE past it.  At
+# n = 64, 128 and 456 (SFC64), index rows cost 15-29% less than multinomial
+# ones at m = 29.75 n, the two are within 11% at 30 n, and at 31 n the
+# multinomial costs 29-39% less
+INDEX_RATIO = 30
+INDEX_CELLS = 2 ** 16  # indices, and bins, per chunk of index draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,26 +104,46 @@ def _block_rows(n: int) -> int:
     return max(1, COUNT_CELLS // n)
 
 
+def _index_counts(draw, n: int, m: int, trials: int) -> np.ndarray:
+    """Counts over n bins of the m indices per row that draw(size) gives, row after row.
+
+    Chunks of at most INDEX_CELLS indices and bins keep the bins in cache and
+    bound the memory; a row of more indices is counted a piece at a time.
+    """
+    if m > INDEX_CELLS:
+        counts = np.zeros((trials, n), dtype=np.int64)
+        for row in counts:
+            for done in range(0, m, INDEX_CELLS):
+                row += np.bincount(draw(min(INDEX_CELLS, m - done)), minlength=n)
+        return counts
+    counts = np.empty((trials, n), dtype=np.int64)
+    step = max(1, INDEX_CELLS // max(m, n))
+    for lo in range(0, trials, step):
+        rows = min(step, trials - lo)
+        idx = draw(rows * m).reshape(rows, m)
+        idx += np.arange(0, rows * n, n)[:, None]  # row r's atom i is bin r n + i
+        counts[lo:lo + rows] = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
+    return counts
+
+
 def _draw_counts(q: np.ndarray, w: np.ndarray, m: int, trials: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial counts of m i.i.d. draws from q, and the mean of w over each trial's draws.
 
     Such counts are Multinomial(m, q): the trials are the rows of one block.
-    A uniform q at m <= INDEX_RATIO n counts m uniform indices per row, which
-    costs less than the multinomial's n binomials per row; otherwise the
-    multinomial draws them.  Blocks drawn in turn from one generator equal one
-    drawn at once bit for bit, mean weights too, whatever the law's weights.
+    A row counts m index draws where they cost less than the multinomial's n
+    binomials: uniform indices under a uniform q at m <= INDEX_RATIO n, and
+    inverse-CDF indices, drawn as `draw_iid` draws them, under any other q at
+    m <= n/2.  Otherwise the multinomial draws the rows.  Blocks drawn in turn
+    from one generator equal one drawn at once bit for bit, mean weights too,
+    whatever the law's weights.
     """
     n = q.size
     if q.min() == q.max() and m <= INDEX_RATIO * n:
-        counts = np.empty((trials, n), dtype=np.int64)
-        # chunks of at most INDEX_CELLS indices and bins keep the bins in cache
-        step = max(1, INDEX_CELLS // max(m, n))
-        for lo in range(0, trials, step):
-            rows = min(step, trials - lo)
-            idx = rng.integers(0, n, size=(rows, m))
-            idx += np.arange(0, rows * n, n)[:, None]  # row r's atom i is bin r n + i
-            counts[lo:lo + rows] = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
+        counts = _index_counts(lambda size: rng.integers(0, n, size=size), n, m, trials)
+    elif 2 * m <= n:  # measured cheaper at m = n/2 for n = 100, up to about n/3 for n = 1000
+        sampler = CategoricalSampler(q)
+        counts = _index_counts(lambda size: sampler.draw(rng, size), n, m, trials)
     else:
         try:
             counts = rng.multinomial(m, q, size=trials)

@@ -218,7 +218,7 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
             "problem is below 2^-500")
     elif loss.kind == HINGE:
         A, p = _merge_repeats(A, p)
-        y, alpha = _HINGE[reg.kind](A, p, lam)[:2]  # l2sq adds its last face
+        y, alpha = _HINGE[reg.kind](A, p, lam)[:2]  # l2sq adds its last face and state
         ys = [y]
     else:
         count = restarts if loss.kind == SIGMOID else 1
@@ -326,7 +326,7 @@ def _face(A, p, low, work):
     return Q[:, w:] @ (Q[:, w:].T @ g), Q[:, :w] @ c, nu[:, 0], nu[:, 1]
 
 
-def _hinge_l2sq(A, p, lam):
+def _hinge_l2sq(A, p, lam, start=None):
     """Exact minimum of F(x) = p @ max(0, 1 - A x) + lam |x|^2 by a primal active set,
     with the optimal alpha of the box dual max sum(alpha) - |A^T alpha|^2 / (4 lam)
     over 0 <= alpha <= p (Nocedal & Wright, Numerical Optimization, 2nd ed., 16.5).
@@ -342,15 +342,21 @@ def _hinge_l2sq(A, p, lam):
     reaches the face's least point, the least-index member of W with nu_i
     outside [0, p_i] leaves for the side it points to (Bland's rule); when
     there is none, alpha = p on L, nu on W and 0 elsewhere is optimal, and
-    x, alpha and the (u, v) of that face are returned.  The rows of A must be
-    distinct (`_merge_repeats`).  Raises OptimizerFailureError on a singular
-    working set or after _ACTIVE_SET_STEPS steps.
+    x, alpha, the (u, v) of that face and the final state (L, W, x) are
+    returned.  A state an earlier solve on the same A and p returned may
+    start the search in place of x = 0: the sides and W of a state are those
+    of x's margins, whatever the weight.  The rows of A must be distinct
+    (`_merge_repeats`).  Raises OptimizerFailureError on a singular working
+    set or after _ACTIVE_SET_STEPS steps.
     """
     n, d = A.shape
     norms = np.linalg.norm(A, axis=1)
-    low = np.ones(n, dtype=bool)   # L: x = 0 puts every margin at 0
+    if start is None:  # L: x = 0 puts every margin at 0
+        low, work, x = np.ones(n, dtype=bool), [], np.zeros(d)
+    else:
+        low, work, x = start[0].copy(), list(start[1]), start[2]
     held = np.zeros(n, dtype=bool)  # W, also listed in order of entry by `work`
-    work, x = [], np.zeros(d)
+    held[work] = True
     for _ in range(_ACTIVE_SET_STEPS):
         u, v, nu0, nu1 = _face(A, p, low, work)
         target = u / (2.0 * lam) + v
@@ -370,7 +376,7 @@ def _hinge_l2sq(A, p, lam):
             if not len(bad):
                 alpha = p * low
                 alpha[work] = nu
-                return x, alpha, (u, v)
+                return x, alpha, (u, v), (low, work, x)
             i = min(work[j] for j in bad)  # Bland: the least index leaves W
             low[i], held[i] = nu[work.index(i)] > p[i], False
             work.remove(i)
@@ -399,21 +405,22 @@ def _hinge_l2(A, p, lam):
     the l2 minimum.  The norm does not decrease in mu: alpha = p above
     max|a_i| sum(p_i |a_i|) / 2, where every margin is below 1, and it is
     below lam under lam^2 / (4 sum(p)), as f(x) <= f(0) bounds mu |x|^2.
-    Each probe is an exact `_hinge_l2sq` solve at or above MIN_WEIGHT.  The
-    next is at the root sqrt(lam^2 - |u|^2) / (2 |v|) of the last probe's
-    face (`_face`; the path is piecewise so, Hastie, Rosset, Tibshirani &
-    Zhu, JMLR 2004), or at the bracket's geometric mean when that root lies
-    outside it.  The search stops once the face's norm is lam to _L2_MATCH
-    relative, or when it can go no further.
+    Each probe is an exact `_hinge_l2sq` solve at or above MIN_WEIGHT, which
+    starts from the last probe's final state.  The next is at the root
+    sqrt(lam^2 - |u|^2) / (2 |v|) of the last probe's face (`_face`; the path
+    is piecewise so, Hastie, Rosset, Tibshirani & Zhu, JMLR 2004), or at the
+    bracket's geometric mean when that root lies outside it.  The search
+    stops once the face's norm is lam to _L2_MATCH relative, or when it can
+    go no further.
     """
     if np.linalg.norm(p @ A) <= lam:
         return np.zeros(A.shape[1]), p  # alpha = p is optimal, and x = 0 attains its value
     norms = np.linalg.norm(A, axis=1)
     lo, hi = lam * lam / (4.0 * p.sum()), norms.max() * (p @ norms) / 2.0
-    mu = math.sqrt(lo) * math.sqrt(hi)
+    mu, state = math.sqrt(lo) * math.sqrt(hi), None
     for _ in range(100):  # the bracket reaches float resolution sooner
         mu = max(mu, MIN_WEIGHT)
-        x, alpha, (u, v) = _hinge_l2sq(A, p, mu)
+        x, alpha, (u, v), state = _hinge_l2sq(A, p, mu, state)
         # |A^T alpha| from the face: u + 2 mu v itself cancels to rounding of |g|
         a, b = float(np.linalg.norm(u)), float(np.linalg.norm(v))
         size = math.hypot(a, 2.0 * mu * b)

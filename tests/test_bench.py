@@ -25,7 +25,7 @@ from regsamp.hardness import (HARD_KINDS, gen_coupon_relu, gen_lin_logistic, gen
                               gen_moment_curve, gen_quad_hinge, gen_quad_relu, generate)
 from regsamp.losses import L2SQ, LOGISTIC, make_loss, make_reg
 from regsamp.model import ObjectiveSpec, gaussian_instance, make_instance
-from regsamp.sampler import derive_rng
+from regsamp.sampler import CategoricalSampler, derive_rng
 
 
 def single_atom_config(**kw):
@@ -96,19 +96,21 @@ def block_configs(kind):
 
 class TestDrawCounts:
     def test_rows_are_multinomial_counts(self):
+        # m = 15 = n/2 counts inverse-CDF index draws; m = 400 is the multinomial
         q = np.random.default_rng(4).dirichlet(np.ones(30))
         w = np.linspace(0.5, 1.5, 30)
-        m, trials = 400, 2000
-        counts, mean_w = bench._draw_counts(q, w, m, trials, derive_rng(8, m))
-        assert counts.shape == (trials, 30)
-        assert np.all(counts.sum(axis=1) == m)
-        np.testing.assert_allclose(mean_w, counts @ w / m, rtol=1e-14, atol=0)
-        stderr = np.sqrt(m * q * (1 - q) / trials)
-        assert np.all(np.abs(counts.mean(axis=0) - m * q) <= 4 * stderr)
+        trials = 2000
+        for m in (15, 400):
+            counts, mean_w = bench._draw_counts(q, w, m, trials, derive_rng(8, m))
+            assert counts.shape == (trials, 30)
+            assert np.all(counts.sum(axis=1) == m)
+            np.testing.assert_allclose(mean_w, counts @ w / m, rtol=1e-14, atol=0)
+            stderr = np.sqrt(m * q * (1 - q) / trials)
+            assert np.all(np.abs(counts.mean(axis=0) - m * q) <= 4 * stderr)
 
-    @pytest.mark.parametrize("m", [3, 10, 64, 120])
+    @pytest.mark.parametrize("m", [3, 10, 64, 120, 300])
     def test_uniform_rows_count_index_draws(self, m):
-        # a uniform law at m <= 12 n counts each row's m uniform indices
+        # a uniform law at m <= 30 n counts each row's m uniform indices
         n, trials = 10, 3000
         q, w = np.full(n, 1.0 / n), np.linspace(0.5, 1.5, n)
         counts, mean_w = bench._draw_counts(q, w, m, trials, derive_rng(5, m))
@@ -119,39 +121,85 @@ class TestDrawCounts:
         idx = derive_rng(5, m).integers(0, n, size=(trials, m))
         assert np.array_equal(counts, [np.bincount(row, minlength=n) for row in idx])
 
+    @pytest.mark.parametrize("m", [1, 5])  # 5 = n/2, where inverse-CDF draws end
+    def test_other_laws_at_small_m_count_inverse_cdf_draws(self, m):
+        # a law that is not uniform at m <= n/2 counts each row's m draws of draw_iid's sampler
+        n, trials = 10, 3000
+        q, w = np.linspace(1, 2, n) / 15, np.linspace(0.5, 1.5, n)
+        counts, mean_w = bench._draw_counts(q, w, m, trials, derive_rng(5, m))
+        np.testing.assert_allclose(mean_w, counts @ w / m, rtol=1e-14, atol=0)
+        idx = CategoricalSampler(q).draw(derive_rng(5, m), trials * m).reshape(trials, m)
+        assert np.array_equal(counts, [np.bincount(row, minlength=n) for row in idx])
+
     @pytest.mark.parametrize("q", [np.full(10, 0.1), np.linspace(1, 2, 10) / 15])
     def test_other_laws_and_sizes_keep_the_multinomial(self, q):
-        # past m = 12 n, or under a law that is not uniform, the rows are numpy's multinomial
-        m = 12 * q.size + 1 if q.min() == q.max() else 12
+        # past m = 30 n under a uniform law, and past m = n/2 under any other,
+        # the rows are numpy's multinomial
+        m = 30 * q.size + 1 if q.min() == q.max() else q.size // 2 + 1
         counts, _ = bench._draw_counts(q, np.ones(q.size), m, 50, derive_rng(6, m))
         assert np.array_equal(counts, derive_rng(6, m).multinomial(m, q, size=50))
 
-    @pytest.mark.parametrize("m", [120, 121])  # 12 n, where index draws end, and one past
-    def test_uniform_blocks_concatenate_to_the_one_shot_block(self, m):
-        # 1200 rows of 120 indices span three index chunks; the blocks of 1,
-        # 2 and 7 rows shift where the later chunks start.  Unit weights keep
+    @staticmethod
+    def assert_blocks_concatenate(q, m):
+        # 1200 rows of m indices span several index chunks; the blocks of 1, 2
+        # and 7 rows shift where the later chunks start.  Unit weights keep
         # every sum exact; the property test below covers weights off 1
-        q, w = np.full(10, 0.1), np.ones(10)
-        assert bench.INDEX_CELLS // m < 1200 - 10
+        w = np.ones(q.size)
+        assert bench.INDEX_CELLS // max(m, q.size) < 1200 - 10
         whole = bench._draw_counts(q, w, m, 1200, derive_rng(4, m))
         rng = derive_rng(4, m)
         parts = [bench._draw_counts(q, w, m, rows, rng) for rows in (1, 2, 7, 1190)]
         for one, blocks in zip(whole, zip(*parts)):
             assert np.array_equal(one, np.concatenate(blocks))
 
+    # 300 = 30 n, where index draws end, and one past; 120 and 121 lie inside
+    @pytest.mark.parametrize("m", [120, 121, 300, 301])
+    def test_uniform_blocks_concatenate_to_the_one_shot_block(self, m):
+        self.assert_blocks_concatenate(np.full(10, 0.1), m)
+
+    @pytest.mark.parametrize("m", [500, 501])  # n/2, where index draws end, and one past
+    def test_other_law_blocks_concatenate_to_the_one_shot_block(self, m):
+        self.assert_blocks_concatenate(np.random.default_rng(1000).dirichlet(np.ones(1000)), m)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_rows_past_index_cells_are_counted_in_pieces(self, uniform):
+        # a row of more than INDEX_CELLS indices is drawn a piece at a time: its
+        # counts are those of the row's indices drawn at once, and under the
+        # uniform law (600000 indices, 4.8 MB at once) the pieces keep the peak
+        # near one piece
+        import tracemalloc
+
+        n, m = (20000, 600000) if uniform else (140000, 70000)
+        q = np.full(n, 1.0 / n) if uniform else np.random.default_rng(n).dirichlet(np.ones(n))
+        assert m > bench.INDEX_CELLS and (m <= bench.INDEX_RATIO * n if uniform else 2 * m <= n)
+        tracemalloc.start()
+        try:
+            counts, _ = bench._draw_counts(q, np.ones(n), m, 2, derive_rng(9, m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rng, sampler = derive_rng(9, m), CategoricalSampler(q)
+        for row in counts:
+            idx = rng.integers(0, n, size=m) if uniform else sampler.draw(rng, m)
+            assert np.array_equal(row, np.bincount(idx, minlength=n))
+        if uniform:
+            assert peak < counts.nbytes + 3 * 8 * bench.INDEX_CELLS < 8 * m
+
     @pytest.mark.parametrize("kind", HARD_KINDS)
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(past_index_draws=st.booleans(), spot=st.floats(0, 1), trials=st.integers(1, 600),
            cuts=st.lists(st.floats(0, 1), max_size=6))
     def test_blocks_give_the_one_shot_rows(self, kind, past_index_draws, spot, trials, cuts):
-        # rows drawn in blocks split anywhere, on both draw paths (m <= 12 n
-        # and past it), give the counts, mean weights and failure rows under
-        # both policies of the block drawn at once, bit for bit; splits also
-        # fall across the index draws' chunks
+        # rows drawn in blocks split anywhere, on both draw paths (index draws
+        # at m <= 30 n under the uniform laws and m <= n/2 under moment-curve's,
+        # and the multinomial past that) give the counts, mean weights and
+        # failure rows under both policies of the block drawn at once, bit for
+        # bit; splits also fall across the index draws' chunks
         cfgs = block_configs(kind)
         q, w, _ = cfgs[0].hard.law
         n = q.size
-        m = 12 * n + 1 + int(spot * 28 * n) if past_index_draws else 1 + int(spot * (12 * n - 1))
+        last = bench.INDEX_RATIO * n if q.min() == q.max() else n // 2
+        m = last + 1 + int(spot * 28 * n) if past_index_draws else 1 + int(spot * (last - 1))
         bounds = sorted({0, trials, *(int(cut * trials) for cut in cuts)})
         whole = bench._draw_counts(q, w, m, trials, derive_rng(5, m))
         rng = derive_rng(5, m)

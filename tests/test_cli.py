@@ -491,9 +491,10 @@ class TestParser:
         assert cli.build_parser() is cli.build_parser()
 
     def test_no_parse_state_leaks_between_calls(self, tmp_path):
-        # sigmoid/l2 at k = 64 on this instance ends elsewhere from 2 starts than from 8
+        # seed 1 is the least seed whose instance, under sigmoid/l2 at k = 64,
+        # ends elsewhere from 2 starts than from 8
         inst_path = tmp_path / "inst.jsonl"
-        save_instance(gaussian_instance(40, 6, seed=12), inst_path)
+        save_instance(gaussian_instance(40, 6, seed=1), inst_path)
         argv = ["opt", "--instance", str(inst_path), "--loss", "sigmoid", "--reg", "l2",
                 "--k", "64"]
         cli.build_parser.cache_clear()

@@ -88,6 +88,13 @@ def spec_of(loss, reg, k):
     return ObjectiveSpec(make_loss(loss), make_reg(reg), k)
 
 
+def philox_gaussian_instance(seed):
+    """gaussian_instance(40, 6, seed) as it was drawn before 0.18.0, from a Philox
+    stream: the instance that some expectations below were found and pinned on."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return make_instance(rng.standard_normal((40, 6)))
+
+
 def exhaustive_sample(instance):
     """Each atom once with weight n*p_i, so the coreset objective is exact."""
     return Coreset(np.arange(instance.n), instance.atoms, instance.n * instance.masses,
@@ -438,21 +445,23 @@ class TestEstimateOpt:
                                                  rel=1e-15)
         assert len(calls) < 100  # every batched evaluation of the 8 starts, and the final ones
 
-    # opt_value of estimate_opt(gaussian_instance(40, 6, seed), l2, k), first pinned
+    # opt_value of estimate_opt(philox_gaussian_instance(seed), l2, k), first pinned
     # from a quasi-Newton solve on y itself, whose gradient at the kink y = 0 drops
-    # the regularizer; the Newton engine keeps every one of them to 1e-12
+    # the regularizer; the Newton engine keeps every one of them to 1e-12.  The
+    # sigmoid starts are drawn since 0.18.0 from SFC64 streams, from which sigmoid
+    # (11, 64) reaches a lower minimum, which Nelder-Mead from the same starts finds
     L2_VALUES = [
         (LOGISTIC, 7, 4.0, 0.6931471805599453), (LOGISTIC, 7, 16.0, 0.6842163477559562),
         (LOGISTIC, 7, 64.0, 0.6651346235012677), (LOGISTIC, 11, 4.0, 0.6931471805599453),
         (LOGISTIC, 11, 16.0, 0.601756098127891), (LOGISTIC, 11, 64.0, 0.5316328592873778),
         (SIGMOID, 7, 4.0, 0.49999999999999994), (SIGMOID, 7, 16.0, 0.4987553776594419),
         (SIGMOID, 7, 64.0, 0.3910954476026628), (SIGMOID, 11, 4.0, 0.49999999999999994),
-        (SIGMOID, 11, 16.0, 0.45560294581192073), (SIGMOID, 11, 64.0, 0.33709832598501965),
+        (SIGMOID, 11, 16.0, 0.45560294581192073), (SIGMOID, 11, 64.0, 0.32504296900089874),
     ]
 
     @pytest.mark.parametrize("loss,seed,k,value", L2_VALUES)
     def test_l2_bound_form_keeps_the_minimum(self, loss, seed, k, value):
-        report = estimate_opt(gaussian_instance(40, 6, seed=seed), spec_of(loss, L2, k))
+        report = estimate_opt(philox_gaussian_instance(seed), spec_of(loss, L2, k))
         assert report.opt_value == pytest.approx(value, rel=1e-12, abs=0.0)
         if loss == LOGISTIC:
             assert report.opt_value - report.dual_lower <= 1e-6 * report.opt_value
@@ -567,7 +576,7 @@ class TestEstimateOpt:
     def test_hinge_l2_at_1e20_reaches_the_l1_minimum(self):
         # the l2 search once stopped at 0.7771329862, 2.6% above the minimum that
         # hinge/l1 and hinge/l2sq both reach on this instance
-        inst = gaussian_instance(40, 6, seed=3)
+        inst = philox_gaussian_instance(3)
         big = make_instance(1e20 * inst.atoms, inst.masses)
         for reg in (L1, L2, L2SQ):
             report = estimate_opt(big, spec_of(HINGE, reg, 64.0))
@@ -581,9 +590,9 @@ class TestEstimateOpt:
         big = make_instance(1e100 * inst.atoms, inst.masses)
         weights = []
 
-        def spied(A, p, mu):
+        def spied(A, p, mu, start=None):
             weights.append(mu)
-            return solve(A, p, mu)
+            return solve(A, p, mu, start)
 
         solve = objective._hinge_l2sq
         monkeypatch.setattr(objective, "_hinge_l2sq", spied)

@@ -281,10 +281,10 @@ class TestCoreset:
 class TestSampleFiles:
     # the exact text of the sample-file format for this instance and seed
     PINNED = (
+        '{"atom_index": 1, "a": [-2.0, 0.25], "w": 1.04941858481439, "s": 3.0155644370746373}\n'
+        '{"atom_index": 2, "a": [0.1, 3.0], "w": 0.9082556846695841, "s": 4.001666203960727}\n'
         '{"atom_index": 2, "a": [0.1, 3.0], "w": 0.9082556846695841, "s": 4.001666203960727}\n'
         '{"atom_index": 0, "a": [1.0, 0.5], "w": 1.2223321828118165, "s": 2.118033988749895}\n'
-        '{"atom_index": 2, "a": [0.1, 3.0], "w": 0.9082556846695841, "s": 4.001666203960727}\n'
-        '{"atom_index": 2, "a": [0.1, 3.0], "w": 0.9082556846695841, "s": 4.001666203960727}\n'
     )
 
     def test_jsonl_text_is_pinned_and_round_trips(self, tmp_path):
