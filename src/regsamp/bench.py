@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .hardness import HardInstance, batch_failed, generate, kind_params
 from .losses import eval_loss, eval_regularizer
 from .model import Instance, ObjectiveSpec
 from .objective import build_query_set, relative_gaps
-from .sampler import COUNT_CELLS, MIXTURE, CategoricalSampler, _law, derive_rng
+from .sampler import BLOCK_CELLS, MIXTURE, CategoricalSampler, _law, derive_rng
 
 ADVERSARIAL_ONLY = "adversarial-only"
 ADVERSARIAL_PLUS_RANDOM = "adversarial-plus-random"
@@ -45,7 +46,6 @@ SLOPE_RESAMPLES = 200  # bootstrap resamples of the scaling slope's interval
 # ones at m = 29.75 n, the two are within 11% at 30 n, and at 31 n the
 # multinomial costs 29-39% less
 INDEX_RATIO = 30
-INDEX_CELLS = 2 ** 16  # indices, and bins, per chunk of index draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,11 +70,12 @@ class TrialConfig:
     @cached_property
     def random_queries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(w g(A X^T), f0, f) at the random queries X the adversarial-plus-random
-        policy adds: weighted atom losses and the full objective, built once per config."""
+        policy adds: weighted atom losses and the full objective, built once per
+        config; atoms on demand are not built (`Instance.margins`)."""
         inst, spec = self.hard.instance, self.hard.spec
         X = build_query_set(inst.dim, spec.k, seed=self.master_seed,
                             n_gaussian=20, n_sparse=20).queries
-        G = eval_loss(spec.loss, inst.atoms @ X.T)
+        G = eval_loss(spec.loss, inst.margins(X))
         f0 = inst.masses @ G
         return self.hard.law[1][:, None] * G, f0, f0 + eval_regularizer(spec.reg, X) / spec.k
 
@@ -100,55 +101,71 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
 
 
 def _block_rows(n: int) -> int:
-    """Rows of a count block over n atoms that fit in COUNT_CELLS cells, at least one."""
-    return max(1, COUNT_CELLS // n)
+    """Rows of n cells each that fit in a block of BLOCK_CELLS cells, at least one."""
+    return max(1, BLOCK_CELLS // n)
 
 
-def _index_counts(draw, n: int, m: int, trials: int) -> np.ndarray:
-    """Counts over n bins of the m indices per row that draw(size) gives, row after row.
+def _index_counts(draw, n: int, m: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Counts over n bins of the m indices per row that draw(rng, size) gives, row after row.
 
-    Chunks of at most INDEX_CELLS indices and bins keep the bins in cache and
+    Chunks of at most BLOCK_CELLS indices and bins keep the bins in cache and
     bound the memory; a row of more indices is counted a piece at a time.
     """
-    if m > INDEX_CELLS:
+    if m > BLOCK_CELLS:
         counts = np.zeros((trials, n), dtype=np.int64)
         for row in counts:
-            for done in range(0, m, INDEX_CELLS):
-                row += np.bincount(draw(min(INDEX_CELLS, m - done)), minlength=n)
+            for done in range(0, m, BLOCK_CELLS):
+                row += np.bincount(draw(rng, min(BLOCK_CELLS, m - done)), minlength=n)
         return counts
     counts = np.empty((trials, n), dtype=np.int64)
-    step = max(1, INDEX_CELLS // max(m, n))
+    step = max(1, BLOCK_CELLS // max(m, n))
     for lo in range(0, trials, step):
         rows = min(step, trials - lo)
-        idx = draw(rows * m).reshape(rows, m)
-        idx += np.arange(0, rows * n, n)[:, None]  # row r's atom i is bin r n + i
+        idx = draw(rng, rows * m)
+        if rows > 1:  # row r's atom i is bin r n + i
+            idx = idx.reshape(rows, m)
+            idx += np.arange(0, rows * n, n)[:, None]
         counts[lo:lo + rows] = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
     return counts
 
 
-def _draw_counts(q: np.ndarray, w: np.ndarray, m: int, trials: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial counts of m i.i.d. draws from q, and the mean of w over each trial's draws.
+def _count_path(q: np.ndarray, m: int) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """The draw of a block of count rows at sample size m, a function of (rows, rng).
 
-    Such counts are Multinomial(m, q): the trials are the rows of one block.
     A row counts m index draws where they cost less than the multinomial's n
     binomials: uniform indices under a uniform q at m <= INDEX_RATIO n, and
     inverse-CDF indices, drawn as `draw_iid` draws them, under any other q at
-    m <= n/2.  Otherwise the multinomial draws the rows.  Blocks drawn in turn
-    from one generator equal one drawn at once bit for bit, mean weights too,
-    whatever the law's weights.
+    m <= n/2.  Otherwise the multinomial draws the rows.  A probe chooses its
+    path, and builds its inverse CDF, once for all its blocks.
     """
     n = q.size
     if q.min() == q.max() and m <= INDEX_RATIO * n:
-        counts = _index_counts(lambda size: rng.integers(0, n, size=size), n, m, trials)
-    elif 2 * m <= n:  # measured cheaper at m = n/2 for n = 100, up to about n/3 for n = 1000
+        return partial(_index_counts, lambda rng, size: rng.integers(0, n, size=size), n, m)
+    if 2 * m <= n:  # at m = n/2 measured 2.5 vs 4.3 us a row for n = 100, 29 vs 59 for n = 1000
         sampler = CategoricalSampler(q)
-        counts = _index_counts(lambda size: sampler.draw(rng, size), n, m, trials)
-    else:
+        # a row's counts do not depend on the order of its draws, and its sorted
+        # uniforms search faster: each row, or piece of one, is one sorted run
+        return partial(_index_counts,
+                       lambda rng, size: sampler.draw(rng, size, run=min(m, size)), n, m)
+
+    def multinomial(trials: int, rng: np.random.Generator) -> np.ndarray:
         try:
-            counts = rng.multinomial(m, q, size=trials)
+            return rng.multinomial(m, q, size=trials)
         except ValueError as exc:  # numpy's own pvals check, at a rounding error of q's
             raise DegenerateInstanceError(f"sampling probabilities rejected: {exc}") from None
+    return multinomial
+
+
+def _draw_counts(q: np.ndarray, w: np.ndarray, m: int, trials: int,
+                 rng: np.random.Generator, path=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial counts of m i.i.d. draws from q, and the mean of w over each trial's draws.
+
+    Such counts are Multinomial(m, q): the trials are the rows of one block,
+    drawn by `path`, which is `_count_path(q, m)` when not given.  Blocks drawn
+    in turn from one generator equal one drawn at once bit for bit, mean
+    weights too, whatever the law's weights.
+    """
+    counts = (path or _count_path(q, m))(trials, rng)
     # einsum sums each row in an order that does not depend on the block's rows,
     # and casts the int counts a buffer at a time, not as a float copy of the block
     return counts, np.einsum("ij,j->i", counts, w) / m
@@ -171,16 +188,16 @@ def _trial_failures(cfg: TrialConfig, counts: np.ndarray, mean_w: np.ndarray,
 def failure_rate(cfg: TrialConfig, m: int) -> tuple[float, tuple[float, float]]:
     """Empirical failure probability at sample size m over all trials, with a Wilson 95% CI.
 
-    The probe's count block is drawn in turn, in blocks of at most COUNT_CELLS
+    The probe's count block is drawn in turn, in blocks of at most BLOCK_CELLS
     cells, which concatenate to the block drawn at once.
     """
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
     q, w, _ = cfg.hard.law
-    rng, rows = derive_rng(cfg.master_seed, m), _block_rows(q.size)
+    rng, rows, path = derive_rng(cfg.master_seed, m), _block_rows(q.size), _count_path(q, m)
     failures = 0
     for done in range(0, cfg.trials, rows):
-        counts, mean_w = _draw_counts(q, w, m, min(rows, cfg.trials - done), rng)
+        counts, mean_w = _draw_counts(q, w, m, min(rows, cfg.trials - done), rng, path)
         failures += int(_trial_failures(cfg, counts, mean_w, m).sum())
     return failures / cfg.trials, wilson_interval(failures, cfg.trials)
 
@@ -201,18 +218,18 @@ def _probe_failures(cfg: TrialConfig, m: int, k_fail: int) -> int:
     The rows of the probe's count block are drawn in turn, each block at most
     as many rows as could first settle the verdict: `need` more failures
     decide it, and so do T - done - need + 1 more passes, after which too
-    few rows are left.  A block also keeps to COUNT_CELLS cells; the verdict
+    few rows are left.  A block also keeps to BLOCK_CELLS cells; the verdict
     cannot settle inside a block, so splitting one changes no count: a row
     fails as in `failure_rate`'s block, under every law and query policy.
     Returns k_fail on a failed probe, less on a passed one.
     """
     q, w, _ = cfg.hard.law
-    rng, cap = derive_rng(cfg.master_seed, m), _block_rows(q.size)
+    rng, cap, path = derive_rng(cfg.master_seed, m), _block_rows(q.size), _count_path(q, m)
     done = failures = 0
     while failures < k_fail <= failures + cfg.trials - done:
         need = k_fail - failures
         rows = min(need, cfg.trials - done - need + 1, cap)
-        counts, mean_w = _draw_counts(q, w, m, rows, rng)
+        counts, mean_w = _draw_counts(q, w, m, rows, rng, path)
         failures += int(_trial_failures(cfg, counts, mean_w, m).sum())
         done += rows
     return failures
@@ -357,8 +374,8 @@ def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,
     gvals = np.asarray(eval_loss(spec.loss, instance.atoms @ x))
     f0 = float(instance.masses @ gvals)
     per_atom = w * gvals
-    rng, rows = derive_rng(seed, m), _block_rows(q.size)
-    means = np.concatenate([_draw_counts(q, per_atom, m, min(rows, trials - t), rng)[1]
+    rng, rows, path = derive_rng(seed, m), _block_rows(q.size), _count_path(q, m)
+    means = np.concatenate([_draw_counts(q, per_atom, m, min(rows, trials - t), rng, path)[1]
                             for t in range(0, trials, rows)])
     gap = float(means.mean() - f0)
     stderr = float(means.std(ddof=1) / math.sqrt(trials))

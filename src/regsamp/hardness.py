@@ -11,10 +11,11 @@ Two families:
 
 All failure checks are count-based and deterministic given the sample.
 The basis constructions (quad-*, coupon-relu) hand their instance the
-masses, one representative row and a builder, so their per-atom norms and
-sampling law come without the (n, d) atom matrix, which is built only when
-something reads `instance.atoms` (`regsamp gen`, the adversarial-plus-random
-query policy, `Coreset.of_atoms`).
+masses, one representative row and a builder of any range of rows, so their
+per-atom norms and sampling law come without the (n, d) atom matrix, which
+is built only when something reads `instance.atoms` (`regsamp gen`,
+`Coreset.of_atoms`); the adversarial-plus-random query policy reads blocks
+of rows.
 Each kind is one entry of KINDS: its generator, whose signature is the
 parameter schema, the regularizers it allows, its vectorised violation
 function and the witness query of each violation.  `generate` checks
@@ -56,7 +57,6 @@ from .losses import (
 from .model import Instance, ObjectiveSpec, dense_budget, make_instance
 from .objective import TAG_ADVERSARIAL, QuerySet
 from .sampler import (
-    COUNT_CELLS,
     MIXTURE,
     NORM_PLUS_1,
     SCORE_ONLY,
@@ -74,6 +74,10 @@ LIN_LOGISTIC = "lin-logistic"
 LIN_SIGMOID = "lin-sigmoid"
 COUPON_RELU = "coupon-relu"
 MOMENT_CURVE = "moment-curve"
+
+# most atoms of a construction: one trial's count row over them in `bench`,
+# 16 MB of int64, is the largest count row the program draws
+COUNT_CELLS = 2_000_000
 
 @dataclass(frozen=True, eq=False)
 class HardInstance:
@@ -120,6 +124,11 @@ def _basis(d: int, j: int) -> np.ndarray:
     return e
 
 
+def _basis_rows(d: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the d x d identity."""
+    return np.eye(hi - lo, d, lo)
+
+
 def _atom_count(n: float) -> int:
     """ceil(n) atoms, refused before anything is allocated when one count row over
     them (a trial's counts in `bench`) would exceed COUNT_CELLS cells."""
@@ -129,10 +138,11 @@ def _atom_count(n: float) -> int:
     return math.ceil(n)
 
 
-def _hinge_atoms(d: int) -> np.ndarray:
-    atoms = np.zeros((d - 1, d))
+def _hinge_atoms(d: int, lo: int, hi: int) -> np.ndarray:
+    """Atoms lo..hi-1 of quad-hinge in R^d: e_j / sqrt(2) + e_d."""
+    atoms = np.zeros((hi - lo, d))
     atoms[:, d - 1] = 1.0
-    atoms[np.arange(d - 1), np.arange(d - 1)] = 1.0 / math.sqrt(2.0)
+    atoms[np.arange(hi - lo), np.arange(lo, hi)] = 1.0 / math.sqrt(2.0)
     return atoms
 
 
@@ -140,12 +150,13 @@ def _hinge_atoms(d: int) -> np.ndarray:
 # generators: quadratic regime
 # ---------------------------------------------------------------------------
 
-def _gen_quad(kind: str, spec: ObjectiveSpec, eps: float, build: Callable[[], np.ndarray],
+def _gen_quad(kind: str, spec: ObjectiveSpec, eps: float,
+              build: Callable[[int, int], np.ndarray],
               row: np.ndarray, n: int, x: np.ndarray, h: int, g_hit: float, g_miss: float,
               reg_value: float, **extra) -> HardInstance:
     """The uniform construction behind every quad-* kind.
 
-    n atoms of mass 1/n that build() makes on first access, each row a
+    n atoms of mass 1/n whose rows lo..hi-1 build(lo, hi) makes, each row a
     permutation of `row`, and the one adversarial query x.  At x the h
     isolated atoms (rows 0..h-1) lose g_hit, the other n - h lose g_miss, and
     the regularizer counts as reg_value; `_quad_errors` reads these, not atoms.
@@ -167,7 +178,7 @@ def gen_quad_logistic(k: float, eps: float) -> HardInstance:
     h = d // 2
     x = np.zeros(d)
     x[:h] = 1.0
-    return _gen_quad(QUAD_LOGISTIC, spec, eps, partial(np.eye, d), _basis(d, 0), d, x, h,
+    return _gen_quad(QUAD_LOGISTIC, spec, eps, partial(_basis_rows, d), _basis(d, 0), d, x, h,
                      float(eval_loss(spec.loss, 1.0)), float(eval_loss(spec.loss, 0.0)),
                      math.sqrt(h))
 
@@ -181,7 +192,7 @@ def gen_quad_sigmoid(k: float, eps: float) -> HardInstance:
     h = d // 2
     x = np.zeros(d)
     x[:h] = 1.0
-    return _gen_quad(QUAD_SIGMOID, spec, eps, partial(np.eye, d), _basis(d, 0), d, x, h,
+    return _gen_quad(QUAD_SIGMOID, spec, eps, partial(_basis_rows, d), _basis(d, 0), d, x, h,
                      float(eval_loss(spec.loss, 1.0)), float(eval_loss(spec.loss, 0.0)),
                      math.sqrt(h))
 
@@ -221,7 +232,7 @@ def gen_quad_relu(k: float, eps: float, reg: str = L2SQ) -> HardInstance:
     h = d // 2
     x = np.zeros(d)
     x[:h] = -1.0 / math.sqrt(d)
-    return _gen_quad(QUAD_RELU, spec, eps, partial(np.eye, d), _basis(d, 0), d, x, h,
+    return _gen_quad(QUAD_RELU, spec, eps, partial(_basis_rows, d), _basis(d, 0), d, x, h,
                      1.0 / math.sqrt(d), 0.0, 1.0, reg=reg)
 
 
@@ -288,7 +299,8 @@ def gen_coupon_relu(d: int, k: float) -> HardInstance:
     """
     if d < 2:
         raise InvalidInputError("d must be >= 2")
-    inst = Instance.on_demand(partial(np.eye, d), np.full(_atom_count(d), 1.0 / d), _basis(d, 0))
+    inst = Instance.on_demand(partial(_basis_rows, d), np.full(_atom_count(d), 1.0 / d),
+                              _basis(d, 0))
     spec = ObjectiveSpec(loss=make_loss(RELU), reg=make_reg(L2SQ), k=float(k))
     alpha = 2.0 * k / (3.0 * d)
     queries = QuerySet((-alpha * _basis(d, 0))[None, :], (TAG_ADVERSARIAL,))

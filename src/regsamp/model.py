@@ -34,10 +34,12 @@ class Instance:
 
     `Instance(atoms, masses)` holds a dense (n, d) atom matrix.  The basis
     constructions of `hardness` make theirs with `Instance.on_demand`: such
-    an instance keeps n, d, the masses and one representative row, and
-    builds `atoms` only on first access.  Its per-atom norms, which are all
-    the sampling law reads of the atoms, come from that row, so sampling,
-    failure rates and the m* search never build the (n, d) matrix.
+    an instance keeps n, d, the masses and one representative row, builds
+    `atoms` only on first access, and takes `margins` a block of rows at a
+    time without them.
+    Its per-atom norms, which are all the sampling law reads of the atoms,
+    come from that row, so sampling, failure rates and the m* search never
+    build the (n, d) matrix.
     """
 
     def __init__(self, atoms, masses):
@@ -48,8 +50,8 @@ class Instance:
         self._atoms, self._row = atoms, None
 
     @classmethod
-    def on_demand(cls, build: Callable[[], np.ndarray], masses, row) -> "Instance":
-        """The instance whose atoms `build()` makes on first access.
+    def on_demand(cls, build: Callable[[int, int], np.ndarray], masses, row) -> "Instance":
+        """The instance whose atoms lo..hi-1 `build(lo, hi)` makes on request.
 
         Every row of those atoms must hold the same multiset of entries as
         `row`, so that a per-row reduction of `row` gives every row's bits;
@@ -85,10 +87,29 @@ class Instance:
         """
         if self._atoms is None:
             dense_budget(self.n, self.dim)
-            atoms = np.asarray(self._build(), dtype=float)
+            atoms = np.asarray(self._build(0, self.n), dtype=float)
             atoms.setflags(write=False)
             self._atoms = atoms
         return self._atoms
+
+    def margins(self, X: np.ndarray) -> np.ndarray:
+        """The (n, len(X)) margins A X^T of every atom at the query rows of X.
+
+        Built atoms take one product.  An on-demand instance that has not
+        built its atoms builds and multiplies a block of rows of about
+        `sampler.BLOCK_CELLS` cells at a time, and no block of one row, which
+        numpy would multiply as a matrix-vector product: a basis row's one or
+        two nonzero entries then give each margin the bits of one product.
+        """
+        if self._atoms is not None:
+            return self._atoms @ X.T
+        out, rows = np.empty((self.n, len(X))), max(2, _sampler.BLOCK_CELLS // self.dim)
+        lo = 0
+        while lo < self.n:
+            hi = self.n if self.n - lo <= rows + 1 else lo + rows
+            out[lo:hi] = self._build(lo, hi) @ X.T
+            lo = hi
+        return out
 
     def norms(self) -> np.ndarray:
         """Per-atom Euclidean norms, computed once and read-only: np.linalg.norm's

@@ -46,8 +46,9 @@ CONVENTIONS = (MIXTURE, SCORE_ONLY)
 
 # most draws estimate_S makes: its index and score arrays then take 160 MB
 MAX_S_DRAWS = 10_000_000
-# most cells of one block of rows: a count block in `bench`, a block of atoms here
-COUNT_CELLS = 2_000_000
+# cells of every working block, 512 KB of float64, which stays in cache: a block
+# of count rows or of indices in `bench`, a block of atoms here
+BLOCK_CELLS = 2 ** 16
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -67,7 +68,7 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def _row_norms(atoms: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row, over blocks of rows of at most COUNT_CELLS cells.
+    """The Euclidean norm of each row, over blocks of rows of at most BLOCK_CELLS cells.
 
     Every row gets the bits of one np.linalg.norm call over all rows, without
     that call's squared copy of the atoms.  A row whose plain norm overflows
@@ -75,7 +76,7 @@ def _row_norms(atoms: np.ndarray) -> np.ndarray:
     underflow, is divided by a power of two 2^e that brings its largest entry
     into [1/2, 1), which is exact, and its norm is 2^e times the scaled one.
     """
-    rows = max(1, COUNT_CELLS // atoms.shape[1])
+    rows = max(1, BLOCK_CELLS // atoms.shape[1])
     out = np.empty(atoms.shape[0])
     for lo in range(0, atoms.shape[0], rows):
         block = atoms[lo:lo + rows]
@@ -184,9 +185,17 @@ class CategoricalSampler:
         # u * cdf[-1] can round up onto cdf[-1]; that draw goes to the last positive index
         self._last = int(np.flatnonzero(probs)[-1])
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        # a zero-probability index i has cdf[i] == cdf[i - 1], so no u lands on it
-        idx = np.searchsorted(self._cdf, rng.random(size) * self._cdf[-1], side="right")
+    def draw(self, rng: np.random.Generator, size: int, run: int | None = None) -> np.ndarray:
+        """size draws from rng's next size uniforms.  With `run`, a divisor of size,
+        each run of that many uniforms is sorted before the search, which then
+        costs less: a run's draws come out in ascending order, the same multiset."""
+        u = rng.random(size)
+        if run is not None:
+            runs = u.reshape(-1, run)  # a view of u
+            runs.sort(axis=1)
+        # a zero-probability index i has cdf[i] == cdf[i - 1], so no u lands on it;
+        # u * cdf[-1] keeps the order of u, since rounding is monotone
+        idx = np.searchsorted(self._cdf, u * self._cdf[-1], side="right")
         return np.minimum(idx, self._last).astype(np.int64, copy=False)
 
 
@@ -264,7 +273,7 @@ def rejection_stream(atoms: Iterable, kind: str, s_hat: float, seed: int,
     With s_hat >= every observed score the acceptance probability stays in
     (0, 1]; the accepted multiset is distributed as the mixture built from
     s_hat in place of the true score mass.  Runs of equal-length atoms are
-    scored in blocks of at most COUNT_CELLS cells, with one draw per atom.
+    scored in blocks of at most BLOCK_CELLS cells, with one draw per atom.
     """
     if not s_hat > 0:
         raise InvalidInputError("s_hat must be positive")
@@ -283,7 +292,7 @@ def rejection_stream(atoms: Iterable, kind: str, s_hat: float, seed: int,
 
     for a in atoms:
         a = np.asarray(a, dtype=float)
-        if block and (a.shape != block[0].shape or len(block) * a.size >= COUNT_CELLS):
+        if block and (a.shape != block[0].shape or len(block) * a.size >= BLOCK_CELLS):
             take()
         block.append(a)
     if block:

@@ -145,7 +145,7 @@ class TestDrawCounts:
         # and 7 rows shift where the later chunks start.  Unit weights keep
         # every sum exact; the property test below covers weights off 1
         w = np.ones(q.size)
-        assert bench.INDEX_CELLS // max(m, q.size) < 1200 - 10
+        assert bench.BLOCK_CELLS // max(m, q.size) < 1200 - 10
         whole = bench._draw_counts(q, w, m, 1200, derive_rng(4, m))
         rng = derive_rng(4, m)
         parts = [bench._draw_counts(q, w, m, rows, rng) for rows in (1, 2, 7, 1190)]
@@ -163,7 +163,7 @@ class TestDrawCounts:
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_rows_past_index_cells_are_counted_in_pieces(self, uniform):
-        # a row of more than INDEX_CELLS indices is drawn a piece at a time: its
+        # a row of more than BLOCK_CELLS indices is drawn a piece at a time: its
         # counts are those of the row's indices drawn at once, and under the
         # uniform law (600000 indices, 4.8 MB at once) the pieces keep the peak
         # near one piece
@@ -171,7 +171,7 @@ class TestDrawCounts:
 
         n, m = (20000, 600000) if uniform else (140000, 70000)
         q = np.full(n, 1.0 / n) if uniform else np.random.default_rng(n).dirichlet(np.ones(n))
-        assert m > bench.INDEX_CELLS and (m <= bench.INDEX_RATIO * n if uniform else 2 * m <= n)
+        assert m > bench.BLOCK_CELLS and (m <= bench.INDEX_RATIO * n if uniform else 2 * m <= n)
         tracemalloc.start()
         try:
             counts, _ = bench._draw_counts(q, np.ones(n), m, 2, derive_rng(9, m))
@@ -183,7 +183,42 @@ class TestDrawCounts:
             idx = rng.integers(0, n, size=m) if uniform else sampler.draw(rng, m)
             assert np.array_equal(row, np.bincount(idx, minlength=n))
         if uniform:
-            assert peak < counts.nbytes + 3 * 8 * bench.INDEX_CELLS < 8 * m
+            assert peak < counts.nbytes + 3 * 8 * bench.BLOCK_CELLS < 8 * m
+
+    @pytest.mark.parametrize("n,m", [(100, 10), (100, 50), (1000, 100), (1000, 500)])
+    @pytest.mark.parametrize("cells", [None, 64])
+    def test_sorted_inverse_cdf_rows_count_the_unsorted_draws(self, monkeypatch, n, m, cells):
+        # each row's uniforms are searched sorted, which keeps the row's counts:
+        # they are those of the m draws draw_iid's sampler makes from the same
+        # stream, in multi-row chunks and, at 64-cell blocks, in pieces of a row
+        if cells is not None:
+            monkeypatch.setattr(bench, "BLOCK_CELLS", cells)
+        q = np.random.default_rng(n).dirichlet(np.ones(n))
+        counts, _ = bench._draw_counts(q, np.ones(n), m, 40, derive_rng(2, m))
+        idx = CategoricalSampler(q).draw(derive_rng(2, m), 40 * m).reshape(40, m)
+        assert np.array_equal(counts, [np.bincount(row, minlength=n) for row in idx])
+
+    def test_a_probe_builds_its_inverse_cdf_once(self, monkeypatch):
+        # moment-curve's law (n = 12) is not uniform, so rows at m <= 6 count
+        # inverse-CDF draws; in blocks of 2 rows (1 row of the 100-atom instance
+        # of the unbiasedness check) every probe builds one sampler
+        builds = []
+
+        class Counting(CategoricalSampler):
+            def __init__(self, probs):
+                builds.append(len(probs))
+                super().__init__(probs)
+
+        monkeypatch.setattr(bench, "CategoricalSampler", Counting)
+        monkeypatch.setattr(bench, "BLOCK_CELLS", 2 * 12)
+        cfg = TrialConfig(eps=0.25, delta=0.2, trials=50, master_seed=3,
+                          hard=gen_moment_curve(12, 3))
+        failure_rate(cfg, 6)
+        bench._probe_failures(cfg, 5, bench._fail_threshold(cfg.trials, cfg.delta))
+        inst = gaussian_instance(100, 5, seed=21)
+        spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ), 10.0)
+        unbiasedness_check(inst, spec, "norm", np.full(5, 0.5), m=50, trials=300, seed=6)
+        assert builds == [12, 12, 100]
 
     @pytest.mark.parametrize("kind", HARD_KINDS)
     @settings(max_examples=20, derandomize=True, deadline=None)
@@ -465,7 +500,7 @@ class TestVerdictProbes:
         # after which the verdict is fixed
         seq, drawn = [], []
 
-        def fake_draw(q, w, m, rows, rng):
+        def fake_draw(q, w, m, rows, rng, path):
             drawn.append(rows)
             return np.zeros((rows, 1)), np.zeros(rows)
 
@@ -493,9 +528,9 @@ class TestVerdictProbes:
         rows, keys = [], []
         draw, rng = bench._draw_counts, bench.derive_rng
 
-        def counting_draw(q, w, m, trials, gen):
+        def counting_draw(q, w, m, trials, gen, path):
             rows.append(trials)
-            return draw(q, w, m, trials, gen)
+            return draw(q, w, m, trials, gen, path)
 
         def counting_rng(*key):
             keys.append(key)
@@ -662,7 +697,7 @@ class TestUnbiasedness:
         spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ), 10.0)
         x = np.full(5, 0.5)
         whole = unbiasedness_check(inst, spec, "norm", x, m=50, trials=300, seed=6)
-        monkeypatch.setattr(bench, "COUNT_CELLS", 7 * 100)  # 7-row blocks
+        monkeypatch.setattr(bench, "BLOCK_CELLS", 7 * 100)  # 7-row blocks
         assert unbiasedness_check(inst, spec, "norm", x, m=50, trials=300, seed=6) == whole
 
     def test_requires_hundred_trials(self):
@@ -710,7 +745,7 @@ class TestBasisInstancesStayImplicit:
 
     @staticmethod
     def refusing(hard):
-        def build():
+        def build(lo, hi):
             raise AssertionError("the failure-rate path built the atoms")
 
         hard.instance._build = build
@@ -730,6 +765,52 @@ class TestBasisInstancesStayImplicit:
         assert min_sample_size(cfg) >= 1
         estimate_S(hard.instance, "norm", eps=0.5, delta=0.1, seed=0)
         with pytest.raises(AssertionError, match="built the atoms"):
+            hard.instance.atoms
+
+    @pytest.mark.parametrize("kind,params", [
+        ("quad-logistic", {"k": 8.0, "eps": 0.05}), ("quad-sigmoid", {"k": 20.0, "eps": 0.1}),
+        ("quad-hinge", {"k": 8.0, "eps": 0.25}), ("quad-hinge", {"k": 64.0, "eps": 0.25}),
+        ("quad-relu", {"k": 6.0, "eps": 0.25}), ("coupon-relu", {"d": 16, "k": 8.0})])
+    @pytest.mark.parametrize("rows", [None, 4])
+    def test_random_queries_from_row_blocks_keep_the_bits(self, monkeypatch, kind, params, rows):
+        # the adversarial-plus-random losses come from blocks of atom rows, of
+        # the default size or of 4 rows, and equal those of the built atoms' one
+        # product bit for bit.  No block is one row: quad-hinge at k = 64 has
+        # 1821 atoms, and its last margins round otherwise as a one-row product
+        from regsamp import sampler
+
+        hard = generate(kind, **params)
+        if rows is not None:
+            monkeypatch.setattr(sampler, "BLOCK_CELLS", rows * hard.instance.dim)
+        cfg = TrialConfig(eps=0.25, delta=0.2, master_seed=3, hard=hard,
+                          query_policy=bench.ADVERSARIAL_PLUS_RANDOM)
+        blocked = cfg.random_queries
+        assert hard.instance._atoms is None
+        hard.instance.atoms
+        for got, want in zip(blocked, replace(cfg).random_queries, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_plus_random_probes_past_the_dense_budget_build_no_atoms(self):
+        # coupon-relu at d = 8000, whose dense identity (512 MB) the budget
+        # refuses: the random queries' losses are built a block of rows at a
+        # time, so a 20-trial probe at m = 3 d runs in a few MB
+        import tracemalloc
+
+        from regsamp.hardness import generate
+
+        hard = generate("coupon-relu", d=8000, k=16.0)
+        cfg = TrialConfig(eps=0.25, delta=0.2, trials=20, master_seed=4, hard=hard,
+                          query_policy=bench.ADVERSARIAL_PLUS_RANDOM)
+        hard.law  # built before tracing starts
+        tracemalloc.start()
+        try:
+            rate, _ = failure_rate(cfg, 24000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 <= rate <= 1 and hard.instance._atoms is None
+        assert peak < 40 * 2**20
+        with pytest.raises(BudgetExceededError, match="256 MB budget"):
             hard.instance.atoms
 
     def test_mc_wide_probes_stay_small(self):
@@ -759,17 +840,17 @@ class TestFailureRateBlocks:
         ms = (16, 32, 64, 128)
         whole = [failure_rate(cfg, m) for m in ms]
         assert any(0 < rate < 1 for rate, _ in whole)
-        monkeypatch.setattr(bench, "COUNT_CELLS", 7 * hard.instance.n)  # 7-row blocks
+        monkeypatch.setattr(bench, "BLOCK_CELLS", 7 * hard.instance.n)  # 7-row blocks
         assert [failure_rate(cfg, m) for m in ms] == whole
 
-    def test_row_blocks_bound_the_memory(self, monkeypatch):
-        # 200 trials x 4000 atoms are a 6.4 MB count block; blocks of 10 rows take 0.3 MB
+    def test_row_blocks_bound_the_memory(self):
+        # 200 trials x 4000 atoms are a 6.4 MB count block; the default blocks of
+        # 16 rows take 0.5 MB
         import tracemalloc
 
         cfg = TrialConfig(eps=0.25, delta=0.2, trials=200, master_seed=9,
                           hard=gen_coupon_relu(4000, 16.0))
         cfg.hard.law  # built before tracing starts
-        monkeypatch.setattr(bench, "COUNT_CELLS", 10 * 4000)
         tracemalloc.start()
         try:
             failure_rate(cfg, 30000)
@@ -780,18 +861,18 @@ class TestFailureRateBlocks:
 
     @pytest.mark.parametrize("name", ["lin-relu", "quad-hinge", "coupon-relu"])
     def test_search_blocks_keep_to_count_cells(self, monkeypatch, name):
-        # a probe's blocks also keep to COUNT_CELLS cells, and splitting them
+        # a probe's blocks also keep to BLOCK_CELLS cells, and splitting them
         # moves no verdict: m* is the one of the unsplit blocks
         cfg = verdict_configs()[name]
         m_star = min_sample_size(cfg)
         rows, draw = [], bench._draw_counts
 
-        def spy(q, w, m, trials, rng):
+        def spy(q, w, m, trials, rng, path):
             rows.append(trials)
-            return draw(q, w, m, trials, rng)
+            return draw(q, w, m, trials, rng, path)
 
         monkeypatch.setattr(bench, "_draw_counts", spy)
-        monkeypatch.setattr(bench, "COUNT_CELLS", 3 * cfg.hard.instance.n)  # 3-row blocks
+        monkeypatch.setattr(bench, "BLOCK_CELLS", 3 * cfg.hard.instance.n)  # 3-row blocks
         assert min_sample_size(cfg) == m_star
         assert rows and max(rows) <= 3
 

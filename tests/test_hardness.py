@@ -584,7 +584,7 @@ class TestAtomsOnDemand:
         idx = np.arange(hard.instance.n // 2)  # the other half is missed
         samples = Coreset(idx, np.zeros((idx.size, hard.instance.dim)), w[idx], s[idx])
 
-        def build():
+        def build(lo, hi):
             raise AssertionError("check_failure built the atoms")
 
         hard.instance._build = build

@@ -344,7 +344,7 @@ class TestRejectionStream:
         s_hat = 2.0 * max(score(kind, a, D=D) for a in atoms)
         draws = derive_rng(9)
         want = [a for a in atoms if draws.random() < 0.5 + score(kind, a, D=D) / (2.0 * s_hat)]
-        monkeypatch.setattr(sampler, "COUNT_CELLS", 10)
+        monkeypatch.setattr(sampler, "BLOCK_CELLS", 10)
         got = rejection_stream(iter(atoms), kind, s_hat=s_hat, seed=9, D=D)
         assert 0 < len(got) < len(atoms)
         assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
@@ -483,7 +483,7 @@ class TestScoreInputs:
         from regsamp import sampler
 
         if cells is not None:  # row blocks of 7 and 10 rows
-            monkeypatch.setattr(sampler, "COUNT_CELLS", cells)
+            monkeypatch.setattr(sampler, "BLOCK_CELLS", cells)
         rng = np.random.default_rng(n + d)
         atoms = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, size=(n, 1))
         inst = make_instance(atoms)
@@ -543,7 +543,7 @@ class TestScoreInputs:
         # blocks of 100 rows take 0.8 MB, and so does a block of overflowing rows
         from regsamp import sampler
 
-        monkeypatch.setattr(sampler, "COUNT_CELLS", 100 * 1000)
+        monkeypatch.setattr(sampler, "BLOCK_CELLS", 100 * 1000)
         for entry in (1.0, 1e200):
             inst = make_instance(np.full((2000, 1000), entry))
             tracemalloc.start()
