@@ -21,7 +21,7 @@ import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -105,19 +105,20 @@ def _block_rows(n: int) -> int:
     return max(1, BLOCK_CELLS // n)
 
 
-def _index_counts(draw, n: int, m: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Counts over n bins of the m indices per row that draw(rng, size) gives, row after row.
+def _index_counts(draw, m: int, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    """Fills each row of counts, an int64 (trials, n) block, with the counts over n
+    bins of the m indices that draw(rng, size) gives, row after row.
 
     Chunks of at most BLOCK_CELLS indices and bins keep the bins in cache and
     bound the memory; a row of more indices is counted a piece at a time.
     """
+    trials, n = counts.shape
     if m > BLOCK_CELLS:
-        counts = np.zeros((trials, n), dtype=np.int64)
+        counts[...] = 0
         for row in counts:
             for done in range(0, m, BLOCK_CELLS):
                 row += np.bincount(draw(rng, min(BLOCK_CELLS, m - done)), minlength=n)
         return counts
-    counts = np.empty((trials, n), dtype=np.int64)
     step = max(1, BLOCK_CELLS // max(m, n))
     for lo in range(0, trials, step):
         rows = min(step, trials - lo)
@@ -136,24 +137,37 @@ def _count_path(q: np.ndarray, m: int) -> Callable[[int, np.random.Generator], n
     binomials: uniform indices under a uniform q at m <= INDEX_RATIO n, and
     inverse-CDF indices, drawn as `draw_iid` draws them, under any other q at
     m <= n/2.  Otherwise the multinomial draws the rows.  A probe chooses its
-    path, and builds its inverse CDF, once for all its blocks.
+    path, and builds its inverse CDF, once for all its blocks.  The index paths
+    count every block into one array, so a block's counts last until the path
+    draws the next block: a fresh array per block would be a fresh mapping of
+    about BLOCK_CELLS cells, each of whose pages faults on its first write.
     """
     n = q.size
     if q.min() == q.max() and m <= INDEX_RATIO * n:
-        return partial(_index_counts, lambda rng, size: rng.integers(0, n, size=size), n, m)
-    if 2 * m <= n:  # at m = n/2 measured 2.5 vs 4.3 us a row for n = 100, 29 vs 59 for n = 1000
+        def draw(rng, size):
+            return rng.integers(0, n, size=size)
+    elif 2 * m <= n:  # at m = n/2 measured 2.5 vs 4.3 us a row for n = 100, 29 vs 59 for n = 1000
         sampler = CategoricalSampler(q)
-        # a row's counts do not depend on the order of its draws, and its sorted
-        # uniforms search faster: each row, or piece of one, is one sorted run
-        return partial(_index_counts,
-                       lambda rng, size: sampler.draw(rng, size, run=min(m, size)), n, m)
 
-    def multinomial(trials: int, rng: np.random.Generator) -> np.ndarray:
-        try:
-            return rng.multinomial(m, q, size=trials)
-        except ValueError as exc:  # numpy's own pvals check, at a rounding error of q's
-            raise DegenerateInstanceError(f"sampling probabilities rejected: {exc}") from None
-    return multinomial
+        def draw(rng, size):
+            # a row's counts do not depend on the order of its draws, and its sorted
+            # uniforms search faster: each row, or piece of one, is one sorted run
+            return sampler.draw(rng, size, run=min(m, size))
+    else:
+        def multinomial(trials: int, rng: np.random.Generator) -> np.ndarray:
+            try:
+                return rng.multinomial(m, q, size=trials)
+            except ValueError as exc:  # numpy's own pvals check, at a rounding error of q's
+                raise DegenerateInstanceError(f"sampling probabilities rejected: {exc}") from None
+        return multinomial
+    block = np.empty((0, n), dtype=np.int64)
+
+    def index_counts(trials: int, rng: np.random.Generator) -> np.ndarray:
+        nonlocal block
+        if len(block) < trials:
+            block = np.empty((trials, n), dtype=np.int64)
+        return _index_counts(draw, m, rng, block[:trials])
+    return index_counts
 
 
 def _draw_counts(q: np.ndarray, w: np.ndarray, m: int, trials: int,
@@ -161,7 +175,8 @@ def _draw_counts(q: np.ndarray, w: np.ndarray, m: int, trials: int,
     """Per-trial counts of m i.i.d. draws from q, and the mean of w over each trial's draws.
 
     Such counts are Multinomial(m, q): the trials are the rows of one block,
-    drawn by `path`, which is `_count_path(q, m)` when not given.  Blocks drawn
+    drawn by `path`, which is `_count_path(q, m)` when not given (an index
+    path reuses its array for the next block).  Blocks drawn
     in turn from one generator equal one drawn at once bit for bit, mean
     weights too, whatever the law's weights.
     """

@@ -190,6 +190,15 @@ class TestCategoricalSampler:
         with pytest.raises(InvalidInputError):
             CategoricalSampler([-0.5, 1.5])
 
+    @pytest.mark.parametrize("run", [1, 7, 50, 350])
+    def test_sorted_runs_keep_each_runs_draws(self, run):
+        # each run of `run` uniforms is searched sorted: its draws come out in
+        # ascending order, the unsorted call's draws of that run sorted
+        sampler = CategoricalSampler(np.random.default_rng(3).dirichlet(np.ones(100)))
+        got = sampler.draw(derive_rng(4), 350, run=run).reshape(-1, run)
+        want = np.sort(sampler.draw(derive_rng(4), 350).reshape(-1, run), axis=1)
+        assert np.array_equal(got, want)
+
     def test_rounded_up_uniform_skips_trailing_zero(self):
         # 0.75 * 5e-324 rounds up to the total, past the last positive cumulative mass
         idx = CategoricalSampler([0.0, 5e-324, 0.0]).draw(Uniforms([0.0, 0.4, 0.75, 1 - 2**-53]), 4)
