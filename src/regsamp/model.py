@@ -36,10 +36,9 @@ class Instance:
     constructions of `hardness` make theirs with `Instance.on_demand`: such
     an instance keeps n, d, the masses and one representative row, builds
     `atoms` only on first access, and takes `margins` a block of rows at a
-    time without them.
-    Its per-atom norms, which are all the sampling law reads of the atoms,
-    come from that row, so sampling, failure rates and the m* search never
-    build the (n, d) matrix.
+    time without them.  Its per-atom norms, which are all the sampling law
+    reads of the atoms, come from that row, so sampling, failure rates and
+    the m* search never build the (n, d) matrix.
     """
 
     def __init__(self, atoms, masses):

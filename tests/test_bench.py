@@ -793,10 +793,9 @@ class TestBasisInstancesStayImplicit:
     def test_plus_random_probes_past_the_dense_budget_build_no_atoms(self):
         # coupon-relu at d = 8000, whose dense identity (512 MB) the budget
         # refuses: the random queries' losses are built a block of rows at a
-        # time, so a 20-trial probe at m = 3 d runs in a few MB
+        # time, so a 20-trial probe at m = 3 d peaks at about 30 MB, most of
+        # it three 8000 x 121 matrices
         import tracemalloc
-
-        from regsamp.hardness import generate
 
         hard = generate("coupon-relu", d=8000, k=16.0)
         cfg = TrialConfig(eps=0.25, delta=0.2, trials=20, master_seed=4, hard=hard,
