@@ -295,29 +295,39 @@ def min_sample_size(cfg: TrialConfig) -> int:
     return hi
 
 
+def _slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The least-squares slope of each row of y on the same row of x, by the
+    centred closed form sum (x - mean x)(y - mean y) / sum (x - mean x)^2.
+
+    A row is fitted by itself whatever rows it is stacked with, and m* values
+    symmetric in log k fit exactly 0."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    return (xc * yc).sum(axis=1) / (xc * xc).sum(axis=1)
+
+
 def fit_loglog_slope(ks, ms) -> float:
+    """The least-squares slope of log m against log k."""
     ks = np.asarray(ks, dtype=float)
     ms = np.asarray(ms, dtype=float)
     if ks.size < 2 or np.unique(ks).size < 2:
         raise InvalidInputError("need at least two distinct k values to fit a slope")
-    return float(np.polyfit(np.log(ks), np.log(ms), 1)[0])
+    return float(_slopes(np.log(ks)[None, :], np.log(ms)[None, :])[0])
 
 
 def _bootstrap_slope_ci(points, seed: int) -> tuple[float, float]:
     """2.5th and 97.5th percentiles of the log-log slope over case resamples of points.
 
     All resamples are drawn at once from the stream (seed, 0xB007) and fitted
-    by the closed-form centred least-squares slope; a resample whose log k has
-    no spread has no slope and is dropped.  NaNs when every resample is dropped.
+    by `_slopes`, as the point fit is; a resample whose log k has no spread
+    has no slope and is dropped.  NaNs when every resample is dropped.
     """
     x = np.log(np.array([p[0] for p in points], dtype=float))
     y = np.log(np.array([p[1] for p in points], dtype=float))
     idx = derive_rng(seed, 0xB007).integers(0, x.size, size=(SLOPE_RESAMPLES, x.size))
     xs, ys = x[idx], y[idx]
     spread = np.any(xs != xs[:, :1], axis=1)
-    xc = xs[spread] - xs[spread].mean(axis=1, keepdims=True)
-    yc = ys[spread] - ys[spread].mean(axis=1, keepdims=True)
-    slopes = (xc * yc).sum(axis=1) / (xc * xc).sum(axis=1)
+    slopes = _slopes(xs[spread], ys[spread])
     if slopes.size == 0:
         return (float("nan"), float("nan"))
     return (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5)))

@@ -240,6 +240,7 @@ def load_instance(path) -> Instance:
 # The one JSONL writer and reader of all three formats; what a bad record raises:
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 _DECODER = json.JSONDecoder()
+_NUMBER_TYPES = {int, float}  # what json.loads makes of a JSON number
 
 
 def _write_records(path, records: Iterable[dict]) -> None:
@@ -268,11 +269,19 @@ def _object(line: str) -> dict:
     return rec
 
 
+def _numbers(values: Iterable) -> None:
+    """Raises TypeError unless every value is a JSON number: an int or a float,
+    not a bool, which Python counts as an int, nor a string float() would read."""
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        raise TypeError("a JSON number was expected")
+
+
 def _column(recs: list[dict], key: str, kind: type, *default) -> np.ndarray:
-    """Field key of each record, read with float() or exactly a JSON int or str; a
+    """Field key of each record, exactly a JSON number (kind float), int or str; a
     missing field takes the default if one is given, and is otherwise malformed."""
     values = [rec.get(key, *default) for rec in recs]
     if kind is float:
+        _numbers(values)
         return np.array([float(v) for v in values])
     if not all(type(v) is kind for v in values):
         raise TypeError(f"{key!r} must be a JSON {kind.__name__}")
@@ -283,8 +292,8 @@ def _read_records(path, lines: list[str], start: int, what: str, vector: str,
                   dim: int | None, fields) -> tuple[np.ndarray, list[np.ndarray]]:
     """The vectors and field columns of the nonempty stripped lines, line `start` on.
 
-    Each line is one JSON object: `vector` holds dim finite numbers (dim None:
-    the first record's count) and `fields` are (key, kind, *default) for
+    Each line is one JSON object: `vector` holds dim finite JSON numbers (dim
+    None: the first record's count) and `fields` are (key, kind, *default) for
     `_column`.  Records are converted in blocks of at most RECORD_CELLS
     entries, and a block that fails again line by line, to name the bad line.
     """
@@ -293,8 +302,10 @@ def _read_records(path, lines: list[str], start: int, what: str, vector: str,
         rows = 1 if not dim or lo < single_until else max(1, RECORD_CELLS // dim)
         try:
             recs = [_object(line) for line in lines[lo:lo + rows]]
-            # null reads as NaN; a nested, non-array or ragged vector fails or raises
-            vecs = np.array([rec[vector] for rec in recs], dtype=float)
+            # a non-number entry, or a nested, non-array or ragged vector, raises
+            raw = [rec[vector] for rec in recs]
+            _numbers(chain.from_iterable(raw))
+            vecs = np.array(raw, dtype=float)
             if vecs.ndim != 2 or not np.isfinite(vecs).all():
                 raise ValueError(f"{vector!r} must be an array of finite numbers")
             cols = [_column(recs, *field) for field in fields]

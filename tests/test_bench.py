@@ -599,6 +599,29 @@ class TestScalingCurve:
     def test_constant_sizes_fit_zero_slope(self):
         assert fit_loglog_slope([8, 16, 32], [40, 40, 40]) == pytest.approx(0.0)
 
+    def test_sizes_symmetric_in_log_k_fit_exactly_zero(self):
+        assert fit_loglog_slope([8, 16, 32], [251, 439, 251]) == 0.0
+
+    def test_curve_makes_no_least_squares_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a least-squares call on the Monte Carlo path")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        curve = scaling_curve("lin-relu", [4, 8, 16], eps=0.3, delta=0.25, trials=20, seed=0,
+                              reg="l1")
+        ks, ms = zip(*curve.points)
+        assert curve.fitted_slope == fit_loglog_slope(ks, ms)
+        assert curve.slope_ci == bench._bootstrap_slope_ci(curve.points, 0)
+
+    def test_one_point_left_has_no_slope(self):
+        # the doubling search passes the cap at k = 8 and 16, not at 4 (m* = 50)
+        curve = scaling_curve("lin-relu", [4, 8, 16], eps=0.3, delta=0.25, trials=20, seed=0,
+                              reg="l1", m_cap=64)
+        assert curve.points == ((4.0, 50),)
+        assert math.isnan(curve.fitted_slope) and all(math.isnan(v) for v in curve.slope_ci)
+        assert [k for k, _ in curve.budget_errors] == [8.0, 16.0]
+
     def test_requires_three_points(self):
         with pytest.raises(InvalidInputError):
             scaling_curve("lin-relu", [8, 16], eps=0.25, delta=0.2, trials=10)

@@ -136,6 +136,42 @@ def test_extreme_flags_and_damaged_inputs_exit_typed(inputs, data):
         assert "Traceback" not in err
 
 
+def _non_number(value, how):
+    """value as the JSON string or bool that float() and numpy would read as a number."""
+    return str(value) if how == "string" else True
+
+
+@pytest.mark.parametrize("how", ["string", "bool"])
+@pytest.mark.parametrize("fmt,key,what", [
+    ("instance", "a", "atom"), ("instance", "p", "atom"), ("sample", "a", "sample"),
+    ("sample", "w", "sample"), ("sample", "s", "sample"), ("queries", "x", "query")])
+def test_json_strings_and_bools_are_not_numbers(tmp_path, inputs, fmt, key, what, how):
+    # every vector entry and float field of the three formats is a JSON number
+    lines = inputs[fmt].read_text().splitlines()
+    rec = json.loads(lines[1])
+    if isinstance(rec[key], list):
+        rec[key][0] = _non_number(rec[key][0], how)
+    else:
+        rec[key] = _non_number(rec[key], how)
+    lines[1] = json.dumps(rec)
+    files = {name: inputs[name] for name in ("instance", "sample", "queries")}
+    files[fmt] = tmp_path / f"{fmt}.jsonl"
+    files[fmt].write_text("\n".join(lines) + "\n")
+    code, out, err = run(["eval", "--instance", files["instance"], "--sample", files["sample"],
+                          "--queries", files["queries"], "--loss", "relu", "--reg", "l1",
+                          "--k", "4", "--eps", "0.25", "--out", tmp_path / "r.json"])
+    assert (code, out, err) == (2, "", f"data error: {files[fmt]}: line 2: malformed {what} record\n")
+
+
+def test_opt_refuses_an_atom_of_strings_and_bools(tmp_path):
+    path = tmp_path / "instance.jsonl"
+    path.write_text('{"dim": 2, "n": 2}\n{"a": ["1.5", true], "p": "0.5"}\n'
+                    '{"a": [1.0, 2.0], "p": 0.5}\n')
+    code, out, err = run(["opt", "--instance", path, "--loss", "relu", "--reg", "l1",
+                          "--k", "4"])
+    assert (code, out, err) == (2, "", f"data error: {path}: line 2: malformed atom record\n")
+
+
 def _bench_config(tmp_path, name="cfg.json", **changes):
     path = tmp_path / name
     path.write_text(json.dumps({**SCALING, **changes}))

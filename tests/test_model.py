@@ -61,6 +61,10 @@ BAD_RECORDS = [
                  "malformed header", id="float-dim"),
     pytest.param("instance", jsonl('{"dim": 1, "n": "1"}', ATOM1), 1,
                  "malformed header", id="string-n"),
+    pytest.param("instance", jsonl('{"dim": 0, "n": 1}', ATOM1), 1,
+                 "dim and n must be positive, got 0 and 1", id="zero-dim"),
+    pytest.param("instance", jsonl('{"dim": 1, "n": 0}'), 1,
+                 "dim and n must be positive, got 1 and 0", id="zero-n"),
     pytest.param("sample", jsonl(SAMPLE, '{"atom_index": 1, "a": "12", "w": 1.0, "s": 2.0}'), 2,
                  "malformed sample record", id="string-sample"),
     pytest.param("sample", jsonl(SAMPLE, SAMPLE.replace("0", "1.9", 1)), 2,

@@ -267,6 +267,12 @@ class TestOptBounds:
         assert opt_lower_bound(make_loss(LOGISTIC), make_reg(reg), 4.0, 1.0, 0.05) == g0
         assert opt_lower_bound(make_loss(LOGISTIC), make_reg(reg), 4.0, 1.0, 1.0) == g0 / 4.0
 
+    @pytest.mark.parametrize("loss_kind,reg", [(LOGISTIC, L2SQ), (SIGMOID, L2), (HINGE, L1)])
+    def test_all_mass_at_the_origin_bound_is_g0(self, loss_kind, reg):
+        # B = 0: every atom is the origin, so f(x) >= f0(x) = g(0) for every x
+        loss = make_loss(loss_kind)
+        assert opt_lower_bound(loss, make_reg(reg), 4.0, 1.0, 0.0) == loss.g0
+
     @pytest.mark.parametrize("lb", [0.01, 0.1, 0.2, 0.25, 0.5, 1.0, 3.0])
     def test_l2sq_bound_below_its_own_minimum(self, lb):
         # f(x) >= max(g0 - L B r, 0) + r^2 / k with r = |x|; the bound must not
@@ -770,6 +776,27 @@ class TestRecommendedSampleSize:
         m2 = recommended_sample_size("norm", loss, make_reg(L2SQ), 16.0, 0.1, 0.1,
                                      self.consts(), opt_hint=1.0)
         assert m2 / m1 == pytest.approx(2.0, rel=1e-3)  # up to integer ceilings
+
+    def test_l1_rule_for_a_homogeneous_loss(self):
+        # relu: k/eps^2 up to polylog terms, C k ln(1/delta) / eps^2 ln(C k ln(1/delta) / eps)^3
+        consts = self.consts(S=2.0, g0=0.0)
+        m8, m16 = (recommended_sample_size("l1", make_loss(RELU), make_reg(L1), k, 0.1, 0.01,
+                                           consts) for k in (8.0, 16.0))
+        c = 2.0 * 8.0 * math.log(100.0)
+        assert m8 == math.ceil(c / 0.01 * math.log(c / 0.1) ** 3)
+        assert m16 / m8 == pytest.approx(2.0 * (math.log(2 * c / 0.1) / math.log(c / 0.1)) ** 3,
+                                         rel=1e-6)
+
+    def test_l2sq_norm_rule_without_a_hint_takes_the_analytic_bound(self):
+        loss, reg = make_loss(LOGISTIC), make_reg(L2SQ)
+        opt = opt_lower_bound(loss, reg, 10.0, 1.0, 1.0)
+        m = recommended_sample_size("norm", loss, reg, 10.0, 0.1, 0.1, self.consts())
+        assert m == math.ceil(4.0 * 10.0 * math.log(10.0) / (0.01 * opt))
+        assert m == recommended_sample_size("norm", loss, reg, 10.0, 0.1, 0.1, self.consts(),
+                                            opt_hint=opt)
+        with pytest.raises(ApplicabilityError, match="positive OPT hint"):  # relu's bound is 0
+            recommended_sample_size("norm", make_loss(RELU), reg, 10.0, 0.1, 0.1,
+                                    self.consts(g0=0.0))
 
     def test_uniform_variant_swaps_in_d(self):
         loss = make_loss(LOGISTIC)

@@ -312,6 +312,16 @@ class TestSampleFiles:
             load_samples(path)
 
 
+    @pytest.mark.parametrize("weight", ["0.0", "-1.5"])
+    def test_weight_the_coreset_refuses_is_a_data_error(self, tmp_path, weight):
+        path = tmp_path / "w.jsonl"
+        path.write_text('{"atom_index": 0, "a": [1.0, 2.0], "w": 1.0, "s": 2.0}\n'
+                        f'{{"atom_index": 1, "a": [1.0, 0.5], "w": {weight}, "s": 2.0}}\n')
+        with pytest.raises(DataError) as info:
+            load_samples(path)
+        assert str(info.value) == f"{path}: sample weights must be positive and finite"
+
+
 class TestRejectionStream:
     def test_all_accepted_when_scores_match_estimate(self):
         atoms = [np.array([0.0, 2.0])] * 100  # score 3 everywhere
