@@ -6,7 +6,7 @@ reservoir sampling, stress them against adversarial hard instances, and
 measure empirical sample-complexity scaling.
 """
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 from .bench import (
     ScalingCurve,

@@ -1,18 +1,18 @@
 """Monte Carlo harness: failure rates, minimal sample sizes, scaling curves.
 
-The trials of a probe at sample size m are the rows of one Multinomial(m, q)
-count block drawn from the SFC64 stream keyed by (master_seed, m), so
-results do not depend on probing order, and aggregation is
-order-independent.  Each row takes the cheapest exact draw: under a uniform
-law, as every lin-*, quad-* and coupon-relu construction has, a row at
-m <= 30 n counts m uniform index draws; under any other law a row at
-m <= n/2 counts m inverse-CDF index draws; every other row is numpy's
-multinomial, one binomial per atom.  A row's counts, mean weight and
-failure verdict are reductions over that row alone, so under every law,
-draw path and query policy they have the same bits whatever block the row
-is drawn in.  `failure_rate` always runs every trial; the m* search needs
-only each probe's verdict, so it draws the rows of that block in turn and
-stops once the verdict is fixed: m* is unchanged.
+A probe at sample size m is one count stream: its trials are the rows of one
+Multinomial(m, q) count block, drawn in turn from the SFC64 stream keyed by
+(master_seed, m), so results do not depend on probing order, and
+aggregation is order-independent.  The stream takes the cheapest exact draw
+for its rows: under a uniform law, as every lin-*, quad-* and coupon-relu
+construction has, a row at m <= 30 n counts m uniform index draws; under any
+other law a row at m <= n/2 counts m inverse-CDF index draws; every other
+row is numpy's multinomial, one binomial per atom.  A row's counts, mean
+weight and failure verdict are reductions over that row alone, so under
+every law, draw path and query policy they have the same bits whatever
+block the row is drawn in.  `failure_rate` always runs every trial; the m*
+search needs only each probe's verdict, so it draws the rows of that stream
+in turn and stops once the verdict is fixed: m* is unchanged.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ DEFAULT_TRIALS = 200
 DEFAULT_M_CAP = 2_000_000
 WILSON_Z = 1.96  # normal quantile of the 95% Wilson interval
 SLOPE_RESAMPLES = 200  # bootstrap resamples of the scaling slope's interval
-# largest m/n at which `_draw_counts` counts uniform index draws.  The
+# largest m/n at which `_count_rows` counts uniform index draws.  The
 # multinomial's binomials have mean about m/n, and numpy draws one by inversion,
 # whose cost grows with the mean, up to a mean of 30 and by BTPE past it.  At
 # n = 64, 128 and 456 (SFC64), index rows cost 15-29% less than multinomial
@@ -105,9 +105,10 @@ def _block_rows(n: int) -> int:
     return max(1, BLOCK_CELLS // n)
 
 
-def _index_counts(draw, m: int, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+def _index_counts(index: Callable[[int], np.ndarray], m: int,
+                  counts: np.ndarray) -> np.ndarray:
     """Fills each row of counts, an int64 (trials, n) block, with the counts over n
-    bins of the m indices that draw(rng, size) gives, row after row.
+    bins of the m indices that index(size) gives, row after row.
 
     Chunks of at most BLOCK_CELLS indices and bins keep the bins in cache and
     bound the memory; a row of more indices is counted a piece at a time.
@@ -117,12 +118,12 @@ def _index_counts(draw, m: int, rng: np.random.Generator, counts: np.ndarray) ->
         counts[...] = 0
         for row in counts:
             for done in range(0, m, BLOCK_CELLS):
-                row += np.bincount(draw(rng, min(BLOCK_CELLS, m - done)), minlength=n)
+                row += np.bincount(index(min(BLOCK_CELLS, m - done)), minlength=n)
         return counts
     step = max(1, BLOCK_CELLS // max(m, n))
     for lo in range(0, trials, step):
         rows = min(step, trials - lo)
-        idx = draw(rng, rows * m)
+        idx = index(rows * m)
         if rows > 1:  # row r's atom i is bin r n + i
             idx = idx.reshape(rows, m)
             idx += np.arange(0, rows * n, n)[:, None]
@@ -130,90 +131,88 @@ def _index_counts(draw, m: int, rng: np.random.Generator, counts: np.ndarray) ->
     return counts
 
 
-def _count_path(q: np.ndarray, m: int) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """The draw of a block of count rows at sample size m, a function of (rows, rng).
+def _count_rows(q: np.ndarray, w: np.ndarray, m: int, rng: np.random.Generator
+                ) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+    """The count stream of m i.i.d. draws from q: draw(rows) gives the next rows'
+    counts, Multinomial(m, q) each, and the mean of w over each row's draws.
 
     A row counts m index draws where they cost less than the multinomial's n
     binomials: uniform indices under a uniform q at m <= INDEX_RATIO n, and
     inverse-CDF indices, drawn as `draw_iid` draws them, under any other q at
-    m <= n/2.  Otherwise the multinomial draws the rows.  A probe chooses its
-    path, and builds its inverse CDF, once for all its blocks.  The index paths
-    count every block into one array, so a block's counts last until the path
-    draws the next block: a fresh array per block would be a fresh mapping of
-    about BLOCK_CELLS cells, each of whose pages faults on its first write.
+    m <= n/2.  Otherwise the multinomial draws the rows.  The stream chooses
+    its path, and builds its inverse CDF, once for all its blocks.  The index
+    paths count every block into one array, so a block's counts last until
+    the next draw: a fresh array per block would be a fresh mapping of about
+    BLOCK_CELLS cells, each of whose pages faults on its first write.  Blocks
+    drawn in turn equal one drawn at once bit for bit, mean weights too,
+    whatever the law's weights.
     """
     n = q.size
     if q.min() == q.max() and m <= INDEX_RATIO * n:
-        def draw(rng, size):
+        def index(size):
             return rng.integers(0, n, size=size)
     elif 2 * m <= n:  # at m = n/2 measured 2.5 vs 4.3 us a row for n = 100, 29 vs 59 for n = 1000
         sampler = CategoricalSampler(q)
 
-        def draw(rng, size):
+        def index(size):
             # a row's counts do not depend on the order of its draws, and its sorted
             # uniforms search faster: each row, or piece of one, is one sorted run
             return sampler.draw(rng, size, run=min(m, size))
     else:
-        def multinomial(trials: int, rng: np.random.Generator) -> np.ndarray:
-            try:
-                return rng.multinomial(m, q, size=trials)
-            except ValueError as exc:  # numpy's own pvals check, at a rounding error of q's
-                raise DegenerateInstanceError(f"sampling probabilities rejected: {exc}") from None
-        return multinomial
+        index = None
     block = np.empty((0, n), dtype=np.int64)
 
-    def index_counts(trials: int, rng: np.random.Generator) -> np.ndarray:
+    def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
         nonlocal block
-        if len(block) < trials:
-            block = np.empty((trials, n), dtype=np.int64)
-        return _index_counts(draw, m, rng, block[:trials])
-    return index_counts
+        if index is None:
+            try:
+                counts = rng.multinomial(m, q, size=rows)
+            except ValueError as exc:  # numpy's own pvals check, at a rounding error of q's
+                raise DegenerateInstanceError(f"sampling probabilities rejected: {exc}") from None
+        else:
+            if len(block) < rows:
+                block = np.empty((rows, n), dtype=np.int64)
+            counts = _index_counts(index, m, block[:rows])
+        # einsum sums each row in an order that does not depend on the block's rows,
+        # and casts the int counts a buffer at a time, not as a float copy of the block
+        return counts, np.einsum("ij,j->i", counts, w) / m
+    return draw
 
 
-def _draw_counts(q: np.ndarray, w: np.ndarray, m: int, trials: int,
-                 rng: np.random.Generator, path=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial counts of m i.i.d. draws from q, and the mean of w over each trial's draws.
+def _probe(cfg: TrialConfig, m: int) -> Callable[[int], int]:
+    """fails(rows): the failures among the next rows trials at sample size m.
 
-    Such counts are Multinomial(m, q): the trials are the rows of one block,
-    drawn by `path`, which is `_count_path(q, m)` when not given (an index
-    path reuses its array for the next block).  Blocks drawn
-    in turn from one generator equal one drawn at once bit for bit, mean
-    weights too, whatever the law's weights.
+    The trials are the rows of the count stream keyed by (cfg.master_seed, m).
+    A row fails on the kind's predicate or, under the adversarial-plus-random
+    policy, at a random query, whose estimate is one same-shape product per
+    row; so no verdict depends on the row's block.
     """
-    counts = (path or _count_path(q, m))(trials, rng)
-    # einsum sums each row in an order that does not depend on the block's rows,
-    # and casts the int counts a buffer at a time, not as a float copy of the block
-    return counts, np.einsum("ij,j->i", counts, w) / m
+    q, w, _ = cfg.hard.law
+    draw = _count_rows(q, w, m, derive_rng(cfg.master_seed, m))
 
-
-def _trial_failures(cfg: TrialConfig, counts: np.ndarray, mean_w: np.ndarray,
-                    m: int) -> np.ndarray:
-    """Failure indicator per row of a count block drawn at sample size m.
-
-    A random query's estimate is one same-shape product per row, so no
-    verdict depends on the row's block."""
-    failed = batch_failed(cfg.hard, counts, mean_w, m, cfg.eps)
-    if cfg.query_policy == ADVERSARIAL_PLUS_RANDOM:
-        wG, f0, f = cfg.random_queries
-        f0_hat = np.array([row @ wG for row in counts]) / m
-        failed |= np.any(relative_gaps(f0, f0_hat, f) > cfg.eps, axis=1)  # NaN never fails
-    return failed
+    def fails(rows: int) -> int:
+        counts, mean_w = draw(rows)
+        failed = batch_failed(cfg.hard, counts, mean_w, m, cfg.eps)
+        if cfg.query_policy == ADVERSARIAL_PLUS_RANDOM:
+            wG, f0, f = cfg.random_queries
+            f0_hat = np.array([row @ wG for row in counts]) / m
+            failed |= np.any(relative_gaps(f0, f0_hat, f) > cfg.eps, axis=1)  # NaN never fails
+        return int(failed.sum())
+    return fails
 
 
 def failure_rate(cfg: TrialConfig, m: int) -> tuple[float, tuple[float, float]]:
     """Empirical failure probability at sample size m over all trials, with a Wilson 95% CI.
 
-    The probe's count block is drawn in turn, in blocks of at most BLOCK_CELLS
+    The probe's trials are drawn in turn, in blocks of at most BLOCK_CELLS
     cells, which concatenate to the block drawn at once.
     """
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
-    q, w, _ = cfg.hard.law
-    rng, rows, path = derive_rng(cfg.master_seed, m), _block_rows(q.size), _count_path(q, m)
+    fails, rows = _probe(cfg, m), _block_rows(cfg.hard.instance.n)
     failures = 0
     for done in range(0, cfg.trials, rows):
-        counts, mean_w = _draw_counts(q, w, m, min(rows, cfg.trials - done), rng, path)
-        failures += int(_trial_failures(cfg, counts, mean_w, m).sum())
+        failures += fails(min(rows, cfg.trials - done))
     return failures / cfg.trials, wilson_interval(failures, cfg.trials)
 
 
@@ -238,14 +237,12 @@ def _probe_failures(cfg: TrialConfig, m: int, k_fail: int) -> int:
     fails as in `failure_rate`'s block, under every law and query policy.
     Returns k_fail on a failed probe, less on a passed one.
     """
-    q, w, _ = cfg.hard.law
-    rng, cap, path = derive_rng(cfg.master_seed, m), _block_rows(q.size), _count_path(q, m)
+    fails, cap = _probe(cfg, m), _block_rows(cfg.hard.instance.n)
     done = failures = 0
     while failures < k_fail <= failures + cfg.trials - done:
         need = k_fail - failures
         rows = min(need, cfg.trials - done - need + 1, cap)
-        counts, mean_w = _draw_counts(q, w, m, rows, rng, path)
-        failures += int(_trial_failures(cfg, counts, mean_w, m).sum())
+        failures += fails(rows)
         done += rows
     return failures
 
@@ -320,8 +317,12 @@ def _bootstrap_slope_ci(points, seed: int) -> tuple[float, float]:
 
     All resamples are drawn at once from the stream (seed, 0xB007) and fitted
     by `_slopes`, as the point fit is; a resample whose log k has no spread
-    has no slope and is dropped.  NaNs when every resample is dropped.
+    has no slope and is dropped.  NaNs when every resample is dropped, and
+    for fewer than three points: each resample of two either repeats the
+    point fit or is dropped, so its interval would have zero width.
     """
+    if len(points) < 3:
+        return (float("nan"), float("nan"))
     x = np.log(np.array([p[0] for p in points], dtype=float))
     y = np.log(np.array([p[1] for p in points], dtype=float))
     idx = derive_rng(seed, 0xB007).integers(0, x.size, size=(SLOPE_RESAMPLES, x.size))
@@ -380,7 +381,6 @@ def scaling_curve(kind: str, k_list, eps: float, delta: float,
 
 def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,
                        m: int, trials: int, seed: int,
-                       convention: str = MIXTURE,
                        weights_override=None) -> tuple[float, float]:
     """Monte Carlo gap between the mean subsampled loss and the exact loss at x.
 
@@ -391,7 +391,7 @@ def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,
     if trials < 100 or m < 1:
         raise InvalidInputError("need at least 100 trials and m >= 1")
     x = np.asarray(x, dtype=float)
-    q, w, _ = _law(instance, kind, convention)
+    q, w, _ = _law(instance, kind, MIXTURE)
     if weights_override is not None:
         w = np.asarray(weights_override, dtype=float)
         if w.shape != q.shape or not np.all(np.isfinite(w)):
@@ -399,9 +399,8 @@ def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,
     gvals = np.asarray(eval_loss(spec.loss, instance.atoms @ x))
     f0 = float(instance.masses @ gvals)
     per_atom = w * gvals
-    rng, rows, path = derive_rng(seed, m), _block_rows(q.size), _count_path(q, m)
-    means = np.concatenate([_draw_counts(q, per_atom, m, min(rows, trials - t), rng, path)[1]
-                            for t in range(0, trials, rows)])
+    draw, rows = _count_rows(q, per_atom, m, derive_rng(seed, m)), _block_rows(q.size)
+    means = np.concatenate([draw(min(rows, trials - t))[1] for t in range(0, trials, rows)])
     gap = float(means.mean() - f0)
     stderr = float(means.std(ddof=1) / math.sqrt(trials))
     return gap, stderr

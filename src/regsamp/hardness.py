@@ -110,8 +110,6 @@ class HardInstance:
 class FailureVerdict:
     failed: bool
     witness_query: np.ndarray | None = None
-    counts: np.ndarray | None = None
-    threshold: float | None = None
 
     def __post_init__(self):
         if self.failed and self.witness_query is None:
@@ -460,14 +458,14 @@ def _quad_errors(hard: HardInstance, counts: np.ndarray, mean_w: np.ndarray, m: 
 
 
 # A kind's violation function maps (hard, counts (trials, n), mean_w (trials,),
-# m, eps) to per-trial, per-candidate `bad` flags and per-candidate thresholds;
-# its witness builder maps (hard, counts (n,), candidate) to the query at which
+# m, eps) to per-trial, per-candidate `bad` flags, (trials, candidates); its
+# witness builder maps (hard, counts (n,), candidate) to the query at which
 # that candidate's failure shows.
 
 def _quad_violations(hard, counts, mean_w, m, eps):
     """Candidate 0: the query on the least-sampled half; candidate 1: the origin."""
     err_x, err_0 = _quad_errors(hard, counts, mean_w, m)
-    return np.stack([err_x > eps, err_0 > eps], axis=1), np.full(2, eps)
+    return np.stack([err_x > eps, err_0 > eps], axis=1)
 
 
 def _quad_witness(hard, counts, j):
@@ -485,8 +483,7 @@ def _quad_witness(hard, counts, j):
 def _count_deviation(hard, counts, mean_w, m, eps, width):
     """Candidate j: atom j's isolating query; fails when |count_j - mu_j| > width eps mu_j."""
     mu = m * hard.probabilities
-    thresh = width * eps * mu
-    return np.abs(counts - mu) > thresh, thresh
+    return np.abs(counts - mu) > width * eps * mu
 
 
 def _lin_smooth_violations(hard, counts, mean_w, m, eps):
@@ -494,8 +491,7 @@ def _lin_smooth_violations(hard, counts, mean_w, m, eps):
     j >= 1: atom j-1's query (count at least mu + eps mu factor)."""
     mu = m * hard.probabilities
     t = eps * mu * hard.params["threshold_factor"]
-    bad = np.hstack([(np.abs(mean_w - 1.0) > eps)[:, None], counts >= mu + t])
-    return bad, np.concatenate([[eps], t])
+    return np.hstack([(np.abs(mean_w - 1.0) > eps)[:, None], counts >= mu + t])
 
 
 def _coupon_violations(hard, counts, mean_w, m, eps):
@@ -503,7 +499,7 @@ def _coupon_violations(hard, counts, mean_w, m, eps):
     relative error at that query exceeds eps."""
     alpha, d, k = hard.params["alpha"], hard.params["d"], hard.params["k"]
     err = (alpha / d) / (alpha / d + alpha * alpha / k)
-    return (counts == 0) & (err > eps), np.full(counts.shape[1], eps)
+    return (counts == 0) & (err > eps)
 
 
 @dataclass(frozen=True)
@@ -512,7 +508,7 @@ class Kind:
     schema: its names and annotations are what `generate` accepts."""
     gen: Callable[..., HardInstance]
     regs: tuple[str, ...]  # the values a `reg` parameter may take
-    violations: Callable[..., tuple[np.ndarray, np.ndarray]]
+    violations: Callable[..., np.ndarray]
     witness: Callable[[HardInstance, np.ndarray, int], np.ndarray]
 
 
@@ -630,7 +626,7 @@ def batch_failed(hard: HardInstance, counts: np.ndarray, mean_w, m: int,
     """
     counts = np.atleast_2d(counts)
     mean_w = np.atleast_1d(np.asarray(mean_w, dtype=float))
-    bad, _ = _kind(hard.kind).violations(hard, counts, mean_w, m, eps)
+    bad = _kind(hard.kind).violations(hard, counts, mean_w, m, eps)
     return bad.any(axis=1)
 
 
@@ -650,16 +646,14 @@ def adversarial_relative_error(hard: HardInstance, samples: Coreset) -> tuple[fl
 def check_failure(hard: HardInstance, samples: Coreset, eps: float) -> FailureVerdict:
     """Evaluate the instance-specific failure predicate on a drawn sample.
 
-    The verdict carries the first violated candidate's query and threshold,
-    or the largest threshold when none is violated.  Samples must have been
-    drawn under the convention the instance records; mismatched weights
-    raise a configuration error.
+    A failed verdict carries the first violated candidate's query.  Samples
+    must have been drawn under the convention the instance records;
+    mismatched weights raise a configuration error.
     """
     counts, mean_w, m = _counts_from_samples(hard, samples)
     entry = _kind(hard.kind)
-    bad, thresh = entry.violations(hard, counts[None, :], np.array([mean_w]), m, eps)
-    violated = np.flatnonzero(bad[0])
+    bad = entry.violations(hard, counts[None, :], np.array([mean_w]), m, eps)[0]
+    violated = np.flatnonzero(bad)
     if violated.size == 0:
-        return FailureVerdict(False, None, counts, float(thresh.max()))
-    j = int(violated[0])
-    return FailureVerdict(True, entry.witness(hard, counts, j), counts, float(thresh[j]))
+        return FailureVerdict(False)
+    return FailureVerdict(True, entry.witness(hard, counts, int(violated[0])))

@@ -688,9 +688,9 @@ def recommended_sample_size(rule: str, loss: LossSpec, reg: RegSpec, k: float,
     return int(math.ceil(m))
 
 
-def build_query_set(dim: int, k: float, seed: int, adversarial=(),
+def build_query_set(dim: int, k: float, seed: int,
                     n_gaussian: int = 100, n_sparse: int = 100) -> QuerySet:
-    """Origin + adversarial queries + random probes.
+    """Origin + random probes.
 
     Probes: n_gaussian unit directions at radii {0.1, 1, sqrt(k), k, 10k}
     and n_sparse random few-hot +-1 vectors.
@@ -698,9 +698,6 @@ def build_query_set(dim: int, k: float, seed: int, adversarial=(),
     rng = derive_rng(seed)
     queries = [np.zeros(dim)]
     tags = [TAG_ORIGIN]
-    for x in adversarial:
-        queries.append(np.asarray(x, dtype=float))
-        tags.append(TAG_ADVERSARIAL)
     radii = [0.1, 1.0, math.sqrt(k), k, 10.0 * k]
     dirs = rng.standard_normal((n_gaussian, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

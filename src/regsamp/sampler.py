@@ -241,8 +241,6 @@ class Coreset:
 class SEstimate:
     s_hat: float
     m_used: int
-    eps: float
-    delta: float
 
     def __post_init__(self):
         if not self.s_hat > 0:
@@ -363,7 +361,7 @@ def estimate_S(instance: "Instance", kind: str, eps: float, delta: float, seed: 
     rng = derive_rng(seed)
     idx = CategoricalSampler(instance.masses).draw(rng, m)
     s = _scores(kind, instance.norms, instance.n)
-    return SEstimate(s_hat=float(s[idx].mean()), m_used=m, eps=eps, delta=delta)
+    return SEstimate(s_hat=float(s[idx].mean()), m_used=m)
 
 
 def weights_from_estimate(samples: Coreset, s_hat: float) -> Coreset:

@@ -220,7 +220,7 @@ def check_moment_curve(samples_to_try: int = 100) -> CheckResult:
         smp = draw_iid(inst, hard.score_kind, m, seed=9000 + r,
                        convention=hard.convention)
         counts = np.bincount(smp.idx, minlength=inst.n)
-        count_fail = violations(hard, counts[None, :], smp.w.mean(keepdims=True), m, eps)[0][0]
+        count_fail = violations(hard, counts[None, :], smp.w.mean(keepdims=True), m, eps)[0]
         eval_fail = relative_errors(inst, hard.spec, smp, eta * dirs) > eps
         disagreements += int(np.sum(count_fail != eval_fail))
     ok &= disagreements == 0

@@ -21,10 +21,12 @@ from regsamp.bench import (
     write_scaling_csv,
 )
 from regsamp.errors import BudgetExceededError, DegenerateInstanceError, InvalidInputError
-from regsamp.hardness import (HARD_KINDS, gen_coupon_relu, gen_lin_logistic, gen_lin_relu,
-                              gen_moment_curve, gen_quad_hinge, gen_quad_relu, generate)
+from regsamp.hardness import (HARD_KINDS, batch_failed, gen_coupon_relu, gen_lin_logistic,
+                              gen_lin_relu, gen_moment_curve, gen_quad_hinge, gen_quad_relu,
+                              generate)
 from regsamp.losses import L2SQ, LOGISTIC, make_loss, make_reg
 from regsamp.model import ObjectiveSpec, gaussian_instance, make_instance
+from regsamp.objective import relative_gaps
 from regsamp.sampler import CategoricalSampler, derive_rng
 
 
@@ -86,6 +88,41 @@ BLOCK_KINDS = {
 }
 
 
+def draw_blocks(q, w, m, rng, sizes):
+    """Blocks of the given sizes drawn in turn from one count stream on rng.
+
+    An index path counts every block into one array, so each block's counts
+    are copied before the next is drawn."""
+    draw = bench._count_rows(q, w, m, rng)
+    return [(counts.copy(), mean_w) for counts, mean_w in map(draw, sizes)]
+
+
+def record_rows(monkeypatch):
+    """The rows of every draw from every count stream built from now on, in order."""
+    rows, count_rows = [], bench._count_rows
+
+    def recording(q, w, m, rng):
+        draw = count_rows(q, w, m, rng)
+
+        def recorded(trials):
+            rows.append(trials)
+            return draw(trials)
+        return recorded
+
+    monkeypatch.setattr(bench, "_count_rows", recording)
+    return rows
+
+
+def row_failures(cfg, counts, mean_w, m):
+    """Each row's verdict on a count block, worked out over the whole block."""
+    failed = batch_failed(cfg.hard, counts, mean_w, m, cfg.eps)
+    if cfg.query_policy == bench.ADVERSARIAL_PLUS_RANDOM:
+        wG, f0, f = cfg.random_queries
+        f0_hat = np.array([row @ wG for row in counts]) / m
+        failed |= np.any(relative_gaps(f0, f0_hat, f) > cfg.eps, axis=1)
+    return failed
+
+
 @functools.cache
 def block_configs(kind):
     """The kind's small instance under both query policies."""
@@ -101,7 +138,7 @@ class TestDrawCounts:
         w = np.linspace(0.5, 1.5, 30)
         trials = 2000
         for m in (15, 400):
-            counts, mean_w = bench._draw_counts(q, w, m, trials, derive_rng(8, m))
+            counts, mean_w = bench._count_rows(q, w, m, derive_rng(8, m))(trials)
             assert counts.shape == (trials, 30)
             assert np.all(counts.sum(axis=1) == m)
             np.testing.assert_allclose(mean_w, counts @ w / m, rtol=1e-14, atol=0)
@@ -113,7 +150,7 @@ class TestDrawCounts:
         # a uniform law at m <= 30 n counts each row's m uniform indices
         n, trials = 10, 3000
         q, w = np.full(n, 1.0 / n), np.linspace(0.5, 1.5, n)
-        counts, mean_w = bench._draw_counts(q, w, m, trials, derive_rng(5, m))
+        counts, mean_w = bench._count_rows(q, w, m, derive_rng(5, m))(trials)
         assert np.all(counts.sum(axis=1) == m)
         stderr = np.sqrt(m * (1 / n) * (1 - 1 / n) / trials)
         assert np.all(np.abs(counts.mean(axis=0) - m / n) <= 4 * stderr)
@@ -126,7 +163,7 @@ class TestDrawCounts:
         # a law that is not uniform at m <= n/2 counts each row's m draws of draw_iid's sampler
         n, trials = 10, 3000
         q, w = np.linspace(1, 2, n) / 15, np.linspace(0.5, 1.5, n)
-        counts, mean_w = bench._draw_counts(q, w, m, trials, derive_rng(5, m))
+        counts, mean_w = bench._count_rows(q, w, m, derive_rng(5, m))(trials)
         np.testing.assert_allclose(mean_w, counts @ w / m, rtol=1e-14, atol=0)
         idx = CategoricalSampler(q).draw(derive_rng(5, m), trials * m).reshape(trials, m)
         assert np.array_equal(counts, [np.bincount(row, minlength=n) for row in idx])
@@ -136,7 +173,7 @@ class TestDrawCounts:
         # past m = 30 n under a uniform law, and past m = n/2 under any other,
         # the rows are numpy's multinomial
         m = 30 * q.size + 1 if q.min() == q.max() else q.size // 2 + 1
-        counts, _ = bench._draw_counts(q, np.ones(q.size), m, 50, derive_rng(6, m))
+        counts, _ = bench._count_rows(q, np.ones(q.size), m, derive_rng(6, m))(50)
         assert np.array_equal(counts, derive_rng(6, m).multinomial(m, q, size=50))
 
     @staticmethod
@@ -146,9 +183,8 @@ class TestDrawCounts:
         # every sum exact; the property test below covers weights off 1
         w = np.ones(q.size)
         assert bench.BLOCK_CELLS // max(m, q.size) < 1200 - 10
-        whole = bench._draw_counts(q, w, m, 1200, derive_rng(4, m))
-        rng = derive_rng(4, m)
-        parts = [bench._draw_counts(q, w, m, rows, rng) for rows in (1, 2, 7, 1190)]
+        whole = bench._count_rows(q, w, m, derive_rng(4, m))(1200)
+        parts = draw_blocks(q, w, m, derive_rng(4, m), (1, 2, 7, 1190))
         for one, blocks in zip(whole, zip(*parts)):
             assert np.array_equal(one, np.concatenate(blocks))
 
@@ -174,7 +210,7 @@ class TestDrawCounts:
         assert m > bench.BLOCK_CELLS and (m <= bench.INDEX_RATIO * n if uniform else 2 * m <= n)
         tracemalloc.start()
         try:
-            counts, _ = bench._draw_counts(q, np.ones(n), m, 2, derive_rng(9, m))
+            counts, _ = bench._count_rows(q, np.ones(n), m, derive_rng(9, m))(2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -194,7 +230,7 @@ class TestDrawCounts:
         if cells is not None:
             monkeypatch.setattr(bench, "BLOCK_CELLS", cells)
         q = np.random.default_rng(n).dirichlet(np.ones(n))
-        counts, _ = bench._draw_counts(q, np.ones(n), m, 40, derive_rng(2, m))
+        counts, _ = bench._count_rows(q, np.ones(n), m, derive_rng(2, m))(40)
         idx = CategoricalSampler(q).draw(derive_rng(2, m), 40 * m).reshape(40, m)
         assert np.array_equal(counts, [np.bincount(row, minlength=n) for row in idx])
 
@@ -227,23 +263,27 @@ class TestDrawCounts:
     def test_blocks_give_the_one_shot_rows(self, kind, past_index_draws, spot, trials, cuts):
         # rows drawn in blocks split anywhere, on both draw paths (index draws
         # at m <= 30 n under the uniform laws and m <= n/2 under moment-curve's,
-        # and the multinomial past that) give the counts, mean weights and
-        # failure rows under both policies of the block drawn at once, bit for
-        # bit; splits also fall across the index draws' chunks
+        # and the multinomial past that) give the counts and mean weights of
+        # the block drawn at once, bit for bit, and a probe's blocks fail as
+        # those rows do under both policies; splits also fall across the index
+        # draws' chunks
         cfgs = block_configs(kind)
         q, w, _ = cfgs[0].hard.law
         n = q.size
         last = bench.INDEX_RATIO * n if q.min() == q.max() else n // 2
         m = last + 1 + int(spot * 28 * n) if past_index_draws else 1 + int(spot * (last - 1))
         bounds = sorted({0, trials, *(int(cut * trials) for cut in cuts)})
-        whole = bench._draw_counts(q, w, m, trials, derive_rng(5, m))
-        rng = derive_rng(5, m)
-        parts = [bench._draw_counts(q, w, m, hi - lo, rng) for lo, hi in zip(bounds, bounds[1:])]
+        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        whole = bench._count_rows(q, w, m, derive_rng(5, m))(trials)
+        parts = draw_blocks(q, w, m, derive_rng(5, m), sizes)
         for one, blocks in zip(whole, zip(*parts)):
             assert np.array_equal(one, np.concatenate(blocks))
+        whole = bench._count_rows(q, w, m, derive_rng(cfgs[0].master_seed, m))(trials)
         for cfg in cfgs:
-            failed = [bench._trial_failures(cfg, counts, mean_w, m) for counts, mean_w in parts]
-            assert np.array_equal(bench._trial_failures(cfg, *whole, m), np.concatenate(failed))
+            failed = row_failures(cfg, *whole, m)
+            fails = bench._probe(cfg, m)
+            assert [fails(rows) for rows in sizes] == [failed[lo:hi].sum()
+                                                      for lo, hi in zip(bounds, bounds[1:])]
 
     @pytest.mark.parametrize("n", [128, 456])
     @pytest.mark.parametrize("trials", [1, 2, 16, 17, 33, 200])
@@ -252,11 +292,10 @@ class TestDrawCounts:
         # one at a time, or 16 at a time, get the one-shot block's mean weights
         rng = np.random.default_rng(n)
         q, w = rng.dirichlet(np.ones(n)), rng.uniform(0.1, 2.0, n)
-        whole = bench._draw_counts(q, w, 5000, trials, derive_rng(2, n))
+        whole = bench._count_rows(q, w, 5000, derive_rng(2, n))(trials)
         for chunk in (1, 16):
-            gen = derive_rng(2, n)
-            parts = [bench._draw_counts(q, w, 5000, min(chunk, trials - lo), gen)
-                     for lo in range(0, trials, chunk)]
+            parts = draw_blocks(q, w, 5000, derive_rng(2, n),
+                                [min(chunk, trials - lo) for lo in range(0, trials, chunk)])
             for one, blocks in zip(whole, zip(*parts)):
                 assert np.array_equal(one, np.concatenate(blocks))
 
@@ -272,7 +311,7 @@ class TestDrawCounts:
         for q, w in laws:
             tracemalloc.start()
             try:
-                counts, _ = bench._draw_counts(q, w, 30000, 200, derive_rng(1, 30000))
+                counts, _ = bench._count_rows(q, w, 30000, derive_rng(1, 30000))(200)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -281,7 +320,7 @@ class TestDrawCounts:
     def test_probabilities_numpy_rejects_are_a_typed_error(self):
         # the first n-1 entries sum above 1, which numpy rejects with ValueError
         with pytest.raises(DegenerateInstanceError):
-            bench._draw_counts(np.array([0.6, 0.6, 0.0]), np.ones(3), 5, 2, derive_rng(0))
+            bench._count_rows(np.array([0.6, 0.6, 0.0]), np.ones(3), 5, derive_rng(0))(2)
 
 
 class TestFailureRate:
@@ -298,17 +337,30 @@ class TestFailureRate:
         assert failure_rate(config(), 40) == first
 
     def test_one_stream_per_probe(self, monkeypatch):
-        calls = []
+        # failure_rate, the search's probes and the unbiasedness check each
+        # draw every block of a probe from one count stream on one generator
+        calls, streams, count_rows = [], [], bench._count_rows
 
         def counting(*key):
             calls.append(key)
             return derive_rng(*key)
 
+        def counting_rows(q, w, m, rng):
+            streams.append(m)
+            return count_rows(q, w, m, rng)
+
         monkeypatch.setattr(bench, "derive_rng", counting)
+        monkeypatch.setattr(bench, "_count_rows", counting_rows)
+        monkeypatch.setattr(bench, "BLOCK_CELLS", 3 * 8)  # 3-row blocks of lin-relu(4)
         cfg = TrialConfig(eps=0.25, delta=0.2, trials=50, master_seed=3, hard=gen_lin_relu(4))
         for m in (10, 40):
             failure_rate(cfg, m)
-        assert calls == [(3, 10), (3, 40)]
+        bench._probe_failures(cfg, 20, bench._fail_threshold(cfg.trials, cfg.delta))
+        inst = gaussian_instance(8, 3, seed=21)
+        spec = ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ), 10.0)
+        unbiasedness_check(inst, spec, "norm", np.full(3, 0.5), m=50, trials=100, seed=6)
+        assert calls == [(3, 10), (3, 40), (3, 20), (6, 50)]
+        assert streams == [10, 40, 20, 50]
 
     def test_probabilities_and_weights_built_once_per_config(self, monkeypatch):
         import regsamp.hardness as hardness
@@ -500,16 +552,14 @@ class TestVerdictProbes:
         # after which the verdict is fixed
         seq, drawn = [], []
 
-        def fake_draw(q, w, m, rows, rng, path):
-            drawn.append(rows)
-            return np.zeros((rows, 1)), np.zeros(rows)
+        def fake_probe(cfg, m):
+            def fails(rows):
+                start = sum(drawn)
+                drawn.append(rows)
+                return sum(seq[start:start + rows])
+            return fails
 
-        def fake_failures(cfg, counts, mean_w, m):
-            start = sum(drawn) - len(counts)
-            return np.array(seq[start:start + len(counts)], dtype=bool)
-
-        monkeypatch.setattr(bench, "_draw_counts", fake_draw)
-        monkeypatch.setattr(bench, "_trial_failures", fake_failures)
+        monkeypatch.setattr(bench, "_probe", fake_probe)
         for trials in range(1, 10):
             cfg = TrialConfig(eps=0.25, delta=0.2, trials=trials, hard=gen_lin_relu(4))
             for bits in range(2 ** trials):
@@ -525,18 +575,13 @@ class TestVerdictProbes:
                     assert sum(drawn) == settled
 
     def test_search_draws_fewer_rows_from_one_stream_per_probe(self, monkeypatch):
-        rows, keys = [], []
-        draw, rng = bench._draw_counts, bench.derive_rng
-
-        def counting_draw(q, w, m, trials, gen, path):
-            rows.append(trials)
-            return draw(q, w, m, trials, gen, path)
+        keys, rng = [], bench.derive_rng
+        rows = record_rows(monkeypatch)
 
         def counting_rng(*key):
             keys.append(key)
             return rng(*key)
 
-        monkeypatch.setattr(bench, "_draw_counts", counting_draw)
         monkeypatch.setattr(bench, "derive_rng", counting_rng)
         cfg = TrialConfig(eps=0.25, delta=0.2, trials=200, master_seed=7,
                           hard=gen_lin_relu(16))
@@ -672,6 +717,13 @@ class TestScalingCurve:
             assert (dropped > 0) == some_dropped
             lo, hi = bench._bootstrap_slope_ci(points, seed)
             assert abs(lo - ref[0]) <= 1e-12 and abs(hi - ref[1]) <= 1e-12
+
+    def test_two_points_have_no_interval(self):
+        # each resample of two points repeats the point fit or has no spread in k
+        points = ((4.0, 50), (8.0, 124))
+        lo, hi = self.polyfit_bootstrap(points, 0)[0]
+        assert lo == pytest.approx(hi, rel=1e-12)
+        assert all(math.isnan(v) for v in bench._bootstrap_slope_ci(points, 0))
 
     def test_bootstrap_without_spread_in_k_is_nan(self):
         points = ((8.0, 40), (8.0, 44), (8.0, 47))
@@ -887,13 +939,7 @@ class TestFailureRateBlocks:
         # moves no verdict: m* is the one of the unsplit blocks
         cfg = verdict_configs()[name]
         m_star = min_sample_size(cfg)
-        rows, draw = [], bench._draw_counts
-
-        def spy(q, w, m, trials, rng, path):
-            rows.append(trials)
-            return draw(q, w, m, trials, rng, path)
-
-        monkeypatch.setattr(bench, "_draw_counts", spy)
+        rows = record_rows(monkeypatch)
         monkeypatch.setattr(bench, "BLOCK_CELLS", 3 * cfg.hard.instance.n)  # 3-row blocks
         assert min_sample_size(cfg) == m_star
         assert rows and max(rows) <= 3
@@ -901,8 +947,7 @@ class TestFailureRateBlocks:
     def test_blocks_concatenate_to_the_one_shot_block(self):
         hard = gen_quad_hinge(8.0, 0.25)
         q, w, _ = hard.law
-        whole = bench._draw_counts(q, w, 90, 100, derive_rng(3, 90))
-        rng = derive_rng(3, 90)
-        parts = [bench._draw_counts(q, w, 90, rows, rng) for rows in (7, 7, 86)]
+        whole = bench._count_rows(q, w, 90, derive_rng(3, 90))(100)
+        parts = draw_blocks(q, w, 90, derive_rng(3, 90), (7, 7, 86))
         for one, blocks in zip(whole, zip(*parts)):
             assert np.array_equal(one, np.concatenate(blocks))

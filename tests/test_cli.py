@@ -420,7 +420,8 @@ class TestBench:
         assert len(lines) == 4
 
     def test_scaling_past_the_m_cap_writes_a_budget_row(self, tmp_path, capsys):
-        # k = 16 (m* = 424 uncapped) passes the cap; k = 4 and 8 are fitted
+        # k = 16 (m* = 424 uncapped) passes the cap; k = 4 and 8 are fitted, and
+        # two points have a slope but no bootstrap interval
         cfg = {"mode": "scaling", "kind": "lin-relu", "k_list": [4, 8, 16], "eps": 0.3,
                "delta": 0.25, "trials": 20, "master_seed": 0, "reg": "l1", "m_cap": 256}
         cfg_path = tmp_path / "cfg.json"
@@ -431,8 +432,8 @@ class TestBench:
             "warning: k=16: no accepted sample size below the cap 256\n"
         lines = (tmp_path / "o" / "scaling.csv").read_text().splitlines()
         slope = f"{math.log2(124 / 50):.10g}"
-        assert [line.split(",")[:4] for line in lines[1:3]] == \
-            [["lin-relu", "4", "50", slope], ["lin-relu", "8", "124", slope]]
+        assert slope == "1.310340121"
+        assert lines[1:3] == [f"lin-relu,4,50,{slope},nan,nan", f"lin-relu,8,124,{slope},nan,nan"]
         assert lines[3:] == ["lin-relu,16,budget-exceeded,,,"]
         assert (tmp_path / "o" / "scaling_plot.dat").read_text() == "4 50\n8 124\n"
 

@@ -194,17 +194,17 @@ class TestLinRelu:
         assert f == pytest.approx(3.0 / (2.0 * k), abs=1e-12)
 
     def test_predicate_example(self):
-        # m = 100, k = 10, uniform scores: mu = 5, threshold 1.5; a count of 7 fails
+        # m = 100, k = 10, uniform scores: mu = 5, threshold 1.5; a count of 7
+        # fails, and counts of 6 and 4 pass
         k, m = 10, 100
         hard = gen_lin_relu(k)
-        counts = [7, 4, 4] + [5] * 17
-        indices = [i for i, c in enumerate(counts) for _ in range(c)]
-        assert len(indices) == m
-        samples = sample_atoms(hard, indices)
-        verdict = check_failure(hard, samples, 0.1)
-        assert verdict.failed
-        assert verdict.threshold == pytest.approx(1.5)
-        assert np.array_equal(verdict.witness_query, -hard.instance.atoms[0])
+        verdicts = []
+        for counts in ([7, 4, 4] + [5] * 17, [6, 4] + [5] * 18):
+            indices = [i for i, c in enumerate(counts) for _ in range(c)]
+            assert len(indices) == m
+            verdicts.append(check_failure(hard, sample_atoms(hard, indices), 0.1))
+        assert verdicts[0].failed and not verdicts[1].failed
+        assert np.array_equal(verdicts[0].witness_query, -hard.instance.atoms[0])
 
     def test_exact_proportions_not_failed(self):
         k = 10
@@ -564,8 +564,7 @@ class TestAtomsOnDemand:
             samples = draw_iid(hard.instance, hard.score_kind, m, seed=m,
                                convention=hard.convention)
             mine, dense = check_failure(hard, samples, eps), check_failure(twin, samples, eps)
-            assert mine.failed == dense.failed and mine.threshold == dense.threshold
-            assert np.array_equal(mine.counts, dense.counts)
+            assert mine.failed == dense.failed
             assert (mine.witness_query is None) == (dense.witness_query is None)
             if mine.failed:
                 assert np.array_equal(mine.witness_query, dense.witness_query)

@@ -833,9 +833,7 @@ class TestQuerySets:
         assert qs.tags[0] == "origin"
 
     def test_counts_and_tags(self):
-        qs = build_query_set(4, 8.0, seed=1, adversarial=[np.ones(4)],
-                             n_gaussian=10, n_sparse=7)
-        assert len(qs) == 1 + 1 + 10 * 5 + 7
-        assert qs.tags.count("adversarial") == 1
+        qs = build_query_set(4, 8.0, seed=1, n_gaussian=10, n_sparse=7)
+        assert len(qs) == 1 + 10 * 5 + 7
         assert qs.tags.count("random-gaussian") == 50
         assert qs.tags.count("random-sparse") == 7

@@ -1,0 +1,137 @@
+"""Every argument check of the public API that no other test reaches: each
+call is refused with its typed error and a message naming what was wrong."""
+
+import re
+
+import numpy as np
+import pytest
+
+from regsamp.bench import TrialConfig, failure_rate, fit_loglog_slope, wilson_interval
+from regsamp.errors import (
+    ApplicabilityError,
+    BudgetExceededError,
+    ConfigurationError,
+    InvalidInputError,
+)
+from regsamp.hardness import (
+    check_failure,
+    gen_coupon_relu,
+    gen_lin_relu,
+    gen_lin_sigmoid,
+    gen_quad_relu,
+    gen_quad_sigmoid,
+    generate,
+    reduction_scale,
+)
+from regsamp.losses import L1, L2SQ, LOGISTIC, check_bounded_derivative, make_loss, make_reg
+from regsamp.model import ObjectiveSpec, compute_constants, gaussian_instance, make_instance
+from regsamp.objective import QuerySet, estimate_opt, recommended_sample_size
+from regsamp.sampler import (
+    CategoricalSampler,
+    Coreset,
+    draw_iid,
+    estimate_S,
+    rejection_stream,
+    weighted_reservoir,
+    weights_from_estimate,
+)
+
+
+def lin_relu_config(**kw):
+    return TrialConfig(**{"eps": 0.25, "delta": 0.2, "hard": gen_lin_relu(4), **kw})
+
+
+def one_sample(hard, idx, w):
+    """A one-atom sample of hard's instance that claims atom idx with weight w."""
+    return Coreset(np.array([idx]), np.zeros((1, hard.instance.dim)), np.array([w]),
+                   np.ones(1))
+
+
+def sample_size(rule, eps=0.25):
+    inst = gaussian_instance(10, 2, seed=0)
+    loss = make_loss(LOGISTIC)
+    return recommended_sample_size(rule, loss, make_reg(L1), 4.0, eps, 0.1,
+                                   compute_constants(inst, "norm", loss))
+
+
+def a_sample():
+    return draw_iid(make_instance(np.eye(2)), "norm", 3, seed=0)
+
+
+REFUSALS = {
+    "trial-config-eps": (lambda: lin_relu_config(eps=1.0),
+                         InvalidInputError, "eps and delta must lie in (0, 1)"),
+    "trial-config-delta": (lambda: lin_relu_config(delta=0.0),
+                           InvalidInputError, "eps and delta must lie in (0, 1)"),
+    "trial-config-trials": (lambda: lin_relu_config(trials=0),
+                            InvalidInputError, "trials must be >= 1"),
+    "wilson-no-trials": (lambda: wilson_interval(0, 0), InvalidInputError, "trials must be >= 1"),
+    "failure-rate-m-0": (lambda: failure_rate(lin_relu_config(), 0),
+                         InvalidInputError, "sample size m must be >= 1"),
+    "slope-one-k": (lambda: fit_loglog_slope([8, 8, 8], [10, 20, 30]),
+                    InvalidInputError, "need at least two distinct k values"),
+    "quad-sigmoid-eps": (lambda: gen_quad_sigmoid(8.0, 0.2),
+                         InvalidInputError, "eps must lie in (0, 1/10]"),
+    "quad-relu-eps": (lambda: gen_quad_relu(8.0, 0.3),
+                      InvalidInputError, "eps must lie in (0, 1/4]"),
+    "lin-sigmoid-k-3": (lambda: gen_lin_sigmoid(3), InvalidInputError, "k must be >= 4"),
+    "coupon-relu-d-1": (lambda: gen_coupon_relu(1, 4.0), InvalidInputError, "d must be >= 2"),
+    "reduction-beta-0": (lambda: reduction_scale(make_loss(LOGISTIC), make_reg(L1), [1.0], 0.0),
+                         InvalidInputError, "beta must be positive"),
+    "quad-logistic-huge-k": (lambda: generate("quad-logistic", k=1e308, eps=0.1),
+                             BudgetExceededError, "quad-logistic: the instance size overflows"),
+    "verdict-index-outside": (lambda: check_failure(gen_lin_relu(4),
+                                                    one_sample(gen_lin_relu(4), 8, 1.0), 0.25),
+                              ConfigurationError, "sample indexes an atom outside the instance"),
+    "verdict-mixture-weight": (lambda: check_failure(gen_coupon_relu(8, 4.0),
+                                                     one_sample(gen_coupon_relu(8, 4.0), 0, 2.5),
+                                                     0.25),
+                               ConfigurationError, "mixture weights must lie in (0, 2)"),
+    "queries-empty": (lambda: QuerySet(np.zeros((0, 2))),
+                      InvalidInputError, "query set must be nonempty"),
+    "queries-nan": (lambda: QuerySet(np.array([[0.0, 0.0], [np.nan, 1.0]])),
+                    InvalidInputError, "queries must be finite"),
+    "queries-tag-count": (lambda: QuerySet(np.zeros((2, 2)), ("origin",)),
+                          InvalidInputError, "one tag per query required"),
+    "opt-no-restarts": (lambda: estimate_opt(gaussian_instance(5, 2, seed=0),
+                                             ObjectiveSpec(make_loss(LOGISTIC), make_reg(L2SQ),
+                                                           4.0), restarts=0),
+                        InvalidInputError, "restarts must be >= 1"),
+    "sample-size-eps": (lambda: sample_size("norm", eps=1.0),
+                        InvalidInputError, "eps and delta must lie in (0, 1)"),
+    "sample-size-rule": (lambda: sample_size("nope"),
+                         ApplicabilityError, "unknown sample-size rule 'nope'"),
+    "sampler-zero-mass": (lambda: CategoricalSampler([0.0, 0.0]),
+                          InvalidInputError, "probabilities must have a positive finite sum"),
+    "rejection-s-hat": (lambda: rejection_stream([np.ones(2)], "norm", 0.0, seed=0),
+                        InvalidInputError, "s_hat must be positive"),
+    "reweight-s-hat": (lambda: weights_from_estimate(a_sample(), -1.0),
+                       InvalidInputError, "s_hat must be positive"),
+    "estimate-s-eps": (lambda: estimate_S(make_instance(np.eye(2)), "norm", eps=0.0, delta=0.1,
+                                          seed=0),
+                       InvalidInputError, "eps must be positive and delta in (0, 1)"),
+    "reservoir-m-0": (lambda: weighted_reservoir([(np.ones(2), 1.0)], 0, seed=0),
+                      InvalidInputError, "reservoir size m must be >= 1"),
+    "reservoir-negative-late": (lambda: weighted_reservoir([("a", 1.0), ("b", -1.0)], 1, seed=0),
+                                InvalidInputError, "scores must be positive"),
+    "unknown-loss": (lambda: make_loss("x"), InvalidInputError, "unknown loss kind 'x'"),
+    "unknown-reg": (lambda: make_reg("x"), InvalidInputError, "unknown regularizer kind 'x'"),
+    "empty-grid": (lambda: check_bounded_derivative(make_loss(LOGISTIC), []),
+                   InvalidInputError, "grid must be nonempty"),
+    "masses-shape": (lambda: make_instance(np.eye(2), masses=[1.0]),
+                     InvalidInputError, "masses must have one entry per atom"),
+    "masses-sign": (lambda: make_instance(np.eye(2), masses=[1.0, -1.0]),
+                    InvalidInputError, "masses must be positive with a positive finite sum"),
+    "draw-score-kind": (lambda: draw_iid(make_instance(np.eye(2)), "nope", 3, seed=0),
+                        ConfigurationError, "unknown score kind 'nope'"),
+    "draw-convention": (lambda: draw_iid(make_instance(np.eye(2)), "norm", 3, seed=0,
+                                         convention="nope"),
+                        ConfigurationError, "unknown sampling convention 'nope'"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_refused_with_its_typed_error(name):
+    call, error, fragment = REFUSALS[name]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
