@@ -10,6 +10,7 @@ for a loss g, regularizer R in {l1, l2, l2sq} and strength parameter k >= 1.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections.abc import Callable, Iterable
@@ -296,33 +297,45 @@ def _read_records(path, lines: list[str], start: int, what: str, vector: str,
     None: the first record's count) and `fields` are (key, kind, *default) for
     `_column`.  Records are converted in blocks of at most RECORD_CELLS
     entries, and a block that fails again line by line, to name the bad line.
+
+    Automatic garbage collection is paused for the length of the parse, in the
+    whole process, and then restored to what it was.  JSON records hold no
+    reference cycles, so a collection during the parse frees nothing; yet each
+    record allocates a dict and a list, each collection walks the young
+    objects, and every few files one walks the whole heap.
     """
-    out, lo, single_until = None, 0, 0
-    while lo < len(lines):
-        rows = 1 if not dim or lo < single_until else max(1, RECORD_CELLS // dim)
-        try:
-            recs = [_object(line) for line in lines[lo:lo + rows]]
-            # a non-number entry, or a nested, non-array or ragged vector, raises
-            raw = [rec[vector] for rec in recs]
-            _numbers(chain.from_iterable(raw))
-            vecs = np.array(raw, dtype=float)
-            if vecs.ndim != 2 or not np.isfinite(vecs).all():
-                raise ValueError(f"{vector!r} must be an array of finite numbers")
-            cols = [_column(recs, *field) for field in fields]
-        except _MALFORMED:
-            vecs = None
-        if dim is None and vecs is not None:
-            dim = vecs.shape[1]
-        if vecs is None or vecs.shape[1] != dim:
-            if rows > 1:
-                single_until = lo + rows
-                continue
-            raise DataError(f"{path}: line {start + lo}: " + (
-                f"malformed {what} record" if vecs is None
-                else f"{what} has dimension {vecs.shape[1]}, expected {dim}"))
-        if out is None:  # a converted block, not a header alone, vouches for the sizes
-            out = [np.empty((len(lines), *col.shape[1:]), col.dtype) for col in (vecs, *cols)]
-        for whole, col in zip(out, (vecs, *cols)):
-            whole[lo:lo + len(col)] = col
-        lo += len(vecs)
-    return out[0], out[1:]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out, lo, single_until = None, 0, 0
+        while lo < len(lines):
+            rows = 1 if not dim or lo < single_until else max(1, RECORD_CELLS // dim)
+            try:
+                recs = [_object(line) for line in lines[lo:lo + rows]]
+                # a non-number entry, or a nested, non-array or ragged vector, raises
+                raw = [rec[vector] for rec in recs]
+                _numbers(chain.from_iterable(raw))
+                vecs = np.array(raw, dtype=float)
+                if vecs.ndim != 2 or not np.isfinite(vecs).all():
+                    raise ValueError(f"{vector!r} must be an array of finite numbers")
+                cols = [_column(recs, *field) for field in fields]
+            except _MALFORMED:
+                vecs = None
+            if dim is None and vecs is not None:
+                dim = vecs.shape[1]
+            if vecs is None or vecs.shape[1] != dim:
+                if rows > 1:
+                    single_until = lo + rows
+                    continue
+                raise DataError(f"{path}: line {start + lo}: " + (
+                    f"malformed {what} record" if vecs is None
+                    else f"{what} has dimension {vecs.shape[1]}, expected {dim}"))
+            if out is None:  # a converted block, not a header alone, vouches for the sizes
+                out = [np.empty((len(lines), *col.shape[1:]), col.dtype) for col in (vecs, *cols)]
+            for whole, col in zip(out, (vecs, *cols)):
+                whole[lo:lo + len(col)] = col
+            lo += len(vecs)
+        return out[0], out[1:]
+    finally:
+        if was_enabled:
+            gc.enable()

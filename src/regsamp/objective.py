@@ -198,7 +198,8 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
     The origin is always a candidate, so opt_value <= f(0) = sum(p) g(0),
     which is g(0) up to the rounding of the masses' sum.  Raises
     OptimizerFailureError when the rescaled weight is below MIN_WEIGHT (l2sq
-    atoms with entries of 2^250 or more) or a solver cannot finish.
+    atoms with entries of 2^250 or more, or k above 2^500) or a solver cannot
+    finish.
     """
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
@@ -214,8 +215,9 @@ def estimate_opt(instance: Instance, spec: ObjectiveSpec, restarts: int = 8,
         ys = []
     elif lam < MIN_WEIGHT:
         raise OptimizerFailureError(
-            f"atom entries reach 2^{e}: the regularizer weight {lam:.3g} of the rescaled "
-            "problem is below 2^-500")
+            f"k = {k:.3g} puts the regularizer weight 1/k below 2^-500" if 1.0 / k < MIN_WEIGHT
+            else f"atom entries reach 2^{e}: the regularizer weight {lam:.3g} of the rescaled "
+                 "problem is below 2^-500")
     elif loss.kind == HINGE:
         A, p = _merge_repeats(A, p)
         y, alpha = _HINGE[reg.kind](A, p, lam)[:2]  # l2sq adds its last face and state

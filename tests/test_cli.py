@@ -314,6 +314,21 @@ class TestOpt:
         assert proc.stderr.startswith("error: atom entries reach 2^665: the regularizer weight")
         assert proc.stderr.count("\n") == 1
 
+    def test_huge_k_is_named_in_one_error_line(self, tmp_path):
+        # atoms of entries near 1 rescale by 2^2 only: 1/k = 1e-300 alone is below
+        # 2^-500, so the refusal names k, not the atoms
+        inst_path = tmp_path / "two.jsonl"
+        inst_path.write_text('{"dim": 2, "n": 2}\n{"a": [1, 2], "p": 0.5}\n'
+                             '{"a": [-1, 0.5], "p": 0.5}\n')
+        env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "regsamp.cli", "opt", "--instance", str(inst_path),
+             "--loss", "hinge", "--reg", "l2", "--k", "1e300"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: k = 1e+300 puts the regularizer weight 1/k below 2^-500\n"
+
     def test_tiny_atoms_solve_without_warnings(self, tmp_path):
         # -grad f0(0) is about 1e-170, whose squares underflow: the l2 start scales
         # it up instead of dividing by a zero norm

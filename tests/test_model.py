@@ -1,3 +1,6 @@
+import gc
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -271,6 +274,79 @@ class TestInstanceIO:
         path.write_text('{"dim": 1, "n": 3}\n{"a": [1.0], "p": 1.0}\n')
         with pytest.raises(DataError):
             load_instance(path)
+
+
+# one record of each format, dimension 2, of which eight make a multi-block file
+RECORDS = {"instance": '{"a": [1.0, 2.0], "p": 0.125}', "sample": SAMPLE, "queries": QUERY}
+
+
+def eight_records(fmt: str, bad: bool) -> str:
+    """Eight records of format fmt; with bad, the last one's vector is a string."""
+    lines = [RECORDS[fmt]] * 8
+    if bad:
+        lines[-1] = lines[-1].replace("[1.0, 2.0]", '"12"')
+    return jsonl(*(['{"dim": 2, "n": 8}'] if fmt == "instance" else []), *lines)
+
+
+@pytest.fixture
+def restore_gc():
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """The reader pauses automatic garbage collection while it parses records."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("bad", [False, True], ids=["loads", "refused"])
+    @pytest.mark.parametrize("fmt", LOADERS)
+    def test_loaders_leave_the_collector_as_found(self, tmp_path, monkeypatch, restore_gc,
+                                                  fmt, bad, enabled):
+        # blocks of 2 records, so a bad last record fails in a later block than the first
+        monkeypatch.setattr(model, "RECORD_CELLS", 4)
+        path = tmp_path / f"{fmt}.jsonl"
+        write(path, eight_records(fmt, bad))
+        (gc.enable if enabled else gc.disable)()
+        if bad:
+            with pytest.raises(DataError, match=r": line [89]: malformed \w+ record$"):
+                LOADERS[fmt](path)
+        else:
+            LOADERS[fmt](path)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_starts_during_a_multi_block_parse(self, tmp_path, monkeypatch,
+                                                             restore_gc):
+        path = tmp_path / "inst.jsonl"
+        save_instance(gaussian_instance(3000, 3, seed=5), path)
+        # 3 blocks of 1000 records: a block's 2000 dicts and lists are alive at once,
+        # past the 700 new objects that start a young collection
+        monkeypatch.setattr(model, "RECORD_CELLS", 3000)
+        lines = path.read_text().splitlines()
+        events = []
+
+        def on_gc(phase, info):
+            events.append(phase)
+
+        def parse_one(line, parse=model._object):
+            events.append("record")
+            return parse(line)
+
+        gc.enable()
+        gc.callbacks.append(on_gc)
+        try:
+            parsed = [json.loads(line) for line in lines]  # the same records, collection on
+            unpaused = events.count("start")
+            events.clear()
+            monkeypatch.setattr(model, "_object", parse_one)
+            load_instance(path)
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert len(parsed) == 3001 and unpaused > 0
+        # the header and every record are parsed before any collection starts
+        last = len(events) - events[::-1].index("record")
+        assert events[:last].count("record") == 3001
+        assert "start" not in events[:last]
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
