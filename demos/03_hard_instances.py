@@ -70,8 +70,7 @@ def main():
     print("\n== scaling a relu witness to logistic/hinge ==")
     x = np.array([0.0, -1.0])
     for beta in (1.0, 1e3, 1e6):
-        scaled = rs.reduction_scale(rs.make_loss("logistic"), rs.make_reg("l1"),
-                                    x, beta)
+        scaled = beta * x
         val = float(rs.eval_loss(rs.make_loss("logistic"), scaled[1])) / beta
         print(f"beta = {beta:>9.0e}: g(beta * -1)/beta = {val:.8f} -> relu value 1")
 

@@ -1,12 +1,11 @@
 """Importance-sampling coresets for regularized linear classification losses.
 
 Build small weighted samples whose loss uniformly (1 +- eps)-approximates
-the full regularized objective, stream them with rejection or weighted
-reservoir sampling, stress them against adversarial hard instances, and
-measure empirical sample-complexity scaling.
+the full regularized objective, stress them against adversarial hard
+instances, and measure empirical sample-complexity scaling.
 """
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 from .bench import (
     ScalingCurve,
@@ -32,7 +31,6 @@ from .hardness import (
     gen_quad_relu,
     gen_quad_sigmoid,
     isolating_direction,
-    reduction_scale,
 )
 from .losses import (
     LossSpec,
@@ -76,9 +74,6 @@ from .sampler import (
     derive_rng,
     draw_iid,
     estimate_S,
-    rejection_stream,
-    score,
     weight,
-    weighted_reservoir,
     weights_from_estimate,
 )

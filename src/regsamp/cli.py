@@ -138,6 +138,11 @@ def _cmd_eval(args) -> int:
     if samples.a.shape[1] != instance.dim:
         raise DataError(f"{args.sample}: sample has dimension {samples.a.shape[1]}, "
                         f"instance {args.instance} has dimension {instance.dim}")
+    outside = np.flatnonzero((samples.idx < 0) | (samples.idx >= instance.n))
+    if outside.size:
+        i = int(outside[0])
+        raise DataError(f"{args.sample}: line {i + 1}: atom_index {int(samples.idx[i])} is not "
+                        f"an atom of instance {args.instance}, which has {instance.n} atoms")
     queries = load_queries(args.queries, dim=instance.dim)
     spec = ObjectiveSpec(make_loss(args.loss), make_reg(args.reg), args.k)
     errors = relative_errors(instance, spec, samples, queries.queries)

@@ -21,12 +21,8 @@ class ConfigurationError(RegsampError):
     """Inconsistent or incomplete configuration (missing D, convention mismatch, ...)."""
 
 
-class EstimatorInconsistencyError(RegsampError):
-    """A score exceeded the estimate fed to the rejection sampler (acceptance > 1)."""
-
-
 class ApplicabilityError(RegsampError):
-    """A sample-size rule or reduction was requested outside its hypotheses."""
+    """A sample-size rule was requested outside its hypotheses."""
 
 
 class OptimizerFailureError(RegsampError):

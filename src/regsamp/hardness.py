@@ -34,7 +34,6 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import (
-    ApplicabilityError,
     BudgetExceededError,
     ConfigurationError,
     ConstructionError,
@@ -48,8 +47,6 @@ from .losses import (
     LOGISTIC,
     RELU,
     SIGMOID,
-    LossSpec,
-    RegSpec,
     eval_loss,
     make_loss,
     make_reg,
@@ -392,21 +389,6 @@ def gen_moment_curve(N: int, d: int, t_values: list[float] | None = None,
               "directions": directions, "c_values": c_vals, "etas": etas,
               "score_kind": NORM_PLUS_1, "convention": SCORE_ONLY}
     return HardInstance(inst, spec, qset, MOMENT_CURVE, params)
-
-
-def reduction_scale(loss: LossSpec, reg: RegSpec, x, beta: float) -> np.ndarray:
-    """Scale a failure witness by beta, transferring it from the relu limit.
-
-    Valid for losses with g(beta t)/beta -> relu(-t) (logistic, hinge) under
-    degree-1 homogeneous regularizers.
-    """
-    if loss.kind not in (LOGISTIC, HINGE):
-        raise ApplicabilityError("the scaling reduction applies to logistic and hinge")
-    if reg.homogeneity_degree != 1:
-        raise ApplicabilityError("the scaling reduction needs a degree-1 regularizer")
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
-    return beta * np.asarray(x, dtype=float)
 
 
 # ---------------------------------------------------------------------------

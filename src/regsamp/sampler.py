@@ -13,9 +13,8 @@ instances state their failure predicates.
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -26,7 +25,6 @@ from .errors import (
     ConfigurationError,
     DataError,
     DegenerateInstanceError,
-    EstimatorInconsistencyError,
     InvalidInputError,
 )
 
@@ -112,11 +110,6 @@ def score_array(kind: str, atoms: np.ndarray, D: float | None = None) -> np.ndar
     return _scores(kind, lambda: _row_norms(atoms), atoms.shape[0], D=D)
 
 
-def score(kind: str, a, D: float | None = None) -> float:
-    """s(a); always >= 1."""
-    return float(score_array(kind, np.asarray(a, dtype=float)[None, :], D=D)[0])
-
-
 def importance_weights(s, ref, convention: str):
     """w = 2 ref/(s + ref) (mixture) or ref/s (score-only); ref is S or an estimate of it."""
     if convention == MIXTURE:
@@ -133,35 +126,32 @@ def weight(s: float, S: float) -> float:
     return importance_weights(s, S, MIXTURE)
 
 
-def _law(instance: "Instance", kind: str, convention: str, D: float | None = None,
-         s_hat: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, w, s) per atom: probabilities, weights and scores, against S or (mixture) s_hat.
+def _law(instance: "Instance", kind: str, convention: str,
+         D: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, w, s) per atom: probabilities, weights and scores.
 
     The law reads the masses and, for the norm and sqnorm scores,
     `instance.norms()`, never the atoms; S = masses @ s.
-    q_i = p_i (s_i + ref)/(S + ref) under the mixture and p_i s_i / S under score-only;
+    q_i = p_i (s_i + S)/(2S) under the mixture and p_i s_i / S under score-only;
     q must sum to 1 within 1e-12 (what index and multinomial draws need).
     """
     if convention not in CONVENTIONS:
         raise ConfigurationError(f"unknown sampling convention {convention!r}")
-    if s_hat is not None and convention != MIXTURE:
-        raise ConfigurationError("a score-mass estimate applies to the mixture convention only")
     masses = instance.masses
     s = _scores(kind, instance.norms, instance.n, D=D)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing scores fail the sum check
         S = float(masses @ s)
-        ref = S if s_hat is None else float(s_hat)
-        q = masses * (s + ref) / (S + ref) if convention == MIXTURE else masses * s / S
+        q = masses * (s + S) / (S + S) if convention == MIXTURE else masses * s / S
     total = float(q.sum())
     if not abs(total - 1.0) <= 1e-12:  # NaN fails too
         raise DegenerateInstanceError(f"sampling probabilities sum to {total!r}, not 1")
-    return q, importance_weights(s, ref, convention), s
+    return q, importance_weights(s, S, convention), s
 
 
 def atom_probabilities(instance: "Instance", kind: str, convention: str,
-                       D: float | None = None, s_hat: float | None = None) -> np.ndarray:
-    """Per-atom sampling probability; s_hat replaces S in the mixture."""
-    return _law(instance, kind, convention, D=D, s_hat=s_hat)[0]
+                       D: float | None = None) -> np.ndarray:
+    """Per-atom sampling probability under the given convention."""
+    return _law(instance, kind, convention, D=D)[0]
 
 
 def atom_weights(instance: "Instance", kind: str, convention: str,
@@ -189,6 +179,8 @@ class CategoricalSampler:
         """size draws from rng's next size uniforms.  With `run`, a divisor of size,
         each run of that many uniforms is sorted before the search, which then
         costs less: a run's draws come out in ascending order, the same multiset."""
+        if run is not None and not (run >= 1 and size % run == 0):
+            raise InvalidInputError(f"run must be a positive divisor of size {size}, got {run}")
         u = rng.random(size)
         if run is not None:
             runs = u.reshape(-1, run)  # a view of u
@@ -262,82 +254,6 @@ def draw_iid(instance: "Instance", kind: str, m: int, seed: int,
     q, w, s = _law(instance, kind, convention, D=D)
     idx = CategoricalSampler(q).draw(derive_rng(seed), m)
     return Coreset(idx, instance.atoms[idx], w[idx], s[idx])
-
-
-def rejection_stream(atoms: Iterable, kind: str, s_hat: float, seed: int,
-                     D: float | None = None) -> list[np.ndarray]:
-    """Accept each arriving atom independently with probability 1/2 + s(a)/(2*s_hat).
-
-    With s_hat >= every observed score the acceptance probability stays in
-    (0, 1]; the accepted multiset is distributed as the mixture built from
-    s_hat in place of the true score mass.  Runs of equal-length atoms are
-    scored in blocks of at most BLOCK_CELLS cells, with one draw per atom.
-    """
-    if not s_hat > 0:
-        raise InvalidInputError("s_hat must be positive")
-    rng = derive_rng(seed)
-    accepted, block = [], []
-
-    def take():
-        s = score_array(kind, np.stack(block).reshape(len(block), -1), D=D)
-        p_accept = 0.5 + s / (2.0 * s_hat)
-        over = np.flatnonzero(p_accept > 1.0 + 1e-12)
-        if len(over):
-            raise EstimatorInconsistencyError(
-                f"score {float(s[over[0]])} exceeds estimate {s_hat}: acceptance probability > 1")
-        accepted.extend(a for a, keep in zip(block, rng.random(len(block)) < p_accept) if keep)
-        block.clear()
-
-    for a in atoms:
-        a = np.asarray(a, dtype=float)
-        if block and (a.shape != block[0].shape or len(block) * a.size >= BLOCK_CELLS):
-            take()
-        block.append(a)
-    if block:
-        take()
-    return accepted
-
-
-def weighted_reservoir(stream: Iterable, m: int, seed: int) -> list:
-    """Single-pass weighted reservoir sample of size m, probability proportional to score.
-
-    Exponential-jumps scheme: keys u^(1/score) with skipping, so only O(m)
-    random numbers are consumed in expectation per reservoir turnover.
-    Keys are kept as logarithms, log(u)/score, so scores beyond 1e16 (where
-    u^(1/score) rounds to 1) still work.  Stream items are (atom, score) pairs.
-    """
-    if m < 1:
-        raise InvalidInputError("reservoir size m must be >= 1")
-    rng = derive_rng(seed)
-    heap: list = []  # (log key, counter, atom)
-    counter = 0
-    it = iter(stream)
-    for atom, s in it:
-        s = float(s)
-        if s <= 0:
-            raise InvalidInputError("scores must be positive")
-        heapq.heappush(heap, (math.log(rng.random()) / s, counter, atom))
-        counter += 1
-        if counter == m:
-            break
-    if counter < m:
-        return [item for _, _, item in sorted(heap, key=lambda t: t[1])]
-
-    log_t = heap[0][0]
-    jump = math.log(rng.random()) / log_t
-    for atom, s in it:
-        s = float(s)
-        if s <= 0:
-            raise InvalidInputError("scores must be positive")
-        jump -= s
-        if jump <= 0.0:
-            t_pow = math.exp(log_t * s)
-            key = math.log(t_pow + rng.random() * (1.0 - t_pow)) / s
-            heapq.heapreplace(heap, (key, counter, atom))
-            log_t = heap[0][0]
-            jump = math.log(rng.random()) / log_t
-        counter += 1
-    return [item for _, _, item in sorted(heap, key=lambda t: t[1])]
 
 
 def estimate_S(instance: "Instance", kind: str, eps: float, delta: float, seed: int) -> SEstimate:

@@ -1,11 +1,14 @@
 import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
 
 from regsamp import bench
 from regsamp.bench import (
@@ -321,6 +324,42 @@ class TestDrawCounts:
         # the first n-1 entries sum above 1, which numpy rejects with ValueError
         with pytest.raises(DegenerateInstanceError):
             bench._count_rows(np.array([0.6, 0.6, 0.0]), np.ones(3), 5, derive_rng(0))(2)
+
+
+class TestCountRowsFollowTheMultinomialLaw:
+    """Each count-draw path against the exact Multinomial(m, q) law.
+
+    20,000 rows of one count stream, drawn in blocks, are binned by count
+    vector against the multinomial probability of every vector that sums to
+    m; cells with fewer than 5 expected rows are pooled.  A correct path fails
+    the chi-square test at p < 1e-4, so with probability 1e-4 per path.
+    """
+
+    @pytest.mark.parametrize("q,m", [
+        (np.full(3, 1 / 3), 6),  # uniform index draws: m <= 30 n
+        (np.array([0.1, 0.2, 0.3, 0.4]), 2),  # inverse-CDF index draws: m <= n/2
+        (np.array([0.2, 0.3, 0.5]), 5),  # the multinomial: m > n/2
+        (np.full(2, 0.5), 61),  # the multinomial: m > 30 n
+    ], ids=["uniform-index", "inverse-cdf-index", "multinomial", "uniform-multinomial"])
+    def test_rows_pass_a_chi_square_test(self, q, m):
+        trials = 20_000
+        # the index paths reuse one count array, so draw_blocks copies each block
+        blocks = draw_blocks(q, np.ones(q.size), m, derive_rng(31, m), (5000,) * 4)
+        seen = Counter(map(tuple, np.concatenate([c for c, _ in blocks]).tolist()))
+        cells = [c for c in itertools.product(range(m + 1), repeat=q.size) if sum(c) == m]
+        assert set(seen) <= set(cells) and sum(seen.values()) == trials
+        probs = np.array([math.factorial(m) / math.prod(map(math.factorial, c))
+                          * float(np.prod(q ** np.array(c))) for c in cells])
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        observed = np.array([seen[c] for c in cells], dtype=float)
+        expected = trials * probs
+        small = expected < 5
+        if small.any():
+            observed = np.append(observed[~small], observed[small].sum())
+            expected = np.append(expected[~small], expected[small].sum())
+        assert expected.min() >= 5
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        assert chdtrc(len(expected) - 1, stat) >= 1e-4
 
 
 class TestFailureRate:

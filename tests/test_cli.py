@@ -250,6 +250,25 @@ class TestEval:
         assert captured.err == (f"data error: {tmp_path / 'ex.jsonl'}: sample has dimension "
                                 f"{instance.dim}, instance {other} has dimension 2\n")
 
+    @pytest.mark.parametrize("index", [5, 2, -3])
+    def test_atom_index_outside_the_instance_is_data_error(self, tmp_path, capsys, index):
+        instance = tmp_path / "two.jsonl"
+        instance.write_text('{"dim": 2, "n": 2}\n{"a": [1.0, 0.0], "p": 0.5}\n'
+                            '{"a": [0.0, 1.0], "p": 0.5}\n')
+        sample = tmp_path / "s.jsonl"
+        sample.write_text('{"atom_index": 1, "a": [0.0, 1.0], "w": 1.0, "s": 2.0}\n'
+                          f'{{"atom_index": {index}, "a": [1.0, 0.0], "w": 1.0, "s": 2.0}}\n')
+        (tmp_path / "origin.jsonl").write_text("")
+        assert run("eval", "--instance", str(instance), "--sample", str(sample),
+                   "--queries", str(tmp_path / "origin.jsonl"),
+                   "--loss", "relu", "--reg", "l1", "--k", "4", "--eps", "0.25",
+                   "--out", str(tmp_path / "r.json")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"data error: {sample}: line 2: atom_index {index} is not an "
+                                f"atom of instance {instance}, which has 2 atoms\n")
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("eps", ["nan", "-1", "0", "1", "inf"])
     def test_eps_outside_the_unit_interval_is_one_usage_error(self, tmp_path, capsys, eps):
         out = gen_lin_relu_dir(tmp_path, k=4)

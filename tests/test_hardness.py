@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regsamp.errors import (
-    ApplicabilityError,
     ConfigurationError,
     ConstructionError,
     InvalidInputError,
@@ -27,7 +26,6 @@ from regsamp.hardness import (
     gen_quad_sigmoid,
     generate,
     isolating_direction,
-    reduction_scale,
 )
 from regsamp.losses import L1, L2, L2SQ, eval_loss, eval_regularizer, make_loss, make_reg
 from regsamp.objective import full_objective, relative_error
@@ -400,6 +398,9 @@ class TestMomentCurve:
 
 
 class TestReductionScale:
+    """g(beta t)/beta -> relu(-t), the limit that carries a relu witness x to
+    logistic and hinge as beta * x (demo 03)."""
+
     def test_logistic_limit(self):
         loss = make_loss("logistic")
         beta = 1e6
@@ -410,24 +411,6 @@ class TestReductionScale:
         beta = 1e6
         val = float(eval_loss(loss, beta * -1.0)) / beta
         assert val == (1.0 + beta) / beta
-
-    def test_identity_at_beta_one(self):
-        x = np.array([1.0, -2.0])
-        out = reduction_scale(make_loss("logistic"), make_reg(L2), x, 1.0)
-        assert np.array_equal(out, x)
-
-    def test_scales_query(self):
-        x = np.array([0.5, 0.5])
-        out = reduction_scale(make_loss("hinge"), make_reg(L1), x, 8.0)
-        assert np.array_equal(out, 8.0 * x)
-
-    def test_l2sq_inapplicable(self):
-        with pytest.raises(ApplicabilityError):
-            reduction_scale(make_loss("logistic"), make_reg(L2SQ), np.ones(2), 2.0)
-
-    def test_relu_inapplicable(self):
-        with pytest.raises(ApplicabilityError):
-            reduction_scale(make_loss("relu"), make_reg(L1), np.ones(2), 2.0)
 
 
 class TestGenerateDispatch:

@@ -21,7 +21,6 @@ from regsamp.hardness import (
     gen_quad_relu,
     gen_quad_sigmoid,
     generate,
-    reduction_scale,
 )
 from regsamp.losses import L1, L2SQ, LOGISTIC, check_bounded_derivative, make_loss, make_reg
 from regsamp.model import ObjectiveSpec, compute_constants, gaussian_instance, make_instance
@@ -29,10 +28,9 @@ from regsamp.objective import QuerySet, estimate_opt, recommended_sample_size
 from regsamp.sampler import (
     CategoricalSampler,
     Coreset,
+    derive_rng,
     draw_iid,
     estimate_S,
-    rejection_stream,
-    weighted_reservoir,
     weights_from_estimate,
 )
 
@@ -76,8 +74,6 @@ REFUSALS = {
                       InvalidInputError, "eps must lie in (0, 1/4]"),
     "lin-sigmoid-k-3": (lambda: gen_lin_sigmoid(3), InvalidInputError, "k must be >= 4"),
     "coupon-relu-d-1": (lambda: gen_coupon_relu(1, 4.0), InvalidInputError, "d must be >= 2"),
-    "reduction-beta-0": (lambda: reduction_scale(make_loss(LOGISTIC), make_reg(L1), [1.0], 0.0),
-                         InvalidInputError, "beta must be positive"),
     "quad-logistic-huge-k": (lambda: generate("quad-logistic", k=1e308, eps=0.1),
                              BudgetExceededError, "quad-logistic: the instance size overflows"),
     "verdict-index-outside": (lambda: check_failure(gen_lin_relu(4),
@@ -103,17 +99,14 @@ REFUSALS = {
                          ApplicabilityError, "unknown sample-size rule 'nope'"),
     "sampler-zero-mass": (lambda: CategoricalSampler([0.0, 0.0]),
                           InvalidInputError, "probabilities must have a positive finite sum"),
-    "rejection-s-hat": (lambda: rejection_stream([np.ones(2)], "norm", 0.0, seed=0),
-                        InvalidInputError, "s_hat must be positive"),
+    "sampler-run-not-divisor": (lambda: CategoricalSampler([0.5, 0.5]).draw(derive_rng(0), 10,
+                                                                           run=3),
+                                InvalidInputError, "run must be a positive divisor of size 10"),
     "reweight-s-hat": (lambda: weights_from_estimate(a_sample(), -1.0),
                        InvalidInputError, "s_hat must be positive"),
     "estimate-s-eps": (lambda: estimate_S(make_instance(np.eye(2)), "norm", eps=0.0, delta=0.1,
                                           seed=0),
                        InvalidInputError, "eps must be positive and delta in (0, 1)"),
-    "reservoir-m-0": (lambda: weighted_reservoir([(np.ones(2), 1.0)], 0, seed=0),
-                      InvalidInputError, "reservoir size m must be >= 1"),
-    "reservoir-negative-late": (lambda: weighted_reservoir([("a", 1.0), ("b", -1.0)], 1, seed=0),
-                                InvalidInputError, "scores must be positive"),
     "unknown-loss": (lambda: make_loss("x"), InvalidInputError, "unknown loss kind 'x'"),
     "unknown-reg": (lambda: make_reg("x"), InvalidInputError, "unknown regularizer kind 'x'"),
     "empty-grid": (lambda: check_bounded_derivative(make_loss(LOGISTIC), []),
