@@ -22,6 +22,7 @@ from .errors import (
     DataError,
     DimensionMismatchError,
     InvalidInputError,
+    NonFiniteQueryError,
     RegsampError,
 )
 from .losses import LOSS_KINDS, REG_KINDS, make_loss, make_reg
@@ -145,7 +146,12 @@ def _cmd_eval(args) -> int:
                         f"an atom of instance {args.instance}, which has {instance.n} atoms")
     queries = load_queries(args.queries, dim=instance.dim)
     spec = ObjectiveSpec(make_loss(args.loss), make_reg(args.reg), args.k)
-    errors = relative_errors(instance, spec, samples, queries.queries)
+    try:
+        errors = relative_errors(instance, spec, samples, queries.queries)
+    except NonFiniteQueryError as exc:
+        line = exc.row + 1 - queries.implied_origin
+        where = f"line {line}" if line else "the origin query it implies"
+        raise DataError(f"{args.queries}: {where}: {exc}") from None
     per_query = [{"tag": tag, "error": None if math.isnan(err) else err}
                  for tag, err in zip(queries.tags, errors.tolist())]
     max_err, _, skipped = worst_error(errors)

@@ -37,6 +37,14 @@ class DataError(RegsampError):
     """A data file is malformed."""
 
 
+class NonFiniteQueryError(DataError):
+    """f(x), f0(x) or its sampled estimate is not finite at a query.  Carries its row."""
+
+    def __init__(self, message, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 class BudgetExceededError(RegsampError):
     """A search exceeded its sample budget.  Carries partial results."""
 

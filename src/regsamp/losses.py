@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .sampler import _row_norms
 
 LOGISTIC = "logistic"
 SIGMOID = "sigmoid"
@@ -178,12 +179,15 @@ def decompose(loss: LossSpec):
 
 
 def eval_regularizer(reg: RegSpec, x):
-    """R(x) for R in {l1, l2, l2sq}; row-wise for a 2-D array of queries."""
+    """R(x) for R in {l1, l2, l2sq}; row-wise for a 2-D array of queries.
+
+    l2 is `sampler._row_norms`: np.linalg.norm's bits, and finite where the
+    squares of a finite norm overflow."""
     x = np.asarray(x, dtype=float)
     if reg.kind == L1:
         v = np.sum(np.abs(x), axis=-1)
     elif reg.kind == L2:
-        v = np.linalg.norm(x, axis=-1)
+        v = _row_norms(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
     elif reg.kind == L2SQ:
         v = np.sum(x * x, axis=-1)
     else:

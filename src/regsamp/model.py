@@ -13,11 +13,13 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from . import sampler as _sampler
 from .errors import BudgetExceededError, DataError, DegenerateInstanceError, InvalidInputError
@@ -28,6 +30,8 @@ MASS_TOL = 1e-12
 MAX_DENSE_CELLS = 2 ** 25
 # vector entries a JSONL reader converts at once, a few hundred KB as Python objects
 RECORD_CELLS = 2 ** 12
+# deepest arrays and objects a JSONL record may nest: the stdlib parser's recursion limit
+MAX_NESTING = 1000
 
 
 class Instance:
@@ -239,9 +243,9 @@ def load_instance(path) -> Instance:
 
 
 # The one JSONL writer and reader of all three formats; what a bad record raises:
-_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
-_DECODER = json.JSONDecoder()
-_NUMBER_TYPES = {int, float}  # what json.loads makes of a JSON number
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+_NUMBER_TYPES = {int, float}  # what orjson.loads makes of a JSON number
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')  # a JSON string, escapes and all
 
 
 def _write_records(path, records: Iterable[dict]) -> None:
@@ -263,11 +267,26 @@ def _read_lines(path) -> list[str]:
 
 
 def _object(line: str) -> dict:
-    """The one JSON object a line holds; a blank line, or anything else, raises."""
-    rec, end = _DECODER.raw_decode(line)
-    if end != len(line) or type(rec) is not dict:
+    """The one JSON object a line holds; a blank line, anything else, or arrays and
+    objects nested more than MAX_NESTING deep raise."""
+    if len(line) > MAX_NESTING and _too_deep(line):  # a shorter line nests no deeper
+        raise ValueError(f"a record nests more than {MAX_NESTING} deep")
+    rec = orjson.loads(line)
+    if type(rec) is not dict:
         raise ValueError("a record is one JSON object on a line of its own")
     return rec
+
+
+def _too_deep(line: str) -> bool:
+    """Whether a line's arrays and objects nest more than MAX_NESTING deep, outside
+    its strings.  orjson builds nested values by recursion in C, which overflows
+    the stack (a crash, not an error) some 100,000 levels down.  Each level takes
+    an opening bracket, so the count clears ordinary lines."""
+    if line.count("[") + line.count("{") <= MAX_NESTING:
+        return False
+    codes = np.frombuffer(_STRING.sub("", line).encode(), np.uint8)
+    steps = np.isin(codes, list(b"[{")).astype(np.int64) - np.isin(codes, list(b"]}"))
+    return int(np.cumsum(steps).max()) > MAX_NESTING
 
 
 def _numbers(values: Iterable) -> None:

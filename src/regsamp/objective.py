@@ -20,6 +20,7 @@ from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
     InvalidInputError,
+    NonFiniteQueryError,
     OptimizerFailureError,
 )
 from .losses import (
@@ -57,6 +58,7 @@ BLOCK = 2 ** 18  # margin elements per query block of evaluate
 class QuerySet:
     queries: np.ndarray          # (q, d)
     tags: tuple[str, ...] = field(default=())
+    implied_origin: bool = field(default=False, init=False)  # row 0 is the added origin
 
     def __post_init__(self):
         queries = np.atleast_2d(np.asarray(self.queries, dtype=float))
@@ -70,6 +72,7 @@ class QuerySet:
         if not np.any(~np.any(queries != 0.0, axis=1)):
             queries = np.vstack([np.zeros((1, queries.shape[1])), queries])
             tags = (TAG_ORIGIN,) + tags
+            object.__setattr__(self, "implied_origin", True)
         object.__setattr__(self, "queries", queries)
         object.__setattr__(self, "tags", tags)
         queries.setflags(write=False)
@@ -120,10 +123,20 @@ def relative_gaps(f0, f0_hat, f) -> np.ndarray:
 
 
 def relative_errors(instance: Instance, spec: ObjectiveSpec, samples: Coreset, X) -> np.ndarray:
-    """|f0(x) - f0_hat(x)| / f(x) for every query row of X; NaN where f(x) <= 0."""
-    f0, r = evaluate(instance.atoms, instance.masses, spec, X)
-    f0_hat, _ = evaluate(samples.a, samples.w / len(samples), spec, X)
-    return relative_gaps(f0, f0_hat, f0 + r)
+    """|f0(x) - f0_hat(x)| / f(x) for every query row of X; NaN where f(x) <= 0.
+
+    Raises NonFiniteQueryError, naming the first such row, where f(x) (so also
+    f0(x)) or f0_hat(x) is not finite: no relative error is measured there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0, r = evaluate(instance.atoms, instance.masses, spec, X)
+        f0_hat, _ = evaluate(samples.a, samples.w / len(samples), spec, X)
+        f = f0 + r
+    bad = np.flatnonzero(~(np.isfinite(f) & np.isfinite(f0_hat)))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteQueryError(f"f(x) = {f[i]:g}, f0 = {f0[i]:g} and f0_hat = {f0_hat[i]:g}, "
+                                  "where a relative error needs all three finite", row=i)
+    return relative_gaps(f0, f0_hat, f)
 
 
 def relative_error(instance: Instance, spec: ObjectiveSpec, samples: Coreset, x) -> float:

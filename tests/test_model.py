@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +106,26 @@ BAD_RECORDS = [
                  "not UTF-8 text", id="byte-ff-sample"),
     pytest.param("queries", jsonl(QUERY, '{"x": [1.0, 2.0], "tag": "\udcff"}'), 2,
                  "not UTF-8 text", id="byte-ff-query"),
+    # where orjson differs from the stdlib parser, which read integers of any size,
+    # lone surrogates, NaN, Infinity and 1e400; the README's "File formats" lists them
+    pytest.param("instance", jsonl(f'{{"dim": 1, "n": {2 ** 64}}}', ATOM1), 1,
+                 "malformed header", id="n-past-uint64"),
+    pytest.param("instance", jsonl(f'{{"dim": {-2 ** 63 - 1}, "n": 1}}', ATOM1), 1,
+                 "malformed header", id="dim-past-int64"),
+    pytest.param("sample", jsonl(SAMPLE, SAMPLE.replace("0", str(2 ** 64), 1)), 2,
+                 "malformed sample record", id="atom-index-past-uint64"),
+    pytest.param("queries", jsonl(QUERY, '{"x": [1.0, 2.0], "tag": "\\ud800"}'), 2,
+                 "malformed query record", id="lone-surrogate-tag"),
+    pytest.param("instance", jsonl(HEADER1, ATOM1, '{"a": [NaN], "p": 0.5}'), 3,
+                 "malformed atom record", id="nan-atom-entry"),
+    pytest.param("sample", jsonl(SAMPLE, SAMPLE.replace('"w": 1.0', '"w": Infinity')), 2,
+                 "malformed sample record", id="infinite-weight"),
+    pytest.param("queries", jsonl(QUERY, '{"x": [1e400, 0.0]}'), 2,
+                 "malformed query record", id="query-entry-past-float"),
+    # arrays past MAX_NESTING deep, which orjson would build by recursion
+    pytest.param("instance", jsonl(HEADER1, ATOM1, '{"a": [2.0], "p": 0.5, "x": '
+                                   + "[" * 1000 + "]" * 1000 + "}"), 3,
+                 "malformed atom record", id="nested-past-the-limit"),
 ]
 
 
@@ -275,6 +298,36 @@ class TestInstanceIO:
         with pytest.raises(DataError):
             load_instance(path)
 
+    def test_integers_past_64_bits_read_as_the_floats_they_name(self, tmp_path):
+        # orjson reads them as floats, the stdlib parser as ints that float() rounds
+        big = [2 ** 64, -2 ** 63 - 1, 10 ** 30, 3 ** 100]
+        path = tmp_path / "inst.jsonl"
+        path.write_text(jsonl('{"dim": 4, "n": 1}', json.dumps({"a": big, "p": 1})))
+        assert same_bits(load_instance(path).atoms, np.array([[float(v) for v in big]]))
+
+    def test_nesting_up_to_the_limit_and_brackets_in_strings_load(self, tmp_path):
+        deep = "[" * (model.MAX_NESTING - 1) + "]" * (model.MAX_NESTING - 1)
+        path = tmp_path / "inst.jsonl"
+        path.write_text(jsonl(HEADER1, '{"a": [1.0], "p": 0.5, "x": ' + deep + "}", ATOM1))
+        assert load_instance(path).n == 2
+        tag = '\\"[' + "[" * 5000
+        path.write_text(jsonl(json.dumps({"x": [1.0, 2.0], "tag": tag})))
+        assert load_queries(path, 2).tags == ("origin", tag)
+
+    def test_nesting_that_would_overflow_the_stack_is_one_data_error(self, tmp_path):
+        # orjson builds nested arrays by recursion in C and crashes the process some
+        # 100,000 levels down; the reader refuses the line before the parse
+        path = tmp_path / "inst.jsonl"
+        path.write_text(jsonl(HEADER1, '{"a": [' + "[" * 300_000 + "]" * 300_000 + "]}", ATOM1))
+        code = ("import sys; from regsamp.cli import main; "
+                f"sys.exit(main(['opt', '--instance', {str(path)!r}, '--loss', 'relu', "
+                "'--reg', 'l1', '--k', '4']))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"data error: {path}: line 2: malformed atom record\n"
+
 
 # one record of each format, dimension 2, of which eight make a multi-block file
 RECORDS = {"instance": '{"a": [1.0, 2.0], "p": 0.125}', "sample": SAMPLE, "queries": QUERY}
@@ -366,6 +419,32 @@ def saved_twice(save, load, obj, path):
     back = load(path)
     save(back, path)
     return text, back, path.read_bytes()
+
+
+# text of any code point but a lone surrogate, which orjson refuses
+JSON_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 63 - 1), 2 ** 63 - 1) | FINITE | JSON_TEXT
+    | st.sampled_from([-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+def exact(value):
+    """value with each float as its hex string and each scalar tagged by its type, so
+    that == compares types and float bits, -0.0 included."""
+    if type(value) is list:
+        return [exact(v) for v in value]
+    if type(value) is dict:
+        return {key: exact(v) for key, v in value.items()}
+    return type(value).__name__, value.hex() if type(value) is float else value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5))
+def test_the_reader_parses_json_dumps_text_as_json_loads_does(record):
+    line = json.dumps(record)
+    assert exact(model._object(line)) == exact(json.loads(line))
 
 
 class TestRoundTrips:

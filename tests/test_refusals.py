@@ -1,6 +1,8 @@
 """Every argument check of the public API that no other test reaches: each
 call is refused with its typed error and a message naming what was wrong."""
 
+import json
+import math
 import re
 
 import numpy as np
@@ -22,7 +24,17 @@ from regsamp.hardness import (
     gen_quad_sigmoid,
     generate,
 )
-from regsamp.losses import L1, L2SQ, LOGISTIC, check_bounded_derivative, make_loss, make_reg
+from regsamp.cli import main
+from regsamp.losses import (
+    L1,
+    L2,
+    L2SQ,
+    LOGISTIC,
+    check_bounded_derivative,
+    eval_regularizer,
+    make_loss,
+    make_reg,
+)
 from regsamp.model import ObjectiveSpec, compute_constants, gaussian_instance, make_instance
 from regsamp.objective import QuerySet, estimate_opt, recommended_sample_size
 from regsamp.sampler import (
@@ -128,3 +140,52 @@ def test_refused_with_its_typed_error(name):
     call, error, fragment = REFUSALS[name]
     with pytest.raises(error, match=re.escape(fragment)):
         call()
+
+
+def eval_one_query(tmp_path, capsys, x, loss, reg, weights=(2.0, 2.0)):
+    """`regsamp eval` at the one query x, on the atoms (1, -1) and (-1, 1) and a
+    sample that draws them in turn with these weights: (exit code, stdout,
+    stderr, report or None)."""
+    atoms = ([1.0, -1.0], [-1.0, 1.0])
+    files = {name: tmp_path / f"{name}.jsonl" for name in ("instance", "sample", "queries")}
+    files["instance"].write_text("".join(json.dumps(rec) + "\n" for rec in (
+        {"dim": 2, "n": 2}, *({"a": a, "p": 0.5} for a in atoms))))
+    files["sample"].write_text("".join(
+        json.dumps({"atom_index": i % 2, "a": atoms[i % 2], "w": w, "s": 1.0}) + "\n"
+        for i, w in enumerate(weights)))
+    files["queries"].write_text(json.dumps({"x": x, "tag": "far"}) + "\n")
+    report = tmp_path / "report.json"
+    code = main(["eval", *(arg for name, path in files.items() for arg in (f"--{name}", str(path))),
+                 "--loss", loss, "--reg", reg, "--k", "4", "--eps", "0.5", "--out", str(report)])
+    out, err = capsys.readouterr()
+    return code, out, err, json.loads(report.read_text()) if report.exists() else None
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning would fail the call
+@pytest.mark.parametrize("x,loss,reg,weights,where,values", [
+    # the margins are 0, and only R(x) = |x|^2 overflows; eval used to report error 0
+    ([1e308, 1e308], "relu", "l2sq", (2.0, 2.0), "line 1", "f(x) = inf, f0 = 0 and f0_hat = 0"),
+    # the margins overflow to +-inf, so f0 and f0_hat do
+    ([1e308, -1e308], "logistic", "l2", (2.0, 2.0), "line 1",
+     "f(x) = inf, f0 = inf and f0_hat = inf"),
+    # three weights of the largest float: their mean g(0) = 1 rounds past float range
+    ([1.0, 1.0], "hinge", "l1", (1.7976931348623157e308,) * 3, "the origin query it implies",
+     "f(x) = 1, f0 = 1 and f0_hat = inf"),
+], ids=["relu-l2sq-regularizer", "logistic-l2-margins", "hinge-weights-at-the-origin"])
+def test_eval_refuses_a_query_where_the_objective_overflows(tmp_path, capsys, x, loss, reg,
+                                                           weights, where, values):
+    code, out, err, report = eval_one_query(tmp_path, capsys, x, loss, reg, weights)
+    assert (code, out, report) == (2, "", None)
+    assert err == (f"data error: {tmp_path / 'queries.jsonl'}: {where}: {values}, "
+                   "where a relative error needs all three finite\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_measures_an_l2_query_whose_norm_is_finite_but_whose_squares_overflow(tmp_path,
+                                                                                    capsys):
+    # |x| = 1.414e155, whose squares overflow; R(x) used to read inf, and the error 0
+    code, _, _, report = eval_one_query(tmp_path, capsys, [1e155, 1e155], "logistic", "l2")
+    norm = math.hypot(1e155, 1e155)
+    assert eval_regularizer(make_reg(L2), [1e155, 1e155]) == pytest.approx(norm, rel=1e-15)
+    assert code == 0 and report["per_query"][1]["error"] == pytest.approx(
+        math.log(2.0) / (math.log(2.0) + norm / 4.0), rel=1e-12)
