@@ -13,12 +13,24 @@ every law, draw path and query policy they have the same bits whatever
 block the row is drawn in.  `failure_rate` always runs every trial; the m*
 search needs only each probe's verdict, so it draws the rows of that stream
 in turn and stops once the verdict is fixed: m* is unchanged.
+
+`failure_rates` runs the m values of a failure-rate config concurrently, on a
+thread per CPU the process may use: each m has its own stream and numpy
+releases the interpreter lock in its draw kernels, so the rates, and the CSV
+`regsamp bench` writes, have the same bits whatever the worker count.  The
+m* search and a scaling curve's k values stay serial: running the k values
+side by side made the mc-scaling benchmark slower (task_rel 5.5 -> 5.8),
+since its short, verdict-sized probes hold the interpreter lock for much of
+their time.  (`objective.evaluate` stays serial too: its query blocks side by
+side cut eval task_rel 23.0 -> 19.4 but added 20 MB of peak memory, past that
+benchmark's 10% bound.)
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,7 +40,7 @@ import numpy as np
 from .errors import BudgetExceededError, DegenerateInstanceError, InvalidInputError
 from .hardness import HardInstance, batch_failed, generate, kind_params
 from .losses import eval_loss, eval_regularizer
-from .model import Instance, ObjectiveSpec
+from .model import MAX_DENSE_CELLS, Instance, ObjectiveSpec
 from .objective import build_query_set, relative_gaps
 from .sampler import BLOCK_CELLS, MIXTURE, CategoricalSampler, _law, derive_rng
 
@@ -214,6 +226,43 @@ def failure_rate(cfg: TrialConfig, m: int) -> tuple[float, tuple[float, float]]:
     for done in range(0, cfg.trials, rows):
         failures += fails(min(rows, cfg.trials - done))
     return failures / cfg.trials, wilson_interval(failures, cfg.trials)
+
+
+def _workers(n: int, jobs: int) -> int:
+    """Threads for jobs failure rates over n atoms: one per CPU the process may
+    use, at most jobs, and at most as many as keep their count blocks, each at
+    most max(n, BLOCK_CELLS) cells, within MAX_DENSE_CELLS together; at least one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus, MAX_DENSE_CELLS // max(n, BLOCK_CELLS)))
+
+
+def failure_rates(cfg: TrialConfig, m_list) -> list[tuple[float, tuple[float, float]]]:
+    """[failure_rate(cfg, m) for m in m_list], the m values run side by side.
+
+    Each m draws from its own stream and numpy releases the interpreter lock
+    in its draw kernels, so `_workers` threads run them concurrently, with the
+    same bits as one.  An error is the first failing m's in m_list order, as
+    the loop's; the m values not yet started are cancelled.
+    """
+    m_list = list(m_list)
+    workers = _workers(cfg.hard.instance.n, len(m_list))
+    if workers == 1:
+        return [failure_rate(cfg, m) for m in m_list]
+    from concurrent.futures import ThreadPoolExecutor
+
+    # cached_property takes no lock (Python 3.12 on): build what the threads share first
+    cfg.hard.law
+    if cfg.query_policy == ADVERSARIAL_PLUS_RANDOM:
+        cfg.random_queries
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(failure_rate, cfg, m) for m in m_list]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _fail_threshold(trials: int, delta: float) -> int:

@@ -207,8 +207,7 @@ def _cmd_bench(args) -> int:
                                hard=hard, m_cap=opts["m_cap"],
                                query_policy=opts.get("query_policy", bench.ADVERSARIAL_ONLY))
         rows = []
-        for m in opts["m_list"]:
-            rate, (lo, hi) = bench.failure_rate(tc, m)
+        for m, (rate, (lo, hi)) in zip(opts["m_list"], bench.failure_rates(tc, opts["m_list"])):
             rows.append({"run_id": f"{opts['kind']}-k{hard.spec.k:g}-m{m}",
                          "kind": opts["kind"], "loss": hard.spec.loss.kind,
                          "reg": hard.spec.reg.kind, "k": hard.spec.k, "eps": tc.eps,

@@ -972,6 +972,23 @@ class TestFailureRateBlocks:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    def test_worker_count_bounds_the_memory(self, monkeypatch):
+        # workers x max(n, BLOCK_CELLS) count cells stay within MAX_DENSE_CELLS = 2^25
+        # however many CPUs the process may use
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert bench._workers(4000, 4) == 4
+        assert bench._workers(100, 1000) == 64
+        assert bench._workers(10 ** 6, 64) == 33
+        assert bench._workers(2 ** 24, 64) == 2
+        assert bench._workers(2 ** 25, 64) == 1
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert bench._workers(10 ** 6, 4) == 2
+        monkeypatch.delattr(bench.os, "sched_getaffinity")  # no affinity: every CPU
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
+        assert bench._workers(4000, 4) == 3
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
+        assert bench._workers(4000, 4) == 1
+
     @pytest.mark.parametrize("name", ["lin-relu", "quad-hinge", "coupon-relu"])
     def test_search_blocks_keep_to_count_cells(self, monkeypatch, name):
         # a probe's blocks also keep to BLOCK_CELLS cells, and splitting them

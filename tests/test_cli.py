@@ -3,14 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import regsamp
-from regsamp import cli
+from regsamp import bench, cli
 from regsamp.cli import main
+from regsamp.errors import BudgetExceededError, DegenerateInstanceError
 from regsamp.hardness import generate, kind_params
 from regsamp.model import gaussian_instance, load_instance, save_instance
 from regsamp.objective import load_queries
@@ -398,11 +400,12 @@ class TestOpt:
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     # scipy adds about 0.2 s to every CLI start; the solvers and the sigmoid and
-    # logistic derivatives import what they use of it where they use it
+    # logistic derivatives import what they use of it where they use it, and
+    # `bench.failure_rates` its thread pool
     env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, regsamp.cli; print([m for m in sys.modules if m.startswith('scipy')])"],
+        [sys.executable, "-c", "import sys, regsamp.cli; "
+         "print([m for m in sys.modules if m.startswith(('scipy', 'concurrent'))])"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout == "[]\n"
 
@@ -484,6 +487,69 @@ class TestBench:
         first = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert first["kind"] == "coupon-relu"
         assert float(first["rate"]) > float(lines[2].split(",")[10])
+
+    # m values on every count-draw path: coupon-relu's uniform law counts index
+    # draws up to m = 30 n = 480 and the multinomial past it; moment-curve's
+    # (n = 12) counts inverse-CDF draws up to m = 6 and the multinomial past it
+    @pytest.mark.parametrize("kind,params,m_list", [
+        ("coupon-relu", {"d": 16, "k": 8}, [16, 64, 600, 40]),
+        ("moment-curve", {"N": 12, "d": 3}, [4, 6, 40, 200]),
+    ], ids=["coupon-relu", "moment-curve"])
+    @pytest.mark.parametrize("policy", ["adversarial-only", "adversarial-plus-random"])
+    def test_failure_rates_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch,
+                                                             kind, params, m_list, policy):
+        cfg = {"mode": "failure-rate", "kind": kind, "params": params, "eps": 0.25,
+               "delta": 0.2, "trials": 60, "master_seed": 4, "m_list": m_list,
+               "query_policy": policy}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        n = generate(kind, **params).instance.n
+        outputs = []
+        for cpus in (1, 3):  # 3 threads on a 2-CPU machine too, switching often
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            assert bench._workers(n, len(m_list)) == cpus
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                assert run("bench", "--config", str(cfg_path),
+                           "--out", str(tmp_path / str(cpus))) == 0
+            finally:
+                sys.setswitchinterval(interval)
+            outputs.append([(tmp_path / str(cpus) / name).read_bytes()
+                            for name in ("failure_rates.csv", "manifest.json")])
+        assert outputs[0] == outputs[1]
+        rows = outputs[0][0].decode().splitlines()[1:]
+        assert [int(row.split(",")[7]) for row in rows] == m_list
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failing_m_raises_the_loops_error(self, tmp_path, capsys, monkeypatch, cpus):
+        # the first failing m in m_list order gives the loop's one stderr line and
+        # exit code, though with two threads m = 48 fails first in time; the m
+        # values still pending then never start
+        started, failure_rate = [], bench.failure_rate
+
+        def failing(cfg, m):
+            started.append(m)
+            if m == 32:
+                time.sleep(0.2)
+                raise DegenerateInstanceError(f"sampling probabilities rejected at m = {m}")
+            if m == 48:
+                raise BudgetExceededError("a later m's error")
+            time.sleep(0.02)
+            return failure_rate(cfg, m)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(bench, "failure_rate", failing)
+        m_list = [16, 32, 48, *range(100, 140)]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**FAILURE_RATE, "m_list": m_list}))
+        assert run("bench", "--config", str(cfg_path), "--out", str(tmp_path / "x" / "b")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sampling probabilities rejected at m = 32\n"
+        assert not (tmp_path / "x").exists()
+        assert {16, 32} <= set(started) and len(started) < len(m_list)
+        assert (48 in started) == (cpus == 2)
 
     def test_unknown_kind_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
