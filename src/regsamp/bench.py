@@ -21,26 +21,25 @@ releases the interpreter lock in its draw kernels, so the rates, and the CSV
 m* search and a scaling curve's k values stay serial: running the k values
 side by side made the mc-scaling benchmark slower (task_rel 5.5 -> 5.8),
 since its short, verdict-sized probes hold the interpreter lock for much of
-their time.  (`objective.evaluate` stays serial too: its query blocks side by
-side cut eval task_rel 23.0 -> 19.4 but added 20 MB of peak memory, past that
-benchmark's 10% bound.)
+their time.  (`objective.evaluate` runs its query blocks side by side, on
+`parallel.workers` threads that leave numpy's OpenBLAS threads their CPUs.)
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from . import parallel
 from .errors import BudgetExceededError, DegenerateInstanceError, InvalidInputError
 from .hardness import HardInstance, batch_failed, generate, kind_params
 from .losses import eval_loss, eval_regularizer
-from .model import MAX_DENSE_CELLS, Instance, ObjectiveSpec
+from .model import Instance, ObjectiveSpec
 from .objective import build_query_set, relative_gaps
 from .sampler import BLOCK_CELLS, MIXTURE, CategoricalSampler, _law, derive_rng
 
@@ -228,27 +227,17 @@ def failure_rate(cfg: TrialConfig, m: int) -> tuple[float, tuple[float, float]]:
     return failures / cfg.trials, wilson_interval(failures, cfg.trials)
 
 
-def _workers(n: int, jobs: int) -> int:
-    """Threads for jobs failure rates over n atoms: one per CPU the process may
-    use, at most jobs, and at most as many as keep their count blocks, each at
-    most max(n, BLOCK_CELLS) cells, within MAX_DENSE_CELLS together; at least one."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(jobs, cpus, MAX_DENSE_CELLS // max(n, BLOCK_CELLS)))
-
-
 def failure_rates(cfg: TrialConfig, m_list) -> list[tuple[float, tuple[float, float]]]:
     """[failure_rate(cfg, m) for m in m_list], the m values run side by side.
 
     Each m draws from its own stream and numpy releases the interpreter lock
-    in its draw kernels, so `_workers` threads run them concurrently, with the
-    same bits as one.  An error is the first failing m's in m_list order, as
-    the loop's; the m values not yet started are cancelled.
+    in its draw kernels, so `parallel.workers` threads run them concurrently,
+    each holding one count block of at most max(n, BLOCK_CELLS) cells, with
+    the same bits as one.  An error is the first failing m's in m_list order,
+    as the loop's; the m values not yet started are cancelled.
     """
     m_list = list(m_list)
-    workers = _workers(cfg.hard.instance.n, len(m_list))
+    workers = parallel.workers(len(m_list), max(cfg.hard.instance.n, BLOCK_CELLS))
     if workers == 1:
         return [failure_rate(cfg, m) for m in m_list]
     from concurrent.futures import ThreadPoolExecutor

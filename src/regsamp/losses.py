@@ -81,27 +81,32 @@ def make_reg(kind: str) -> RegSpec:
         raise InvalidInputError(f"unknown regularizer kind {kind!r}") from None
 
 
-def eval_loss(loss: LossSpec, r):
-    """Evaluate g(r) for scalars or arrays, in place in one result array (never in r).
+def eval_loss(loss: LossSpec, r, out=None):
+    """Evaluate g(r) for scalars or arrays, in place in one result array.
 
-    Logistic is log1p(exp(-|r|)) - min(r, 0): no overflow or cancellation at any r."""
+    Logistic is log1p(exp(-|r|)) - min(r, 0): no overflow or cancellation at
+    any r.  The result array is a new one, and r is left as it was, unless
+    out is given: an array of r's shape, not r itself, that g(r) is written
+    to and returned.  r, then a float array, is scratch: logistic takes
+    min(r, 0) in place in it, so that no second array of r's size is made."""
     r = np.asarray(r, dtype=float)
+    v = np.empty_like(r) if out is None else out
     if loss.kind == LOGISTIC:
-        v = np.abs(r, out=np.empty_like(r))
+        np.abs(r, out=v)
         np.negative(v, out=v)
         np.exp(v, out=v)
         np.log1p(v, out=v)
-        v -= np.minimum(r, 0.0)
+        v -= np.minimum(r, 0.0, out=None if out is None else r)
     elif loss.kind == SIGMOID:
         from scipy.special import expit
 
-        v = np.negative(r, out=np.empty_like(r))
+        np.negative(r, out=v)
         expit(v, out=v)
     elif loss.kind == HINGE:
-        v = np.subtract(1.0, r, out=np.empty_like(r))
+        np.subtract(1.0, r, out=v)
         np.maximum(0.0, v, out=v)
     elif loss.kind == RELU:
-        v = np.negative(r, out=np.empty_like(r))
+        np.negative(r, out=v)
         np.maximum(0.0, v, out=v)
     else:
         raise InvalidInputError(f"unknown loss kind {loss.kind!r}")

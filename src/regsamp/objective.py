@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     ApplicabilityError,
     BudgetExceededError,
@@ -96,7 +97,12 @@ def evaluate(atoms, coef, spec: ObjectiveSpec, X) -> tuple[np.ndarray, np.ndarra
     coef is (n,) for one weighting of the n atoms or (T, n) for T weightings
     at once; f0 is then (Q,) or (T, Q) and R/k is (Q,).  Query rows are
     taken in blocks of at most BLOCK margin elements, so memory stays bounded
-    for any number of queries.
+    for any number of queries.  The blocks of a call that has more than one
+    run on `parallel.workers` threads, under the caller's numpy error state,
+    each taking a run of consecutive blocks in one margins and one loss
+    buffer.  Every block makes the same BLAS calls on the same shapes, so f0
+    has the same bits whatever the number of threads, and an error is the
+    first failing block's, as in a loop.
     """
     atoms = np.asarray(atoms, dtype=float)
     coef = np.asarray(coef, dtype=float)
@@ -104,10 +110,45 @@ def evaluate(atoms, coef, spec: ObjectiveSpec, X) -> tuple[np.ndarray, np.ndarra
     if X.shape[1:] != atoms.shape[1:]:
         raise DimensionMismatchError(f"queries {X.shape} do not match atoms {atoms.shape}")
     f0 = np.empty(coef.shape[:-1] + (X.shape[0],))
-    step = max(1, BLOCK // atoms.shape[0])
-    for lo in range(0, X.shape[0], step):
-        f0[..., lo:lo + step] = coef @ eval_loss(spec.loss, atoms @ X[lo:lo + step].T)
+    step = max(1, min(BLOCK // atoms.shape[0], X.shape[0]))  # fewer queries: smaller buffers
+    starts = range(0, X.shape[0], step)
+    cells = atoms.shape[0] * step
+    workers = 1 if len(starts) < 2 else parallel.workers(len(starts), 2 * cells, blas=True)
+    # every worker's margins and loss buffers, in one array made on this thread:
+    # glibc keeps what a thread frees in that thread's malloc arena (buffers the
+    # workers made raised the eval benchmark's peak RSS by 16 MB), and separate
+    # 2 MB buffers were mapped afresh on every call (eval task_rel 17.1 -> 18.8)
+    buffers = np.empty((workers, 2, cells))
+    if workers == 1:
+        _blocks(atoms, coef, spec.loss, X, f0, starts, *buffers[0])
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        err, call = np.geterr(), np.geterrcall()
+
+        def run(share, buffer):
+            with np.errstate(call=call, **err):
+                _blocks(atoms, coef, spec.loss, X, f0, share, *buffer)
+
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(run, starts[w * len(starts) // workers:
+                                              (w + 1) * len(starts) // workers], buffers[w])
+                       for w in range(workers)]
+        for future in futures:  # the shares in order: the first failing block's error
+            future.result()
     return f0, eval_regularizer(spec.reg, X) / spec.k
+
+
+def _blocks(atoms, coef, loss: LossSpec, X, f0, starts: range, margins, values) -> None:
+    """Write f0's query blocks that begin at starts, reusing the margins and values buffers.
+
+    `eval_loss` may overwrite a block's margins, which nothing reads after it."""
+    for lo in starts:
+        block = X[lo:lo + starts.step]
+        shape = (atoms.shape[0], block.shape[0])
+        size = shape[0] * shape[1]  # contiguous views: BLAS writes them as it writes a new array
+        r = np.matmul(atoms, block.T, out=margins[:size].reshape(shape))
+        f0[..., lo:lo + starts.step] = coef @ eval_loss(loss, r, out=values[:size].reshape(shape))
 
 
 def full_objective(instance: Instance, spec: ObjectiveSpec, x) -> tuple[float, float]:

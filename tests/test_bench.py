@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
-from regsamp import bench
+from regsamp import bench, parallel
 from regsamp.bench import (
     ScalingCurve,
     TrialConfig,
@@ -975,19 +976,22 @@ class TestFailureRateBlocks:
     def test_worker_count_bounds_the_memory(self, monkeypatch):
         # workers x max(n, BLOCK_CELLS) count cells stay within MAX_DENSE_CELLS = 2^25
         # however many CPUs the process may use
-        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert bench._workers(4000, 4) == 4
-        assert bench._workers(100, 1000) == 64
-        assert bench._workers(10 ** 6, 64) == 33
-        assert bench._workers(2 ** 24, 64) == 2
-        assert bench._workers(2 ** 25, 64) == 1
-        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1})
-        assert bench._workers(10 ** 6, 4) == 2
-        monkeypatch.delattr(bench.os, "sched_getaffinity")  # no affinity: every CPU
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
-        assert bench._workers(4000, 4) == 3
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
-        assert bench._workers(4000, 4) == 1
+        def workers(n, jobs):  # failure_rates' thread count
+            return parallel.workers(jobs, max(n, bench.BLOCK_CELLS))
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert workers(4000, 4) == 4
+        assert workers(100, 1000) == 64
+        assert workers(10 ** 6, 64) == 33
+        assert workers(2 ** 24, 64) == 2
+        assert workers(2 ** 25, 64) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert workers(10 ** 6, 4) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")  # no affinity: every CPU
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert workers(4000, 4) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert workers(4000, 4) == 1
 
     @pytest.mark.parametrize("name", ["lin-relu", "quad-hinge", "coupon-relu"])
     def test_search_blocks_keep_to_count_cells(self, monkeypatch, name):

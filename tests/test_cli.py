@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 import regsamp
-from regsamp import bench, cli
+from regsamp import bench, cli, parallel
 from regsamp.cli import main
 from regsamp.errors import BudgetExceededError, DegenerateInstanceError
 from regsamp.hardness import generate, kind_params
 from regsamp.model import gaussian_instance, load_instance, save_instance
 from regsamp.objective import load_queries
-from regsamp.sampler import Coreset, load_samples, save_samples
+from regsamp.sampler import BLOCK_CELLS, Coreset, load_samples, save_samples
 
 
 def run(*argv):
@@ -401,7 +401,7 @@ class TestOpt:
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     # scipy adds about 0.2 s to every CLI start; the solvers and the sigmoid and
     # logistic derivatives import what they use of it where they use it, and
-    # `bench.failure_rates` its thread pool
+    # `bench.failure_rates` and `objective.evaluate` their thread pools
     env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, regsamp.cli; "
@@ -507,7 +507,7 @@ class TestBench:
         outputs = []
         for cpus in (1, 3):  # 3 threads on a 2-CPU machine too, switching often
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            assert bench._workers(n, len(m_list)) == cpus
+            assert parallel.workers(len(m_list), max(n, BLOCK_CELLS)) == cpus
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:

@@ -107,6 +107,22 @@ class TestFormulas:
             tracemalloc.stop()
         assert peak <= 2 * n * 8 + 64 * 1024
 
+    @pytest.mark.parametrize("kind", ALL_LOSSES)
+    def test_out_takes_the_result_with_its_bits_and_no_new_array(self, kind):
+        # r is then scratch: logistic takes min(r, 0) in it
+        loss = make_loss(kind)
+        r, out = margin_grid(), np.empty_like(margin_grid())
+        want = eval_loss(loss, r)
+        eval_loss(loss, r[:10].copy(), out=out[:10])  # warm up outside the measurement
+        tracemalloc.start()
+        try:
+            got = eval_loss(loss, r, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got is out and out.tobytes() == want.tobytes()
+        assert peak <= 64 * 1024
+
 
 class TestDerivatives:
     def test_logistic_at_zero(self):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from regsamp.model import (
     make_instance,
     scale_exponent,
 )
-from regsamp import objective
+from regsamp import objective, parallel
 from regsamp.objective import (
     BLOCK,
     QuerySet,
@@ -125,18 +127,40 @@ class TestFullObjective:
         assert f0 == pytest.approx(1.0 / 12.0, abs=1e-12)
 
 
+def on_workers(mp, count):
+    """Make `evaluate` run its blocks on count threads: count CPUs, one BLAS thread."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    for var in parallel.BLAS_THREAD_VARS:
+        mp.delenv(var, raising=False)
+    mp.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
 @given(st.sampled_from(LOSS_KINDS), st.sampled_from(REG_KINDS),
        st.sampled_from([None, 1, 3]), st.integers(200, 700), st.integers(1, 100),
        st.integers(0, 10_000))
 @settings(max_examples=24, deadline=None)
 def test_evaluate_matches_per_query_loop(loss, reg, trials, n, extra, seed):
-    # n * Q > 3 * BLOCK, so at least four query blocks run, the last one partial
+    # n * Q > 3 * BLOCK, so at least four query blocks run, the last one partial;
+    # on 3 threads (more than a 2-CPU machine has, switching often) they give the
+    # bits of 1
     rng = np.random.default_rng(seed)
     spec = spec_of(loss, reg, float(rng.uniform(1.0, 50.0)))
     atoms = rng.standard_normal((n, 3))
     X = rng.standard_normal((3 * BLOCK // n + extra, 3)) * rng.uniform(0.1, 10.0)
     coef = rng.uniform(0.0, 1.0, size=(n,) if trials is None else (trials, n))
-    f0, r = evaluate(atoms, coef, spec, X)
+    results = []
+    for count in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            on_workers(mp, count)
+            assert parallel.workers(4, BLOCK, blas=True) == count  # 4 blocks or more
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                results.append(evaluate(atoms, coef, spec, X))
+            finally:
+                sys.setswitchinterval(interval)
+    (f0, r), (f0_threads, r_threads) = results
+    assert f0.tobytes() == f0_threads.tobytes() and r.tobytes() == r_threads.tobytes()
     want_f0 = np.stack([coef @ eval_loss(spec.loss, atoms @ x) for x in X], axis=-1)
     want_r = np.array([eval_regularizer(spec.reg, x) / spec.k for x in X])
     assert f0.shape == want_f0.shape and r.shape == want_r.shape
@@ -148,6 +172,26 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             evaluate(np.ones((4, 3)), np.ones(4), spec_of(LOGISTIC, L1, 2.0), np.ones((2, 2)))
+
+    def test_threads_reuse_their_buffers(self, monkeypatch):
+        # two threads each hold one margins and one loss buffer of at most BLOCK
+        # cells (7.9 MiB together here); new arrays per block, with logistic's
+        # min(r, 0) in a third, peak near 12 MiB on two threads
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        atoms, X = rng.standard_normal((20000, 8)), rng.standard_normal((601, 8))
+        coef, spec = np.full(20000, 1 / 20000), spec_of(LOGISTIC, L2SQ, 16.0)
+        on_workers(monkeypatch, 2)
+        evaluate(atoms, coef, spec, X)  # threads and BLAS set up before tracing
+        tracemalloc.start()
+        try:
+            f0, _ = evaluate(atoms, coef, spec, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 2 ** 20  # X's squares, a block's coef @ g, thread state
+        assert peak < 2 * 2 * BLOCK * 8 + f0.nbytes + slack
 
     def test_relative_errors_flag_and_match_scalar_calls(self):
         inst = gaussian_instance(30, 3, seed=21)
@@ -440,9 +484,9 @@ class TestEstimateOpt:
         assert np.linalg.norm(slope) < 1.0 / spec.k
         calls = []
 
-        def counted(loss, margins):
+        def counted(loss, margins, **kwargs):
             calls.append(np.shape(margins))
-            return eval_loss(loss, margins)
+            return eval_loss(loss, margins, **kwargs)
 
         monkeypatch.setattr(objective, "eval_loss", counted)
         report = estimate_opt(inst, spec, restarts=8)

@@ -3,6 +3,7 @@ call is refused with its typed error and a message naming what was wrong."""
 
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -24,6 +25,7 @@ from regsamp.hardness import (
     gen_quad_sigmoid,
     generate,
 )
+from regsamp import parallel
 from regsamp.cli import main
 from regsamp.losses import (
     L1,
@@ -178,6 +180,37 @@ def test_eval_refuses_a_query_where_the_objective_overflows(tmp_path, capsys, x,
     assert (code, out, report) == (2, "", None)
     assert err == (f"data error: {tmp_path / 'queries.jsonl'}: {where}: {values}, "
                    "where a relative error needs all three finite\n")
+
+
+@pytest.mark.filterwarnings("error")  # a worker outside eval's errstate would warn, so fail
+def test_eval_refuses_an_overflowing_query_in_a_threaded_block(tmp_path, capsys, monkeypatch):
+    # 4096 atoms take 64 queries a block; the margins of query 150 (line 151 of
+    # 200) overflow in the third of four blocks, which a worker thread computes
+    atoms = [[1.0, -1.0], [-1.0, 1.0]] * 2048
+    queries = [[0.01 * i, 0.02] for i in range(200)]
+    queries[150] = [1e308, -1e308]
+    files = {name: tmp_path / f"{name}.jsonl" for name in ("instance", "sample", "queries")}
+    files["instance"].write_text("".join(json.dumps(rec) + "\n" for rec in (
+        {"dim": 2, "n": len(atoms)}, *({"a": a, "p": 1 / len(atoms)} for a in atoms))))
+    files["sample"].write_text("".join(
+        json.dumps({"atom_index": i, "a": atoms[i], "w": 1.0, "s": 1.0}) + "\n" for i in (0, 1)))
+    files["queries"].write_text("".join(json.dumps({"x": x, "tag": "far"}) + "\n"
+                                        for x in queries))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    results = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        assert parallel.workers(4, 2 * 64 * len(atoms), blas=True) == cpus
+        code = main(["eval", *(arg for name, path in files.items()
+                               for arg in (f"--{name}", str(path))),
+                     "--loss", "logistic", "--reg", "l2", "--k", "4", "--eps", "0.5",
+                     "--out", str(tmp_path / "report.json")])
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0] == (2, "", f"data error: {files['queries']}: line 151: f(x) = inf, "
+                          "f0 = inf and f0_hat = inf, where a relative error needs all three "
+                          "finite\n")
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.filterwarnings("error")
