@@ -14,15 +14,11 @@ block the row is drawn in.  `failure_rate` always runs every trial; the m*
 search needs only each probe's verdict, so it draws the rows of that stream
 in turn and stops once the verdict is fixed: m* is unchanged.
 
-`failure_rates` runs the m values of a failure-rate config concurrently, on a
-thread per CPU the process may use: each m has its own stream and numpy
-releases the interpreter lock in its draw kernels, so the rates, and the CSV
-`regsamp bench` writes, have the same bits whatever the worker count.  The
-m* search and a scaling curve's k values stay serial: running the k values
-side by side made the mc-scaling benchmark slower (task_rel 5.5 -> 5.8),
-since its short, verdict-sized probes hold the interpreter lock for much of
-their time.  (`objective.evaluate` runs its query blocks side by side, on
-`parallel.workers` threads that leave numpy's OpenBLAS threads their CPUs.)
+`failure_rates` runs the m values of a failure-rate config on `parallel.run`.
+The m* search and a scaling curve's k values stay serial: running the k
+values side by side made the mc-scaling benchmark slower (task_rel 5.5 ->
+5.8), since its short, verdict-sized probes hold the interpreter lock for
+much of their time.
 """
 
 from __future__ import annotations
@@ -228,30 +224,16 @@ def failure_rate(cfg: TrialConfig, m: int) -> tuple[float, tuple[float, float]]:
 
 
 def failure_rates(cfg: TrialConfig, m_list) -> list[tuple[float, tuple[float, float]]]:
-    """[failure_rate(cfg, m) for m in m_list], the m values run side by side.
-
-    Each m draws from its own stream and numpy releases the interpreter lock
-    in its draw kernels, so `parallel.workers` threads run them concurrently,
-    each holding one count block of at most max(n, BLOCK_CELLS) cells, with
-    the same bits as one.  An error is the first failing m's in m_list order,
-    as the loop's; the m values not yet started are cancelled.
-    """
+    """[failure_rate(cfg, m) for m in m_list], on `parallel.run`: one item per m,
+    each holding one count block of at most max(n, BLOCK_CELLS) cells."""
     m_list = list(m_list)
-    workers = parallel.workers(len(m_list), max(cfg.hard.instance.n, BLOCK_CELLS))
-    if workers == 1:
-        return [failure_rate(cfg, m) for m in m_list]
-    from concurrent.futures import ThreadPoolExecutor
-
     # cached_property takes no lock (Python 3.12 on): build what the threads share first
     cfg.hard.law
     if cfg.query_policy == ADVERSARIAL_PLUS_RANDOM:
         cfg.random_queries
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [pool.submit(failure_rate, cfg, m) for m in m_list]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    # failure_rate is looked up when an item runs, so a wrapper set on the module counts
+    return parallel.run(lambda m: failure_rate(cfg, m), m_list,
+                        parallel.workers(len(m_list), max(cfg.hard.instance.n, BLOCK_CELLS)))
 
 
 def _fail_threshold(trials: int, delta: float) -> int:

@@ -98,11 +98,9 @@ def evaluate(atoms, coef, spec: ObjectiveSpec, X) -> tuple[np.ndarray, np.ndarra
     at once; f0 is then (Q,) or (T, Q) and R/k is (Q,).  Query rows are
     taken in blocks of at most BLOCK margin elements, so memory stays bounded
     for any number of queries.  The blocks of a call that has more than one
-    run on `parallel.workers` threads, under the caller's numpy error state,
-    each taking a run of consecutive blocks in one margins and one loss
-    buffer.  Every block makes the same BLAS calls on the same shapes, so f0
-    has the same bits whatever the number of threads, and an error is the
-    first failing block's, as in a loop.
+    run on `parallel.run`, each worker taking a run of consecutive blocks in
+    one margins and one loss buffer.  Every block makes the same BLAS calls
+    on the same shapes, so f0 has the same bits whatever the worker count.
     """
     atoms = np.asarray(atoms, dtype=float)
     coef = np.asarray(coef, dtype=float)
@@ -119,23 +117,11 @@ def evaluate(atoms, coef, spec: ObjectiveSpec, X) -> tuple[np.ndarray, np.ndarra
     # workers made raised the eval benchmark's peak RSS by 16 MB), and separate
     # 2 MB buffers were mapped afresh on every call (eval task_rel 17.1 -> 18.8)
     buffers = np.empty((workers, 2, cells))
-    if workers == 1:
-        _blocks(atoms, coef, spec.loss, X, f0, starts, *buffers[0])
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    def share(w):  # worker w's run of consecutive blocks, in its slice of buffers
+        _blocks(atoms, coef, spec.loss, X, f0,
+                starts[w * len(starts) // workers:(w + 1) * len(starts) // workers], *buffers[w])
 
-        err, call = np.geterr(), np.geterrcall()
-
-        def run(share, buffer):
-            with np.errstate(call=call, **err):
-                _blocks(atoms, coef, spec.loss, X, f0, share, *buffer)
-
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(run, starts[w * len(starts) // workers:
-                                              (w + 1) * len(starts) // workers], buffers[w])
-                       for w in range(workers)]
-        for future in futures:  # the shares in order: the first failing block's error
-            future.result()
+    parallel.run(share, range(workers), workers)
     return f0, eval_regularizer(spec.reg, X) / spec.k
 
 

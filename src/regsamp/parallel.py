@@ -1,24 +1,56 @@
-"""How many threads a computation that regsamp runs side by side may take.
+"""What regsamp runs side by side, and on how many threads.
 
-`bench.failure_rates` runs a failure-rate config's m values on threads, and
-`objective.evaluate` its query blocks.  Both take one thread per CPU in the
-process's affinity, at most one per job, and at most as many as keep every
-thread's arrays within `model.MAX_DENSE_CELLS` cells together.  `evaluate`'s
-blocks are BLAS products, so it also leaves the CPUs to the threads numpy's
-OpenBLAS runs: with OpenBLAS on two threads of two CPUs, query blocks on two
-threads were slower than on one.
+`run` is the one thread runner: `bench.failure_rates` gives it a failure-rate
+config's m values, and `objective.evaluate` a call's runs of query blocks.
+On more than one worker the items run on threads under the caller's numpy
+error state (numpy keeps one per thread, and a new thread starts at numpy's
+defaults), so an error state set around a call raises or warns as in a loop.
+Results come in item order; an error is the first failing item's, and the
+items not yet started then never start.  Each item draws from its own stream
+or writes its own blocks, and numpy releases the interpreter lock in its
+kernels, so a run has the same bits whatever the worker count.
+
+`workers` counts the threads: one per CPU in the process's affinity, at most
+one per job, and at most as many as keep every thread's arrays within
+`model.MAX_DENSE_CELLS` cells together.  `evaluate`'s blocks are BLAS
+products, so it also leaves the CPUs to the threads numpy's OpenBLAS runs:
+with OpenBLAS on two threads of two CPUs, query blocks on two threads were
+slower than on one.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections.abc import Callable, Iterable
+
+import numpy as np
 
 from .model import MAX_DENSE_CELLS
 
 # where OpenBLAS reads its thread count from when it loads, the first positive value
 # winning; with none it takes a thread per CPU
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run(job: Callable, items: Iterable, workers: int) -> list:
+    """[job(item) for item in items], on workers threads when more than one."""
+    if workers <= 1:
+        return [job(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # not on every CLI start
+
+    err, call = np.geterr(), np.geterrcall()
+
+    def under_errstate(item):
+        with np.errstate(call=call, **err):
+            return job(item)
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(under_errstate, item) for item in items]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def workers(jobs: int, cells: int, blas: bool = False) -> int:

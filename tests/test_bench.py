@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
+from conftest import on_cpus
 from regsamp import bench, parallel
 from regsamp.bench import (
     ScalingCurve,
@@ -979,19 +980,35 @@ class TestFailureRateBlocks:
         def workers(n, jobs):  # failure_rates' thread count
             return parallel.workers(jobs, max(n, bench.BLOCK_CELLS))
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert workers(4000, 4) == 4
-        assert workers(100, 1000) == 64
-        assert workers(10 ** 6, 64) == 33
-        assert workers(2 ** 24, 64) == 2
-        assert workers(2 ** 25, 64) == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert workers(10 ** 6, 4) == 2
+        with on_cpus(64):
+            assert workers(4000, 4) == 4
+            assert workers(100, 1000) == 64
+            assert workers(10 ** 6, 64) == 33
+            assert workers(2 ** 24, 64) == 2
+            assert workers(2 ** 25, 64) == 1
+        with on_cpus(2):
+            assert workers(10 ** 6, 4) == 2
         monkeypatch.delattr(os, "sched_getaffinity")  # no affinity: every CPU
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert workers(4000, 4) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert workers(4000, 4) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failure_rates_run_under_the_callers_error_state(self, cpus):
+        # at k = 1e305 the random queries at radius 10 k make each trial's
+        # estimate overflow; with the random-query table built beforehand, under
+        # its own errstate, that overflow is the probes', and it raises on the
+        # worker threads as it does in the loop
+        cfg = TrialConfig(eps=0.25, delta=0.2, trials=20, master_seed=3,
+                          hard=generate("coupon-relu", d=2, k=1e305),
+                          query_policy=bench.ADVERSARIAL_PLUS_RANDOM)
+        with np.errstate(over="ignore"):  # the regularizer's squares overflow too
+            cfg.random_queries
+        with on_cpus(cpus), np.errstate(all="raise"):
+            assert parallel.workers(3, max(cfg.hard.instance.n, bench.BLOCK_CELLS)) == cpus
+            with pytest.raises(FloatingPointError, match="overflow"):
+                bench.failure_rates(cfg, [4, 8, 1000])
 
     @pytest.mark.parametrize("name", ["lin-relu", "quad-hinge", "coupon-relu"])
     def test_search_blocks_keep_to_count_cells(self, monkeypatch, name):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import regsamp
+from conftest import on_cpus
 from regsamp import bench, cli, parallel
 from regsamp.cli import main
 from regsamp.errors import BudgetExceededError, DegenerateInstanceError
@@ -401,7 +402,7 @@ class TestOpt:
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     # scipy adds about 0.2 s to every CLI start; the solvers and the sigmoid and
     # logistic derivatives import what they use of it where they use it, and
-    # `bench.failure_rates` and `objective.evaluate` their thread pools
+    # `parallel.run` its thread pool
     env = {**os.environ, "PYTHONPATH": str(Path(regsamp.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, regsamp.cli; "
@@ -496,8 +497,8 @@ class TestBench:
         ("moment-curve", {"N": 12, "d": 3}, [4, 6, 40, 200]),
     ], ids=["coupon-relu", "moment-curve"])
     @pytest.mark.parametrize("policy", ["adversarial-only", "adversarial-plus-random"])
-    def test_failure_rates_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch,
-                                                             kind, params, m_list, policy):
+    def test_failure_rates_do_not_depend_on_the_worker_count(self, tmp_path, kind, params,
+                                                             m_list, policy):
         cfg = {"mode": "failure-rate", "kind": kind, "params": params, "eps": 0.25,
                "delta": 0.2, "trials": 60, "master_seed": 4, "m_list": m_list,
                "query_policy": policy}
@@ -506,15 +507,10 @@ class TestBench:
         n = generate(kind, **params).instance.n
         outputs = []
         for cpus in (1, 3):  # 3 threads on a 2-CPU machine too, switching often
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            assert parallel.workers(len(m_list), max(n, BLOCK_CELLS)) == cpus
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
+            with on_cpus(cpus):
+                assert parallel.workers(len(m_list), max(n, BLOCK_CELLS)) == cpus
                 assert run("bench", "--config", str(cfg_path),
                            "--out", str(tmp_path / str(cpus))) == 0
-            finally:
-                sys.setswitchinterval(interval)
             outputs.append([(tmp_path / str(cpus) / name).read_bytes()
                             for name in ("failure_rates.csv", "manifest.json")])
         assert outputs[0] == outputs[1]
@@ -538,12 +534,13 @@ class TestBench:
             time.sleep(0.02)
             return failure_rate(cfg, m)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(bench, "failure_rate", failing)
         m_list = [16, 32, 48, *range(100, 140)]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**FAILURE_RATE, "m_list": m_list}))
-        assert run("bench", "--config", str(cfg_path), "--out", str(tmp_path / "x" / "b")) == 2
+        with on_cpus(cpus):
+            assert run("bench", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "x" / "b")) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: sampling probabilities rejected at m = 32\n"

@@ -1,12 +1,11 @@
 import itertools
 import math
-import os
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import on_cpus
 from regsamp.errors import (
     ApplicabilityError,
     BudgetExceededError,
@@ -127,14 +126,6 @@ class TestFullObjective:
         assert f0 == pytest.approx(1.0 / 12.0, abs=1e-12)
 
 
-def on_workers(mp, count):
-    """Make `evaluate` run its blocks on count threads: count CPUs, one BLAS thread."""
-    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    for var in parallel.BLAS_THREAD_VARS:
-        mp.delenv(var, raising=False)
-    mp.setenv("OPENBLAS_NUM_THREADS", "1")
-
-
 @given(st.sampled_from(LOSS_KINDS), st.sampled_from(REG_KINDS),
        st.sampled_from([None, 1, 3]), st.integers(200, 700), st.integers(1, 100),
        st.integers(0, 10_000))
@@ -150,15 +141,9 @@ def test_evaluate_matches_per_query_loop(loss, reg, trials, n, extra, seed):
     coef = rng.uniform(0.0, 1.0, size=(n,) if trials is None else (trials, n))
     results = []
     for count in (1, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            on_workers(mp, count)
+        with on_cpus(count):
             assert parallel.workers(4, BLOCK, blas=True) == count  # 4 blocks or more
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                results.append(evaluate(atoms, coef, spec, X))
-            finally:
-                sys.setswitchinterval(interval)
+            results.append(evaluate(atoms, coef, spec, X))
     (f0, r), (f0_threads, r_threads) = results
     assert f0.tobytes() == f0_threads.tobytes() and r.tobytes() == r_threads.tobytes()
     want_f0 = np.stack([coef @ eval_loss(spec.loss, atoms @ x) for x in X], axis=-1)
@@ -173,7 +158,7 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatchError):
             evaluate(np.ones((4, 3)), np.ones(4), spec_of(LOGISTIC, L1, 2.0), np.ones((2, 2)))
 
-    def test_threads_reuse_their_buffers(self, monkeypatch):
+    def test_threads_reuse_their_buffers(self):
         # two threads each hold one margins and one loss buffer of at most BLOCK
         # cells (7.9 MiB together here); new arrays per block, with logistic's
         # min(r, 0) in a third, peak near 12 MiB on two threads
@@ -182,14 +167,14 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         atoms, X = rng.standard_normal((20000, 8)), rng.standard_normal((601, 8))
         coef, spec = np.full(20000, 1 / 20000), spec_of(LOGISTIC, L2SQ, 16.0)
-        on_workers(monkeypatch, 2)
-        evaluate(atoms, coef, spec, X)  # threads and BLAS set up before tracing
-        tracemalloc.start()
-        try:
-            f0, _ = evaluate(atoms, coef, spec, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with on_cpus(2):
+            evaluate(atoms, coef, spec, X)  # threads and BLAS set up before tracing
+            tracemalloc.start()
+            try:
+                f0, _ = evaluate(atoms, coef, spec, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         slack = 2 ** 20  # X's squares, a block's coef @ g, thread state
         assert peak < 2 * 2 * BLOCK * 8 + f0.nbytes + slack
 

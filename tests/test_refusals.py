@@ -3,12 +3,12 @@ call is refused with its typed error and a message naming what was wrong."""
 
 import json
 import math
-import os
 import re
 
 import numpy as np
 import pytest
 
+from conftest import on_cpus
 from regsamp.bench import TrialConfig, failure_rate, fit_loglog_slope, wilson_interval
 from regsamp.errors import (
     ApplicabilityError,
@@ -183,7 +183,7 @@ def test_eval_refuses_a_query_where_the_objective_overflows(tmp_path, capsys, x,
 
 
 @pytest.mark.filterwarnings("error")  # a worker outside eval's errstate would warn, so fail
-def test_eval_refuses_an_overflowing_query_in_a_threaded_block(tmp_path, capsys, monkeypatch):
+def test_eval_refuses_an_overflowing_query_in_a_threaded_block(tmp_path, capsys):
     # 4096 atoms take 64 queries a block; the margins of query 150 (line 151 of
     # 200) overflow in the third of four blocks, which a worker thread computes
     atoms = [[1.0, -1.0], [-1.0, 1.0]] * 2048
@@ -196,15 +196,14 @@ def test_eval_refuses_an_overflowing_query_in_a_threaded_block(tmp_path, capsys,
         json.dumps({"atom_index": i, "a": atoms[i], "w": 1.0, "s": 1.0}) + "\n" for i in (0, 1)))
     files["queries"].write_text("".join(json.dumps({"x": x, "tag": "far"}) + "\n"
                                         for x in queries))
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     results = []
     for cpus in (1, 3):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-        assert parallel.workers(4, 2 * 64 * len(atoms), blas=True) == cpus
-        code = main(["eval", *(arg for name, path in files.items()
-                               for arg in (f"--{name}", str(path))),
-                     "--loss", "logistic", "--reg", "l2", "--k", "4", "--eps", "0.5",
-                     "--out", str(tmp_path / "report.json")])
+        with on_cpus(cpus):
+            assert parallel.workers(4, 2 * 64 * len(atoms), blas=True) == cpus
+            code = main(["eval", *(arg for name, path in files.items()
+                                   for arg in (f"--{name}", str(path))),
+                         "--loss", "logistic", "--reg", "l2", "--k", "4", "--eps", "0.5",
+                         "--out", str(tmp_path / "report.json")])
         results.append((code, *capsys.readouterr()))
     assert results[0] == results[1]
     assert results[0] == (2, "", f"data error: {files['queries']}: line 151: f(x) = inf, "
