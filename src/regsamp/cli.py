@@ -152,6 +152,9 @@ def _cmd_eval(args) -> int:
         line = exc.row + 1 - queries.implied_origin
         where = f"line {line}" if line else "the origin query it implies"
         raise DataError(f"{args.queries}: {where}: {exc}") from None
+    if np.isnan(errors).all():  # relu's f is 0 only at the origin
+        raise DataError(f"{args.queries}: f(x) = 0 at every query, so no relative error "
+                        "is measured")
     per_query = [{"tag": tag, "error": None if math.isnan(err) else err}
                  for tag, err in zip(queries.tags, errors.tolist())]
     max_err, _, skipped = worst_error(errors)

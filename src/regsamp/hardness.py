@@ -166,28 +166,28 @@ def _gen_quad(kind: str, spec: ObjectiveSpec, eps: float,
 
 def gen_quad_logistic(k: float, eps: float) -> HardInstance:
     """Uniform basis vectors in d = ceil(2 (k ln2 / 40 eps)^2), logistic + l2; atoms on demand."""
-    if not 0 < eps <= 0.1:
-        raise InvalidInputError("eps must lie in (0, 1/10]")
-    d = max(2, _atom_count(2.0 * (k * math.log(2.0) / (40.0 * eps)) ** 2))
-    spec = ObjectiveSpec(loss=make_loss(LOGISTIC), reg=make_reg(L2), k=float(k))
-    h = d // 2
-    x = np.zeros(d)
-    x[:h] = 1.0
-    return _gen_quad(QUAD_LOGISTIC, spec, eps, partial(_basis_rows, d), _basis(d, 0), d, x, h,
-                     float(eval_loss(spec.loss, 1.0)), float(eval_loss(spec.loss, 0.0)),
-                     math.sqrt(h))
+    return _gen_quad_smooth(QUAD_LOGISTIC, LOGISTIC, k, eps,
+                            lambda: 2.0 * (k * math.log(2.0) / (40.0 * eps)) ** 2)
 
 
 def gen_quad_sigmoid(k: float, eps: float) -> HardInstance:
     """Sigmoid variant: d = ceil(2 ((k/2) / 50 eps)^2); atoms on demand."""
+    return _gen_quad_smooth(QUAD_SIGMOID, SIGMOID, k, eps,
+                            lambda: 2.0 * ((k / 2.0) / (50.0 * eps)) ** 2)
+
+
+def _gen_quad_smooth(kind: str, loss: str, k: float, eps: float,
+                     atoms: Callable[[], float]) -> HardInstance:
+    """quad-logistic and quad-sigmoid: d = max(2, ceil(atoms())) basis vectors, l2,
+    and x the sum of the first d // 2; atoms() is called once eps is checked."""
     if not 0 < eps <= 0.1:
         raise InvalidInputError("eps must lie in (0, 1/10]")
-    d = max(2, _atom_count(2.0 * ((k / 2.0) / (50.0 * eps)) ** 2))
-    spec = ObjectiveSpec(loss=make_loss(SIGMOID), reg=make_reg(L2), k=float(k))
+    d = max(2, _atom_count(atoms()))
+    spec = ObjectiveSpec(loss=make_loss(loss), reg=make_reg(L2), k=float(k))
     h = d // 2
     x = np.zeros(d)
     x[:h] = 1.0
-    return _gen_quad(QUAD_SIGMOID, spec, eps, partial(_basis_rows, d), _basis(d, 0), d, x, h,
+    return _gen_quad(kind, spec, eps, partial(_basis_rows, d), _basis(d, 0), d, x, h,
                      float(eval_loss(spec.loss, 1.0)), float(eval_loss(spec.loss, 0.0)),
                      math.sqrt(h))
 

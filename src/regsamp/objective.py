@@ -94,8 +94,7 @@ class OptReport:
 def evaluate(atoms, coef, spec: ObjectiveSpec, X) -> tuple[np.ndarray, np.ndarray]:
     """(f0, R/k) for every query row of X, with f0 = coef @ g(atoms @ X.T).
 
-    coef is (n,) for one weighting of the n atoms or (T, n) for T weightings
-    at once; f0 is then (Q,) or (T, Q) and R/k is (Q,).  Query rows are
+    coef is (n,), one weight per atom; f0 and R/k are (Q,).  Query rows are
     taken in blocks of at most BLOCK margin elements, so memory stays bounded
     for any number of queries.  The blocks of a call that has more than one
     run on `parallel.run`, each worker taking a run of consecutive blocks in
@@ -107,7 +106,7 @@ def evaluate(atoms, coef, spec: ObjectiveSpec, X) -> tuple[np.ndarray, np.ndarra
     X = np.asarray(X, dtype=float)
     if X.shape[1:] != atoms.shape[1:]:
         raise DimensionMismatchError(f"queries {X.shape} do not match atoms {atoms.shape}")
-    f0 = np.empty(coef.shape[:-1] + (X.shape[0],))
+    f0 = np.empty(X.shape[0])
     step = max(1, min(BLOCK // atoms.shape[0], X.shape[0]))  # fewer queries: smaller buffers
     starts = range(0, X.shape[0], step)
     cells = atoms.shape[0] * step
@@ -134,7 +133,7 @@ def _blocks(atoms, coef, loss: LossSpec, X, f0, starts: range, margins, values) 
         shape = (atoms.shape[0], block.shape[0])
         size = shape[0] * shape[1]  # contiguous views: BLAS writes them as it writes a new array
         r = np.matmul(atoms, block.T, out=margins[:size].reshape(shape))
-        f0[..., lo:lo + starts.step] = coef @ eval_loss(loss, r, out=values[:size].reshape(shape))
+        f0[lo:lo + starts.step] = coef @ eval_loss(loss, r, out=values[:size].reshape(shape))
 
 
 def full_objective(instance: Instance, spec: ObjectiveSpec, x) -> tuple[float, float]:

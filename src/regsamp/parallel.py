@@ -2,13 +2,14 @@
 
 `run` is the one thread runner: `bench.failure_rates` gives it a failure-rate
 config's m values, and `objective.evaluate` a call's runs of query blocks.
-On more than one worker the items run on threads under the caller's numpy
-error state (numpy keeps one per thread, and a new thread starts at numpy's
-defaults), so an error state set around a call raises or warns as in a loop.
-Results come in item order; an error is the first failing item's, and the
-items not yet started then never start.  Each item draws from its own stream
-or writes its own blocks, and numpy releases the interpreter lock in its
-kernels, so a run has the same bits whatever the worker count.
+Each item runs in its own copy of the caller's context (PEP 567), where numpy
+keeps its error state, so on any number of workers an error state set around
+a call raises or warns as in a loop, and what an item sets is seen neither by
+the caller nor by another item.  Results come in item order; an error is the
+first failing item's, and the items not yet started then never start.  Each
+item draws from its own stream or writes its own blocks, and numpy releases
+the interpreter lock in its kernels, so a run has the same bits whatever the
+worker count.
 
 `workers` counts the threads: one per CPU in the process's affinity, at most
 one per job, and at most as many as keep every thread's arrays within
@@ -23,8 +24,7 @@ from __future__ import annotations
 import os
 import re
 from collections.abc import Callable, Iterable
-
-import numpy as np
+from contextvars import copy_context
 
 from .model import MAX_DENSE_CELLS
 
@@ -34,20 +34,16 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 
 
 def run(job: Callable, items: Iterable, workers: int) -> list:
-    """[job(item) for item in items], on workers threads when more than one."""
+    """[job(item) for item in items], on workers threads when more than one, each
+    item in a copy of the caller's context made on the calling thread: one per
+    item, since a context cannot be entered by two threads at once."""
     if workers <= 1:
-        return [job(item) for item in items]
+        return [copy_context().run(job, item) for item in items]
     from concurrent.futures import ThreadPoolExecutor  # not on every CLI start
-
-    err, call = np.geterr(), np.geterrcall()
-
-    def under_errstate(item):
-        with np.errstate(call=call, **err):
-            return job(item)
 
     pool = ThreadPoolExecutor(workers)
     try:
-        futures = [pool.submit(under_errstate, item) for item in items]
+        futures = [pool.submit(copy_context().run, job, item) for item in items]
         return [future.result() for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)

@@ -253,6 +253,26 @@ class TestEval:
         assert captured.err == (f"data error: {tmp_path / 'ex.jsonl'}: sample has dimension "
                                 f"{instance.dim}, instance {other} has dimension 2\n")
 
+    @pytest.mark.parametrize("queries", ["", '{"x": [0.0, 0.0, 0.0, 0.0]}\n'],
+                             ids=["empty", "origin"])
+    def test_queries_where_f_is_zero_throughout_are_a_data_error(self, tmp_path, capsys,
+                                                                 queries):
+        # f(x) = 0 only at the origin under relu, so every query is flagged
+        out = gen_lin_relu_dir(tmp_path, k=4)
+        save_exhaustive_sample(load_instance(out / "instance.jsonl"), tmp_path / "ex.jsonl")
+        (tmp_path / "origin.jsonl").write_text(queries)
+        capsys.readouterr()
+        assert run("eval", "--instance", str(out / "instance.jsonl"),
+                   "--sample", str(tmp_path / "ex.jsonl"),
+                   "--queries", str(tmp_path / "origin.jsonl"),
+                   "--loss", "relu", "--reg", "l1", "--k", "4", "--eps", "0.25",
+                   "--out", str(tmp_path / "r.json")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"data error: {tmp_path / 'origin.jsonl'}: f(x) = 0 at every "
+                                "query, so no relative error is measured\n")
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("index", [5, 2, -3])
     def test_atom_index_outside_the_instance_is_data_error(self, tmp_path, capsys, index):
         instance = tmp_path / "two.jsonl"

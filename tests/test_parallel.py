@@ -1,3 +1,4 @@
+import contextvars
 import os
 import threading
 import time
@@ -118,3 +119,44 @@ def test_run_keeps_the_callers_error_state(workers):
     with np.errstate(over="call", call=lambda kind, flag: calls.append(kind)):
         assert parallel.run(job, [1.0, 10.0], workers) == [1e308, np.inf]
     assert calls == ["overflow"]
+
+
+SEEN = contextvars.ContextVar("seen", default=None)
+
+
+def test_every_item_sees_the_callers_context():
+    # a new thread starts in an empty context
+    def job(i):
+        time.sleep(0.01)
+        return SEEN.get()
+
+    token = SEEN.set("caller")
+    try:
+        assert parallel.run(job, range(4), 2) == ["caller"] * 4
+    finally:
+        SEEN.reset(token)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_what_an_item_sets_stays_in_that_item(workers):
+    # each item sees the caller's value, never one an earlier item set
+    def job(i):
+        seen = SEEN.get()
+        SEEN.set(i)
+        time.sleep(0.01)
+        return seen, SEEN.get()
+
+    assert parallel.run(job, range(4), workers) == [(None, i) for i in range(4)]
+    assert SEEN.get() is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_items_seterr_leaves_the_callers_error_state(workers):
+    def job(i):
+        seen = np.geterr()["over"]
+        np.seterr(over="raise")
+        return seen
+
+    before = np.geterr()
+    assert parallel.run(job, range(3), workers) == [before["over"]] * 3
+    assert np.geterr() == before
