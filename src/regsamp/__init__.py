@@ -5,7 +5,7 @@ the full regularized objective, stress them against adversarial hard
 instances, and measure empirical sample-complexity scaling.
 """
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 from .bench import (
     ScalingCurve,

@@ -32,7 +32,12 @@ from functools import cached_property
 import numpy as np
 
 from . import parallel
-from .errors import BudgetExceededError, DegenerateInstanceError, InvalidInputError
+from .errors import (
+    BudgetExceededError,
+    DegenerateInstanceError,
+    InvalidInputError,
+    NonFiniteQueryError,
+)
 from .hardness import HardInstance, batch_failed, generate, kind_params
 from .losses import eval_loss, eval_regularizer
 from .model import Instance, ObjectiveSpec
@@ -78,13 +83,24 @@ class TrialConfig:
     def random_queries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(w g(A X^T), f0, f) at the random queries X the adversarial-plus-random
         policy adds: weighted atom losses and the full objective, built once per
-        config; atoms on demand are not built (`Instance.margins`)."""
+        config; atoms on demand are not built (`Instance.margins`).
+
+        Raises NonFiniteQueryError, naming the first such query, where f(x) (so
+        also f0(x)) is not finite, as an l2sq R(x) is once a radius k or 10k passes 1.3e154.
+        """
         inst, spec = self.hard.instance, self.hard.spec
         X = build_query_set(inst.dim, spec.k, seed=self.master_seed,
                             n_gaussian=20, n_sparse=20).queries
-        G = eval_loss(spec.loss, inst.margins(X))
-        f0 = inst.masses @ G
-        return self.hard.law[1][:, None] * G, f0, f0 + eval_regularizer(spec.reg, X) / spec.k
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            G = eval_loss(spec.loss, inst.margins(X))
+            f0 = inst.masses @ G
+            f = f0 + eval_regularizer(spec.reg, X) / spec.k
+        bad = np.flatnonzero(~np.isfinite(f))
+        if bad.size:
+            i = int(bad[0])
+            raise NonFiniteQueryError(f"random query {i} at k = {spec.k:g}: f(x) = {f[i]:g}, "
+                                      "where a relative error needs it finite", row=i)
+        return self.hard.law[1][:, None] * G, f0, f
 
 
 @dataclass(frozen=True)
@@ -400,22 +416,16 @@ def scaling_curve(kind: str, k_list, eps: float, delta: float,
 
 
 def unbiasedness_check(instance: Instance, spec: ObjectiveSpec, kind: str, x,
-                       m: int, trials: int, seed: int,
-                       weights_override=None) -> tuple[float, float]:
+                       m: int, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo gap between the mean subsampled loss and the exact loss at x.
 
     Returns (mean over trials of f0_hat(x) - f0(x), standard error of that
-    mean).  Pass |gap| <= 4 * stderr.  weights_override replaces the per-atom
-    importance weights (negative-control hook): one finite weight per atom.
+    mean).  Pass |gap| <= 4 * stderr.
     """
     if trials < 100 or m < 1:
         raise InvalidInputError("need at least 100 trials and m >= 1")
     x = np.asarray(x, dtype=float)
     q, w, _ = _law(instance, kind, MIXTURE)
-    if weights_override is not None:
-        w = np.asarray(weights_override, dtype=float)
-        if w.shape != q.shape or not np.all(np.isfinite(w)):
-            raise InvalidInputError(f"weights_override must hold {q.size} finite weights")
     gvals = np.asarray(eval_loss(spec.loss, instance.atoms @ x))
     f0 = float(instance.masses @ gvals)
     per_atom = w * gvals

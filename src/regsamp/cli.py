@@ -58,9 +58,6 @@ DOMAINS = {
                _COUNT[2] + ", nor be empty"),
     "restarts": ("int", lambda v: v >= 1, "{name} must be >= 1"),
     "seed": _SEED, "master_seed": _SEED,
-    # a uniform score D^2 + 2, and twice it, stay finite: S + s forms the law
-    "norm_bound": ("float | None", lambda v: 0 <= v <= 2.0 ** 511,
-                   "{name} must lie in [0, 2^511]"),
     "kind": _TEXT, "reg": _TEXT, "query_policy": _TEXT,
 }
 
@@ -70,7 +67,7 @@ def _checked(name: str, value, flag: str | None = None):
     annotation, inside, refusal = DOMAINS[name]
     if flag is None:
         value = hardness.typed(name, value, annotation)
-    if value is not None and not inside(value):
+    if not inside(value):
         raise InvalidInputError(f"{refusal.format(name=flag or repr(name))}, got {value!r}")
     return value
 
@@ -117,16 +114,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.score.startswith("uniform-") != (args.norm_bound is not None):
-        verb = "needs" if args.norm_bound is None else "takes no"
-        raise InvalidInputError(f"--score {args.score} {verb} --norm-bound")
     instance = load_instance(args.instance)
-    samples = draw_iid(instance, args.score, args.m, args.seed,
-                       convention=args.convention, D=args.norm_bound)
+    samples = draw_iid(instance, args.score, args.m, args.seed, convention=args.convention)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_samples(samples, out)
-    config = {k: getattr(args, k) for k in ("score", "convention", "m", "seed", "norm_bound")}
+    config = {k: getattr(args, k) for k in ("score", "convention", "m", "seed")}
     _write_manifest(out.parent, "sample", {**config, "instance": str(args.instance),
                                            "out": out.name}, [out.name])
     print(f"wrote {len(samples)} weighted samples to {out}")
@@ -274,7 +267,6 @@ def build_parser() -> _Parser:
     p.add_argument("--score", default="norm", choices=SCORE_KINDS)
     p.add_argument("--convention", default=MIXTURE, choices=["mixture", "score-only"])
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--norm-bound", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)

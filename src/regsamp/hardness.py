@@ -248,9 +248,15 @@ def gen_lin_relu(k: int, reg: str = L1) -> HardInstance:
     return HardInstance(inst, spec, queries, LIN_RELU, params)
 
 
-def _gen_lin_smooth(loss_kind: str, k: int, reg: str, alpha: float,
-                    factor: float, kind: str) -> HardInstance:
+def _gen_lin_smooth(loss_kind: str, k: int, reg: str, alpha_of: Callable[[], float],
+                    factor_of: Callable[[float, int], float], kind: str) -> HardInstance:
+    """lin-logistic and lin-sigmoid; alpha_of() and factor_of(alpha, p) are read after
+    the budget check, which refuses k past 2^53, where exp(1/k) - 1 is 0."""
+    if k < 4:
+        raise InvalidInputError("k must be >= 4")
     dense_budget(k, k + 1)
+    alpha = alpha_of()
+    factor = factor_of(alpha, 1 if reg == L1 else 2)
     atoms = np.hstack([np.eye(k), np.ones((k, 1))])
     inst = make_instance(atoms)
     spec = ObjectiveSpec(loss=make_loss(loss_kind), reg=make_reg(reg), k=float(k))
@@ -266,22 +272,14 @@ def _gen_lin_smooth(loss_kind: str, k: int, reg: str, alpha: float,
 
 def gen_lin_logistic(k: int, reg: str = L1) -> HardInstance:
     """Atoms e_i + e_{k+1}; queries alpha(-2 e_j + e_{k+1}) with g(alpha) k = 1."""
-    if k < 4:
-        raise InvalidInputError("k must be >= 4")
-    alpha = math.log(1.0 / (math.exp(1.0 / k) - 1.0))
-    p = 1 if reg == L1 else 2
-    factor = 2.0 + 10.0 * alpha ** (p - 1)
-    return _gen_lin_smooth(LOGISTIC, k, reg, alpha, factor, LIN_LOGISTIC)
+    return _gen_lin_smooth(LOGISTIC, k, reg, lambda: math.log(1.0 / (math.exp(1.0 / k) - 1.0)),
+                           lambda alpha, p: 2.0 + 10.0 * alpha ** (p - 1), LIN_LOGISTIC)
 
 
 def gen_lin_sigmoid(k: int, reg: str = L1) -> HardInstance:
     """Sigmoid variant: alpha = ln(k-1), again g(alpha) k = 1."""
-    if k < 4:
-        raise InvalidInputError("k must be >= 4")
-    alpha = math.log(k - 1.0)
-    p = 1 if reg == L1 else 2
-    factor = 4.0 + 20.0 * alpha ** p
-    return _gen_lin_smooth(SIGMOID, k, reg, alpha, factor, LIN_SIGMOID)
+    return _gen_lin_smooth(SIGMOID, k, reg, lambda: math.log(k - 1.0),
+                           lambda alpha, p: 4.0 + 20.0 * alpha ** p, LIN_SIGMOID)
 
 
 def gen_coupon_relu(d: int, k: float) -> HardInstance:
@@ -297,7 +295,7 @@ def gen_coupon_relu(d: int, k: float) -> HardInstance:
     inst = Instance.on_demand(partial(_basis_rows, d), np.full(_atom_count(d), 1.0 / d),
                               _basis(d, 0))
     spec = ObjectiveSpec(loss=make_loss(RELU), reg=make_reg(L2SQ), k=float(k))
-    alpha = 2.0 * k / (3.0 * d)
+    alpha = 2.0 * (k / (3.0 * d))  # the bits of 2k/(3d), finite wherever k is
     queries = QuerySet((-alpha * _basis(d, 0))[None, :], (TAG_ADVERSARIAL,))
     params = {"k": float(k), "d": d, "alpha": alpha,
               "score_kind": NORM_PLUS_1, "convention": MIXTURE}
@@ -480,7 +478,7 @@ def _coupon_violations(hard, counts, mean_w, m, eps):
     """Candidate j: the query -alpha e_j; fails when atom j is missed and the
     relative error at that query exceeds eps."""
     alpha, d, k = hard.params["alpha"], hard.params["d"], hard.params["k"]
-    err = (alpha / d) / (alpha / d + alpha * alpha / k)
+    err = (alpha / d) / (alpha / d + alpha * (alpha / k))  # alpha^2 may overflow
     return (counts == 0) & (err > eps)
 
 

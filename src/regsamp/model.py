@@ -195,16 +195,18 @@ def gaussian_instance(n: int, dim: int, seed: int, scale: float = 1.0,
 
 
 def compute_constants(instance: Instance, score: str, loss: LossSpec) -> Constants:
-    """Derived scalars: B (mean norm, squared for squared-norm scores), S, D, g(0), L.
+    """Derived scalars: B (mean norm, squared for the sqnorm score), S, D, g(0), L.
 
-    Raises DegenerateInstanceError when S, which is at least B, overflows float range.
+    S is the score mass: at least B under norm and sqnorm, and 1 under uniform,
+    whose sample sizes take D, the largest norm, in its place
+    (`recommended_sample_size(..., uniform=True)`).  Raises
+    DegenerateInstanceError when S overflows float range.
     """
     norms, p = instance.norms(), instance.masses
     d_max = float(norms.max())
     with np.errstate(over="ignore"):
-        b = float(p @ (norms ** 2 if score in (_sampler.SQNORM_PLUS_2, _sampler.UNIFORM_D2)
-                       else norms))
-        s_mass = float(p @ _sampler._scores(score, instance.norms, instance.n, D=d_max))
+        b = float(p @ (norms ** 2 if score == _sampler.SQNORM_PLUS_2 else norms))
+        s_mass = float(p @ _sampler._scores(score, instance.norms, instance.n))
     if not math.isfinite(s_mass):
         raise DegenerateInstanceError(f"the {score} score mass overflows at D = {d_max:.6g}")
     return Constants(L=loss.lipschitz_formula, B=b, S=s_mass, g0=loss.g0, D=d_max)

@@ -674,10 +674,10 @@ def recommended_sample_size(rule: str, loss: LossSpec, reg: RegSpec, k: float,
 
     Rules: "norm" (general Lipschitz losses, any regularizer),
     "bounded-derivative" (|g'| <= g losses with l2sq), "l1" (l1 regularizer).
-    With uniform=True the mass S is replaced by the norm bound D (D^2 for the
-    bounded-derivative rule), matching plain uniform sampling.  Results are
-    up to the theory's unstated constant.  Raises BudgetExceededError when
-    the size is past float range.
+    uniform=True is the one route to a uniform-sampling size: the score mass S
+    is replaced by D, the instance's largest norm (D^2 for the
+    bounded-derivative rule).  Results are up to the theory's unstated
+    constant.  Raises BudgetExceededError when the size is past float range.
     """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise InvalidInputError("eps and delta must lie in (0, 1)")
@@ -685,7 +685,7 @@ def recommended_sample_size(rule: str, loss: LossSpec, reg: RegSpec, k: float,
     L = constants.L
     if uniform:
         if constants.D is None:
-            raise ApplicabilityError("uniform-sampling rule needs the norm bound D")
+            raise ApplicabilityError("uniform-sampling rule needs the largest norm D")
         S = constants.D * constants.D if rule == RULE_BOUNDED_DERIVATIVE else constants.D
     else:
         S = constants.S

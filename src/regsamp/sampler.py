@@ -1,7 +1,8 @@
 """Importance-sampling engine.
 
-Scores s(a) are norm-based and at least 1.  Two sampling conventions are
-implemented and named explicitly:
+Scores s(a) are ||a|| + 1 ("norm"), ||a||^2 + 2 ("sqnorm") or 1 ("uniform",
+whose law is the masses and whose weights are 1, as under any constant score).
+Two sampling conventions are implemented and named explicitly:
 
   * "mixture":   dQ = (s/2S + 1/2) dP, weights w = 2S/(s+S)  (so 0 < w <= 2)
   * "score-only": dQ = (s/S) dP,       weights w = S/s
@@ -33,10 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 NORM_PLUS_1 = "norm"          # s(a) = ||a||_2 + 1
 SQNORM_PLUS_2 = "sqnorm"      # s(a) = ||a||_2^2 + 2
-UNIFORM_D = "uniform-d"       # s(a) = D + 1 for all a
-UNIFORM_D2 = "uniform-d2"     # s(a) = D^2 + 2 for all a
+UNIFORM = "uniform"           # s(a) = 1: q is the masses, w is 1
 
-SCORE_KINDS = (NORM_PLUS_1, SQNORM_PLUS_2, UNIFORM_D, UNIFORM_D2)
+SCORE_KINDS = (NORM_PLUS_1, SQNORM_PLUS_2, UNIFORM)
 
 MIXTURE = "mixture"
 SCORE_ONLY = "score-only"
@@ -88,8 +88,7 @@ def _row_norms(atoms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scores(kind: str, norms: Callable[[], np.ndarray], n: int,
-            D: float | None = None) -> np.ndarray:
+def _scores(kind: str, norms: Callable[[], np.ndarray], n: int) -> np.ndarray:
     """The n scores of `kind`; norms() gives the atoms' norms, which only the
     norm and sqnorm scores read."""
     if kind == NORM_PLUS_1:
@@ -97,17 +96,14 @@ def _scores(kind: str, norms: Callable[[], np.ndarray], n: int,
     if kind == SQNORM_PLUS_2:
         with np.errstate(over="ignore"):  # an infinite square fails the law's sum check
             return norms() ** 2 + 2.0
-    if kind in (UNIFORM_D, UNIFORM_D2):
-        if D is None:
-            raise ConfigurationError(f"score kind {kind!r} requires the norm bound D")
-        val = D + 1.0 if kind == UNIFORM_D else D * D + 2.0
-        return np.full(n, val)
+    if kind == UNIFORM:
+        return np.ones(n)
     raise ConfigurationError(f"unknown score kind {kind!r}")
 
 
-def score_array(kind: str, atoms: np.ndarray, D: float | None = None) -> np.ndarray:
+def score_array(kind: str, atoms: np.ndarray) -> np.ndarray:
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    return _scores(kind, lambda: _row_norms(atoms), atoms.shape[0], D=D)
+    return _scores(kind, lambda: _row_norms(atoms), atoms.shape[0])
 
 
 def importance_weights(s, ref, convention: str):
@@ -126,8 +122,8 @@ def weight(s: float, S: float) -> float:
     return importance_weights(s, S, MIXTURE)
 
 
-def _law(instance: "Instance", kind: str, convention: str,
-         D: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _law(instance: "Instance", kind: str,
+         convention: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(q, w, s) per atom: probabilities, weights and scores.
 
     The law reads the masses and, for the norm and sqnorm scores,
@@ -138,7 +134,7 @@ def _law(instance: "Instance", kind: str, convention: str,
     if convention not in CONVENTIONS:
         raise ConfigurationError(f"unknown sampling convention {convention!r}")
     masses = instance.masses
-    s = _scores(kind, instance.norms, instance.n, D=D)
+    s = _scores(kind, instance.norms, instance.n)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing scores fail the sum check
         S = float(masses @ s)
         q = masses * (s + S) / (S + S) if convention == MIXTURE else masses * s / S
@@ -148,16 +144,14 @@ def _law(instance: "Instance", kind: str, convention: str,
     return q, importance_weights(s, S, convention), s
 
 
-def atom_probabilities(instance: "Instance", kind: str, convention: str,
-                       D: float | None = None) -> np.ndarray:
+def atom_probabilities(instance: "Instance", kind: str, convention: str) -> np.ndarray:
     """Per-atom sampling probability under the given convention."""
-    return _law(instance, kind, convention, D=D)[0]
+    return _law(instance, kind, convention)[0]
 
 
-def atom_weights(instance: "Instance", kind: str, convention: str,
-                 D: float | None = None) -> np.ndarray:
+def atom_weights(instance: "Instance", kind: str, convention: str) -> np.ndarray:
     """Per-atom importance weight under the given convention."""
-    return _law(instance, kind, convention, D=D)[1]
+    return _law(instance, kind, convention)[1]
 
 
 class CategoricalSampler:
@@ -218,11 +212,11 @@ class Coreset:
             raise InvalidInputError("sample weights must be positive and finite")
 
     @classmethod
-    def of_atoms(cls, instance: "Instance", idx, kind: str, convention: str = MIXTURE,
-                 D: float | None = None) -> "Coreset":
+    def of_atoms(cls, instance: "Instance", idx, kind: str,
+                 convention: str = MIXTURE) -> "Coreset":
         """The draws idx of an instance, weighted and scored under (kind, convention)."""
         idx = np.asarray(idx, dtype=np.int64)
-        _, w, s = _law(instance, kind, convention, D=D)
+        _, w, s = _law(instance, kind, convention)
         return cls(idx, instance.atoms[idx], w[idx], s[idx])
 
     def __len__(self) -> int:
@@ -240,7 +234,7 @@ class SEstimate:
 
 
 def draw_iid(instance: "Instance", kind: str, m: int, seed: int,
-             convention: str = MIXTURE, D: float | None = None) -> Coreset:
+             convention: str = MIXTURE) -> Coreset:
     """m i.i.d. categorical draws from the sampling distribution, with exact weights.
 
     Raises BudgetExceededError, before drawing, when the m drawn atoms would
@@ -251,7 +245,7 @@ def draw_iid(instance: "Instance", kind: str, m: int, seed: int,
     if m < 1:
         raise InvalidInputError("sample size m must be >= 1")
     dense_budget(m, instance.dim)
-    q, w, s = _law(instance, kind, convention, D=D)
+    q, w, s = _law(instance, kind, convention)
     idx = CategoricalSampler(q).draw(derive_rng(seed), m)
     return Coreset(idx, instance.atoms[idx], w[idx], s[idx])
 

@@ -12,7 +12,6 @@ import contextlib
 import copy
 import io
 import json
-import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -23,6 +22,7 @@ from hypothesis import strategies as st
 
 from regsamp import cli
 from regsamp.hardness import HARD_KINDS, kind_params
+from regsamp.model import gaussian_instance, save_instance
 
 EXTREME_FLAGS = ["nan", "inf", "-inf", "0", "-1", str(2 ** 63), "1e308", ""]
 EXTREME_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1, 2 ** 63, 1e308, "", [], {}]
@@ -78,11 +78,9 @@ def _invocation(data, inputs, work: Path):
         flags.update({"--kind": kind, "--out": work / "out"})
         numeric = ["--k", "--eps", "--d", "--n"]
     elif command == "sample":
-        score = data.draw(st.sampled_from(["norm", "sqnorm", "uniform-d", "uniform-d2"]))
+        score = data.draw(st.sampled_from(["norm", "sqnorm", "uniform"]))
         flags = {"--score": score, "--m": "20", "--seed": "0", "--out": work / "s.jsonl"}
-        if score.startswith("uniform-"):
-            flags["--norm-bound"] = "3"
-        numeric, files = ["--m", "--seed", "--norm-bound"], {"--instance": inputs["instance"]}
+        numeric, files = ["--m", "--seed"], {"--instance": inputs["instance"]}
     elif command in ("eval", "opt"):
         flags = {"--loss": data.draw(st.sampled_from(["logistic", "sigmoid", "hinge", "relu"])),
                  "--reg": data.draw(st.sampled_from(["l1", "l2", "l2sq"])), "--k": "4",
@@ -197,25 +195,14 @@ def test_deleted_inputs_are_usage_errors(tmp_path, inputs, argv):
     assert not (tmp_path / "o").exists()
 
 
-BOUND = "--norm-bound must lie in [0, 2^511]"
-
-
 @pytest.mark.parametrize("flags,message", [
-    (["--score", "uniform-d", "--norm-bound", "-5"], f"{BOUND}, got -5.0"),
-    (["--score", "uniform-d", "--norm-bound", "nan"], f"{BOUND}, got nan"),
-    (["--score", "uniform-d2", "--norm-bound", "inf"], f"{BOUND}, got inf"),
-    (["--score", "uniform-d2", "--norm-bound", "1e308"], f"{BOUND}, got 1e+308"),
-    (["--score", "uniform-d", "--norm-bound", "1.7976931348623157e308"],
-     f"{BOUND}, got 1.7976931348623157e+308"),
-    (["--score", "uniform-d"], "--score uniform-d needs --norm-bound"),
-    (["--score", "sqnorm", "--norm-bound", "3"], "--score sqnorm takes no --norm-bound"),
-    (["--norm-bound", "0"], "--score norm takes no --norm-bound"),
+    # a norm bound changed no draw of any score, and the flag is gone
+    (["--score", "sqnorm", "--norm-bound", "3"], "unrecognized arguments: --norm-bound 3"),
+    (["--norm-bound", "0"], "unrecognized arguments: --norm-bound 0"),
     (["--m", "0"], "--m must not exceed 2^63 - 1 nor fall below 1, got 0"),
     (["--m", str(2 ** 63)], f"--m must not exceed 2^63 - 1 nor fall below 1, got {2 ** 63}"),
     (["--m", "abc"], "argument --m: invalid int value: 'abc'"),
-], ids=["norm-bound-negative", "norm-bound-nan", "norm-bound-inf", "norm-bound-1e308",
-        "norm-bound-largest-float", "uniform-without-bound",
-        "bound-with-sqnorm", "bound-with-norm", "m-zero", "m-past-int64", "m-not-int"])
+], ids=["bound-with-sqnorm", "bound-with-norm", "m-zero", "m-past-int64", "m-not-int"])
 def test_sample_refusals(tmp_path, inputs, flags, message):
     argv = ["sample", "--instance", inputs["instance"], "--m", "5", *flags,
             "--out", tmp_path / "s" / "x.jsonl"]
@@ -224,34 +211,33 @@ def test_sample_refusals(tmp_path, inputs, flags, message):
     assert not (tmp_path / "s").exists()
 
 
-@pytest.mark.parametrize("score", ["uniform-d", "uniform-d2"])
-def test_largest_norm_bound_gives_finite_scores_and_unit_weights(tmp_path, inputs, score):
-    # a uniform law is the masses: at D = 2^511 the scores D + 1 or D^2 + 2
-    # and the score mass S stay finite, and every weight 2S/(s + S) is 1
-    out = tmp_path / "s.jsonl"
-    code, _, err = run(["sample", "--instance", inputs["instance"], "--m", "9", "--score",
-                        score, "--norm-bound", str(2.0 ** 511), "--out", out])
+@pytest.mark.parametrize("convention", ["mixture", "score-only"])
+def test_uniform_score_records_unit_scores_and_weights(tmp_path, convention):
+    # a constant score makes the law the masses: every s is 1 and every w is 1
+    # up to the rounding of the masses' sum, here 5000 unequal masses
+    instance, out = tmp_path / "i.jsonl", tmp_path / "s.jsonl"
+    save_instance(gaussian_instance(5000, 3, seed=4, uniform_masses=False), instance)
+    code, _, err = run(["sample", "--instance", instance, "--m", "400", "--score", "uniform",
+                        "--convention", convention, "--out", out])
     assert (code, err) == (0, "")
     records = [json.loads(line) for line in out.read_text().splitlines()]
-    assert len(records) == 9 and all(math.isfinite(rec["s"]) for rec in records)
-    assert [rec["w"] for rec in records] == pytest.approx([1.0] * 9, rel=1e-12)
+    assert len(records) == 400 and {rec["s"] for rec in records} == {1.0}
+    assert max(abs(rec["w"] - 1.0) for rec in records) <= 1e-12
 
 
-@pytest.mark.parametrize("score,bound", [("uniform-d", "2.5"), ("uniform-d2", "0"),
-                                         ("norm", None)])
-def test_sample_manifest_regenerates_the_sample(tmp_path, inputs, score, bound):
+@pytest.mark.parametrize("score,convention", [("uniform", "score-only"), ("sqnorm", "mixture"),
+                                              ("norm", None)])
+def test_sample_manifest_regenerates_the_sample(tmp_path, inputs, score, convention):
     first = tmp_path / "a" / "s.jsonl"
-    flags = [] if bound is None else ["--norm-bound", bound]
+    flags = [] if convention is None else ["--convention", convention]
     assert run(["sample", "--instance", inputs["instance"], "--m", "7", "--seed", "3",
                 "--score", score, *flags, "--out", first])[0] == 0
     config = json.loads((first.parent / "manifest.json").read_text())["config"]
-    assert config["norm_bound"] == (None if bound is None else float(bound))
+    assert sorted(config) == ["convention", "instance", "m", "out", "score", "seed"]
     again = tmp_path / "b" / "s.jsonl"
     argv = ["sample", "--instance", config["instance"], "--m", config["m"],
             "--seed", config["seed"], "--score", config["score"],
             "--convention", config["convention"], "--out", again]
-    if config["norm_bound"] is not None:
-        argv += ["--norm-bound", config["norm_bound"]]
     assert run(argv)[0] == 0
     assert again.read_bytes() == first.read_bytes()
 

@@ -320,6 +320,15 @@ class TestCouponRelu:
         err = relative_error(hard.instance, hard.spec, samples, verdict.witness_query)
         assert err == pytest.approx(0.6, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [16.0, 1e160, 1e307, 1.7976931348623157e308])
+    def test_missed_atom_fails_at_every_k(self, k):
+        # the error at a missed atom's query is 3/5 at every k; alpha^2 used to
+        # overflow to read 0 past k = 1e154, and alpha = 2k/(3d) itself past 9e307
+        hard = gen_coupon_relu(30, k)
+        alpha = hard.params["alpha"]
+        assert np.isfinite(alpha) and (alpha == 2.0 * k / 90.0 or 2.0 * k == np.inf)
+        assert check_failure(hard, sample_atoms(hard, range(1, 30)), 0.25).failed
+
     def test_complete_sample_not_failed(self):
         hard = gen_coupon_relu(6, 4.0)
         samples = sample_atoms(hard, range(6))

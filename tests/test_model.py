@@ -212,10 +212,17 @@ class TestComputeConstants:
         assert consts.B > 0.0
         assert consts.D == pytest.approx(3e-170, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize("score", ["sqnorm", "uniform-d2"])
+    @pytest.mark.parametrize("score", ["sqnorm"])
     def test_squared_constants_past_float_range_are_a_typed_error(self, score):
         with pytest.raises(DegenerateInstanceError, match="score mass overflows"):
             compute_constants(make_instance(np.full((2, 3), 1e200)), score, make_loss(LOGISTIC))
+
+    def test_uniform_constants_of_huge_atoms_are_finite(self):
+        # the uniform score mass is the masses' sum; its sample sizes read D
+        consts = compute_constants(make_instance(np.full((2, 3), 1e200)), "uniform",
+                                   make_loss(LOGISTIC))
+        assert consts.S == 1.0
+        assert consts.B == consts.D == pytest.approx(3 ** 0.5 * 1e200, rel=1e-15)
 
 
 class TestObjectiveSpec:

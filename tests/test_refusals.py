@@ -25,7 +25,7 @@ from regsamp.hardness import (
     gen_quad_sigmoid,
     generate,
 )
-from regsamp import parallel
+from regsamp import bench, parallel
 from regsamp.cli import main
 from regsamp.losses import (
     L1,
@@ -221,3 +221,38 @@ def test_eval_measures_an_l2_query_whose_norm_is_finite_but_whose_squares_overfl
     assert eval_regularizer(make_reg(L2), [1e155, 1e155]) == pytest.approx(norm, rel=1e-15)
     assert code == 0 and report["per_query"][1]["error"] == pytest.approx(
         math.log(2.0) / (math.log(2.0) + norm / 4.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_lin_logistic_past_float_precision_is_a_budget_error(tmp_path, capsys, command):
+    # alpha's exp(1/k) - 1 rounds to 0 from k = 2^53 on; the dense budget refuses such k first
+    out = tmp_path / "out"
+    if command == "gen":
+        argv = ["gen", "--kind", "lin-logistic", "--k", "1e17", "--out", str(out)]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "mode": "failure-rate", "kind": "lin-logistic", "params": {"k": 1e17},
+            "eps": 0.25, "delta": 0.2, "m_list": [4]}))
+        argv = ["bench", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("budget error: 100000000000000000 x 100000000000000001 "
+                                   "atoms take ")
+    assert not out.exists()
+
+
+def test_random_queries_past_float_range_are_a_data_error(tmp_path, capsys, monkeypatch):
+    # at k = 1e160 the l2sq R(x)/k of a random query at radius k or 10k overflows,
+    # where no probe could fail; the suite turns a RuntimeWarning into an error
+    probes = []
+    monkeypatch.setattr(bench, "failure_rate", lambda cfg, m: probes.append(m))
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "mode": "failure-rate", "kind": "coupon-relu", "params": {"d": 30, "k": 1e160},
+        "eps": 0.25, "delta": 0.2, "trials": 5, "m_list": [3],
+        "query_policy": "adversarial-plus-random"}))
+    code = main(["bench", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")])
+    assert (code, *capsys.readouterr(), probes) == (
+        2, "", "data error: random query 4 at k = 1e+160: f(x) = inf, where a relative error "
+        "needs it finite\n", [])
+    assert not (tmp_path / "o").exists()

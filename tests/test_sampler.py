@@ -46,12 +46,12 @@ class TestScore:
         assert score_array("sqnorm", np.array([3.0, 0.0])).tolist() == [11.0]
 
     def test_uniform_kinds(self):
-        assert score_array("uniform-d", np.array([0.3, 0.1]), D=1.0).tolist() == [2.0]
-        assert score_array("uniform-d2", np.array([0.3, 0.1]), D=2.0).tolist() == [6.0]
+        assert score_array("uniform", np.array([[0.3, 0.1], [4.0, 0.0]])).tolist() == [1.0, 1.0]
 
-    def test_uniform_requires_d(self):
-        with pytest.raises(ConfigurationError):
-            score_array("uniform-d", np.zeros(2))
+    @pytest.mark.parametrize("kind", ["uniform-d", "uniform-d2"])
+    def test_removed_uniform_kinds_are_unknown(self, kind):
+        with pytest.raises(ConfigurationError, match="unknown score kind"):
+            score_array(kind, np.zeros(2))
 
     def test_always_at_least_one(self):
         rng = np.random.default_rng(0)
@@ -91,9 +91,10 @@ class TestMixtureProbabilities:
         assert np.allclose(q, [3.0 / 8.0, 5.0 / 8.0], atol=1e-15)
 
     def test_uniform_score_gives_uniform_mixture(self):
-        inst = make_instance(np.vstack([np.eye(3), 2 * np.eye(3)]))
-        q = atom_probabilities(inst, "uniform-d", MIXTURE, D=2.0)
-        assert np.allclose(q, inst.masses, atol=1e-15)
+        inst = make_instance(np.vstack([np.eye(3), 2 * np.eye(3)]), np.arange(1.0, 7.0))
+        for convention in (MIXTURE, SCORE_ONLY):
+            q = atom_probabilities(inst, "uniform", convention)
+            assert np.allclose(q, inst.masses, atol=1e-15)
 
     def test_dominates_half_the_masses(self):
         inst = gaussian_instance(50, 4, seed=7, uniform_masses=False)
@@ -320,7 +321,7 @@ class TestEstimateS:
 
     def test_uniform_kind_rejected(self):
         with pytest.raises(ConfigurationError):
-            estimate_S(TWO_ATOM, "uniform-d", eps=0.1, delta=0.1, seed=0)
+            estimate_S(TWO_ATOM, "uniform", eps=0.1, delta=0.1, seed=0)
 
     def test_draw_budget_raises_before_allocating(self):
         # D = 1e4 under sqnorm asks for D^2 ln(10) / 0.01, about 2.3e10 draws
